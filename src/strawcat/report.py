@@ -44,7 +44,10 @@ class Report:
             self.add(check, False, witness, detail)
 
     def merge(self, other: "Report") -> None:
+        """Append other's findings; params self lacks are copied over."""
         self.findings.extend(other.findings)
+        for k, v in other.params.items():
+            self.params.setdefault(k, v)
         self.truncated = self.truncated or other.truncated
 
     @property

@@ -10,11 +10,22 @@ independence is a tested property.
 
 All st-level checks take a path-length bound; every axiom family states in
 the report exactly which composable tuples it quantified over.
+
+Because a cell of st A is a base cell between evaluations, the two largest
+families of the strictness oracle, hcomp associativity and interchange, run
+on an integer-indexed kernel (`_StKernel`) built once per
+`st_strict_report` call: dense ids for the bounded paths, the base cells and
+the st-cells, int32 tables for cell composition and for the forward and
+inverse coherence isos xi, and a sentinel id for "undefined".  Each instance
+is still computed and compared, in batches of array gathers.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
+
 from .core import Frame, TableDouble, is_strict
 from .homs import (
     HorizontalPseudoTransformation,
@@ -234,9 +245,8 @@ class StrictifiedDouble:
     def hcomp_payload(self, dl: Path, cl: Path, pl, dr: Path, cr: Path, pr):
         """Payload of the horizontal composite, without allocating the cell."""
         A = self.base
-        vt = A.vcomp_cell_table
-        mid = A.hcomp_cell_table[(pr, pl)]
-        return vt[(self.xi(cl, cr)[1], vt[(mid, self.xi(dl, dr)[0])])]
+        mid = A.hcomp_cell(pr, pl)
+        return A.vcomp_cell(self.xi(cl, cr)[1], A.vcomp_cell(mid, self.xi(dl, dr)[0]))
 
     def hcomp_cell(self, r: StCell, l: StCell) -> StCell:
         A = self.base
@@ -375,6 +385,294 @@ def renormalize(S: StrictifiedDouble, dom: Path, cod: Path, payload) -> StCell:
 # bounded strictness check (the st-side oracle)
 # ---------------------------------------------------------------------------
 
+_BATCH = 1 << 12        # instances the st kernel gathers at once
+
+
+def _ranges(lo, hi):
+    """The ranges [lo[i], hi[i]) laid end to end, with the index i that each
+    element came from; a range with hi <= lo is empty."""
+    n = np.maximum(hi - lo, 0)
+    ends = np.cumsum(n)
+    owner = np.repeat(np.arange(len(n)), n)
+    pos = np.arange(ends[-1] if len(n) else 0) + np.repeat(lo - (ends - n), n)
+    return owner, pos
+
+
+def _batches(idx, sizes):
+    """Consecutive parts of idx whose sizes sum to about _BATCH each."""
+    if not len(idx):
+        return
+    ends = np.cumsum(sizes)
+    cuts = np.searchsorted(ends, np.arange(_BATCH, ends[-1], _BATCH)).tolist()
+    bounds = sorted({0, len(idx), *cuts})
+    for a, b in zip(bounds, bounds[1:]):
+        yield idx[a:b]
+
+
+class _StKernel:
+    """The st-cells of one bound as integer ids, for the hcomp-associativity
+    (C4) and interchange (C6) families of `st_strict_report`.
+
+    A cell of st A is a base cell between the evaluations of its boundary
+    paths, so each composite those families compare is a few lookups in
+    small tables:
+
+    * ids: the paths of ``S.paths(bound)``, the base cells, vmors and
+      objects are numbered in their construction order;
+    * ``VT``/``HT``: vertical/horizontal composition of base cells, int32,
+      with one extra row and column, id ``undef``, standing for "undefined";
+      a composite with either factor undefined is undefined;
+    * ``XF``/``XB``: forward/inverse ``S.xi`` on every composable pair of
+      paths within the bound (``undef`` elsewhere, or where ``S.xi``
+      raised), and ``CAT`` the id of the concatenation, or the extra path
+      id ``len(paths)`` where there is none;
+    * per st-cell: ``dom``, ``cod``, ``pay`` (payload), ``left``/``right``
+      (the payload's vertical sides) and the boundary lengths.
+
+    The payload of a horizontal composite is then
+    ``VT[XB[cl, cr], VT[HT[pr, pl], XF[dl, dr]]]``.  ``H`` lists every
+    pair (c, c') with c' a right neighbour of c (its payload starts on c's
+    right side, where c.dom ends) and both boundaries within the bound,
+    ordered by c, then dom length, cod length and position of c'; ``Hpay``
+    holds their composites.  ``B`` lists the bottom rows of interchange
+    grids, grouped by their dom paths.  A family is
+    evaluated in batches of consecutive instances; an undefined value in a
+    batch is re-evaluated with checked lookups and raises a
+    `StructuralError` that names the first undefined composite, in loop
+    order."""
+
+    def __init__(self, S: StrictifiedDouble, bound: int, paths: list, cells: list):
+        A = S.base
+        self.S, self.bound, self.paths, self.cells = S, bound, paths, cells
+        pid = {p: i for i, p in enumerate(paths)}
+        cid = {c: i for i, c in enumerate(A.cells)}
+        und = self.undef = len(A.cells)
+        self._strict = False
+
+        def table(comp):
+            T = np.full((und + 1, und + 1), und, np.int32)
+            for (x, y), out in comp.items():
+                T[cid[x], cid[y]] = cid[out]
+            return T
+
+        self.VT = table(A.vcomp_cell_table)
+        self.HT = table(A.hcomp_cell_table)
+        P = len(paths)
+        self.XF = np.full((P + 1, P + 1), und, np.int32)
+        self.XB = np.full((P + 1, P + 1), und, np.int32)
+        self.CAT = np.full((P + 1, P + 1), P, np.int32)
+        starting = {}
+        for p in paths:
+            starting.setdefault(p.src, []).append(p)
+        for p in paths:
+            for q in starting.get(S.htgt(p), ()):
+                if len(p) + len(q) > bound:
+                    break                       # paths come in length order
+                i, j = pid[p], pid[q]
+                self.CAT[i, j] = pid[p + q]
+                try:
+                    fwd, bwd = S.xi(p, q)
+                except StructuralError:
+                    continue
+                self.XF[i, j], self.XB[i, j] = cid[fwd], cid[bwd]
+
+        vid = {u: i for i, u in enumerate(A.vmors)}
+        oid = {a: i for i, a in enumerate(A.objects)}
+        frames = [A.frame(c.payload) for c in cells]
+
+        def col(xs):
+            return np.array(xs, np.int64).reshape(-1)
+
+        self.dom = dom = col([pid[c.dom] for c in cells])
+        self.cod = cod = col([pid[c.cod] for c in cells])
+        self.pay = col([cid[c.payload] for c in cells])
+        left = col([vid[f.left] for f in frames])
+        right = col([vid[f.right] for f in frames])
+        self.dlen = dlen = col([len(c.dom) for c in cells])
+        self.clen = clen = col([len(c.cod) for c in cells])
+        dsrc = col([oid[c.dom.src] for c in cells])
+        dtgt = col([oid[S.htgt(c.dom)] for c in cells])
+
+        # H: the right neighbours of each cell c within the bound; the cells
+        # sorted by (left side, dom source, dom length, cod length) hold the
+        # right neighbours of c with dom length dl in one run per dl
+        L1 = bound + 1
+        key = (left * len(A.objects) + dsrc) * L1 * L1 + dlen * L1 + clen
+        order = np.argsort(key, kind="stable")
+        self._skey = key[order]
+        self._want = ((right * len(A.objects) + dtgt) * L1 * L1)[:, None] + np.arange(L1) * L1
+        lo, hi = self._rights(np.arange(len(cells)), bound - dlen, bound - clen)
+        run, pos = _ranges(lo.ravel(), hi.ravel())
+        self.Hl, self.Hr = run // L1, order[pos]
+        n = np.maximum(hi - lo, 0).ravel()
+        self._hbase = (np.cumsum(n) - n).reshape(lo.shape) - lo    # H index - pos
+        self.Hpay = self._in_batches(self.Hl, self.Hr)
+
+        # B: per pair (q1, q2) of dom paths, the pairs (l2, r2) of cells with
+        # those doms, l2's right side r2's left side and cod lengths within
+        # the bound, in the order (l2, r2)
+        by_dom = np.argsort(dom, kind="stable")
+        DS = np.searchsorted(dom[by_dom], np.arange(P))
+        DE = np.searchsorted(dom[by_dom], np.arange(P), "right")
+        self.BS = np.zeros((P, P), np.int64)
+        self.BE = np.zeros((P, P), np.int64)
+        Bl, Br, n = [], [], 0
+        for k in sorted(set((cod[self.Hl] * P + cod[self.Hr]).tolist())):
+            q1, q2 = divmod(k, P)
+            L2, R2 = by_dom[DS[q1]:DE[q1]], by_dom[DS[q2]:DE[q2]]
+            i, j = np.nonzero((right[L2][:, None] == left[R2])
+                              & (clen[L2][:, None] + clen[R2] <= bound))
+            Bl.append(L2[i])
+            Br.append(R2[j])
+            self.BS[q1, q2], n = n, n + len(i)
+            self.BE[q1, q2] = n
+        self.Bl = np.concatenate(Bl) if Bl else np.zeros(0, np.int64)
+        self.Br = np.concatenate(Br) if Br else np.zeros(0, np.int64)
+        self.Bpay = self._in_batches(self.Bl, self.Br)
+
+    def _rights(self, cs, dmax, cmax):
+        """The right neighbours of each c in cs with dom length <= dmax and
+        cod length <= cmax: per dom length dl, a run [lo, hi) of the sorted
+        cells, empty when dl > dmax."""
+        want = self._want[cs]
+        lo = np.searchsorted(self._skey, want)
+        hi = np.searchsorted(self._skey, want + cmax[:, None], "right")
+        return lo, np.where(np.arange(self.bound + 1) <= dmax[:, None], hi, lo)
+
+    # -- lookups ---------------------------------------------------------------
+
+    def _look(self, T, i, j):
+        """T[i, j]; checked lookups, made on one instance, raise on undef."""
+        out = T[i, j]
+        if self._strict and out[0] == (len(self.paths) if T is self.CAT else self.undef):
+            x, y = int(i[0]), int(j[0])
+            A, S = self.S.base, self.S
+            if T is self.VT:
+                raise StructuralError(
+                    f"{A.name}: cells not v-composable: {A.cells[x]} under {A.cells[y]}")
+            if T is self.HT:
+                raise StructuralError(
+                    f"{A.name}: cells not h-composable: {A.cells[x]} after {A.cells[y]}")
+            p, q = self.paths[x], self.paths[y]
+            if T is not self.CAT and S.htgt(p) == q.src:
+                S.xi(p, q)              # raised when the table was filled
+            raise StructuralError(f"{S.name}: paths not composable: {p} then {q}")
+        return out
+
+    def hp(self, dl, cl, pl, dr, cr, pr):
+        """Payload of the horizontal composite of the cells (dl, cl, pl) and
+        (dr, cr, pr), on the right; ``StrictifiedDouble.hcomp_payload`` on ids."""
+        mid = self._look(self.HT, pr, pl)
+        xb = self._look(self.XB, cl, cr)
+        return self._look(self.VT, xb, self._look(self.VT, mid, self._look(self.XF, dl, dr)))
+
+    def _hcomp(self, l, r):
+        d, k, p = self.dom, self.cod, self.pay
+        return self.hp(d[l], k[l], p[l], d[r], k[r], p[r])
+
+    def _pair(self, h):
+        """Composite of the H pairs h: stored, or recomputed when checked."""
+        return self._hcomp(self.Hl[h], self.Hr[h]) if self._strict else self.Hpay[h]
+
+    def _bottom(self, bi):
+        return self._hcomp(self.Bl[bi], self.Br[bi]) if self._strict else self.Bpay[bi]
+
+    def _in_batches(self, ls, rs):
+        out = np.empty(len(ls), np.int32)
+        for a in range(0, len(ls), _BATCH):
+            out[a:a + _BATCH] = self._hcomp(ls[a:a + _BATCH], rs[a:a + _BATCH])
+        return out
+
+    def _raise_first_undefined(self, part, own, bad, replay):
+        """Raise for the first undefined composite of a batch in loop order:
+        the composite of an outer pair ``part[o]`` comes before the
+        instances of that pair, ``replay(j)`` re-evaluates instance j."""
+        outer = np.flatnonzero(self.Hpay[part] == self.undef)[:1]
+        first = np.flatnonzero(bad)[:1]
+        self._strict = True
+        try:
+            if len(outer) and (not len(first) or outer[0] <= own[first[0]]):
+                self._pair(part[outer])
+            replay(first)
+        finally:
+            self._strict = False
+        raise StructuralError(f"{self.S.name}: undefined composite")
+
+    # -- the two families ------------------------------------------------------
+
+    def _hassoc_sides(self, h12, h23):
+        d, k, CAT, look = self.dom, self.cod, self.CAT, self._look
+        c1, c2, c3 = self.Hl[h12], self.Hr[h12], self.Hr[h23]
+        lhs = self.hp(look(CAT, d[c1], d[c2]), look(CAT, k[c1], k[c2]), self._pair(h12),
+                      d[c3], k[c3], self.pay[c3])
+        rhs = self.hp(d[c1], k[c1], self.pay[c1],
+                      look(CAT, d[c2], d[c3]), look(CAT, k[c2], k[c3]), self._pair(h23))
+        return lhs, rhs
+
+    def hassoc(self, rep: Report) -> int:
+        """C4 on every triple (c1, c2, c3) of H-neighbours whose dom and cod
+        lengths each total <= bound, except for c1 with both boundaries
+        at the bound; returns the number of instances."""
+        b, Hl, Hr = self.bound, self.Hl, self.Hr
+        dlen, clen, cells = self.dlen, self.clen, self.cells
+        outer = np.flatnonzero((dlen[Hl] < b) | (clen[Hl] < b))
+        n = 0
+        step = _BATCH // (b + 1)
+        for a in range(0, len(outer), step):
+            chunk = outer[a:a + step]
+            c1, c2 = Hl[chunk], Hr[chunk]
+            lo, hi = self._rights(c2, b - dlen[c1] - dlen[c2], b - clen[c1] - clen[c2])
+            hbase = self._hbase[c2]
+            for rows in _batches(np.arange(len(chunk)), np.maximum(hi - lo, 0).sum(1)):
+                run, pos = _ranges(lo[rows].ravel(), hi[rows].ravel())
+                own = run // (b + 1)
+                part = chunk[rows]
+                h12, h23 = part[own], hbase[rows].ravel()[run] + pos
+                lhs, rhs = self._hassoc_sides(h12, h23)
+                bad = (lhs == self.undef) | (rhs == self.undef)
+                if bad.any() or (self.Hpay[part] == self.undef).any():
+                    self._raise_first_undefined(
+                        part, own, bad, lambda j: self._hassoc_sides(h12[j], h23[j]))
+                for i in np.flatnonzero(lhs != rhs).tolist():
+                    rep.add("st.cell.hassoc", False,
+                            (cells[Hl[h12[i]]], cells[Hr[h12[i]]], cells[Hr[h23[i]]]))
+                n += len(h12)
+        return n
+
+    def _interchange_sides(self, h, bi):
+        l1, r1, l2, r2 = self.Hl[h], self.Hr[h], self.Bl[bi], self.Br[bi]
+        p, VT = self.pay, self.VT
+        top = self._pair(h)
+        lhs = self._look(VT, self._bottom(bi), top)
+        rhs = self.hp(self.dom[l1], self.cod[l2], self._look(VT, p[l2], p[l1]),
+                      self.dom[r1], self.cod[r2], self._look(VT, p[r2], p[r1]))
+        return lhs, rhs
+
+    def interchange(self, rep: Report) -> int:
+        """C6 on every 2x2 grid: (l1, r1) in H, l2 below l1 and r2 below r1
+        with l2's right side r2's left side, and the cod lengths of each row
+        totalling <= bound; returns the number of instances."""
+        Hl, Hr, Bl, Br, cells = self.Hl, self.Hr, self.Bl, self.Br, self.cells
+        lo = self.BS[self.cod[Hl], self.cod[Hr]]
+        hi = self.BE[self.cod[Hl], self.cod[Hr]]
+        n = 0
+        for part in _batches(np.arange(len(Hl)), hi - lo):
+            own, bi = _ranges(lo[part], hi[part])
+            h = part[own]
+            keep = np.flatnonzero(self.clen[Bl[bi]] + self.clen[Hr[h]] <= self.bound)
+            own, h, bi = own[keep], h[keep], bi[keep]
+            lhs, rhs = self._interchange_sides(h, bi)
+            bad = (lhs == self.undef) | (rhs == self.undef)
+            if bad.any() or (self.Hpay[part] == self.undef).any():
+                self._raise_first_undefined(
+                    part, own, bad, lambda j: self._interchange_sides(h[j], bi[j]))
+            for i in np.flatnonzero(lhs != rhs).tolist():
+                rep.add("st.interchange", False,
+                        (cells[Hl[h[i]]], cells[Hr[h[i]]], cells[Bl[bi[i]]], cells[Br[bi[i]]]))
+            n += len(h)
+        return n
+
+
 def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
     """Verify every strict double-category axiom instance of st A within the
     stated bounds.  Instance bounds, per family (exact for each degree):
@@ -388,6 +686,13 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
       side (so all instances whose composites have degree <= bound);
     * interchange: all 2x2 grids bounded the same way;
     * constraint cells: identity on all composable path tuples, total <= bound.
+
+    Hcomp associativity (C4) and interchange (C6) run on `_StKernel`: the
+    bounded paths, base cells and st-cells get dense ids, cell composition
+    and xi become int32 tables whose extra id stands for "undefined", and an
+    instance becomes a handful of array gathers.  Failures are reported in
+    loop order with their st-cell witnesses; an undefined composite raises
+    a `StructuralError` naming the pair, as on every other family.
     """
     rep = Report(f"strict({S.name})", params={"bound": bound})
     A = S.base
@@ -427,9 +732,6 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
         tally("st.cell.vunit")
 
     # C2: vertical associativity: bounded total-length chains + unary stratum
-    by_dom = {}
-    for c in cells:
-        by_dom.setdefault(c.dom, []).append(c)
     small = [c for c in cells if len(c.dom) + len(c.cod) <= bound]
     small_by_dom = {}
     for c in small:
@@ -472,46 +774,10 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
             rep.require("st.cell.hunit", S.hcomp_cell(e_r, c) == c, (c,))
             tally("st.cell.hunit")
 
-    # buckets keyed by (left vmor of payload, source object, dom len, cod len)
-    by_left_sz = {}
-    for c in cells:
-        key = (A.frame(c.payload).left, c.dom.src, len(c.dom), len(c.cod))
-        by_left_sz.setdefault(key, []).append(c)
-
-    def rights_of(c, dmax, cmax):
-        r = A.frame(c.payload).right
-        t = S.htgt(c.dom)
-        for dl in range(dmax + 1):
-            for cl in range(cmax + 1):
-                yield from by_left_sz.get((r, t, dl, cl), ())
-
     # C4: hcomp associativity within total bound; compared on payloads since
     # boundary paths agree by concatenation associativity (family P1)
-    hp = S.hcomp_payload
-    cat = S.concat
-    hassoc_n = 0
-    pair_payload = {}
-    for c1 in cells:
-        d1, k1 = len(c1.dom), len(c1.cod)
-        if d1 >= bound and k1 >= bound:
-            continue
-        for c2 in list(rights_of(c1, bound - d1, bound - k1)):
-            p12 = hp(c1.dom, c1.cod, c1.payload, c2.dom, c2.cod, c2.payload)
-            d12d, d12c = cat(c1.dom, c2.dom), cat(c1.cod, c2.cod)
-            n12d, n12c = d1 + len(c2.dom), k1 + len(c2.cod)
-            for c3 in rights_of(c2, bound - n12d, bound - n12c):
-                lhs = hp(d12d, d12c, p12, c3.dom, c3.cod, c3.payload)
-                key23 = (c2, c3)
-                p23 = pair_payload.get(key23)
-                if p23 is None:
-                    p23 = hp(c2.dom, c2.cod, c2.payload, c3.dom, c3.cod, c3.payload)
-                    pair_payload[key23] = p23
-                rhs = hp(c1.dom, c1.cod, c1.payload,
-                         cat(c2.dom, c3.dom), cat(c2.cod, c3.cod), p23)
-                if lhs != rhs:
-                    rep.add("st.cell.hassoc", False, (c1, c2, c3))
-                hassoc_n += 1
-    counts["st.cell.hassoc"] = hassoc_n
+    K = _StKernel(S, bound, all_paths, cells)
+    counts["st.cell.hassoc"] = K.hassoc(rep)
 
     # C5: vid multiplicative over concatenation
     for p in all_paths:
@@ -523,29 +789,7 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
             tally("st.vid.mult")
 
     # C6: interchange on bounded 2x2 grids (payload comparison, as in C4)
-    vt = A.vcomp_cell_table
-    frame_right = {c: A.frame(c.payload).right for c in cells}
-    frame_left = {c: A.frame(c.payload).left for c in cells}
-    inter_n = 0
-    for l1 in cells:
-        d1, k1 = len(l1.dom), len(l1.cod)
-        for r1 in list(rights_of(l1, bound - d1, bound - k1)):
-            top = hp(l1.dom, l1.cod, l1.payload, r1.dom, r1.cod, r1.payload)
-            for l2 in by_dom.get(l1.cod, ()):
-                if len(l2.cod) + len(r1.cod) > bound:
-                    continue
-                fr2 = frame_right[l2]
-                for r2 in by_dom.get(r1.cod, ()):
-                    if fr2 != frame_left[r2] or len(l2.cod) + len(r2.cod) > bound:
-                        continue
-                    bot = hp(l2.dom, l2.cod, l2.payload, r2.dom, r2.cod, r2.payload)
-                    lhs = vt[(bot, top)]
-                    rhs = hp(l1.dom, l2.cod, vt[(l2.payload, l1.payload)],
-                             r1.dom, r2.cod, vt[(r2.payload, r1.payload)])
-                    if lhs != rhs:
-                        rep.add("st.interchange", False, (l1, r1, l2, r2))
-                    inter_n += 1
-    counts["st.interchange"] = inter_n
+    counts["st.interchange"] = K.interchange(rep)
 
     # C7: horizontal identities functorial
     for a in A.objects:

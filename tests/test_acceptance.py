@@ -73,6 +73,26 @@ def test_criterion_1_validator_soundness(corpus_dir):
                 f"20 mutations -> axioms {sorted(set(named))}")
 
 
+# per-family instance counts of st_strict_report(st(A), 4), so that a
+# faster oracle is seen to do the same work
+ST_FAMILIES = (
+    "st.hmor.unit", "st.hmor.assoc", "st.cell.vunit",
+    "st.cell.vassoc", "st.cell.hunit", "st.cell.hassoc",
+    "st.vid.mult", "st.interchange", "st.hid.videntity",
+    "st.hid.functorial", "st.constraint.identity",
+)
+ST_COUNTS = {
+    "terminal": (5, 35, 25, 71, 50, 1_224, 15, 2_850, 1, 1, 40),
+    "unit": (5, 35, 25, 71, 50, 1_224, 15, 2_850, 1, 1, 40),
+    "vertfree": (10, 70, 75, 355, 100, 3_672, 30, 11_400, 2, 4, 80),
+    "sigmaM": (121, 1_549, 11_361, 75, 22_722, 166_458, 547, 5_837_202, 1, 1, 1_670),
+    "sigma2": (31, 351, 481, 195, 962, 21_873, 129, 133_361, 1, 1, 382),
+    "quintet": (20, 175, 225, 452, 350, 11_002, 70, 41_820, 2, 4, 195),
+    "quintetP": (20, 175, 225, 452, 350, 11_002, 70, 41_820, 2, 4, 195),
+    "nonstrict": (31, 351, 1_377, 87, 2_754, 43_478, 129, 816_210, 1, 1, 382),
+}
+
+
 def test_criterion_2_strictness_of_st():
     from strawcat.strictify import st, st_strict_report
     t0 = time.perf_counter()
@@ -80,7 +100,9 @@ def test_criterion_2_strictness_of_st():
     for name, A in CORPUS.items():
         rep = st_strict_report(st(A), 4)
         assert rep.ok, f"{name}: {rep.render()}"
+        assert rep.params["instances"] == dict(zip(ST_FAMILIES, ST_COUNTS[name])), name
         total += sum(rep.params["instances"].values())
+    assert set(ST_COUNTS) == set(CORPUS)
     report_line(2, True, time.perf_counter() - t0, 60, f"{total} axiom instances at L=4")
 
 

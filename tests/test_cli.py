@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -127,6 +129,14 @@ def test_cli_envelope_small():
     code, out = run_cli("envelope", "--multicat", "z2", "--arity-cap", "3")
     doc = json.loads(out)
     assert code == 0 and doc["pass"]
+    # the envelope's own counts next to validate_multicat's assoc_instances
+    want = {"morphisms": 360,
+            "assoc_instances_small": 317_310,
+            "assoc_instances_structural": 30_446,
+            "tensor_functoriality_instances": 29_953,
+            "symmetry_naturality_instances": 1_078,
+            "assoc_instances": 2_248}
+    assert {k: doc["params"][k] for k in want} == want
 
 
 def test_cli_adjunction_builtin():
@@ -163,3 +173,18 @@ def test_cli_invalid_input_fails(tmp_path, corpus_dir):
     code, out = run_cli("validate", str(path))
     doc = json.loads(out)
     assert code == 1 and doc["pass"] is False
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("strictify-*.json")))
+def test_cli_strictify_matches_golden(golden, corpus_dir, monkeypatch):
+    # tests/golden/strictify-<member>-b<bound>.json holds the exact output of
+    # `strawcat strictify corpus/<member>.pdc --bound <bound>` run from the
+    # repository root
+    member, bound = re.fullmatch(r"strictify-(\w+)-b(\d+)\.json", golden).groups()
+    monkeypatch.chdir(corpus_dir.parent)
+    code, out = run_cli("strictify", f"corpus/{member}.pdc", "--bound", bound)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()

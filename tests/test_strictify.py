@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st_
 
 from strawcat import is_strict, terminal, validate
+from strawcat.cli import elaborate, parse
 from strawcat.corpus import corpus, nonstrict, quintet, sigma_m3
 from strawcat.homs import check_functor, enumerate_functors, identity_functor
 from strawcat.strictify import (
@@ -286,3 +289,134 @@ def test_uniqueness_by_free_enumeration_at_bound(tables):
                             found.add(tuple(sorted(
                                 (p.hmors, comp[p]) for p in paths)))
                 assert found == expected, (a, b, F.name, G.name)
+
+
+# -- the st kernel of families C4 and C6 against plain loops -------------------
+
+def _rights_of(S, cells, bound):
+    """The right neighbours of a cell within the bound, in the order
+    (dom length, cod length, position)."""
+    A = S.base
+    by_left_sz = {}
+    for c in cells:
+        key = (A.frame(c.payload).left, c.dom.src, len(c.dom), len(c.cod))
+        by_left_sz.setdefault(key, []).append(c)
+
+    def rights_of(c, dmax, cmax):
+        r = A.frame(c.payload).right
+        t = S.htgt(c.dom)
+        for dl in range(dmax + 1):
+            for cl in range(cmax + 1):
+                yield from by_left_sz.get((r, t, dl, cl), ())
+    return rights_of
+
+
+def hassoc_oracle(S, bound):
+    """Family st.cell.hassoc by plain loops over st-cells: (count, findings)."""
+    cells = S.cells(bound)
+    rights_of = _rights_of(S, cells, bound)
+    hp, cat = S.hcomp_payload, S.concat
+    n, out = 0, []
+    for c1 in cells:
+        d1, k1 = len(c1.dom), len(c1.cod)
+        if d1 >= bound and k1 >= bound:
+            continue
+        for c2 in list(rights_of(c1, bound - d1, bound - k1)):
+            p12 = hp(c1.dom, c1.cod, c1.payload, c2.dom, c2.cod, c2.payload)
+            n12d, n12c = d1 + len(c2.dom), k1 + len(c2.cod)
+            for c3 in rights_of(c2, bound - n12d, bound - n12c):
+                lhs = hp(cat(c1.dom, c2.dom), cat(c1.cod, c2.cod), p12,
+                         c3.dom, c3.cod, c3.payload)
+                p23 = hp(c2.dom, c2.cod, c2.payload, c3.dom, c3.cod, c3.payload)
+                rhs = hp(c1.dom, c1.cod, c1.payload,
+                         cat(c2.dom, c3.dom), cat(c2.cod, c3.cod), p23)
+                if lhs != rhs:
+                    out.append(("st.cell.hassoc", (c1, c2, c3)))
+                n += 1
+    return n, out
+
+
+def interchange_oracle(S, bound):
+    """Family st.interchange by plain loops over st-cells: (count, findings)."""
+    A = S.base
+    cells = S.cells(bound)
+    rights_of = _rights_of(S, cells, bound)
+    by_dom = {}
+    for c in cells:
+        by_dom.setdefault(c.dom, []).append(c)
+    hp, vc = S.hcomp_payload, A.vcomp_cell
+    n, out = 0, []
+    for l1 in cells:
+        d1, k1 = len(l1.dom), len(l1.cod)
+        for r1 in list(rights_of(l1, bound - d1, bound - k1)):
+            top = hp(l1.dom, l1.cod, l1.payload, r1.dom, r1.cod, r1.payload)
+            for l2 in by_dom.get(l1.cod, ()):
+                if len(l2.cod) + len(r1.cod) > bound:
+                    continue
+                for r2 in by_dom.get(r1.cod, ()):
+                    if (A.frame(l2.payload).right != A.frame(r2.payload).left
+                            or len(l2.cod) + len(r2.cod) > bound):
+                        continue
+                    bot = hp(l2.dom, l2.cod, l2.payload, r2.dom, r2.cod, r2.payload)
+                    lhs = vc(bot, top)
+                    rhs = hp(l1.dom, l2.cod, vc(l2.payload, l1.payload),
+                             r1.dom, r2.cod, vc(r2.payload, r1.payload))
+                    if lhs != rhs:
+                        out.append(("st.interchange", (l1, r1, l2, r2)))
+                    n += 1
+    return n, out
+
+
+def _as_text(findings):
+    return [(check, tuple(str(w) for w in witness)) for check, witness in findings]
+
+
+def _assert_kernel_matches_oracles(S, bound, rep):
+    for family, oracle in (("st.cell.hassoc", hassoc_oracle),
+                           ("st.interchange", interchange_oracle)):
+        n, want = oracle(S, bound)
+        got = [(f.check, f.witness) for f in rep.findings if f.check == family]
+        assert rep.params["instances"][family] == n, family
+        assert _as_text(got) == _as_text(want), family
+
+
+def _mutant(corpus_dir, name, old, new):
+    text = (corpus_dir / f"{name}.pdc").read_text()
+    assert old + "\n" in text, (name, old)
+    return elaborate(parse(text.replace(old, new, 1), name), allow_invalid=True)
+
+
+def test_st_kernel_findings_on_a_broken_cell_table(corpus_dir):
+    A = _mutant(corpus_dir, "nonstrict", "  t * t = ce", "  t * t = t")
+    S = st(A)
+    rep = st_strict_report(S, 3)
+    assert not rep.ok
+    assert Counter(f.check for f in rep.failures()) == {"st.interchange": 1680,
+                                                        "st.cell.hassoc": 84}
+    _assert_kernel_matches_oracles(S, 3, rep)
+
+
+def test_st_kernel_findings_on_a_planted_coherence_iso():
+    # xi((e), (e, e)) replaced by t: every instance at bound 3 still holds,
+    # and 552 hcomp-associativity instances at bound 4 fail
+    plant = (Path("st", ("e",)), Path("st", ("e", "e")))
+    S3 = st(nonstrict())
+    S3._xi[plant] = ("t", "t")
+    assert st_strict_report(S3, 3).ok
+    S = st(nonstrict())
+    S._xi[plant] = ("t", "t")
+    rep = st_strict_report(S, 4)
+    assert Counter(f.check for f in rep.failures()) == {"st.cell.hassoc": 552}
+    _assert_kernel_matches_oracles(S, 4, rep)
+
+
+@pytest.mark.parametrize("name, old, new, pair", [
+    ("nonstrict", "  e * e = e", "  e * e = j", "ce under cj"),
+    ("sigmaM", "  m1 * m1 = m2", "  m1 * m1 = m1", "c_m2 under c_m1"),
+    ("quintet", "  cb * s = s", "  cb * s = cb", "cb under cf"),
+    ("sigma2", "  z1 * z1 = z0", "  z1 * z1 = z1", "c_z0 under c_z1"),
+])
+def test_st_undefined_composite_is_a_structural_error(corpus_dir, name, old, new, pair):
+    # the first three fail inside the kernel (family C4), quintet in C3
+    with pytest.raises(StructuralError, match=f"cells not v-composable: {pair}$"):
+        st_strict_report(st(_mutant(corpus_dir, name, old, new)), 3)
