@@ -441,11 +441,7 @@ def cmd_hom(args):
     from .homs import hom_double
     A = _load(args.file_a)
     B = _load(args.file_b)
-    kw = {}
-    mc = _max_candidates()
-    if mc:
-        kw["max_candidates"] = mc
-    H = hom_double(A, B, **kw)
+    H = hom_double(A, B, _max_candidates())
     rep = validate(H.table)
     rep.params["functors"] = len(H.functors)
     rep.params["vertical_transformations"] = len(H.verticals)
@@ -459,12 +455,10 @@ def cmd_curry_check(args):
     from .twovar import (check_twovar_functor, curry_functor,
                          enumerate_twovar_functors, skew_s, uncurry_functor)
     A, B, C = _load(args.file_a), _load(args.file_b), _load(args.file_c)
-    kw = {}
-    if _max_candidates():
-        kw["max_candidates"] = _max_candidates()
-    hom = hom_double(B, C, **kw)
+    mc = _max_candidates()
+    hom = hom_double(B, C, mc)
     rep = Report("curry-check")
-    two = enumerate_twovar_functors(A, B, C, hom, **kw)
+    two = enumerate_twovar_functors(A, B, C, hom, mc)
     rep.params["twovar_functors"] = len(two)
     for F in two:
         rep.require("curry.valid", check_twovar_functor(F).ok, (F.name,))
@@ -484,6 +478,7 @@ def cmd_equivalence_check(args):
 
 
 BUILTIN_MULTICATS = ("terminal", "z2", "truncadd", "endo2")
+ENDO2_ARITY_CAP = 2
 
 
 def _builtin_multicat(name: str, cap: int):
@@ -499,12 +494,16 @@ def _builtin_multicat(name: str, cap: int):
                              lambda x, y: "m" + str(min(int(x[1]) + int(y[1]), 2)),
                              "m0", cap)
     if name == "endo2":
-        return endo_multicat("endo2", ("0", "1"), min(cap, 2))
+        return endo_multicat("endo2", ("0", "1"), min(cap, ENDO2_ARITY_CAP))
     raise SystemExit(f"unknown multicat {name!r}; choose from {BUILTIN_MULTICATS}")
 
 
 def cmd_envelope(args):
     from .multicat import envelope, validate_envelope, validate_multicat
+    if args.multicat == "endo2" and args.arity_cap > ENDO2_ARITY_CAP:
+        raise StructuralError(f"envelope word cap {args.arity_cap} exceeds the arity cap "
+                              f"{ENDO2_ARITY_CAP} of endo2, whose gamma is defined only "
+                              f"up to that arity")
     V = _builtin_multicat(args.multicat, args.arity_cap)
     rep = validate_multicat(V)
     rep.merge(validate_envelope(envelope(V, args.arity_cap)))
@@ -574,10 +573,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the report here instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, bound_default=3):
-        sp.add_argument("--bound", type=int, default=bound_default)
-        sp.add_argument("--arity-cap", type=int, default=4, dest="arity_cap")
-
     sp = sub.add_parser("validate")
     sp.add_argument("files", nargs="+")
     sp.add_argument("--allow-invalid", action="store_true", dest="allow_invalid")
@@ -586,64 +581,59 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("strictify")
     sp.add_argument("file")
-    common(sp, 4)
+    sp.add_argument("--bound", type=int, default=4)
     sp.set_defaults(fn=cmd_strictify)
 
     sp = sub.add_parser("universal-property")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
-    common(sp)
+    sp.add_argument("--bound", type=int, default=3)
     sp.set_defaults(fn=cmd_universal_property)
 
     sp = sub.add_parser("hom")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
-    sp.add_argument("--enumerate", action="store_true")
-    common(sp)
     sp.set_defaults(fn=cmd_hom)
 
     sp = sub.add_parser("curry-check")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
     sp.add_argument("file_c")
-    common(sp)
     sp.set_defaults(fn=cmd_curry_check)
 
     sp = sub.add_parser("equivalence-check")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
     sp.add_argument("file_c")
-    common(sp)
     sp.set_defaults(fn=cmd_equivalence_check)
 
     sp = sub.add_parser("envelope")
     sp.add_argument("--multicat", default="terminal", choices=BUILTIN_MULTICATS)
-    common(sp)
+    sp.add_argument("--arity-cap", type=int, default=4, dest="arity_cap")
     sp.set_defaults(fn=cmd_envelope)
 
     sp = sub.add_parser("adjunction-check")
     sp.add_argument("files", nargs="*")
-    common(sp)
+    sp.add_argument("--bound", type=int, default=3)
     sp.set_defaults(fn=cmd_adjunction_check)
 
     sp = sub.add_parser("interchange")
     sp.add_argument("file")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--m", type=int, default=2)
-    common(sp, 2)
     sp.set_defaults(fn=cmd_interchange)
 
     sp = sub.add_parser("gray-check")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
     sp.add_argument("file_c")
-    common(sp, 2)
+    sp.add_argument("--bound", type=int, default=2)
     sp.set_defaults(fn=cmd_gray_check)
 
     sp = sub.add_parser("biequivalence-check")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
-    common(sp)
+    sp.add_argument("--bound", type=int, default=3)
     sp.set_defaults(fn=cmd_biequivalence_check)
 
     args = ap.parse_args(argv)

@@ -35,8 +35,7 @@ class StHom:
 
 
 def st_hom(A: TableDouble, B: TableDouble, max_candidates=None) -> StHom:
-    kw = {} if max_candidates is None else {"max_candidates": max_candidates}
-    hom = hom_double(A, B, **kw)
+    hom = hom_double(A, B, max_candidates)
     bic = underlying_bicategory(hom.table)
     return StHom(A, B, hom, bic, st(bic))
 
@@ -44,15 +43,6 @@ def st_hom(A: TableDouble, B: TableDouble, max_candidates=None) -> StHom:
 def eta_star(sh: StHom, alpha_id) -> Path:
     """A pseudonatural transformation as the unary vertical path it comprises."""
     return sh.S.unary(alpha_id)
-
-
-def _tid(hom: HomDouble, t):
-    return hom.ids[(hom.ids[t.src.key()], hom.ids[t.tgt.key()], t.key())]
-
-
-def _mid(hom: HomDouble, m):
-    return hom.ids[(_tid(hom, m.top), _tid(hom, m.bottom),
-                    _tid(hom, m.left), _tid(hom, m.right), m.key())]
 
 
 class GridContext:
@@ -70,22 +60,22 @@ class GridContext:
         """Transformation id of g . alpha in Hom(A, C)."""
         key = (g_id, a_id)
         if key not in self._post:
-            self._post[key] = _tid(self.sh_ac.hom, whisker_post_functor(
+            self._post[key] = self.sh_ac.hom.id_of(whisker_post_functor(
                 self.hom_bc.functors[g_id], self.hom_ab.horizontals[a_id]))
         return self._post[key]
 
     def pre(self, b_id, f_id):
         key = (b_id, f_id)
         if key not in self._pre:
-            self._pre[key] = _tid(self.sh_ac.hom, whisker_pre_functor(
+            self._pre[key] = self.sh_ac.hom.id_of(whisker_pre_functor(
                 self.hom_bc.horizontals[b_id], self.hom_ab.functors[f_id]))
         return self._pre[key]
 
     def obj(self, g_id, f_id):
         key = (g_id, f_id)
         if key not in self._obj:
-            self._obj[key] = self.sh_ac.hom.ids[compose_functors(
-                self.hom_bc.functors[g_id], self.hom_ab.functors[f_id]).key()]
+            self._obj[key] = self.sh_ac.hom.id_of(compose_functors(
+                self.hom_bc.functors[g_id], self.hom_ab.functors[f_id]))
         return self._obj[key]
 
     def whisker_path_post(self, g_id, path: Path) -> Path:
@@ -99,7 +89,7 @@ class GridContext:
     def interchanger_payload(self, a_id, b_id):
         m = interchanger(self.hom_ab.horizontals[a_id],
                          self.hom_bc.horizontals[b_id])
-        return _mid(self.sh_ac.hom, m)
+        return self.sh_ac.hom.id_of(m)
 
 
 def interchange_grid(ctx: GridContext, alphas: Path, betas: Path,

@@ -575,37 +575,52 @@ class Truncated(Exception):
     pass
 
 
-def _check_budget(n, max_candidates):
-    if n > max_candidates:
-        raise Truncated()
+def within_budget(candidates, max_candidates=None):
+    """Pass the candidates through, raising Truncated at the first one past
+    the budget; None means DEFAULT_MAX_CANDIDATES.  The one place where
+    enumeration is counted against the budget."""
+    if max_candidates is None:
+        max_candidates = DEFAULT_MAX_CANDIDATES
+    for n, x in enumerate(candidates, 1):
+        if n > max_candidates:
+            raise Truncated()
+        yield x
 
 
-def enumerate_underlying_functors(A: TableDouble, B, max_candidates=DEFAULT_MAX_CANDIDATES):
-    """Functors A0 -> B0 as (obj_map, vmor_map) pairs, deterministic order."""
+def _members(candidates, check, prefix):
+    """The candidates that pass the check, named prefix0, prefix1, ..."""
     out = []
-    count = 0
-    nonid_v = [u for u in A.vmors if u not in set(A.v_identity.values())]
-    for objs in itertools.product(B.objects, repeat=len(A.objects)):
-        obj_map = dict(zip(A.objects, objs))
-        cands = []
-        for u in nonid_v:
-            cs = [v for v in B.vmors
-                  if B.vsrc(v) == obj_map[A.vsrc(u)] and B.vtgt(v) == obj_map[A.vtgt(u)]]
-            cands.append(cs)
-        for pick in itertools.product(*cands):
-            count += 1
-            _check_budget(count, max_candidates)
-            vmor_map = dict(zip(nonid_v, pick))
-            for a in A.objects:
-                vmor_map[A.v_id(a)] = B.v_id(obj_map[a])
-            if all(vmor_map[wu] == B.vcomp_vmor(vmor_map[w], vmor_map[u])
-                   for (w, u), wu in A.vcomp_vmor_table.items()):
-                out.append((obj_map, vmor_map))
+    for x in candidates:
+        if check(x).ok:
+            x.name = f"{prefix}{len(out)}"
+            out.append(x)
     return out
 
 
+def enumerate_underlying_functors(A: TableDouble, B, max_candidates=None):
+    """Functors A0 -> B0 as (obj_map, vmor_map) pairs, deterministic order."""
+    nonid_v = [u for u in A.vmors if u not in set(A.v_identity.values())]
+
+    def candidates():
+        for objs in itertools.product(B.objects, repeat=len(A.objects)):
+            obj_map = dict(zip(A.objects, objs))
+            cands = [[v for v in B.vmors
+                      if B.vsrc(v) == obj_map[A.vsrc(u)] and B.vtgt(v) == obj_map[A.vtgt(u)]]
+                     for u in nonid_v]
+            for pick in itertools.product(*cands):
+                vmor_map = dict(zip(nonid_v, pick))
+                for a in A.objects:
+                    vmor_map[A.v_id(a)] = B.v_id(obj_map[a])
+                yield obj_map, vmor_map
+
+    return [(obj_map, vmor_map)
+            for obj_map, vmor_map in within_budget(candidates(), max_candidates)
+            if all(vmor_map[wu] == B.vcomp_vmor(vmor_map[w], vmor_map[u])
+                   for (w, u), wu in A.vcomp_vmor_table.items())]
+
+
 def iter_functor_candidates(A: TableDouble, B, require_invertible=True,
-                            max_candidates=DEFAULT_MAX_CANDIDATES):
+                            max_candidates=None):
     """Frame-typed functor data A -> B, not yet filtered by the axioms.
 
     Identity cells of horizontal morphisms are forced by functoriality and
@@ -621,142 +636,141 @@ def iter_functor_candidates(A: TableDouble, B, require_invertible=True,
         free_cells = [c for c in A.cells if c not in vid_vals and c not in hid_vals]
     else:
         free_cells = [c for c in A.cells if c not in vid_vals]
-    count = 0
-    for obj_map, vmor_map in enumerate_underlying_functors(A, B, max_candidates):
-        hcands = []
-        for f in A.hmors:
-            cs = [x for x in B.hmors
-                  if B.hsrc(x) == obj_map[A.hsrc(f)] and B.htgt(x) == obj_map[A.htgt(f)]]
-            hcands.append(cs)
-        for hpick in itertools.product(*hcands):
-            hmor_map = dict(zip(A.hmors, hpick))
-            p0cands = []
-            for a in A.objects:
-                cs = [c for c in B.globular_cells(B.h_id(obj_map[a]), hmor_map[A.h_id(a)])
-                      if not require_invertible or c in invertible]
-                p0cands.append(cs)
-            p2keys = [(f, g) for (g, f) in A.hcomp_hmor_table]
-            p2cands = []
-            for (f, g) in p2keys:
-                src_h = B.hcomp_hmor(hmor_map[g], hmor_map[f])
-                cs = [c for c in B.globular_cells(src_h, hmor_map[A.hcomp_hmor(g, f)])
-                      if not require_invertible or c in invertible]
-                p2cands.append(cs)
-            ccands = []
-            for c in free_cells:
-                fr = A.frame(c)
-                want = Frame(hmor_map[fr.top], hmor_map[fr.bottom],
-                             vmor_map[fr.left], vmor_map[fr.right])
-                ccands.append(B.cells_with_frame(want))
-            for p0pick in itertools.product(*p0cands):
-                phi0 = dict(zip(A.objects, p0pick))
-                for p2pick in itertools.product(*p2cands):
-                    phi2 = dict(zip(p2keys, p2pick))
-                    for cpick in itertools.product(*ccands):
-                        count += 1
-                        _check_budget(count, max_candidates)
-                        cell_map = dict(zip(free_cells, cpick))
-                        for f in A.hmors:
-                            cell_map[A.vid_of(f)] = B.vid_of(hmor_map[f])
-                        for u in A.vmors:
-                            c = A.hid_of(u)
-                            if c not in cell_map:
-                                cell_map[c] = B.vcomp_cells(
-                                    B.inv(phi0[A.vsrc(u)]),
-                                    B.hid_of(vmor_map[u]),
-                                    phi0[A.vtgt(u)])
-                        yield PseudoDoubleFunctor(A, B, obj_map, vmor_map, hmor_map,
-                                                  cell_map, phi0, phi2)
+
+    def candidates():
+        for obj_map, vmor_map in enumerate_underlying_functors(A, B, max_candidates):
+            hcands = []
+            for f in A.hmors:
+                cs = [x for x in B.hmors
+                      if B.hsrc(x) == obj_map[A.hsrc(f)] and B.htgt(x) == obj_map[A.htgt(f)]]
+                hcands.append(cs)
+            for hpick in itertools.product(*hcands):
+                hmor_map = dict(zip(A.hmors, hpick))
+                p0cands = []
+                for a in A.objects:
+                    cs = [c for c in B.globular_cells(B.h_id(obj_map[a]), hmor_map[A.h_id(a)])
+                          if not require_invertible or c in invertible]
+                    p0cands.append(cs)
+                p2keys = [(f, g) for (g, f) in A.hcomp_hmor_table]
+                p2cands = []
+                for (f, g) in p2keys:
+                    src_h = B.hcomp_hmor(hmor_map[g], hmor_map[f])
+                    cs = [c for c in B.globular_cells(src_h, hmor_map[A.hcomp_hmor(g, f)])
+                          if not require_invertible or c in invertible]
+                    p2cands.append(cs)
+                ccands = []
+                for c in free_cells:
+                    fr = A.frame(c)
+                    want = Frame(hmor_map[fr.top], hmor_map[fr.bottom],
+                                 vmor_map[fr.left], vmor_map[fr.right])
+                    ccands.append(B.cells_with_frame(want))
+                for p0pick in itertools.product(*p0cands):
+                    phi0 = dict(zip(A.objects, p0pick))
+                    for p2pick in itertools.product(*p2cands):
+                        phi2 = dict(zip(p2keys, p2pick))
+                        for cpick in itertools.product(*ccands):
+                            cell_map = dict(zip(free_cells, cpick))
+                            for f in A.hmors:
+                                cell_map[A.vid_of(f)] = B.vid_of(hmor_map[f])
+                            for u in A.vmors:
+                                c = A.hid_of(u)
+                                if c not in cell_map:
+                                    cell_map[c] = B.vcomp_cells(
+                                        B.inv(phi0[A.vsrc(u)]),
+                                        B.hid_of(vmor_map[u]),
+                                        phi0[A.vtgt(u)])
+                            yield PseudoDoubleFunctor(A, B, obj_map, vmor_map, hmor_map,
+                                                      cell_map, phi0, phi2)
+
+    yield from within_budget(candidates(), max_candidates)
 
 
-def enumerate_functors(A: TableDouble, B, max_candidates=DEFAULT_MAX_CANDIDATES):
-    """All pseudo double functors A -> B, complete and duplicate-free.
-
-    The naive oracle in the tests re-derives the same set from raw tuples.
-    """
-    out = []
-    for F in iter_functor_candidates(A, B, True, max_candidates):
-        if check_functor(F).ok:
-            F.name = f"F{len(out)}"
-            out.append(F)
-    return out
-
-
-def enumerate_vertical(F: PseudoDoubleFunctor, G: PseudoDoubleFunctor,
-                       max_candidates=DEFAULT_MAX_CANDIDATES):
+def iter_vertical_candidates(F: PseudoDoubleFunctor, G: PseudoDoubleFunctor,
+                             max_candidates=None):
+    """Frame-typed vertical transformation data F -> G, not yet filtered by
+    the axioms."""
     A, B = F.dom, F.cod
     obj_cands = [[v for v in B.vmors if B.vsrc(v) == F.obj(a) and B.vtgt(v) == G.obj(a)]
                  for a in A.objects]
-    out = []
-    count = 0
-    for opick in itertools.product(*obj_cands):
-        at_obj = dict(zip(A.objects, opick))
-        hcands = []
-        for f in A.hmors:
-            a, b = A.hsrc(f), A.htgt(f)
-            want = Frame(F.hmor(f), G.hmor(f), at_obj[a], at_obj[b])
-            hcands.append(B.cells_with_frame(want))
-        for hpick in itertools.product(*hcands):
-            count += 1
-            _check_budget(count, max_candidates)
-            t = VerticalTransformation(F, G, at_obj, dict(zip(A.hmors, hpick)))
-            if check_vertical(t).ok:
-                t.name = f"v{len(out)}"
-                out.append(t)
-    return out
+
+    def candidates():
+        for opick in itertools.product(*obj_cands):
+            at_obj = dict(zip(A.objects, opick))
+            hcands = []
+            for f in A.hmors:
+                a, b = A.hsrc(f), A.htgt(f)
+                want = Frame(F.hmor(f), G.hmor(f), at_obj[a], at_obj[b])
+                hcands.append(B.cells_with_frame(want))
+            for hpick in itertools.product(*hcands):
+                yield VerticalTransformation(F, G, at_obj, dict(zip(A.hmors, hpick)))
+
+    yield from within_budget(candidates(), max_candidates)
 
 
-def enumerate_horizontal(F: PseudoDoubleFunctor, G: PseudoDoubleFunctor,
-                         max_candidates=DEFAULT_MAX_CANDIDATES):
+def iter_horizontal_candidates(F: PseudoDoubleFunctor, G: PseudoDoubleFunctor,
+                               max_candidates=None):
+    """Frame-typed horizontal pseudo transformation data F -> G, with
+    invertible components, not yet filtered by the axioms."""
     A, B = F.dom, F.cod
     obj_cands = [[x for x in B.hmors if B.hsrc(x) == F.obj(a) and B.htgt(x) == G.obj(a)]
                  for a in A.objects]
-    out = []
-    count = 0
-    for opick in itertools.product(*obj_cands):
-        at_obj = dict(zip(A.objects, opick))
-        vcands = []
-        for u in A.vmors:
-            a, b = A.vsrc(u), A.vtgt(u)
-            want = Frame(at_obj[a], at_obj[b], F.vmor(u), G.vmor(u))
-            vcands.append(B.cells_with_frame(want))
-        hcands = []
-        for f in A.hmors:
-            a, b = A.hsrc(f), A.htgt(f)
-            src_h = B.hcomp_hmor(at_obj[b], F.hmor(f))
-            tgt_h = B.hcomp_hmor(G.hmor(f), at_obj[a])
-            cs = [(c, B.inverse_of(c)) for c in B.globular_cells(src_h, tgt_h)
-                  if B.inverse_of(c) is not None]
-            hcands.append(cs)
-        for vpick in itertools.product(*vcands):
-            for hpick in itertools.product(*hcands):
-                count += 1
-                _check_budget(count, max_candidates)
-                t = HorizontalPseudoTransformation(F, G, at_obj,
-                                                   dict(zip(A.vmors, vpick)),
-                                                   dict(zip(A.hmors, hpick)))
-                if check_horizontal(t).ok:
-                    t.name = f"h{len(out)}"
-                    out.append(t)
-    return out
+
+    def candidates():
+        for opick in itertools.product(*obj_cands):
+            at_obj = dict(zip(A.objects, opick))
+            vcands = []
+            for u in A.vmors:
+                a, b = A.vsrc(u), A.vtgt(u)
+                want = Frame(at_obj[a], at_obj[b], F.vmor(u), G.vmor(u))
+                vcands.append(B.cells_with_frame(want))
+            hcands = []
+            for f in A.hmors:
+                a, b = A.hsrc(f), A.htgt(f)
+                src_h = B.hcomp_hmor(at_obj[b], F.hmor(f))
+                tgt_h = B.hcomp_hmor(G.hmor(f), at_obj[a])
+                cs = [(c, B.inverse_of(c)) for c in B.globular_cells(src_h, tgt_h)
+                      if B.inverse_of(c) is not None]
+                hcands.append(cs)
+            for vpick in itertools.product(*vcands):
+                for hpick in itertools.product(*hcands):
+                    yield HorizontalPseudoTransformation(F, G, at_obj,
+                                                         dict(zip(A.vmors, vpick)),
+                                                         dict(zip(A.hmors, hpick)))
+
+    yield from within_budget(candidates(), max_candidates)
 
 
-def enumerate_modifications(top, bottom, left, right, max_candidates=DEFAULT_MAX_CANDIDATES):
+def iter_modification_candidates(top, bottom, left, right, max_candidates=None):
+    """Frame-typed modification data in the given frame, not yet filtered by
+    the axioms."""
     A, B = top.src.dom, top.src.cod
     cands = []
     for a in A.objects:
         want = Frame(top.at_obj[a], bottom.at_obj[a], left.at_obj[a], right.at_obj[a])
         cands.append(B.cells_with_frame(want))
-    out = []
-    count = 0
-    for pick in itertools.product(*cands):
-        count += 1
-        _check_budget(count, max_candidates)
-        m = Modification(top, bottom, left, right, dict(zip(A.objects, pick)))
-        if check_modification(m).ok:
-            m.name = f"m{len(out)}"
-            out.append(m)
-    return out
+    for pick in within_budget(itertools.product(*cands), max_candidates):
+        yield Modification(top, bottom, left, right, dict(zip(A.objects, pick)))
+
+
+def enumerate_functors(A: TableDouble, B, max_candidates=None):
+    """All pseudo double functors A -> B, complete and duplicate-free.
+
+    The naive oracle in the tests re-derives the same set from raw tuples.
+    """
+    return _members(iter_functor_candidates(A, B, True, max_candidates), check_functor, "F")
+
+
+def enumerate_vertical(F: PseudoDoubleFunctor, G: PseudoDoubleFunctor, max_candidates=None):
+    return _members(iter_vertical_candidates(F, G, max_candidates), check_vertical, "v")
+
+
+def enumerate_horizontal(F: PseudoDoubleFunctor, G: PseudoDoubleFunctor, max_candidates=None):
+    return _members(iter_horizontal_candidates(F, G, max_candidates), check_horizontal, "h")
+
+
+def enumerate_modifications(top, bottom, left, right, max_candidates=None):
+    return _members(iter_modification_candidates(top, bottom, left, right, max_candidates),
+                    check_modification, "m")
 
 
 # ---------------------------------------------------------------------------
@@ -771,102 +785,90 @@ class HomDouble:
     verticals: dict             # id -> VerticalTransformation
     horizontals: dict           # id -> HorizontalPseudoTransformation
     modifications: dict         # id -> Modification
-    ids: dict                   # datum key -> id
+    _ids: dict                  # datum key, as built by id_of -> id
+
+    def id_of(self, x):
+        """The id in this hom of a functor, a vertical or horizontal
+        transformation, or a modification."""
+        if isinstance(x, PseudoDoubleFunctor):
+            return self._ids[x.key()]
+        if isinstance(x, Modification):
+            return self._ids[(self.id_of(x.top), self.id_of(x.bottom),
+                              self.id_of(x.left), self.id_of(x.right), x.key())]
+        return self._ids[(self.id_of(x.src), self.id_of(x.tgt), x.key())]
 
 
-def hom_double(A: TableDouble, B: TableDouble,
-               max_candidates=DEFAULT_MAX_CANDIDATES) -> HomDouble:
+def hom_double(A: TableDouble, B: TableDouble, max_candidates=None) -> HomDouble:
     """The pseudo double category of functors A -> B, vertical transformations,
     horizontal pseudo transformations, and modifications."""
-    functors = enumerate_functors(A, B, max_candidates)
-    fid = {F.key(): f"F{i}" for i, F in enumerate(functors)}
-    fobj = {f"F{i}": F for i, F in enumerate(functors)}
+    hom = HomDouble(None, {}, {}, {}, {}, {})
+    ids, id_of = hom._ids, hom.id_of
+    functors, verticals, horizontals, modifications = (
+        hom.functors, hom.verticals, hom.horizontals, hom.modifications)
+    for F in enumerate_functors(A, B, max_candidates):
+        functors[F.name] = F
+        ids[F.key()] = F.name
 
-    verticals, vid_by_key = {}, {}
-    v_identity = {}
-    for i, F in enumerate(functors):
-        for j, G in enumerate(functors):
-            for t in enumerate_vertical(F, G, max_candidates):
-                vid_ = f"v{len(verticals)}"
-                verticals[vid_] = t
-                vid_by_key[(f"F{i}", f"F{j}", t.key())] = vid_
-                if i == j and t.key() == identity_vertical(F).key():
-                    v_identity[f"F{i}"] = vid_
+    def transformations(enumerate_, identity, prefix, store):
+        src, tgt, units = {}, {}, {}
+        for i, F in functors.items():
+            for j, G in functors.items():
+                for t in enumerate_(F, G, max_candidates):
+                    x = f"{prefix}{len(store)}"
+                    store[x], src[x], tgt[x] = t, i, j
+                    ids[(i, j, t.key())] = x
+                    if i == j and t.key() == identity(F).key():
+                        units[i] = x
+        return src, tgt, units
 
-    horizontals, hid_by_key = {}, {}
-    h_identity = {}
-    for i, F in enumerate(functors):
-        for j, G in enumerate(functors):
-            for t in enumerate_horizontal(F, G, max_candidates):
-                hid_ = f"h{len(horizontals)}"
-                horizontals[hid_] = t
-                hid_by_key[(f"F{i}", f"F{j}", t.key())] = hid_
-                if i == j and t.key() == identity_horizontal(F).key():
-                    h_identity[f"F{i}"] = hid_
+    vsrc, vtgt, v_identity = transformations(enumerate_vertical, identity_vertical,
+                                              "v", verticals)
+    hsrc, htgt, h_identity = transformations(enumerate_horizontal, identity_horizontal,
+                                              "h", horizontals)
 
-    def vlook(t):
-        return vid_by_key[(fid[t.src.key()], fid[t.tgt.key()], t.key())]
-
-    def hlook(t):
-        return hid_by_key[(fid[t.src.key()], fid[t.tgt.key()], t.key())]
-
-    modifications, mid_by_key = {}, {}
     frames = {}
     for ht_id, t in horizontals.items():
         for hb_id, b_ in horizontals.items():
             for vl_id, s in verticals.items():
-                if not (s.src.key() == t.src.key() and s.tgt.key() == b_.src.key()):
+                if not (vsrc[vl_id] == hsrc[ht_id] and vtgt[vl_id] == hsrc[hb_id]):
                     continue
                 for vr_id, r in verticals.items():
-                    if not (r.src.key() == t.tgt.key() and r.tgt.key() == b_.tgt.key()):
+                    if not (vsrc[vr_id] == htgt[ht_id] and vtgt[vr_id] == htgt[hb_id]):
                         continue
                     for m in enumerate_modifications(t, b_, s, r, max_candidates):
                         mid_ = f"m{len(modifications)}"
                         modifications[mid_] = m
-                        mid_by_key[(ht_id, hb_id, vl_id, vr_id, m.key())] = mid_
+                        ids[(ht_id, hb_id, vl_id, vr_id, m.key())] = mid_
                         frames[mid_] = Frame(ht_id, hb_id, vl_id, vr_id)
 
-    def mlook(m):
-        return mid_by_key[(hlook(m.top), hlook(m.bottom), vlook(m.left), vlook(m.right),
-                           m.key())]
+    vcomp_v = {(id2, id1): id_of(compose_vertical(t2, t1))
+               for id2, t2 in verticals.items() for id1, t1 in verticals.items()
+               if vtgt[id1] == vsrc[id2]}
+    hcomp_h = {(id2, id1): id_of(hcomp_horizontal(t2, t1))
+               for id2, t2 in horizontals.items() for id1, t1 in horizontals.items()
+               if htgt[id1] == hsrc[id2]}
+    vcomp_c = {(lo, up): id_of(vcomp_modifications(mlo, mup))
+               for lo, mlo in modifications.items() for up, mup in modifications.items()
+               if frames[up].bottom == frames[lo].top}
+    hcomp_c = {(r_, l_): id_of(hcomp_modifications(mr, ml))
+               for r_, mr in modifications.items() for l_, ml in modifications.items()
+               if frames[l_].right == frames[r_].left}
 
-    vcomp_v = {}
-    for id2, t2 in verticals.items():
-        for id1, t1 in verticals.items():
-            if t1.tgt.key() == t2.src.key():
-                vcomp_v[(id2, id1)] = vlook(compose_vertical(t2, t1))
-    hcomp_h = {}
-    for id2, t2 in horizontals.items():
-        for id1, t1 in horizontals.items():
-            if t1.tgt.key() == t2.src.key():
-                hcomp_h[(id2, id1)] = hlook(hcomp_horizontal(t2, t1))
-
-    vcomp_c = {}
-    for lo, mlo in modifications.items():
-        for up, mup in modifications.items():
-            if frames[up].bottom == frames[lo].top:
-                vcomp_c[(lo, up)] = mlook(vcomp_modifications(mlo, mup))
-    hcomp_c = {}
-    for r_, mr in modifications.items():
-        for l_, ml in modifications.items():
-            if frames[l_].right == frames[r_].left:
-                hcomp_c[(r_, l_)] = mlook(hcomp_modifications(mr, ml))
-
-    vid_cell = {h: mlook(identity_modification(t)) for h, t in horizontals.items()}
-    hid_cell = {v: mlook(hid_modification(s)) for v, s in verticals.items()}
+    vid_cell = {h: id_of(identity_modification(t)) for h, t in horizontals.items()}
+    hid_cell = {v: id_of(hid_modification(s)) for v, s in verticals.items()}
 
     def globular_mod(top_id, bot_id, comps):
         t, b_ = horizontals[top_id], horizontals[bot_id]
-        return mlook(Modification(t, b_, identity_vertical(t.src),
+        return id_of(Modification(t, b_, identity_vertical(t.src),
                                   identity_vertical(t.tgt), comps))
 
     assoc = {}
     for h1, t1 in horizontals.items():
         for h2, t2 in horizontals.items():
-            if t1.tgt.key() != t2.src.key():
+            if htgt[h1] != hsrc[h2]:
                 continue
             for h3, t3 in horizontals.items():
-                if t2.tgt.key() != t3.src.key():
+                if htgt[h2] != hsrc[h3]:
                     continue
                 lhs = hcomp_h[(hcomp_h[(h3, h2)], h1)]
                 rhs = hcomp_h[(h3, hcomp_h[(h2, h1)])]
@@ -878,26 +880,24 @@ def hom_double(A: TableDouble, B: TableDouble,
                                        globular_mod(rhs, lhs, inv))
     lunit, runit = {}, {}
     for h, t in horizontals.items():
-        gid = fid[t.tgt.key()]
-        lcomp = hcomp_h[(h_identity[gid], h)]
+        lcomp = hcomp_h[(h_identity[htgt[h]], h)]
         lunit[h] = (globular_mod(lcomp, h, {a: B.lunit_of(t.at_obj[a])[0] for a in A.objects}),
                     globular_mod(h, lcomp, {a: B.lunit_of(t.at_obj[a])[1] for a in A.objects}))
-        fid_ = fid[t.src.key()]
-        rcomp = hcomp_h[(h, h_identity[fid_])]
+        rcomp = hcomp_h[(h, h_identity[hsrc[h]])]
         runit[h] = (globular_mod(rcomp, h, {a: B.runit_of(t.at_obj[a])[0] for a in A.objects}),
                     globular_mod(h, rcomp, {a: B.runit_of(t.at_obj[a])[1] for a in A.objects}))
 
-    table = TableDouble(
+    hom.table = TableDouble(
         name=f"Hom({A.name},{B.name})",
-        objects=tuple(fobj),
+        objects=tuple(functors),
         vmors=tuple(verticals),
-        vmor_src={v: fid[t.src.key()] for v, t in verticals.items()},
-        vmor_tgt={v: fid[t.tgt.key()] for v, t in verticals.items()},
+        vmor_src=vsrc,
+        vmor_tgt=vtgt,
         v_identity=v_identity,
         vcomp_vmor_table=vcomp_v,
         hmors=tuple(horizontals),
-        hmor_src={h: fid[t.src.key()] for h, t in horizontals.items()},
-        hmor_tgt={h: fid[t.tgt.key()] for h, t in horizontals.items()},
+        hmor_src=hsrc,
+        hmor_tgt=htgt,
         h_identity=h_identity,
         hcomp_hmor_table=hcomp_h,
         cells=tuple(modifications),
@@ -910,12 +910,11 @@ def hom_double(A: TableDouble, B: TableDouble,
         lunit=lunit,
         runit=runit,
     )
-    return HomDouble(table, fobj, verticals, horizontals, modifications,
-                     {**fid, **vid_by_key, **hid_by_key, **mid_by_key})
+    return hom
 
 
 def ps_sub(A: TableDouble, B: TableDouble, hom: HomDouble | None = None,
-           max_candidates=DEFAULT_MAX_CANDIDATES) -> HomDouble:
+           max_candidates=None) -> HomDouble:
     """Full sub double category of Hom(A, B) on the strict double functors."""
     hom = hom or hom_double(A, B, max_candidates)
     T = hom.table
@@ -955,4 +954,4 @@ def ps_sub(A: TableDouble, B: TableDouble, hom: HomDouble | None = None,
     return HomDouble(sub, {o: hom.functors[o] for o in keep_objs},
                      {v: hom.verticals[v] for v in keep_v},
                      {h: hom.horizontals[h] for h in keep_h},
-                     {c: hom.modifications[c] for c in keep_c}, hom.ids)
+                     {c: hom.modifications[c] for c in keep_c}, hom._ids)

@@ -22,8 +22,6 @@ is still computed and compared, in batches of array gathers.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .core import Frame, TableDouble, is_strict
@@ -37,6 +35,10 @@ from .homs import (
     check_modification,
     check_vertical,
     identity_functor,
+    iter_functor_candidates,
+    iter_horizontal_candidates,
+    iter_modification_candidates,
+    iter_vertical_candidates,
 )
 from .report import Report, StructuralError
 
@@ -710,17 +712,16 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
                     S.hcomp_hmor(S.h_id(S.htgt(p)), p) == p
                     and S.hcomp_hmor(p, S.h_id(p.src)) == p, (p,))
         tally("st.hmor.unit")
-    for p in all_paths:
-        for q in all_paths:
-            if S.htgt(p) != q.src or len(p) + len(q) > bound:
-                continue
-            for r in all_paths:
-                if S.htgt(q) != r.src or len(p) + len(q) + len(r) > bound:
-                    continue
-                rep.require("st.hmor.assoc",
-                            S.hcomp_hmor(r, S.hcomp_hmor(q, p)) ==
-                            S.hcomp_hmor(S.hcomp_hmor(r, q), p), (p, q, r))
-                tally("st.hmor.assoc")
+    # the composable triples within the bound, walked again by C8
+    triples = [(p, q, r) for p in all_paths for q in all_paths
+               if S.htgt(p) == q.src and len(p) + len(q) <= bound
+               for r in all_paths
+               if S.htgt(q) == r.src and len(p) + len(q) + len(r) <= bound]
+    for p, q, r in triples:
+        rep.require("st.hmor.assoc",
+                    S.hcomp_hmor(r, S.hcomp_hmor(q, p)) ==
+                    S.hcomp_hmor(S.hcomp_hmor(r, q), p), (p, q, r))
+        tally("st.hmor.assoc")
 
     cells = S.cells(bound)
 
@@ -802,17 +803,11 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
         tally("st.hid.functorial")
 
     # C8: all constraints are identity cells
-    for p in all_paths:
-        for q in all_paths:
-            if S.htgt(p) != q.src:
-                continue
-            for r in all_paths:
-                if S.htgt(q) != r.src or len(p) + len(q) + len(r) > bound:
-                    continue
-                c, d = S.assoc_of(p, q, r)
-                rep.require("st.constraint.identity",
-                            c == S.vid_of(p + q + r) and d == c, (p, q, r))
-                tally("st.constraint.identity")
+    for p, q, r in triples:
+        c, d = S.assoc_of(p, q, r)
+        rep.require("st.constraint.identity",
+                    c == S.vid_of(p + q + r) and d == c, (p, q, r))
+        tally("st.constraint.identity")
     for p in all_paths:
         rep.require("st.constraint.identity",
                     S.lunit_of(p)[0] == S.vid_of(p) and S.runit_of(p)[0] == S.vid_of(p), (p,))
@@ -1219,10 +1214,8 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
     check over st A of the extension on the other.  Round trips are exact
     by construction and re-verified on the members.
     """
-    from .homs import iter_functor_candidates
     if not is_strict(B):
         raise StructuralError("verify_3d_iso requires a strict codomain")
-    kw = {} if max_candidates is None else {"max_candidates": max_candidates}
     S = st(A)
     etaA = eta(A, S)
     rep = Report(f"3d-iso({A.name},{B.name})", params={"bound": bound})
@@ -1231,7 +1224,7 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
 
     members = []        # (F, extension) for the valid tuples
     n_cand = 0
-    for F in iter_functor_candidates(A, B, require_invertible=False, **kw):
+    for F in iter_functor_candidates(A, B, False, max_candidates):
         n_cand += 1
         a_ok = check_functor(F).ok
         E = StExtension(F, S, B)
@@ -1254,7 +1247,7 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
             got = []
             # every raw frame-typed candidate: hom-side membership must agree
             # with bounded st-side membership of the recursion extension
-            for t in _raw_vertical_candidates(F, G):
+            for t in iter_vertical_candidates(F, G, max_candidates):
                 raw_v += 1
                 a_ok = check_vertical(t).ok
                 sv = extend_vertical(t, EF, EG)
@@ -1267,7 +1260,7 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
             vmembers[(i, j)] = got
 
             hgot = []
-            for t in _raw_horizontal_candidates(F, G):
+            for t in iter_horizontal_candidates(F, G, max_candidates):
                 raw_h += 1
                 a_ok = check_horizontal(t).ok
                 sh = extend_horizontal(t, EF, EG)
@@ -1293,7 +1286,8 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
                         for b_, sh_b in hmembers[(k, l)]:
                             for sg, ssg in vmembers[(i, k)]:
                                 for ta, sta in vmembers[(j, l)]:
-                                    for m in _raw_modification_candidates(t, b_, sg, ta):
+                                    for m in iter_modification_candidates(
+                                            t, b_, sg, ta, max_candidates):
                                         raw_m += 1
                                         a_ok = check_modification(m).ok
                                         sm = extend_modification(m, sh_t, sh_b, ssg, sta)
@@ -1306,65 +1300,6 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
     rep.params["cells_each_side"] = n_m
     rep.params["cell_candidates"] = raw_m
     return rep
-
-
-def _raw_modification_candidates(top, bottom, left, right):
-    from .homs import Modification
-    A, B = top.src.dom, top.src.cod
-    cands = []
-    for a in A.objects:
-        want = Frame(top.at_obj[a], bottom.at_obj[a], left.at_obj[a], right.at_obj[a])
-        cands.append(B.cells_with_frame(want))
-    out = []
-    for pick in itertools.product(*cands):
-        out.append(Modification(top, bottom, left, right, dict(zip(A.objects, pick))))
-    return out
-
-
-def _raw_vertical_candidates(F, G):
-    from .homs import VerticalTransformation
-    A, B = F.dom, F.cod
-    obj_cands = [[v for v in B.vmors if B.vsrc(v) == F.obj(a) and B.vtgt(v) == G.obj(a)]
-                 for a in A.objects]
-    out = []
-    for opick in itertools.product(*obj_cands):
-        at_obj = dict(zip(A.objects, opick))
-        hcands = []
-        for f in A.hmors:
-            a, b = A.hsrc(f), A.htgt(f)
-            want = Frame(F.hmor(f), G.hmor(f), at_obj[a], at_obj[b])
-            hcands.append(B.cells_with_frame(want))
-        for hpick in itertools.product(*hcands):
-            out.append(VerticalTransformation(F, G, at_obj, dict(zip(A.hmors, hpick))))
-    return out
-
-
-def _raw_horizontal_candidates(F, G):
-    from .homs import HorizontalPseudoTransformation
-    A, B = F.dom, F.cod
-    obj_cands = [[x for x in B.hmors if B.hsrc(x) == F.obj(a) and B.htgt(x) == G.obj(a)]
-                 for a in A.objects]
-    out = []
-    for opick in itertools.product(*obj_cands):
-        at_obj = dict(zip(A.objects, opick))
-        vcands = []
-        for u in A.vmors:
-            a, b = A.vsrc(u), A.vtgt(u)
-            want = Frame(at_obj[a], at_obj[b], F.vmor(u), G.vmor(u))
-            vcands.append(B.cells_with_frame(want))
-        hcands = []
-        for f in A.hmors:
-            a, b = A.hsrc(f), A.htgt(f)
-            src_h = B.hcomp_hmor(at_obj[b], F.hmor(f))
-            tgt_h = B.hcomp_hmor(G.hmor(f), at_obj[a])
-            cs = [(c, B.inverse_of(c)) for c in B.globular_cells(src_h, tgt_h)
-                  if B.inverse_of(c) is not None]
-            hcands.append(cs)
-        for vpick in itertools.product(*vcands):
-            for hpick in itertools.product(*hcands):
-                out.append(HorizontalPseudoTransformation(
-                    F, G, at_obj, dict(zip(A.vmors, vpick)), dict(zip(A.hmors, hpick))))
-    return out
 
 
 def check_stmodification(mm: StModification, bound: int) -> Report:

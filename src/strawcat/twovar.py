@@ -34,7 +34,10 @@ from .homs import (
     identity_functor,
     identity_horizontal,
     identity_vertical,
+    interchanger,
     whisker_post_functor,
+    whisker_pre_functor,
+    within_budget,
 )
 from .report import Report, StructuralError
 
@@ -404,30 +407,17 @@ def check_twovar_modification(m: TwoVarModification) -> Report:
 def curry_functor(F: TwoVarFunctor, hom: HomDouble) -> PseudoDoubleFunctor:
     """F: (A,B) -> C as a pseudo functor A -> Hom(B, C)."""
     A, B = F.domA, F.domB
-    ids = hom.ids
-
-    def fid(G):
-        return ids[G.key()]
-
-    def vid_(t):
-        return ids[(fid(t.src), fid(t.tgt), t.key())]
-
-    def hid_(t):
-        return ids[(fid(t.src), fid(t.tgt), t.key())]
-
-    def mid_(m):
-        return ids[(hid_(m.top), hid_(m.bottom), vid_(m.left), vid_(m.right), m.key())]
-
-    obj_map = {a: fid(F.partial_right[a]) for a in A.objects}
-    vmor_map = {u: vid_(F.vertical_at(u)) for u in A.vmors}
-    hmor_map = {f: hid_(F.horizontal_at(f)) for f in A.hmors}
+    id_of = hom.id_of
+    obj_map = {a: id_of(F.partial_right[a]) for a in A.objects}
+    vmor_map = {u: id_of(F.vertical_at(u)) for u in A.vmors}
+    hmor_map = {f: id_of(F.horizontal_at(f)) for f in A.hmors}
     cell_map = {}
     for cc in A.cells:
         fr = A.frame(cc)
         m = Modification(top=F.horizontal_at(fr.top), bottom=F.horizontal_at(fr.bottom),
                          left=F.vertical_at(fr.left), right=F.vertical_at(fr.right),
                          at_obj={c: F.partial_left[c].cell(cc) for c in B.objects})
-        cell_map[cc] = mid_(m)
+        cell_map[cc] = id_of(m)
     phi0 = {}
     for a in A.objects:
         m = Modification(top=identity_horizontal(F.partial_right[a]),
@@ -435,7 +425,7 @@ def curry_functor(F: TwoVarFunctor, hom: HomDouble) -> PseudoDoubleFunctor:
                          left=identity_vertical(F.partial_right[a]),
                          right=identity_vertical(F.partial_right[a]),
                          at_obj={c: F.partial_left[c].phi0[a] for c in B.objects})
-        phi0[a] = mid_(m)
+        phi0[a] = id_of(m)
     phi2 = {}
     for (g, f) in A.hcomp_hmor_table:
         m = Modification(top=hcomp_horizontal(F.horizontal_at(g), F.horizontal_at(f)),
@@ -443,7 +433,7 @@ def curry_functor(F: TwoVarFunctor, hom: HomDouble) -> PseudoDoubleFunctor:
                          left=identity_vertical(F.partial_right[A.hsrc(f)]),
                          right=identity_vertical(F.partial_right[A.htgt(g)]),
                          at_obj={c: F.partial_left[c].phi2[(f, g)] for c in B.objects})
-        phi2[(f, g)] = mid_(m)
+        phi2[(f, g)] = id_of(m)
     return PseudoDoubleFunctor(A, hom.table, obj_map, vmor_map, hmor_map,
                                cell_map, phi0, phi2, name=f"curry({F.name})")
 
@@ -482,27 +472,16 @@ def uncurry_functor(P: PseudoDoubleFunctor, hom: HomDouble, B: TableDouble,
 def curry_vertical(s: TwoVarVertical, hom: HomDouble,
                    Pf: PseudoDoubleFunctor, Pg: PseudoDoubleFunctor) -> VerticalTransformation:
     A, B = s.src.domA, s.src.domB
-    ids = hom.ids
-
-    def fid(G):
-        return ids[G.key()]
-
-    def tid(t):
-        return ids[(fid(t.src), fid(t.tgt), t.key())]
-
-    def mid_(m):
-        return ids[(tid(m.top), tid(m.bottom), tid(m.left), tid(m.right), m.key())]
-
     at_hmor = {}
     for f in A.hmors:
         a, b = A.hsrc(f), A.htgt(f)
         m = Modification(top=s.src.horizontal_at(f), bottom=s.tgt.horizontal_at(f),
                          left=s.right_at(a), right=s.right_at(b),
                          at_obj={c: s.cell_left[(f, c)] for c in B.objects})
-        at_hmor[f] = mid_(m)
+        at_hmor[f] = hom.id_of(m)
     return VerticalTransformation(
         src=Pf, tgt=Pg,
-        at_obj={a: tid(s.right_at(a)) for a in A.objects},
+        at_obj={a: hom.id_of(s.right_at(a)) for a in A.objects},
         at_hmor=at_hmor,
     )
 
@@ -522,24 +501,14 @@ def uncurry_vertical(t: VerticalTransformation, hom: HomDouble,
 
 def curry_horizontal(t: TwoVarHorizontal, hom: HomDouble, Pf, Pg) -> HorizontalPseudoTransformation:
     A, B = t.src.domA, t.src.domB
-    ids = hom.ids
-
-    def fid(G):
-        return ids[G.key()]
-
-    def tid(x):
-        return ids[(fid(x.src), fid(x.tgt), x.key())]
-
-    def mid_(m):
-        return ids[(tid(m.top), tid(m.bottom), tid(m.left), tid(m.right), m.key())]
-
+    id_of = hom.id_of
     at_vmor = {}
     for u in A.vmors:
         a, b = A.vsrc(u), A.vtgt(u)
         m = Modification(top=t.right_at(a), bottom=t.right_at(b),
                          left=t.src.vertical_at(u), right=t.tgt.vertical_at(u),
                          at_obj={c: t.cell_uc[(u, c)] for c in B.objects})
-        at_vmor[u] = mid_(m)
+        at_vmor[u] = id_of(m)
     at_hmor = {}
     for f in A.hmors:
         a, b = A.hsrc(f), A.htgt(f)
@@ -551,10 +520,10 @@ def curry_horizontal(t: TwoVarHorizontal, hom: HomDouble, Pf, Pg) -> HorizontalP
                          at_obj={c: t.cell_fc[(f, c)][0] for c in B.objects})
         minv = Modification(top=bot, bottom=top, left=m.left, right=m.right,
                             at_obj={c: t.cell_fc[(f, c)][1] for c in B.objects})
-        at_hmor[f] = (mid_(m), mid_(minv))
+        at_hmor[f] = (id_of(m), id_of(minv))
     return HorizontalPseudoTransformation(
         src=Pf, tgt=Pg,
-        at_obj={a: tid(t.right_at(a)) for a in A.objects},
+        at_obj={a: id_of(t.right_at(a)) for a in A.objects},
         at_vmor=at_vmor, at_hmor=at_hmor,
     )
 
@@ -580,23 +549,12 @@ def uncurry_horizontal(t: HorizontalPseudoTransformation, hom: HomDouble,
 def curry_modification(m: TwoVarModification, hom: HomDouble, top, bottom,
                        left, right) -> Modification:
     A, B = m.top.src.domA, m.top.src.domB
-    ids = hom.ids
-
-    def fid(G):
-        return ids[G.key()]
-
-    def tid(x):
-        return ids[(fid(x.src), fid(x.tgt), x.key())]
-
-    def mid_(mm):
-        return ids[(tid(mm.top), tid(mm.bottom), tid(mm.left), tid(mm.right), mm.key())]
-
     at_obj = {}
     for a in A.objects:
         mm = Modification(top=m.top.right_at(a), bottom=m.bottom.right_at(a),
                           left=m.left.right_at(a), right=m.right.right_at(a),
                           at_obj={c: m.at_pair[(a, c)] for c in B.objects})
-        at_obj[a] = mid_(mm)
+        at_obj[a] = hom.id_of(mm)
     return Modification(top=top, bottom=bottom, left=left, right=right, at_obj=at_obj)
 
 
@@ -614,10 +572,9 @@ def enumerate_twovar_functors(A: TableDouble, B: TableDouble, C: TableDouble,
                               hom: HomDouble | None = None,
                               max_candidates: int | None = None):
     """All two-variable functors (A, B) -> C, via the curried encoding."""
-    kw = {} if max_candidates is None else {"max_candidates": max_candidates}
-    hom = hom or hom_double(B, C, **kw)
+    hom = hom or hom_double(B, C, max_candidates)
     out = []
-    for P in enumerate_functors(A, hom.table, **kw):
+    for P in enumerate_functors(A, hom.table, max_candidates):
         F = uncurry_functor(P, hom, B, C)
         F.name = f"F2_{len(out)}"
         out.append(F)
@@ -667,7 +624,7 @@ def skew_j(A: TableDouble, hom_AA: HomDouble, I: TableDouble) -> PseudoDoubleFun
     """I -> Hom(A, A) picking out the identity pseudo double functor; strict."""
     pt = I.objects[0]
     T = hom_AA.table
-    target = hom_AA.ids[identity_functor(A).key()]
+    target = hom_AA.id_of(identity_functor(A))
     idv = T.v_identity[target]
     idh = T.h_identity[target]
     return PseudoDoubleFunctor(
@@ -691,16 +648,7 @@ def skew_L(A: TableDouble, B: TableDouble, C: TableDouble,
     hom_AB = hom_AB or hom_double(A, B)
     hom_AC = hom_AC or hom_double(A, C)
     TBC, TAB, TAC = hom_BC.table, hom_AB.table, hom_AC.table
-    ids = hom_AC.ids
-
-    def fid(G):
-        return ids[G.key()]
-
-    def tid(x):
-        return ids[(fid(x.src), fid(x.tgt), x.key())]
-
-    def mid_(mm):
-        return ids[(tid(mm.top), tid(mm.bottom), tid(mm.left), tid(mm.right), mm.key())]
+    id_of = hom_AC.id_of
 
     # second-variable partials: post-composition with a fixed G (pseudo)
     partial_right = {}
@@ -715,7 +663,7 @@ def skew_L(A: TableDouble, B: TableDouble, C: TableDouble,
                              left=identity_vertical(compose_functors(G, F)),
                              right=identity_vertical(compose_functors(G, F)),
                              at_obj={a: G.phi0[F.obj(a)] for a in A.objects})
-            phi0[p] = mid_(m)
+            phi0[p] = id_of(m)
         for (h2, h1) in TAB.hcomp_hmor_table:
             t1 = hom_AB.horizontals[h1]
             t2 = hom_AB.horizontals[h2]
@@ -727,38 +675,36 @@ def skew_L(A: TableDouble, B: TableDouble, C: TableDouble,
                 left=identity_vertical(wt1.src),
                 right=identity_vertical(wt2.tgt),
                 at_obj={a: G.phi2[(t1.at_obj[a], t2.at_obj[a])] for a in A.objects})
-            phi2[(h1, h2)] = mid_(m)
+            phi2[(h1, h2)] = id_of(m)
         partial_right[o] = PseudoDoubleFunctor(
             dom=TAB, cod=TAC,
-            obj_map={p: fid(compose_functors(G, hom_AB.functors[p])) for p in TAB.objects},
-            vmor_map={v: tid(whisker_post_functor(G, hom_AB.verticals[v])) for v in TAB.vmors},
-            hmor_map={h: tid(whisker_post_functor(G, hom_AB.horizontals[h])) for h in TAB.hmors},
-            cell_map={mmm: mid_(whisker_post_functor(G, hom_AB.modifications[mmm]))
+            obj_map={p: id_of(compose_functors(G, hom_AB.functors[p])) for p in TAB.objects},
+            vmor_map={v: id_of(whisker_post_functor(G, hom_AB.verticals[v])) for v in TAB.vmors},
+            hmor_map={h: id_of(whisker_post_functor(G, hom_AB.horizontals[h])) for h in TAB.hmors},
+            cell_map={mmm: id_of(whisker_post_functor(G, hom_AB.modifications[mmm]))
                       for mmm in TAB.cells},
             phi0=phi0, phi2=phi2, name=f"L({o},-)")
 
     # first-variable partials: pre-composition with a fixed F (strict)
-    from .homs import whisker_pre_functor
     partial_left = {}
     for p in TAB.objects:
         F = hom_AB.functors[p]
-        obj_map = {o: fid(compose_functors(hom_BC.functors[o], F)) for o in TBC.objects}
+        obj_map = {o: id_of(compose_functors(hom_BC.functors[o], F)) for o in TBC.objects}
         partial_left[p] = PseudoDoubleFunctor(
             dom=TBC, cod=TAC,
             obj_map=obj_map,
-            vmor_map={v: tid(whisker_pre_functor(hom_BC.verticals[v], F)) for v in TBC.vmors},
-            hmor_map={h: tid(whisker_pre_functor(hom_BC.horizontals[h], F)) for h in TBC.hmors},
-            cell_map={mmm: mid_(whisker_pre_functor(hom_BC.modifications[mmm], F))
+            vmor_map={v: id_of(whisker_pre_functor(hom_BC.verticals[v], F)) for v in TBC.vmors},
+            hmor_map={h: id_of(whisker_pre_functor(hom_BC.horizontals[h], F)) for h in TBC.hmors},
+            cell_map={mmm: id_of(whisker_pre_functor(hom_BC.modifications[mmm], F))
                       for mmm in TBC.cells},
             phi0={o: TAC.vid_of(TAC.h_id(obj_map[o])) for o in TBC.objects},
             phi2={(h1, h2): TAC.vid_of(TAC.hcomp_hmor(
-                tid(whisker_pre_functor(hom_BC.horizontals[h2], F)),
-                tid(whisker_pre_functor(hom_BC.horizontals[h1], F))))
+                id_of(whisker_pre_functor(hom_BC.horizontals[h2], F)),
+                id_of(whisker_pre_functor(hom_BC.horizontals[h1], F))))
                 for (h2, h1) in TBC.hcomp_hmor_table},
             name=f"L(-,{p})")
 
     # cell families
-    from .homs import interchanger
     cell_vh = {}
     for tau in TBC.vmors:
         tv = hom_BC.verticals[tau]
@@ -770,7 +716,7 @@ def skew_L(A: TableDouble, B: TableDouble, C: TableDouble,
                 left=whisker_pre_functor(tv, t.src),
                 right=whisker_pre_functor(tv, t.tgt),
                 at_obj={a: tv.at_hmor[t.at_obj[a]] for a in A.objects})
-            cell_vh[(tau, th)] = mid_(m)
+            cell_vh[(tau, th)] = id_of(m)
     cell_hv = {}
     for bh in TBC.hmors:
         bt = hom_BC.horizontals[bh]
@@ -782,7 +728,7 @@ def skew_L(A: TableDouble, B: TableDouble, C: TableDouble,
                 left=whisker_post_functor(bt.src, s),
                 right=whisker_post_functor(bt.tgt, s),
                 at_obj={a: bt.at_vmor[s.at_obj[a]] for a in A.objects})
-            cell_hv[(bh, sv)] = mid_(m)
+            cell_hv[(bh, sv)] = id_of(m)
     cell_hh = {}
     for bh in TBC.hmors:
         bt = hom_BC.horizontals[bh]
@@ -791,7 +737,7 @@ def skew_L(A: TableDouble, B: TableDouble, C: TableDouble,
             m = interchanger(t, bt)
             minv = Modification(top=m.bottom, bottom=m.top, left=m.right, right=m.left,
                                 at_obj={a: bt.at_hmor[t.at_obj[a]][1] for a in A.objects})
-            cell_hh[(bh, th)] = (mid_(m), mid_(minv))
+            cell_hh[(bh, th)] = (id_of(m), id_of(minv))
     return TwoVarFunctor(
         domA=TBC, domB=TAB, cod=TAC,
         partial_right=partial_right, partial_left=partial_left,
@@ -1061,10 +1007,9 @@ def verify_equivalence(A: TableDouble, B: TableDouble, C: TableDouble,
     """Restriction along K from Hom(A x B, C) to the two-variable functors is
     essentially surjective (via transport_product and transport_sigma) and
     fully faithful on vertical transformations (via transport_faithful)."""
-    kw = {} if max_candidates is None else {"max_candidates": max_candidates}
     rep = Report(f"equivalence({A.name},{B.name};{C.name})")
     P = product(A, B)
-    two = enumerate_twovar_functors(A, B, C, hom_BC, **kw)
+    two = enumerate_twovar_functors(A, B, C, hom_BC, max_candidates)
     rep.params["twovar_functors"] = len(two)
 
     # essential surjectivity
@@ -1082,14 +1027,14 @@ def verify_equivalence(A: TableDouble, B: TableDouble, C: TableDouble,
         rep.require("eq.transport.sigma.invertible", inv_ok, (F.name,))
 
     # full faithfulness on vertical transformations
-    ones = enumerate_functors(P, C, **kw)
+    ones = enumerate_functors(P, C, max_candidates)
     rep.params["product_functors"] = len(ones)
     for H in ones:
         for H2 in ones:
             HK = restrict_along_K(H, A, B)
             H2K = restrict_along_K(H2, A, B)
-            verts = enumerate_vertical(H, H2)
-            twoverts = _enumerate_twovar_verticals(HK, H2K)
+            verts = enumerate_vertical(H, H2, max_candidates)
+            twoverts = _enumerate_twovar_verticals(HK, H2K, max_candidates)
             rep.add("eq.ff.count", len(verts) == len(twoverts),
                     (H.name, H2.name), detail=f"{len(verts)} vs {len(twoverts)}")
             restricted = []
@@ -1122,34 +1067,40 @@ def _restrict_vertical_along_K(t: VerticalTransformation, FK: TwoVarFunctor,
     )
 
 
-def _enumerate_twovar_verticals(F: TwoVarFunctor, G: TwoVarFunctor):
+def iter_twovar_vertical_candidates(F: TwoVarFunctor, G: TwoVarFunctor,
+                                    max_candidates=None):
+    """Frame-typed two-variable vertical transformation data F -> G, not yet
+    filtered by the axioms."""
     A, B, C = F.domA, F.domB, F.cod
-    pair_cands = []
     pairs = [(a, c) for a in A.objects for c in B.objects]
-    for (a, c) in pairs:
-        pair_cands.append([v for v in C.vmors
-                           if C.vsrc(v) == F.obj(a, c) and C.vtgt(v) == G.obj(a, c)])
-    out = []
-    for pick in itertools.product(*pair_cands):
-        at_pair = dict(zip(pairs, pick))
-        rkeys = [(a, g) for a in A.objects for g in B.hmors]
-        rcands = []
-        for (a, g) in rkeys:
-            c, d = B.hsrc(g), B.htgt(g)
-            want = Frame(F.partial_right[a].hmor(g), G.partial_right[a].hmor(g),
-                         at_pair[(a, c)], at_pair[(a, d)])
-            rcands.append(C.cells_with_frame(want))
-        lkeys = [(f, c) for f in A.hmors for c in B.objects]
-        lcands = []
-        for (f, c) in lkeys:
-            a, b = A.hsrc(f), A.htgt(f)
-            want = Frame(F.partial_left[c].hmor(f), G.partial_left[c].hmor(f),
-                         at_pair[(a, c)], at_pair[(b, c)])
-            lcands.append(C.cells_with_frame(want))
-        for rpick in itertools.product(*rcands):
-            for lpick in itertools.product(*lcands):
-                s = TwoVarVertical(F, G, at_pair, dict(zip(rkeys, rpick)),
-                                   dict(zip(lkeys, lpick)))
-                if check_twovar_vertical(s).ok:
-                    out.append(s)
-    return out
+    pair_cands = [[v for v in C.vmors if C.vsrc(v) == F.obj(a, c) and C.vtgt(v) == G.obj(a, c)]
+                  for (a, c) in pairs]
+    rkeys = [(a, g) for a in A.objects for g in B.hmors]
+    lkeys = [(f, c) for f in A.hmors for c in B.objects]
+
+    def candidates():
+        for pick in itertools.product(*pair_cands):
+            at_pair = dict(zip(pairs, pick))
+            rcands = []
+            for (a, g) in rkeys:
+                c, d = B.hsrc(g), B.htgt(g)
+                want = Frame(F.partial_right[a].hmor(g), G.partial_right[a].hmor(g),
+                             at_pair[(a, c)], at_pair[(a, d)])
+                rcands.append(C.cells_with_frame(want))
+            lcands = []
+            for (f, c) in lkeys:
+                a, b = A.hsrc(f), A.htgt(f)
+                want = Frame(F.partial_left[c].hmor(f), G.partial_left[c].hmor(f),
+                             at_pair[(a, c)], at_pair[(b, c)])
+                lcands.append(C.cells_with_frame(want))
+            for rpick in itertools.product(*rcands):
+                for lpick in itertools.product(*lcands):
+                    yield TwoVarVertical(F, G, at_pair, dict(zip(rkeys, rpick)),
+                                         dict(zip(lkeys, lpick)))
+
+    yield from within_budget(candidates(), max_candidates)
+
+
+def _enumerate_twovar_verticals(F: TwoVarFunctor, G: TwoVarFunctor, max_candidates=None):
+    return [s for s in iter_twovar_vertical_candidates(F, G, max_candidates)
+            if check_twovar_vertical(s).ok]

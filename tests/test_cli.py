@@ -1,6 +1,5 @@
 import json
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -139,6 +138,21 @@ def test_cli_envelope_small():
     assert {k: doc["params"][k] for k in want} == want
 
 
+def test_cli_universal_property_honours_the_candidate_budget(corpus_dir, monkeypatch):
+    monkeypatch.setenv("STRAWCAT_MAX_CANDIDATES", "2")
+    code, out = run_cli("universal-property", str(corpus_dir / "terminal.pdc"),
+                        str(corpus_dir / "sigmaM.pdc"), "--bound", "3")
+    doc = json.loads(out)
+    assert code == 1 and doc["truncated"] is True and doc["pass"] is False
+
+
+def test_cli_envelope_refuses_a_word_cap_above_the_arity_cap(capsys):
+    assert main(["envelope", "--multicat", "endo2", "--arity-cap", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "word cap 3" in captured.err and "arity cap 2" in captured.err
+
+
 def test_cli_adjunction_builtin():
     code, out = run_cli("adjunction-check")
     doc = json.loads(out)
@@ -177,14 +191,41 @@ def test_cli_invalid_input_fails(tmp_path, corpus_dir):
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
+# Each row is a command line, run from the repository root; its exact output
+# is tests/golden/<name>.json, where the name joins the command, the stems of
+# its input files and its flags ("--bound 3" -> "b3").
+GOLDEN_COMMANDS = (
+    [("strictify", f"corpus/{m}.pdc", "--bound", "3")
+     for m in ("nonstrict", "quintet", "quintetP", "sigma2", "sigmaM",
+               "terminal", "unit", "vertfree")]
+    + [("strictify", "corpus/nonstrict.pdc", "--bound", "4"),
+       ("universal-property", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc", "--bound", "3"),
+       ("universal-property", "corpus/quintet.pdc", "corpus/quintetP.pdc", "--bound", "3"),
+       ("hom", "corpus/quintet.pdc", "corpus/sigmaM.pdc"),
+       ("hom", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc"),
+       ("curry-check", "corpus/quintet.pdc", "corpus/quintet.pdc", "corpus/sigmaM.pdc"),
+       ("equivalence-check", "corpus/quintet.pdc", "corpus/quintet.pdc",
+        "corpus/sigmaM.pdc"),
+       ("equivalence-check", "corpus/nonstrict.pdc", "corpus/nonstrict.pdc",
+        "corpus/sigmaM.pdc"),
+       ("gray-check", "corpus/sigma2.pdc", "corpus/sigma2.pdc", "corpus/sigma2.pdc"),
+       ("interchange", "corpus/nonstrict.pdc", "--n", "1", "--m", "1")])
 
-@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("strictify-*.json")))
-def test_cli_strictify_matches_golden(golden, corpus_dir, monkeypatch):
-    # tests/golden/strictify-<member>-b<bound>.json holds the exact output of
-    # `strawcat strictify corpus/<member>.pdc --bound <bound>` run from the
-    # repository root
-    member, bound = re.fullmatch(r"strictify-(\w+)-b(\d+)\.json", golden).groups()
+
+def golden_name(argv):
+    words = []
+    for i, a in enumerate(argv):
+        if a.startswith("--"):
+            continue
+        prev = argv[i - 1] if i else ""
+        words.append(prev[2] + a if prev.startswith("--") else pathlib.Path(a).stem)
+    return "-".join(words) + ".json"
+
+
+@pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=golden_name)
+def test_cli_strictify_matches_golden(argv, corpus_dir, monkeypatch):
+    # compares every row of GOLDEN_COMMANDS, not only the strictify ones
     monkeypatch.chdir(corpus_dir.parent)
-    code, out = run_cli("strictify", f"corpus/{member}.pdc", "--bound", bound)
+    code, out = run_cli(*argv)
     assert code == 0
-    assert out == (GOLDEN / golden).read_text()
+    assert out == (GOLDEN / golden_name(argv)).read_text()

@@ -5,6 +5,7 @@ import pytest
 from strawcat import Frame, terminal, unit_object, validate
 from strawcat.corpus import corpus
 from strawcat.homs import (
+    Truncated,
     check_functor,
     check_horizontal,
     check_modification,
@@ -23,6 +24,9 @@ from strawcat.homs import (
     interchanger_inv,
     is_strict_functor,
     iter_functor_candidates,
+    iter_horizontal_candidates,
+    iter_modification_candidates,
+    iter_vertical_candidates,
     ps_sub,
     whisker_post_functor,
     whisker_pre_functor,
@@ -187,7 +191,7 @@ def test_ps_sub_is_full_on_strict_functors(tables):
     assert validate(P.table).ok
     keep = set(P.table.objects)
     for h, t in H.horizontals.items():
-        if H.ids[t.src.key()] in keep and H.ids[t.tgt.key()] in keep:
+        if H.id_of(t.src) in keep and H.id_of(t.tgt) in keep:
             assert h in P.horizontals
 
 
@@ -249,3 +253,31 @@ def test_enumerate_transformations_complete(tables):
                 assert check_vertical(t).ok
             for t in enumerate_horizontal(F, G):
                 assert check_horizontal(t).ok
+
+
+def test_candidate_generators_truncate_at_budget_plus_one(tables):
+    from strawcat.twovar import (enumerate_twovar_functors,
+                                 iter_twovar_vertical_candidates)
+    N, T = tables["nonstrict"], tables["terminal"]
+    fs = enumerate_functors(N, N)
+    t = enumerate_horizontal(fs[0], fs[0])[1]
+    v = identity_vertical(fs[0])
+    two = enumerate_twovar_functors(N, T, N)
+    F2, G2 = max(((F, G) for F in two for G in two),
+                 key=lambda FG: len(list(iter_twovar_vertical_candidates(*FG))))
+    generators = {
+        "functor": lambda mc: iter_functor_candidates(N, N, True, mc),
+        "vertical": lambda mc: iter_vertical_candidates(fs[1], fs[1], mc),
+        "horizontal": lambda mc: iter_horizontal_candidates(fs[0], fs[0], mc),
+        "modification": lambda mc: iter_modification_candidates(t, t, v, v, mc),
+        "twovar vertical": lambda mc: iter_twovar_vertical_candidates(F2, G2, mc),
+    }
+    for kind, gen in generators.items():
+        n = len(list(gen(None)))
+        assert n >= 2, kind
+        assert len(list(gen(n))) == n, kind
+        drawn = []
+        with pytest.raises(Truncated):
+            for x in gen(n - 1):
+                drawn.append(x)
+        assert len(drawn) == n - 1, kind

@@ -217,6 +217,16 @@ def test_3d_iso_small(tables):
     assert rep.params["objects_each_side"] >= 1
 
 
+def test_3d_iso_honours_the_candidate_budget(tables):
+    # terminal -> sigmaM has 3 horizontal candidates between its one functor
+    # and itself; a budget of 2 must stop the run, not pass it
+    from strawcat.homs import Truncated
+    with pytest.raises(Truncated):
+        verify_3d_iso(tables["terminal"], tables["sigmaM"], 3, max_candidates=2)
+    rep = verify_3d_iso(tables["terminal"], tables["sigmaM"], 3, max_candidates=3)
+    assert rep.ok and rep.params["hmor_candidates"] == 3
+
+
 def test_3d_iso_rejects_weak_codomain(tables):
     with pytest.raises(StructuralError):
         verify_3d_iso(tables["sigmaM"], tables["nonstrict"], 2)
