@@ -96,7 +96,7 @@ class TableDouble:
     lunit: dict                 # f -> (cell, inverse): 1.f -> f
     runit: dict                 # f -> (cell, inverse): f.1 -> f
 
-    _inv_cache: dict = field(default_factory=dict, repr=False)
+    _inv_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic accessors ---------------------------------------------------
 

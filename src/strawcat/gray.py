@@ -17,18 +17,16 @@ from dataclasses import dataclass
 
 from .core import (Frame, TableDouble, category_is_free, horizontal_category,
                    is_bicategory, is_cofibrant, is_strict, underlying_bicategory)
-from .homs import (HomDouble, compose_functors, hom_double, interchanger,
-                   whisker_post_functor, whisker_pre_functor)
+from .homs import HomDouble, hom_double
 from .report import Report, StructuralError
 from .strictify import Path, StCell, StrictifiedDouble, counit, kappa, st, \
     st_strict_report
+from .twovar import check_twovar_functor, skew_L
 
 
 @dataclass
 class StHom:
     """st Hom(A, B) together with the dictionaries back to transformation data."""
-    A: TableDouble
-    B: TableDouble
     hom: HomDouble
     bicat: TableDouble
     S: StrictifiedDouble
@@ -37,7 +35,7 @@ class StHom:
 def st_hom(A: TableDouble, B: TableDouble, max_candidates=None) -> StHom:
     hom = hom_double(A, B, max_candidates)
     bic = underlying_bicategory(hom.table)
-    return StHom(A, B, hom, bic, st(bic))
+    return StHom(hom, bic, st(bic))
 
 
 def eta_star(sh: StHom, alpha_id) -> Path:
@@ -46,50 +44,36 @@ def eta_star(sh: StHom, alpha_id) -> Path:
 
 
 class GridContext:
-    """Whiskering caches for grids over a fixed composable triple of homs."""
+    """Horizontal composition Hom(B, C) x Hom(A, B) -> Hom(A, C) over a fixed
+    triple of homs, read from the two-variable functor L = skew_L built once:
+    composite functors, whiskered transformations and interchangers as ids
+    of Hom(A, C)."""
 
     def __init__(self, sh_ac: StHom, hom_ab: HomDouble, hom_bc: HomDouble):
         self.sh_ac = sh_ac
         self.hom_ab = hom_ab
         self.hom_bc = hom_bc
-        self._post = {}
-        self._pre = {}
-        self._obj = {}
+        self.L = skew_L(hom_ab.dom, hom_ab.cod, hom_bc.cod, hom_bc, hom_ab, sh_ac.hom)
 
     def post(self, g_id, a_id):
         """Transformation id of g . alpha in Hom(A, C)."""
-        key = (g_id, a_id)
-        if key not in self._post:
-            self._post[key] = self.sh_ac.hom.id_of(whisker_post_functor(
-                self.hom_bc.functors[g_id], self.hom_ab.horizontals[a_id]))
-        return self._post[key]
+        return self.L.partial_right[g_id].hmor_map[a_id]
 
     def pre(self, b_id, f_id):
-        key = (b_id, f_id)
-        if key not in self._pre:
-            self._pre[key] = self.sh_ac.hom.id_of(whisker_pre_functor(
-                self.hom_bc.horizontals[b_id], self.hom_ab.functors[f_id]))
-        return self._pre[key]
+        """Transformation id of beta . f in Hom(A, C)."""
+        return self.L.partial_left[f_id].hmor_map[b_id]
 
     def obj(self, g_id, f_id):
-        key = (g_id, f_id)
-        if key not in self._obj:
-            self._obj[key] = self.sh_ac.hom.id_of(compose_functors(
-                self.hom_bc.functors[g_id], self.hom_ab.functors[f_id]))
-        return self._obj[key]
+        """Functor id of g . f in Hom(A, C)."""
+        return self.L.partial_right[g_id].obj_map[f_id]
 
     def whisker_path_post(self, g_id, path: Path) -> Path:
         return Path(self.obj(g_id, path.src),
                     tuple(self.post(g_id, a) for a in path.hmors))
 
-    def whisker_path_pre(self, path: Path, f_id) -> Path:
-        return Path(self.obj(path.src, f_id),
-                    tuple(self.pre(b, f_id) for b in path.hmors))
-
     def interchanger_payload(self, a_id, b_id):
-        m = interchanger(self.hom_ab.horizontals[a_id],
-                         self.hom_bc.horizontals[b_id])
-        return self.sh_ac.hom.id_of(m)
+        """Modification id of the interchanger of alpha and beta."""
+        return self.L.cell_hh[(b_id, a_id)][0]
 
 
 def interchange_grid(ctx: GridContext, alphas: Path, betas: Path,
@@ -169,7 +153,8 @@ def interchange_grid(ctx: GridContext, alphas: Path, betas: Path,
 def gray_axiom_check(A: TableDouble, B: TableDouble, C: TableDouble,
                      bound: int = 2, max_candidates=None) -> Report:
     """Axioms of the interchange layer over the triple (A, B, C): strict
-    2-category structure of each strictified hom, whisker functoriality,
+    2-category structure of each strictified hom, the composition functor
+    Hom(B, C) x Hom(A, B) -> Hom(A, C) the grids read, whisker functoriality,
     grid invertibility, order independence, concatenation compatibility,
     and the pointwise 1x1 component identity."""
     rep = Report(f"gray({A.name},{B.name},{C.name})", params={"bound": bound})
@@ -181,6 +166,9 @@ def gray_axiom_check(A: TableDouble, B: TableDouble, C: TableDouble,
     for name, sh in [("AB", sh_ab), ("BC", sh_bc), ("AC", sh_ac)]:
         r = st_strict_report(sh.S, bound)
         rep.require("gray.sthom.strict." + name, r.ok, (name,), detail=r.summary())
+    # the composition the grids read is itself checked as a two-variable functor
+    for f in check_twovar_functor(ctx.L).failures():
+        rep.add("gray.composite", False, (f.check,) + f.witness, f.detail)
 
     # whiskering by identities and by composites
     n_wh = 0

@@ -338,8 +338,10 @@ def interchanger(alpha: HorizontalPseudoTransformation,
 
 
 def interchanger_inv(alpha, beta) -> Modification:
+    """The vertical inverse of interchanger(alpha, beta): the same identity
+    verticals, top and bottom swapped, the stored inverse components."""
     m = interchanger(alpha, beta)
-    return Modification(top=m.bottom, bottom=m.top, left=m.right, right=m.left,
+    return Modification(top=m.bottom, bottom=m.top, left=m.left, right=m.right,
                         at_obj={a: beta.at_hmor[alpha.at_obj[a]][1] for a in alpha.at_obj})
 
 
@@ -780,6 +782,8 @@ def enumerate_modifications(top, bottom, left, right, max_candidates=None):
 @dataclass
 class HomDouble:
     """Materialised Hom(A, B) together with the dictionaries back to data."""
+    dom: TableDouble            # A
+    cod: TableDouble            # B
     table: TableDouble
     functors: dict              # id -> PseudoDoubleFunctor
     verticals: dict             # id -> VerticalTransformation
@@ -801,7 +805,7 @@ class HomDouble:
 def hom_double(A: TableDouble, B: TableDouble, max_candidates=None) -> HomDouble:
     """The pseudo double category of functors A -> B, vertical transformations,
     horizontal pseudo transformations, and modifications."""
-    hom = HomDouble(None, {}, {}, {}, {}, {})
+    hom = HomDouble(A, B, None, {}, {}, {}, {}, {})
     ids, id_of = hom._ids, hom.id_of
     functors, verticals, horizontals, modifications = (
         hom.functors, hom.verticals, hom.horizontals, hom.modifications)
@@ -951,7 +955,7 @@ def ps_sub(A: TableDouble, B: TableDouble, hom: HomDouble | None = None,
         lunit={h: T.lunit[h] for h in keep_h},
         runit={h: T.runit[h] for h in keep_h},
     )
-    return HomDouble(sub, {o: hom.functors[o] for o in keep_objs},
+    return HomDouble(A, B, sub, {o: hom.functors[o] for o in keep_objs},
                      {v: hom.verticals[v] for v in keep_v},
                      {h: hom.horizontals[h] for h in keep_h},
                      {c: hom.modifications[c] for c in keep_c}, hom._ids)

@@ -35,6 +35,7 @@ from .homs import (
     identity_horizontal,
     identity_vertical,
     interchanger,
+    interchanger_inv,
     whisker_post_functor,
     whisker_pre_functor,
     within_budget,
@@ -734,10 +735,7 @@ def skew_L(A: TableDouble, B: TableDouble, C: TableDouble,
         bt = hom_BC.horizontals[bh]
         for th in TAB.hmors:
             t = hom_AB.horizontals[th]
-            m = interchanger(t, bt)
-            minv = Modification(top=m.bottom, bottom=m.top, left=m.right, right=m.left,
-                                at_obj={a: bt.at_hmor[t.at_obj[a]][1] for a in A.objects})
-            cell_hh[(bh, th)] = (id_of(m), id_of(minv))
+            cell_hh[(bh, th)] = (id_of(interchanger(t, bt)), id_of(interchanger_inv(t, bt)))
     return TwoVarFunctor(
         domA=TBC, domB=TAB, cod=TAC,
         partial_right=partial_right, partial_left=partial_left,

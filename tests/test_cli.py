@@ -209,6 +209,7 @@ GOLDEN_COMMANDS = (
        ("equivalence-check", "corpus/nonstrict.pdc", "corpus/nonstrict.pdc",
         "corpus/sigmaM.pdc"),
        ("gray-check", "corpus/sigma2.pdc", "corpus/sigma2.pdc", "corpus/sigma2.pdc"),
+       ("gray-check", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc", "corpus/sigmaM.pdc"),
        ("interchange", "corpus/nonstrict.pdc", "--n", "1", "--m", "1")])
 
 

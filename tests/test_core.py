@@ -130,6 +130,20 @@ def mutate(A, **changes):
     return dataclasses.replace(A, **changes)
 
 
+def test_a_replaced_table_computes_its_own_inverses():
+    N = nonstrict()
+    assert N.inverse_of("t") == "t"
+    vc = {k: x for k, x in N.vcomp_cell_table.items() if k != ("t", "t")}
+    assert mutate(N, vcomp_cell_table=vc).inverse_of("t") is None
+
+
+def test_inverse_lookups_leave_equality_alone():
+    N, N2 = nonstrict(), nonstrict()
+    assert N == N2
+    N.inverse_of("t")
+    assert N == N2 and N2 == N
+
+
 def test_nonstrict_broken_associator_names_axiom():
     N = nonstrict()
     bad = mutate(N, assoc={**N.assoc, ("e", "j", "j"): ("ce", "ce")})

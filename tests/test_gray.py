@@ -1,8 +1,11 @@
 import pytest
 
 from strawcat import terminal
+from strawcat import gray
 from strawcat.gray import (GridContext, biequivalence_check, eta_star,
                            gray_axiom_check, interchange_grid, st_hom)
+from strawcat.homs import (compose_functors, interchanger, whisker_post_functor,
+                           whisker_pre_functor)
 from strawcat.report import StructuralError
 from strawcat.strictify import Path
 
@@ -78,6 +81,49 @@ def test_gray_axiom_check_mixed_triple(tables):
                            bound=2)
     assert rep.ok, rep.render()
     assert rep.params["grid_instances"] > 0
+
+
+@pytest.mark.parametrize("names", [("nonstrict", "sigmaM", "sigmaM"),
+                                   ("sigma2", "sigma2", "sigma2")])
+def test_grid_context_reads_agree_with_direct_composition(tables, names):
+    # the oracle builds each composite datum and looks its id up in Hom(A, C)
+    A, B, C = (tables[n] for n in names)
+    sh_ab, sh_bc, sh_ac = st_hom(A, B), st_hom(B, C), st_hom(A, C)
+    ctx = GridContext(sh_ac, sh_ab.hom, sh_bc.hom)
+    H_ab, H_bc, id_of = sh_ab.hom, sh_bc.hom, sh_ac.hom.id_of
+    for g, G in H_bc.functors.items():
+        for f, F in H_ab.functors.items():
+            assert ctx.obj(g, f) == id_of(compose_functors(G, F))
+        for a, al in H_ab.horizontals.items():
+            assert ctx.post(g, a) == id_of(whisker_post_functor(G, al))
+    for b, be in H_bc.horizontals.items():
+        for f, F in H_ab.functors.items():
+            assert ctx.pre(b, f) == id_of(whisker_pre_functor(be, F))
+        for a, al in H_ab.horizontals.items():
+            assert ctx.interchanger_payload(a, b) == id_of(interchanger(al, be))
+
+
+def test_gray_composite_names_a_wrong_interchanger(tables, monkeypatch):
+    # one interchanger of L(nonstrict, nonstrict, nonstrict) that is not an
+    # identity is replaced by the identity modification on its top
+    built = gray.skew_L
+
+    def planted(*args):
+        L = built(*args)
+        T = L.cod
+        key, (m, _) = next((k, c) for k, c in L.cell_hh.items()
+                           if c[0] != T.vid_cell[T.frame(c[0]).top])
+        one = T.vid_cell[T.frame(m).top]
+        L.cell_hh[key] = (one, one)
+        return L
+
+    N = tables["nonstrict"]
+    assert gray_axiom_check(N, N, N, bound=0).ok
+    monkeypatch.setattr(gray, "skew_L", planted)
+    rep = gray_axiom_check(N, N, N, bound=0)
+    assert {f.check for f in rep.failures()} == {"gray.composite"}
+    assert {f.witness[0] for f in rep.failures()} == {"2fun.horiz.first",
+                                                       "2fun.horiz.second"}
 
 
 def test_biequivalence_checks(tables):

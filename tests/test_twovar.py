@@ -3,7 +3,7 @@ import pytest
 from strawcat import product, terminal, unit_object, validate
 from strawcat.homs import (check_functor, check_vertical, enumerate_functors,
                            enumerate_vertical, hom_double, identity_functor,
-                           is_strict_functor)
+                           interchanger, interchanger_inv, is_strict_functor)
 from strawcat.report import StructuralError
 from strawcat.twovar import (
     check_twovar_functor,
@@ -169,6 +169,24 @@ def test_skew_L_interchange_cells_are_pseudonaturality_components(tables):
         m = hom_TN.modifications[cid]
         for a in T.objects:
             assert m.at_obj[a] == bt.at_hmor[t.at_obj[a]][0]
+
+
+def test_skew_L_and_inverse_interchangers_on_a_mixed_triple(tables):
+    # the left and right verticals of an interchanger differ on this triple,
+    # so an inverse with the two swapped has no id in Hom(A, C)
+    N, M = tables["nonstrict"], tables["sigmaM"]
+    hom_NM, hom_MM = hom_double(N, M), hom_double(M, M)
+    T = hom_NM.table
+    for al in hom_NM.horizontals.values():
+        for be in hom_MM.horizontals.values():
+            m = hom_NM.id_of(interchanger(al, be))
+            mi = hom_NM.id_of(interchanger_inv(al, be))
+            top, bottom = T.frame(m).top, T.frame(m).bottom
+            assert T.vcomp_cell(mi, m) == T.vid_cell[top]
+            assert T.vcomp_cell(m, mi) == T.vid_cell[bottom]
+    L = skew_L(N, M, M, hom_BC=hom_MM, hom_AB=hom_NM, hom_AC=hom_NM)
+    assert len(L.cell_hh) == len(hom_MM.horizontals) * len(hom_NM.horizontals)
+    assert check_twovar_functor(L).ok
 
 
 def test_multihom_arity(tables):
