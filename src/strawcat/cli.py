@@ -57,7 +57,9 @@ class Presentation:
 
 
 def _tokens(line: str):
-    return line.split()
+    # A name recurs in thousands of rows (ASSOC has n**3 of them); one
+    # interned string per name keeps a table's size in its row count alone.
+    return [sys.intern(t) for t in line.split()]
 
 
 def parse(text: str, name: str = "anonymous") -> Presentation:
@@ -117,7 +119,7 @@ def parse(text: str, name: str = "anonymous") -> Presentation:
             check_name(m.group(1), lineno, declare=True)
             for g in m.groups()[1:]:
                 check_name(g, lineno)
-            p.cells.append(m.groups())
+            p.cells.append(tuple(map(sys.intern, m.groups())))
         elif section in ("VCOMP", "HCOMP"):
             op = "." if section == "VCOMP" else "*"
             if len(toks) != 5 or toks[1] != op or toks[3] != "=":

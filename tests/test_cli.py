@@ -33,6 +33,20 @@ def test_corpus_files_match_builders(tables, corpus_dir):
         assert on_disk == print_presentation(presentation_of(A)), name
 
 
+def test_parse_keeps_one_string_per_name(corpus_dir):
+    p = parse((corpus_dir / "sigmaM.pdc").read_text(), "sigmaM")
+    rows = (p.vmors + p.hmors + p.cells + p.vcomp + p.hcomp + p.vid + p.hid
+            + p.assoc + p.unitors)
+    first = {}
+    for row in rows:
+        for x in row:
+            if x is not None:
+                assert first.setdefault(x, x) is x, x
+    A = elaborate(p)
+    for (f, g, h), (c, d) in A.assoc.items():
+        assert all(first[x] is x for x in (f, g, h, c, d))
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ParseError) as e:
         parse("OBJECTS\n  a\nVMORS\n  ida : frobnicate\n")
