@@ -307,7 +307,11 @@ def _at(p: Presentation, name):
 
 
 def presentation_of(A: TableDouble) -> Presentation:
-    """Canonical presentation of a table; print-parse round trips exactly."""
+    """Canonical presentation of a table; print-parse round trips exactly.
+    Refuses a table with an id that is not a name."""
+    for x in (*A.objects, *A.vmors, *A.hmors, *A.cells):
+        if not NAME_RE.match(str(x)):
+            raise StructuralError(f"{A.name}: id {x!r} is not a name, so it cannot be printed")
     p = Presentation(name=str(A.name))
     from .core import is_bicategory
     p.bicategory = is_bicategory(A)
@@ -496,19 +500,22 @@ def _builtin_multicat(name: str, cap: int):
                              lambda x, y: "m" + str(min(int(x[1]) + int(y[1]), 2)),
                              "m0", cap)
     if name == "endo2":
-        return endo_multicat("endo2", ("0", "1"), min(cap, ENDO2_ARITY_CAP))
+        return endo_multicat("endo2", ("0", "1"), cap)
     raise SystemExit(f"unknown multicat {name!r}; choose from {BUILTIN_MULTICATS}")
 
 
 def cmd_envelope(args):
     from .multicat import envelope, validate_envelope, validate_multicat
-    if args.multicat == "endo2" and args.arity_cap > ENDO2_ARITY_CAP:
-        raise StructuralError(f"envelope word cap {args.arity_cap} exceeds the arity cap "
+    cap = args.arity_cap
+    if cap is None:                     # the builtin's own arity cap
+        cap = ENDO2_ARITY_CAP if args.multicat == "endo2" else 4
+    if args.multicat == "endo2" and cap > ENDO2_ARITY_CAP:
+        raise StructuralError(f"envelope word cap {cap} exceeds the arity cap "
                               f"{ENDO2_ARITY_CAP} of endo2, whose gamma is defined only "
                               f"up to that arity")
-    V = _builtin_multicat(args.multicat, args.arity_cap)
+    V = _builtin_multicat(args.multicat, cap)
     rep = validate_multicat(V)
-    rep.merge(validate_envelope(envelope(V, args.arity_cap)))
+    rep.merge(validate_envelope(envelope(V, cap)))
     rep.params["multicat"] = args.multicat
     return _emit(args, "envelope", [], rep)
 
@@ -611,7 +618,7 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("envelope")
     sp.add_argument("--multicat", default="terminal", choices=BUILTIN_MULTICATS)
-    sp.add_argument("--arity-cap", type=int, default=4, dest="arity_cap")
+    sp.add_argument("--arity-cap", type=int, default=None, dest="arity_cap")
     sp.set_defaults(fn=cmd_envelope)
 
     sp = sub.add_parser("adjunction-check")

@@ -560,38 +560,48 @@ def horizontal_category(A: TableDouble) -> FiniteCategory:
     )
 
 
+def full_sub(A: TableDouble, name: str, objects, vmors, hmors, cells) -> TableDouble:
+    """The sub-table of A on the given data, which must be closed under
+    sources, targets, identities and composites: every table entry whose
+    arguments are all kept.  Each dict keeps A's order."""
+    ko, kv, kh, kc = set(objects), set(vmors), set(hmors), set(cells)
+
+    def on(d, keep):
+        return {k: x for k, x in d.items() if k in keep}
+
+    def on_all(d, keep):
+        return {k: x for k, x in d.items() if all(y in keep for y in k)}
+
+    return TableDouble(
+        name=name,
+        objects=tuple(objects),
+        vmors=tuple(vmors),
+        vmor_src=on(A.vmor_src, kv),
+        vmor_tgt=on(A.vmor_tgt, kv),
+        v_identity=on(A.v_identity, ko),
+        vcomp_vmor_table=on_all(A.vcomp_vmor_table, kv),
+        hmors=tuple(hmors),
+        hmor_src=on(A.hmor_src, kh),
+        hmor_tgt=on(A.hmor_tgt, kh),
+        h_identity=on(A.h_identity, ko),
+        hcomp_hmor_table=on_all(A.hcomp_hmor_table, kh),
+        cells=tuple(cells),
+        cell_frames=on(A.cell_frames, kc),
+        vcomp_cell_table=on_all(A.vcomp_cell_table, kc),
+        vid_cell=on(A.vid_cell, kh),
+        hcomp_cell_table=on_all(A.hcomp_cell_table, kc),
+        hid_cell=on(A.hid_cell, kv),
+        assoc=on_all(A.assoc, kh),
+        lunit=on(A.lunit, kh),
+        runit=on(A.runit, kh),
+    )
+
+
 def underlying_bicategory(A: TableDouble) -> TableDouble:
     """Discard non-identity vertical morphisms and non-globular cells."""
-    keep_v = {A.v_identity[a] for a in A.objects}
-    keep_c = tuple(c for c in A.cells if A.is_globular(c))
-    keep_cs = set(keep_c)
-    B = TableDouble(
-        name=f"H({A.name})",
-        objects=A.objects,
-        vmors=tuple(u for u in A.vmors if u in keep_v),
-        vmor_src={u: A.vmor_src[u] for u in keep_v},
-        vmor_tgt={u: A.vmor_tgt[u] for u in keep_v},
-        v_identity=dict(A.v_identity),
-        vcomp_vmor_table={(w, u): x for (w, u), x in A.vcomp_vmor_table.items()
-                          if w in keep_v and u in keep_v},
-        hmors=A.hmors,
-        hmor_src=dict(A.hmor_src),
-        hmor_tgt=dict(A.hmor_tgt),
-        h_identity=dict(A.h_identity),
-        hcomp_hmor_table=dict(A.hcomp_hmor_table),
-        cells=keep_c,
-        cell_frames={c: A.cell_frames[c] for c in keep_c},
-        vcomp_cell_table={(lo, up): x for (lo, up), x in A.vcomp_cell_table.items()
-                          if lo in keep_cs and up in keep_cs},
-        vid_cell=dict(A.vid_cell),
-        hcomp_cell_table={(r, l): x for (r, l), x in A.hcomp_cell_table.items()
-                          if r in keep_cs and l in keep_cs},
-        hid_cell={u: A.hid_cell[u] for u in keep_v},
-        assoc=dict(A.assoc),
-        lunit=dict(A.lunit),
-        runit=dict(A.runit),
-    )
-    return B
+    ids = set(A.v_identity.values())
+    return full_sub(A, f"H({A.name})", A.objects, [u for u in A.vmors if u in ids],
+                    A.hmors, [c for c in A.cells if A.is_globular(c)])
 
 
 def is_bicategory(A: TableDouble) -> bool:

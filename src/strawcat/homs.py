@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Frame, TableDouble
+from .core import Frame, TableDouble, full_sub
 from .report import Report
 
 
@@ -922,40 +922,14 @@ def ps_sub(A: TableDouble, B: TableDouble, hom: HomDouble | None = None,
     """Full sub double category of Hom(A, B) on the strict double functors."""
     hom = hom or hom_double(A, B, max_candidates)
     T = hom.table
-    keep_objs = tuple(o for o in T.objects if is_strict_functor(hom.functors[o]))
-    keep_o = set(keep_objs)
-    keep_v = {v for v in T.vmors if T.vmor_src[v] in keep_o and T.vmor_tgt[v] in keep_o}
-    keep_h = {h for h in T.hmors if T.hmor_src[h] in keep_o and T.hmor_tgt[h] in keep_o}
-    keep_c = {c for c in T.cells
-              if T.cell_frames[c].top in keep_h and T.cell_frames[c].bottom in keep_h}
-    sub = TableDouble(
-        name=f"Ps({A.name},{B.name})",
-        objects=keep_objs,
-        vmors=tuple(v for v in T.vmors if v in keep_v),
-        vmor_src={v: T.vmor_src[v] for v in keep_v},
-        vmor_tgt={v: T.vmor_tgt[v] for v in keep_v},
-        v_identity={o: T.v_identity[o] for o in keep_objs},
-        vcomp_vmor_table={k: x for k, x in T.vcomp_vmor_table.items()
-                          if k[0] in keep_v and k[1] in keep_v},
-        hmors=tuple(h for h in T.hmors if h in keep_h),
-        hmor_src={h: T.hmor_src[h] for h in keep_h},
-        hmor_tgt={h: T.hmor_tgt[h] for h in keep_h},
-        h_identity={o: T.h_identity[o] for o in keep_objs},
-        hcomp_hmor_table={k: x for k, x in T.hcomp_hmor_table.items()
-                          if k[0] in keep_h and k[1] in keep_h},
-        cells=tuple(c for c in T.cells if c in keep_c),
-        cell_frames={c: T.cell_frames[c] for c in keep_c},
-        vcomp_cell_table={k: x for k, x in T.vcomp_cell_table.items()
-                          if k[0] in keep_c and k[1] in keep_c},
-        vid_cell={h: T.vid_cell[h] for h in keep_h},
-        hcomp_cell_table={k: x for k, x in T.hcomp_cell_table.items()
-                          if k[0] in keep_c and k[1] in keep_c},
-        hid_cell={v: T.hid_cell[v] for v in keep_v},
-        assoc={k: x for k, x in T.assoc.items() if all(f in keep_h for f in k)},
-        lunit={h: T.lunit[h] for h in keep_h},
-        runit={h: T.runit[h] for h in keep_h},
-    )
-    return HomDouble(A, B, sub, {o: hom.functors[o] for o in keep_objs},
+    keep_o = {o for o in T.objects if is_strict_functor(hom.functors[o])}
+    keep_v = [v for v in T.vmors if T.vmor_src[v] in keep_o and T.vmor_tgt[v] in keep_o]
+    keep_h = [h for h in T.hmors if T.hmor_src[h] in keep_o and T.hmor_tgt[h] in keep_o]
+    hs = set(keep_h)
+    keep_c = [c for c in T.cells if T.cell_frames[c].top in hs and T.cell_frames[c].bottom in hs]
+    sub = full_sub(T, f"Ps({A.name},{B.name})", [o for o in T.objects if o in keep_o],
+                   keep_v, keep_h, keep_c)
+    return HomDouble(A, B, sub, {o: hom.functors[o] for o in sub.objects},
                      {v: hom.verticals[v] for v in keep_v},
                      {h: hom.horizontals[h] for h in keep_h},
                      {c: hom.modifications[c] for c in keep_c}, hom._ids)

@@ -144,6 +144,36 @@ def terminal_multicat(cap: int) -> FiniteSymMulticat:
     return endo_multicat("terminal", ("*",), cap)
 
 
+def _by_out_size(sig: dict) -> dict:
+    """The multimorphisms of a signature table, pooled by (output, arity)."""
+    pools = {}
+    for m, (xs, y) in sig.items():
+        pools.setdefault((y, len(xs)), []).append(m)
+    return pools
+
+
+def _budgeted(by_out_size: dict, outputs: tuple, budget: int):
+    """Tuples of multimorphisms with the given outputs, total arity <= budget."""
+    if not outputs:
+        yield ()
+        return
+    y, rest = outputs[0], outputs[1:]
+    for k in range(budget + 1):
+        for m in by_out_size.get((y, k), ()):
+            for tail in _budgeted(by_out_size, rest, budget - k):
+                yield (m,) + tail
+
+
+def _words(objs, cap):
+    """The words over objs of length <= cap, by length, then in objs order."""
+    out = [()]
+    frontier = [()]
+    for _ in range(cap):
+        frontier = [w + (x,) for w in frontier for x in objs]
+        out.extend(frontier)
+    return out
+
+
 def from_monoidal(name: str, elems: tuple, add, zero, cap: int) -> FiniteSymMulticat:
     """Represented multicategory of a finite commutative monoid seen as a
     discrete symmetric strict monoidal category: the multihom (x1..xn; y) is
@@ -168,24 +198,10 @@ def from_monoidal(name: str, elems: tuple, add, zero, cap: int) -> FiniteSymMult
         for p in all_perms(n):
             action[(m, p)] = ("m", tuple(xs[p[i]] for i in range(n)), y)
         # gamma over all splittings handled below
-    by_out_size = {}
-    for m in mms:
-        xs, y = sig[m]
-        by_out_size.setdefault((y, len(xs)), []).append(m)
-
-    def budgeted(outputs, budget):
-        if not outputs:
-            yield ()
-            return
-        y, rest = outputs[0], outputs[1:]
-        for k in range(budget + 1):
-            for m in by_out_size.get((y, k), ()):
-                for tail in budgeted(rest, budget - k):
-                    yield (m,) + tail
-
+    by_out_size = _by_out_size(sig)
     for g in mms:
         ys, z = sig[g]
-        for fs in budgeted(tuple(ys), cap):
+        for fs in _budgeted(by_out_size, tuple(ys), cap):
             xs = tuple(x for f in fs for x in sig[f][0])
             gamma[(g, fs)] = ("m", xs, z)
     identities = {x: ("m", (x,), x) for x in elems}
@@ -221,32 +237,17 @@ def validate_multicat(V: FiniteSymMulticat) -> Report:
             for q in all_perms(n):
                 rep.require("mc.act.comp",
                             V.act(mp, q) == V.act(m, perm_compose(p, q)), (m, p, q))
-    # pools keyed by (output, input arity), for budgeted enumeration
-    by_out_size = {}
-    for m, (xs, y) in V.sig.items():
-        by_out_size.setdefault((y, len(xs)), []).append(m)
-
-    def budgeted(outputs, budget):
-        """Tuples of morphisms with the given outputs, total arity <= budget."""
-        if not outputs:
-            yield ()
-            return
-        y, rest = outputs[0], outputs[1:]
-        for k in range(budget + 1):
-            for m in by_out_size.get((y, k), ()):
-                for tail in budgeted(rest, budget - k):
-                    yield (m,) + tail
-
+    by_out_size = _by_out_size(V.sig)
     # associativity of substitution on two-level trees within the cap
     n_assoc = 0
     for g in V.all_mms():
         ys, z = V.sig[g]
         if not ys:
             continue
-        for fs in budgeted(tuple(ys), V.arity_cap):
+        for fs in _budgeted(by_out_size, tuple(ys), V.arity_cap):
             gf = V.gamma(g, fs)
             xs_all = tuple(x for f in fs for x in V.sig[f][0])
-            for flat in budgeted(xs_all, V.arity_cap):
+            for flat in _budgeted(by_out_size, xs_all, V.arity_cap):
                 # split flat back into the blocks of the fs
                 ess, off = [], 0
                 for f in fs:
@@ -264,7 +265,7 @@ def validate_multicat(V: FiniteSymMulticat) -> Report:
         n = len(ys)
         if n == 0:
             continue
-        for fs in budgeted(tuple(ys), V.arity_cap):
+        for fs in _budgeted(by_out_size, tuple(ys), V.arity_cap):
             sizes = [len(V.sig[f][0]) for f in fs]
             base = V.gamma(g, fs)
             for p in all_perms(n):
@@ -335,12 +336,7 @@ class EnvelopeCategory:
 
     def __post_init__(self):
         self._plans = {}
-        words = [()]
-        frontier = [()]
-        for _ in range(self.word_cap):
-            frontier = [w + (x,) for w in frontier for x in self.V.objects]
-            words.extend(frontier)
-        self.objects = words
+        self.objects = words = _words(self.V.objects, self.word_cap)
         mors = []
         for dom in words:
             n = len(dom)
@@ -752,15 +748,6 @@ def hypothesis_check(T: MultiFunctorData, S_obj: dict, unit: dict):
                           unit=MultiNatData(dict(unit)),
                           counit=MultiNatData(counit))
     return rep, data
-
-
-def _words(objs, cap):
-    out = [()]
-    frontier = [()]
-    for _ in range(cap):
-        frontier = [w + (x,) for w in frontier for x in objs]
-        out.extend(frontier)
-    return out
 
 
 def identity_adjunction(V: FiniteSymMulticat) -> AdjunctionData:

@@ -18,6 +18,13 @@ on an integer-indexed kernel (`_StKernel`) built once per
 the st-cells, int32 tables for cell composition and for the forward and
 inverse coherence isos xi, and a sentinel id for "undefined".  Each instance
 is still computed and compared, in batches of array gathers.
+
+Every structure map on paths (the evaluation eps, the coherence iso xi, the
+extension of a pseudo functor and of its transformations) is one memoised
+left-nested recursion, `_fold`, given a nullary case, a unary case and a
+step; this is st's path description (Gurski, *Coherence in
+Three-Dimensional Category Theory*, CUP 2013).  Every walk over composable
+pairs of paths is `StrictifiedDouble.composable_pairs`.
 """
 
 from __future__ import annotations
@@ -72,6 +79,26 @@ class Path:
         return f"Path({self.src}, {self.hmors})"
 
 
+def _fold(memo, key, p, rule):
+    """memo[key], computed on a miss by the left-nested recursion over the
+    path p that ``rule = (empty, one, step)`` gives: ``empty(key)`` for the
+    empty path, ``one(key)`` for a unary one, otherwise ``step(key, p1, f)``
+    for p = p1 + (f), which recurses on p1.  With ``one`` None a unary path
+    is a step from the empty path.  The rules are bound once per object, so
+    a hit allocates nothing."""
+    out = memo.get(key)
+    if out is None:
+        empty, one, step = rule
+        if not p.hmors:
+            out = empty(key)
+        elif one and len(p.hmors) == 1:
+            out = one(key)
+        else:
+            out = step(key, Path(p.src, p.hmors[:-1]), p.hmors[-1])
+        memo[key] = out
+    return out
+
+
 class StCell:
     """Cell of st A: boundary paths plus the payload cell of the base."""
 
@@ -108,6 +135,11 @@ class StrictifiedDouble:
         self._eps = {}
         self._xi = {}
         self._cat = {}
+        self._eps_rule = (lambda p: A.h_id(p.src), lambda p: p.hmors[0],
+                          lambda p, p1, f: A.hcomp_hmor(f, self.eps(p1)))
+        self._xi_rule = (self._xi_unitor,
+                         lambda pq: (A.vid_of(self.eps(pq[0] + pq[1])),) * 2,
+                         self._xi_step)
 
     # -- vertical layer: identical to the base ------------------------------
 
@@ -144,16 +176,7 @@ class StrictifiedDouble:
 
     def eps(self, p: Path):
         """Left-nested evaluation of a path in the base tables."""
-        if p in self._eps:
-            return self._eps[p]
-        if not p.hmors:
-            out = self.base.h_id(p.src)
-        elif len(p.hmors) == 1:
-            out = p.hmors[0]
-        else:
-            out = self.base.hcomp_hmor(p.hmors[-1], self.eps(Path(p.src, p.hmors[:-1])))
-        self._eps[p] = out
-        return out
+        return _fold(self._eps, p, p, self._eps_rule)
 
     def paths(self, bound: int, src=None, tgt=None):
         """All composable paths of length <= bound, deterministic order."""
@@ -176,31 +199,40 @@ class StrictifiedDouble:
             out = [p for p in out if self.htgt(p) == tgt]
         return out
 
+    def composable_pairs(self, bound: int):
+        """The pairs (p, q) of ``paths(bound)`` with q starting where p ends
+        and len(p) + len(q) <= bound, in the order of the double loop over
+        them; each p's first pair is (p, the empty path at its end)."""
+        paths = self.paths(bound)
+        starting = {}
+        for q in paths:
+            starting.setdefault(q.src, []).append(q)
+        out = []
+        for p in paths:
+            for q in starting[self.htgt(p)]:
+                if len(p) + len(q) > bound:
+                    break                       # paths come in length order
+                out.append((p, q))
+        return out
+
     # -- coherence isomorphism -----------------------------------------------
 
     def xi(self, p: Path, q: Path):
-        """(cell, inverse): eps(p + q) -> eps(q).eps(p), fixed left-nesting."""
-        key = (p, q)
-        if key in self._xi:
-            return self._xi[key]
-        A = self.base
-        if not p.hmors:
-            out = (A.runit_of(self.eps(q))[1], A.runit_of(self.eps(q))[0])
-        elif not q.hmors:
-            out = (A.lunit_of(self.eps(p))[1], A.lunit_of(self.eps(p))[0])
-        elif len(q.hmors) == 1:
-            e = self.eps(p + q)
-            out = (A.vid_of(e), A.vid_of(e))
-        else:
-            q1 = Path(q.src, q.hmors[:-1])
-            f = q.hmors[-1]
-            sub, sub_inv = self.xi(p, q1)
-            step = A.assoc_of(self.eps(p), self.eps(q1), f)
-            fwd = A.vcomp_cells(A.hcomp_cell(A.vid_of(f), sub), step[1])
-            bwd = A.vcomp_cells(step[0], A.hcomp_cell(A.vid_of(f), sub_inv))
-            out = (fwd, bwd)
-        self._xi[key] = out
-        return out
+        """(cell, inverse): eps(p + q) -> eps(q).eps(p), fixed left-nesting;
+        a fold over q, and the right unitor of eps(q) when p is empty."""
+        return _fold(self._xi, (p, q), q if p.hmors else p, self._xi_rule)
+
+    def _xi_unitor(self, pq):
+        p, q = pq
+        c, d = self.base.lunit_of(self.eps(p)) if p.hmors else self.base.runit_of(self.eps(q))
+        return (d, c)
+
+    def _xi_step(self, pq, q1, f):
+        A, p = self.base, pq[0]
+        sub, sub_inv = self.xi(p, q1)
+        step = A.assoc_of(self.eps(p), self.eps(q1), f)
+        return (A.vcomp_cells(A.hcomp_cell(A.vid_of(f), sub), step[1]),
+                A.vcomp_cells(step[0], A.hcomp_cell(A.vid_of(f), sub_inv)))
 
     # -- cells ---------------------------------------------------------------
 
@@ -443,7 +475,8 @@ class _StKernel:
     `StructuralError` that names the first undefined composite, in loop
     order."""
 
-    def __init__(self, S: StrictifiedDouble, bound: int, paths: list, cells: list):
+    def __init__(self, S: StrictifiedDouble, bound: int, paths: list, pairs: list,
+                 cells: list):
         A = S.base
         self.S, self.bound, self.paths, self.cells = S, bound, paths, cells
         pid = {p: i for i, p in enumerate(paths)}
@@ -463,20 +496,14 @@ class _StKernel:
         self.XF = np.full((P + 1, P + 1), und, np.int32)
         self.XB = np.full((P + 1, P + 1), und, np.int32)
         self.CAT = np.full((P + 1, P + 1), P, np.int32)
-        starting = {}
-        for p in paths:
-            starting.setdefault(p.src, []).append(p)
-        for p in paths:
-            for q in starting.get(S.htgt(p), ()):
-                if len(p) + len(q) > bound:
-                    break                       # paths come in length order
-                i, j = pid[p], pid[q]
-                self.CAT[i, j] = pid[p + q]
-                try:
-                    fwd, bwd = S.xi(p, q)
-                except StructuralError:
-                    continue
-                self.XF[i, j], self.XB[i, j] = cid[fwd], cid[bwd]
+        for p, q in pairs:
+            i, j = pid[p], pid[q]
+            self.CAT[i, j] = pid[p + q]
+            try:
+                fwd, bwd = S.xi(p, q)
+            except StructuralError:
+                continue
+            self.XF[i, j], self.XB[i, j] = cid[fwd], cid[bwd]
 
         vid = {u: i for i, u in enumerate(A.vmors)}
         oid = {a: i for i, a in enumerate(A.objects)}
@@ -703,8 +730,8 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
     def tally(k):
         counts[k] = counts.get(k, 0) + 1
 
-    # paths by (src, tgt, length)
     all_paths = S.paths(bound)
+    pairs = S.composable_pairs(bound)
 
     # P1: concatenation associativity and units
     for p in all_paths:
@@ -713,10 +740,11 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
                     and S.hcomp_hmor(p, S.h_id(p.src)) == p, (p,))
         tally("st.hmor.unit")
     # the composable triples within the bound, walked again by C8
-    triples = [(p, q, r) for p in all_paths for q in all_paths
-               if S.htgt(p) == q.src and len(p) + len(q) <= bound
-               for r in all_paths
-               if S.htgt(q) == r.src and len(p) + len(q) + len(r) <= bound]
+    after = {}
+    for q, r in pairs:
+        after.setdefault(q, []).append(r)
+    triples = [(p, q, r) for p, q in pairs for r in after[q]
+               if len(p) + len(q) + len(r) <= bound]
     for p, q, r in triples:
         rep.require("st.hmor.assoc",
                     S.hcomp_hmor(r, S.hcomp_hmor(q, p)) ==
@@ -777,17 +805,14 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
 
     # C4: hcomp associativity within total bound; compared on payloads since
     # boundary paths agree by concatenation associativity (family P1)
-    K = _StKernel(S, bound, all_paths, cells)
+    K = _StKernel(S, bound, all_paths, pairs, cells)
     counts["st.cell.hassoc"] = K.hassoc(rep)
 
     # C5: vid multiplicative over concatenation
-    for p in all_paths:
-        for q in all_paths:
-            if S.htgt(p) != q.src or len(p) + len(q) > bound:
-                continue
-            rep.require("st.vid.mult",
-                        S.hcomp_cell(S.vid_of(q), S.vid_of(p)) == S.vid_of(p + q), (p, q))
-            tally("st.vid.mult")
+    for p, q in pairs:
+        rep.require("st.vid.mult",
+                    S.hcomp_cell(S.vid_of(q), S.vid_of(p)) == S.vid_of(p + q), (p, q))
+        tally("st.vid.mult")
 
     # C6: interchange on bounded 2x2 grids (payload comparison, as in C4)
     counts["st.interchange"] = K.interchange(rep)
@@ -834,6 +859,10 @@ class StExtension:
         self.name = f"ext({F.name})"
         self._phi = {}
         self._path = {}
+        self._path_rule = (lambda p: B.h_id(F.obj(p.src)), lambda p: F.hmor(p.hmors[0]),
+                           lambda p, p1, f: B.hcomp_hmor(F.hmor(f), self.on_path(p1)))
+        self._phi_rule = (self._phi_empty, lambda p: (B.vid_of(F.hmor(p.hmors[0])),) * 2,
+                          self._phi_step)
 
     def obj(self, a):
         return self.F.obj(a)
@@ -842,40 +871,22 @@ class StExtension:
         return self.F.vmor(u)
 
     def on_path(self, p: Path):
-        if p in self._path:
-            return self._path[p]
-        B = self.B
-        if not p.hmors:
-            out = B.h_id(self.F.obj(p.src))
-        elif len(p.hmors) == 1:
-            out = self.F.hmor(p.hmors[0])
-        else:
-            out = B.hcomp_hmor(self.F.hmor(p.hmors[-1]),
-                               self.on_path(Path(p.src, p.hmors[:-1])))
-        self._path[p] = out
-        return out
+        return _fold(self._path, p, p, self._path_rule)
 
     def phi(self, p: Path):
         """(cell, inverse): eps_B(F p) -> F(eps_A p)."""
-        if p in self._phi:
-            return self._phi[p]
-        B, F, S = self.B, self.F, self.S
-        if not p.hmors:
-            c = F.phi0[p.src]
-            out = (c, B.inv(c))
-        elif len(p.hmors) == 1:
-            c = B.vid_of(F.hmor(p.hmors[0]))
-            out = (c, c)
-        else:
-            p1 = Path(p.src, p.hmors[:-1])
-            f = p.hmors[-1]
-            sub, sub_inv = self.phi(p1)
-            c2 = F.phi2[(S.eps(p1), f)]
-            fwd = B.vcomp_cells(B.hcomp_cell(B.vid_of(F.hmor(f)), sub), c2)
-            bwd = B.vcomp_cells(B.inv(c2), B.hcomp_cell(B.vid_of(F.hmor(f)), sub_inv))
-            out = (fwd, bwd)
-        self._phi[p] = out
-        return out
+        return _fold(self._phi, p, p, self._phi_rule)
+
+    def _phi_empty(self, p):
+        c = self.F.phi0[p.src]
+        return (c, self.B.inv(c))
+
+    def _phi_step(self, p, p1, f):
+        B, F = self.B, self.F
+        sub, sub_inv = self.phi(p1)
+        c2 = F.phi2[(self.S.eps(p1), f)]
+        return (B.vcomp_cells(B.hcomp_cell(B.vid_of(F.hmor(f)), sub), c2),
+                B.vcomp_cells(B.inv(c2), B.hcomp_cell(B.vid_of(F.hmor(f)), sub_inv)))
 
     def on_cell(self, c: StCell):
         return self.B.vcomp_cells(self.phi(c.dom)[0], self.F.cell(c.payload),
@@ -900,15 +911,12 @@ def check_extension_strict(E: StExtension, bound: int) -> Report:
                     E.on_cell(S.vid_of(S.h_id(a))) == B.vid_of(B.h_id(E.obj(a))), (a,))
     for u in A.vmors:
         rep.require("ext.hid.cell", E.on_cell(S.hid_of(u)) == B.hid_of(E.vmor(u)), (u,))
-    paths = S.paths(bound)
-    for p in paths:
-        rep.require("ext.vid.path", E.on_cell(S.vid_of(p)) == B.vid_of(E.on_path(p)), (p,))
-        for q in paths:
-            if S.htgt(p) != q.src or len(p) + len(q) > bound:
-                continue
-            rep.require("ext.hcomp.path",
-                        E.on_path(p + q) == B.hcomp_hmor(E.on_path(q), E.on_path(p)),
-                        (p, q))
+    for p, q in S.composable_pairs(bound):
+        if not q.hmors:                         # p's first pair
+            rep.require("ext.vid.path", E.on_cell(S.vid_of(p)) == B.vid_of(E.on_path(p)),
+                        (p,))
+        rep.require("ext.hcomp.path",
+                    E.on_path(p + q) == B.hcomp_hmor(E.on_path(q), E.on_path(p)), (p, q))
     cells = S.cells(bound)
     for c in cells:
         fr = S.frame(c)
@@ -967,21 +975,15 @@ class StVertical:
         self.E = E
         self.E2 = E2
         self._at = {}
+        B = E.B
+        self._rule = (lambda p: B.hid_of(t.at_obj[p.src]), None,
+                      lambda p, p1, f: B.hcomp_cell(t.at_hmor[f], self.at_path(p1)))
 
     def at_obj(self, a):
         return self.t.at_obj[a]
 
     def at_path(self, p: Path):
-        if p in self._at:
-            return self._at[p]
-        B = self.E.B
-        if not p.hmors:
-            out = B.hid_of(self.t.at_obj[p.src])
-        else:
-            p1 = Path(p.src, p.hmors[:-1])
-            out = B.hcomp_cell(self.t.at_hmor[p.hmors[-1]], self.at_path(p1))
-        self._at[p] = out
-        return out
+        return _fold(self._at, p, p, self._rule)
 
 
 def extend_vertical(t: VerticalTransformation, E: StExtension, E2: StExtension) -> StVertical:
@@ -997,20 +999,16 @@ def check_stvertical(v: StVertical, bound: int) -> Report:
         rep.require("stv.natural.vmor",
                     B.vcomp_vmor(v.at_obj(b), v.E.vmor(u)) ==
                     B.vcomp_vmor(v.E2.vmor(u), v.at_obj(a)), (u,))
-    paths = S.paths(bound)
-    for p in paths:
+    for p in S.paths(bound):
         a, b = p.src, S.htgt(p)
         want = Frame(v.E.on_path(p), v.E2.on_path(p), v.at_obj(a), v.at_obj(b))
         rep.require("stv.frame", B.frame(v.at_path(p)) == want, (p,))
         if rep.failures():
             return rep
-    for p in paths:
-        for q in paths:
-            if S.htgt(p) != q.src or len(p) + len(q) > bound:
-                continue
-            lhs = v.at_path(p + q)
-            rhs = B.hcomp_cell(v.at_path(q), v.at_path(p))
-            rep.require("stv.hfunctorial", lhs == rhs, (p, q))
+    for p, q in S.composable_pairs(bound):
+        lhs = v.at_path(p + q)
+        rhs = B.hcomp_cell(v.at_path(q), v.at_path(p))
+        rep.require("stv.hfunctorial", lhs == rhs, (p, q))
     for c in S.cells(bound):
         lhs = B.vcomp_cells(v.E.on_cell(c), v.at_path(c.cod))
         rhs = B.vcomp_cells(v.at_path(c.dom), v.E2.on_cell(c))
@@ -1028,6 +1026,8 @@ class StHorizontal:
         self.E = E
         self.E2 = E2
         self._at = {}
+        B = E.B
+        self._rule = (lambda p: (B.vid_of(t.at_obj[p.src]),) * 2, None, self._step)
 
     def at_obj(self, a):
         return self.t.at_obj[a]
@@ -1037,28 +1037,21 @@ class StHorizontal:
 
     def at_path(self, p: Path):
         """(cell, inverse): t_b . E(p) -> E2(p) . t_a."""
-        if p in self._at:
-            return self._at[p]
+        return _fold(self._at, p, p, self._rule)
+
+    def _step(self, p, p1, f):
         B = self.E.B
-        if not p.hmors:
-            c = B.vid_of(self.t.at_obj[p.src])
-            out = (c, c)
-        else:
-            p1 = Path(p.src, p.hmors[:-1])
-            f = p.hmors[-1]
-            sub, sub_inv = self.at_path(p1)
-            tf, tf_inv = self.t.at_hmor[f]
-            fwd = B.vcomp_cells(
-                B.hcomp_cell(tf, B.vid_of(self.E.on_path(p1))),
-                B.hcomp_cell(B.vid_of(self.E2.F.hmor(f)), sub),
-            )
-            bwd = B.vcomp_cells(
-                B.hcomp_cell(B.vid_of(self.E2.F.hmor(f)), sub_inv),
-                B.hcomp_cell(tf_inv, B.vid_of(self.E.on_path(p1))),
-            )
-            out = (fwd, bwd)
-        self._at[p] = out
-        return out
+        sub, sub_inv = self.at_path(p1)
+        tf, tf_inv = self.t.at_hmor[f]
+        fwd = B.vcomp_cells(
+            B.hcomp_cell(tf, B.vid_of(self.E.on_path(p1))),
+            B.hcomp_cell(B.vid_of(self.E2.F.hmor(f)), sub),
+        )
+        bwd = B.vcomp_cells(
+            B.hcomp_cell(B.vid_of(self.E2.F.hmor(f)), sub_inv),
+            B.hcomp_cell(tf_inv, B.vid_of(self.E.on_path(p1))),
+        )
+        return (fwd, bwd)
 
 
 def extend_horizontal(t, E, E2) -> StHorizontal:
@@ -1074,8 +1067,7 @@ def check_sthorizontal(h: StHorizontal, bound: int) -> Report:
     for (w, u), wu in A.vcomp_vmor_table.items():
         rep.require("sth.vfunctorial",
                     h.at_vmor(wu) == B.vcomp_cells(h.at_vmor(u), h.at_vmor(w)), (u, w))
-    paths = S.paths(bound)
-    for p in paths:
+    for p in S.paths(bound):
         a, b = p.src, S.htgt(p)
         cell, inv = h.at_path(p)
         src_h = B.hcomp_hmor(h.at_obj(b), h.E.on_path(p))
@@ -1088,21 +1080,15 @@ def check_sthorizontal(h: StHorizontal, bound: int) -> Report:
         rep.require("sth.invertible",
                     B.vcomp_cell(inv, cell) == B.vid_of(src_h)
                     and B.vcomp_cell(cell, inv) == B.vid_of(tgt_h), (p,))
-    for p in paths:
-        for q in paths:
-            if S.htgt(p) != q.src or len(p) + len(q) > bound:
-                continue
-            a = p.src
-            b = S.htgt(p)
-            c = S.htgt(q)
-            lhs = h.at_path(p + q)[0]
-            rhs = B.vcomp_cells(
-                B.hcomp_cell(h.at_path(q)[0], B.vid_of(h.E.on_path(p))),
-                B.hcomp_cell(B.vid_of(h.E2.on_path(q)), h.at_path(p)[0]),
-            )
-            rep.require("sth.hfunctorial", lhs == rhs, (p, q))
-            if rep.failures():
-                return rep
+    for p, q in S.composable_pairs(bound):
+        lhs = h.at_path(p + q)[0]
+        rhs = B.vcomp_cells(
+            B.hcomp_cell(h.at_path(q)[0], B.vid_of(h.E.on_path(p))),
+            B.hcomp_cell(B.vid_of(h.E2.on_path(q)), h.at_path(p)[0]),
+        )
+        rep.require("sth.hfunctorial", lhs == rhs, (p, q))
+        if rep.failures():
+            return rep
     for cc in S.cells(bound):
         fr = S.frame(cc)
         u, v_ = fr.left, fr.right

@@ -41,44 +41,17 @@ from .homs import (
     within_budget,
 )
 from .report import Report, StructuralError
+from .strictify import Path, st
 
 
 # ---------------------------------------------------------------------------
 # coherence helpers over an arbitrary table interface
 # ---------------------------------------------------------------------------
 
-def eps_fold(C, hmors):
-    """Left-nested composite of a nonempty composable sequence."""
-    out = hmors[0]
-    for f in hmors[1:]:
-        out = C.hcomp_hmor(f, out)
-    return out
-
-
-def shift_iso(C, seq1, seq2):
-    """(cell, inverse): eps(seq1 ++ seq2) -> eps(seq2) . eps(seq1),
-    both sequences nonempty."""
-    if len(seq2) == 1:
-        e = eps_fold(C, seq1 + seq2)
-        return (C.vid_of(e), C.vid_of(e))
-    sub, sub_inv = shift_iso(C, seq1, seq2[:-1])
-    f = seq2[-1]
-    step = C.assoc_of(eps_fold(C, seq1), eps_fold(C, seq2[:-1]), f)
-    fwd = C.vcomp_cells(C.hcomp_cell(C.vid_of(f), sub), step[1])
-    bwd = C.vcomp_cells(step[0], C.hcomp_cell(C.vid_of(f), sub_inv))
-    return (fwd, bwd)
-
-
 def tree_flatten(tree):
     if isinstance(tree, tuple):
         return tree_flatten(tree[0]) + tree_flatten(tree[1])
     return [tree]
-
-
-def tree_eval(C, tree):
-    if isinstance(tree, tuple):
-        return C.hcomp_hmor(tree_eval(C, tree[1]), tree_eval(C, tree[0]))
-    return tree
 
 
 def tree_norm_iso(C, tree):
@@ -90,10 +63,8 @@ def tree_norm_iso(C, tree):
     t1, t2 = tree
     n1, n1i = tree_norm_iso(C, t1)
     n2, n2i = tree_norm_iso(C, t2)
-    e1, e2 = tree_eval(C, t1), tree_eval(C, t2)
     s1, s2 = tree_flatten(t1), tree_flatten(t2)
-    l1 = eps_fold(C, s1)
-    sh, shi = shift_iso(C, s1, s2)
+    sh, shi = st(C).xi(Path(C.hsrc(s1[0]), tuple(s1)), Path(C.hsrc(s2[0]), tuple(s2)))
     fwd = C.vcomp_cells(C.hcomp_cell(n2, n1), shi)
     bwd = C.vcomp_cells(sh, C.hcomp_cell(n2i, n1i))
     return (fwd, bwd)

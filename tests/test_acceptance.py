@@ -4,9 +4,7 @@ the runtime limits are the stated budgets."""
 
 import time
 
-import pytest
-
-from strawcat import is_bicategory, is_cofibrant, is_strict, validate
+from strawcat import is_cofibrant, is_strict, validate
 from strawcat.cli import elaborate, parse
 from strawcat.corpus import corpus
 
@@ -173,13 +171,11 @@ def test_criterion_5_envelope():
 
 
 def test_criterion_6_currying_and_representability():
-    from strawcat.homs import enumerate_vertical, enumerate_horizontal, \
-        enumerate_modifications, hom_double
-    from strawcat.twovar import (curry_functor, curry_vertical,
-                                 curry_horizontal, curry_modification,
+    from strawcat.homs import enumerate_vertical, enumerate_horizontal, hom_double
+    from strawcat.twovar import (curry_functor, curry_vertical, curry_horizontal,
                                  enumerate_twovar_functors, uncurry_functor,
-                                 uncurry_horizontal, uncurry_modification,
-                                 uncurry_vertical, verify_equivalence)
+                                 uncurry_horizontal, uncurry_vertical,
+                                 verify_equivalence)
     t0 = time.perf_counter()
     Q, M = CORPUS["quintet"], CORPUS["sigmaM"]
     hom = hom_double(Q, M)

@@ -1,14 +1,13 @@
 import json
 import pathlib
-import subprocess
-import sys
+import re
 
 import pytest
 
-from strawcat import validate
+from strawcat import StructuralError, product, validate
 from strawcat.cli import (ElaborationError, ParseError, elaborate, main, parse,
                           presentation_of, print_presentation)
-from strawcat.corpus import corpus
+from strawcat.corpus import sigma_z2
 
 
 def test_print_parse_roundtrip_on_corpus(tables):
@@ -167,6 +166,16 @@ def test_cli_envelope_refuses_a_word_cap_above_the_arity_cap(capsys):
     assert "word cap 3" in captured.err and "arity cap 2" in captured.err
 
 
+def test_cli_envelope_defaults_to_the_arity_cap_of_endo2():
+    assert main(["envelope", "--multicat", "endo2"]) == 0
+
+
+def test_presentation_of_refuses_an_id_that_is_not_a_name():
+    A = product(sigma_z2(), sigma_z2())
+    with pytest.raises(StructuralError, match=re.escape(repr(A.objects[0]))):
+        presentation_of(A)
+
+
 def test_cli_adjunction_builtin():
     code, out = run_cli("adjunction-check")
     doc = json.loads(out)
@@ -224,7 +233,11 @@ GOLDEN_COMMANDS = (
         "corpus/sigmaM.pdc"),
        ("gray-check", "corpus/sigma2.pdc", "corpus/sigma2.pdc", "corpus/sigma2.pdc"),
        ("gray-check", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc", "corpus/sigmaM.pdc"),
-       ("interchange", "corpus/nonstrict.pdc", "--n", "1", "--m", "1")])
+       ("interchange", "corpus/nonstrict.pdc", "--n", "1", "--m", "1"),
+       ("envelope", "--multicat", "z2", "--arity-cap", "3"),
+       ("adjunction-check", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc",
+        "corpus/quintet.pdc"),
+       ("biequivalence-check", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc")])
 
 
 def golden_name(argv):

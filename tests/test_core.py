@@ -1,7 +1,5 @@
 import dataclasses
-import itertools
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from strawcat import (
@@ -16,7 +14,7 @@ from strawcat import (
     validate,
 )
 from strawcat.core import FiniteCategory, category_is_free
-from strawcat.corpus import corpus, nonstrict, quintet, sigma_m3
+from strawcat.corpus import nonstrict, quintet, sigma_m3
 
 
 def test_corpus_validates(tables):

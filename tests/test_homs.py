@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from strawcat import Frame, terminal, unit_object, validate
-from strawcat.corpus import corpus
 from strawcat.homs import (
     Truncated,
     check_functor,
@@ -13,9 +12,7 @@ from strawcat.homs import (
     compose_functors,
     enumerate_functors,
     enumerate_horizontal,
-    enumerate_modifications,
     enumerate_vertical,
-    hcomp_horizontal,
     hom_double,
     identity_functor,
     identity_horizontal,

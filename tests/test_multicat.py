@@ -1,12 +1,9 @@
 import pytest
 
 from strawcat.multicat import (
-    AdjunctionData,
     EnvelopeCategory,
     MultiFunctorData,
-    MultiNatData,
     adjunction_check,
-    all_perms,
     check_multifunctor,
     conjugation_multifunctor,
     endo_multicat,

@@ -3,13 +3,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from strawcat import is_strict, terminal, validate
+from strawcat import is_strict, terminal
 from strawcat.cli import elaborate, parse
-from strawcat.corpus import corpus, nonstrict, quintet, sigma_m3
+from strawcat.corpus import nonstrict
 from strawcat.homs import check_functor, enumerate_functors, identity_functor
 from strawcat.strictify import (
     Path,
-    StExtension,
     check_extension_strict,
     counit,
     decompose_kappa,
@@ -17,7 +16,6 @@ from strawcat.strictify import (
     extend_functor,
     flatten_path,
     kappa,
-    kappa_inv,
     normalize_cell,
     renormalize,
     restrict_extension,
@@ -59,6 +57,16 @@ def test_path_enumeration_counts(SN):
     # two endomorphisms on one object: 2^k paths of each length
     assert len(SN.paths(0)) == 1
     assert len(SN.paths(3)) == 1 + 2 + 4 + 8
+
+
+def test_composable_pairs_are_the_filtered_double_loop(tables):
+    for name, A in tables.items():
+        S = st(A)
+        for b in range(5):
+            ps = S.paths(b)
+            want = [(p, q) for p in ps for q in ps
+                    if S.htgt(p) == q.src and len(p) + len(q) <= b]
+            assert S.composable_pairs(b) == want, (name, b)
 
 
 def test_st_of_terminal_has_one_path_per_length():

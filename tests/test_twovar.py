@@ -1,19 +1,17 @@
 import pytest
 
-from strawcat import product, terminal, unit_object, validate
-from strawcat.homs import (check_functor, check_vertical, enumerate_functors,
+from strawcat import product, terminal, unit_object
+from strawcat.homs import (check_functor, enumerate_functors,
                            enumerate_vertical, hom_double, identity_functor,
                            interchanger, interchanger_inv, is_strict_functor)
 from strawcat.report import StructuralError
 from strawcat.twovar import (
     check_twovar_functor,
-    check_twovar_horizontal,
     check_twovar_modification,
     check_twovar_vertical,
     cubical_K,
     cubical_K_list,
     curry_functor,
-    curry_horizontal,
     curry_modification,
     curry_vertical,
     enumerate_twovar_functors,
@@ -32,7 +30,6 @@ from strawcat.twovar import (
     uncurry_modification,
     uncurry_vertical,
     verify_equivalence,
-    _enumerate_twovar_verticals,
     _restrict_vertical_along_K,
 )
 
