@@ -529,7 +529,7 @@ def cmd_adjunction_check(args):
         for path in args.files:
             A = _load(path)
             tables[A.name] = A
-        rep = strictification_adjunction_report(tables, args.bound)
+        rep = strictification_adjunction_report(tables, args.bound, _max_candidates())
     else:
         V = endo_multicat("endo2", ("0", "1"), 2)
         T = conjugation_multifunctor(V, ("0", "1"), {"0": "1", "1": "0"})

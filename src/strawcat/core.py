@@ -134,24 +134,6 @@ class TableDouble:
             out = self.vcomp_cell(c, out)
         return out
 
-    def assoc_cell(self, f, g, h):
-        return self.assoc[(f, g, h)][0]
-
-    def assoc_inv(self, f, g, h):
-        return self.assoc[(f, g, h)][1]
-
-    def lunit_cell(self, f):
-        return self.lunit[f][0]
-
-    def lunit_inv(self, f):
-        return self.lunit[f][1]
-
-    def runit_cell(self, f):
-        return self.runit[f][0]
-
-    def runit_inv(self, f):
-        return self.runit[f][1]
-
     def is_globular(self, c) -> bool:
         fr = self.frame(c)
         a = self.hmor_src[fr.top]
@@ -217,15 +199,6 @@ class TableDouble:
 
     # -- derived views -----------------------------------------------------
 
-    def hmors_from(self, a):
-        return [f for f in self.hmors if self.hmor_src[f] == a]
-
-    def vmors_between(self, a, b):
-        return [u for u in self.vmors if self.vmor_src[u] == a and self.vmor_tgt[u] == b]
-
-    def hmors_between(self, a, b):
-        return [f for f in self.hmors if self.hmor_src[f] == a and self.hmor_tgt[f] == b]
-
     def cells_with_frame(self, fr: Frame):
         return [c for c in self.cells if self.cell_frames[c] == fr]
 
@@ -246,9 +219,6 @@ class FiniteCategory:
     tgt: dict
     identity: dict
     comp: dict      # (w, u) -> w.u
-
-    def is_identity(self, m) -> bool:
-        return m in set(self.identity.values())
 
 
 # ---------------------------------------------------------------------------

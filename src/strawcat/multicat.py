@@ -395,9 +395,6 @@ class EnvelopeCategory:
             raise StructuralError("envelope: not composable")
         return EnvMor(*self._composites(g, (f,))[0])
 
-    def tensor_obj(self, w1, w2):
-        return w1 + w2
-
     def tensor(self, f: EnvMor, g: EnvMor) -> EnvMor:
         m1 = len(f.cod)
         idx = f.idx + tuple(j + m1 for j in g.idx)
@@ -780,7 +777,8 @@ def conjugation_multifunctor(V: FiniteSymMulticat, elems: tuple, tau: dict,
 # the Set-level strictification adjunction on the corpus
 # ---------------------------------------------------------------------------
 
-def strictification_adjunction_report(tables: dict, bound: int = 3) -> Report:
+def strictification_adjunction_report(tables: dict, bound: int = 3,
+                                      max_candidates: int | None = None) -> Report:
     """The unit-counit equations of st -| inclusion verified pointwise on all
     bounded data, for every corpus member and every enumerated morphism
     between them.
@@ -803,13 +801,17 @@ def strictification_adjunction_report(tables: dict, bound: int = 3) -> Report:
     names = list(tables)
     sts = {n: st(tables[n]) for n in names}
     etas = {n: eta(tables[n], sts[n]) for n in names}
+    funs = {(n1, n2): enumerate_functors(tables[n1], tables[n2], max_candidates)
+            for n1 in names for n2 in names}
+    paths = {n: sts[n].paths(bound) for n in names}
+    cells = {n: sts[n].cells(bound) for n in names}
 
     # unit naturality: st(f) . eta_P == eta_P' . f for every enumerated f
     n_nat = 0
     for n1 in names:
         for n2 in names:
-            P1, P2 = tables[n1], tables[n2]
-            for f in enumerate_functors(P1, P2):
+            P1 = tables[n1]
+            for f in funs[(n1, n2)]:
                 stf = StFunctor(f, sts[n1])
                 # compare as pseudo functors P1 -> st P2, data plus constraints
                 left_h = {x: stf.on_path(etas[n1].hmor(x)) for x in P1.hmors}
@@ -840,21 +842,19 @@ def strictification_adjunction_report(tables: dict, bound: int = 3) -> Report:
     n_fun = 0
     for n1 in names:
         for n2 in names:
-            fs12 = enumerate_functors(tables[n1], tables[n2])
             for n3 in names:
-                fs23 = enumerate_functors(tables[n2], tables[n3])
-                for f in fs12:
+                for f in funs[(n1, n2)]:
                     stf = StFunctor(f, sts[n1])
-                    for g in fs23:
+                    for g in funs[(n2, n3)]:
                         stg = StFunctor(g, sts[n2])
                         stgf = StFunctor(compose_functors(g, f), sts[n1])
                         ok = True
-                        for p in sts[n1].paths(bound):
+                        for p in paths[n1]:
                             if stgf.on_path(p) != stg.on_path(stf.on_path(p)):
                                 ok = False
                                 break
                         if ok:
-                            for c in sts[n1].cells(bound):
+                            for c in cells[n1]:
                                 if stgf.on_cell(c) != stg.on_cell(stf.on_cell(c)):
                                     ok = False
                                     break
@@ -870,17 +870,16 @@ def strictification_adjunction_report(tables: dict, bound: int = 3) -> Report:
     n_eps = 0
     for n1 in strict_names:
         for n2 in strict_names:
-            X1, X2 = tables[n1], tables[n2]
-            eps1, eps2 = counit(X1), counit(X2)
-            for e in enumerate_functors(X1, X2):
+            eps1, eps2 = counit(tables[n1]), counit(tables[n2])
+            for e in funs[(n1, n2)]:
                 ebar = StFunctor(e, sts[n1])
-                for p in sts[n1].paths(bound):
+                for p in paths[n1]:
                     lhs = eps2.on_path(ebar.on_path(p))
                     rhs = e.hmor(eps1.on_path(p))
                     if lhs != rhs:
                         rep.add("sadj.counit.natural", False, (n1, n2, e.name, p))
                     n_eps += 1
-                for c in sts[n1].cells(bound):
+                for c in cells[n1]:
                     lhs = eps2.on_cell(ebar.on_cell(c))
                     rhs = e.cell(eps1.on_cell(c))
                     if lhs != rhs:

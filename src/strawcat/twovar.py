@@ -8,6 +8,11 @@ A two-variable functor is stored "flat" (partial functors plus the three
 cell families); the curried form is an object of Hom(A, Hom(B, C)) and the
 two encodings are mutually inverse on the nose, which the tests confirm by
 exhaustive round trips.
+
+Every kind is written in its first variable only: its second variable is the
+first variable of its swap skew_s, so each checker runs one half on x and on
+skew_s(x).  Each curried component is built by one method (right_at, mod_at,
+mod_at_vmor, mods_at_hmor), which the checkers and curry_* share.
 """
 
 from __future__ import annotations
@@ -116,15 +121,6 @@ class TwoVarFunctor:
             at_hmor={g: self.cell_vh[(u, g)] for g in B.hmors},
         )
 
-    def vertical_at2(self, v) -> VerticalTransformation:
-        A, B = self.domA, self.domB
-        c, d = B.vsrc(v), B.vtgt(v)
-        return VerticalTransformation(
-            src=self.partial_left[c], tgt=self.partial_left[d],
-            at_obj={a: self.partial_right[a].vmor(v) for a in A.objects},
-            at_hmor={f: self.cell_hv[(f, v)] for f in A.hmors},
-        )
-
     def horizontal_at(self, f) -> HorizontalPseudoTransformation:
         A, B = self.domA, self.domB
         a, b = A.hsrc(f), A.htgt(f)
@@ -133,17 +129,6 @@ class TwoVarFunctor:
             at_obj={c: self.partial_left[c].hmor(f) for c in B.objects},
             at_vmor={v: self.cell_hv[(f, v)] for v in B.vmors},
             at_hmor={g: self.cell_hh[(f, g)] for g in B.hmors},
-        )
-
-    def horizontal_at2(self, g) -> HorizontalPseudoTransformation:
-        A, B = self.domA, self.domB
-        c, d = B.hsrc(g), B.htgt(g)
-        return HorizontalPseudoTransformation(
-            src=self.partial_left[c], tgt=self.partial_left[d],
-            at_obj={a: self.partial_right[a].hmor(g) for a in A.objects},
-            at_vmor={u: self.cell_vh[(u, g)] for u in A.vmors},
-            at_hmor={f: (self.cell_hh[(f, g)][1], self.cell_hh[(f, g)][0])
-                     for f in A.hmors},
         )
 
 
@@ -169,13 +154,12 @@ class TwoVarVertical:
             at_hmor={g: self.cell_right[(a, g)] for g in B.hmors},
         )
 
-    def left_at(self, c) -> VerticalTransformation:
-        A = self.src.domA
-        return VerticalTransformation(
-            src=self.src.partial_left[c], tgt=self.tgt.partial_left[c],
-            at_obj={a: self.at_pair[(a, c)] for a in A.objects},
-            at_hmor={f: self.cell_left[(f, c)] for f in A.hmors},
-        )
+    def mod_at(self, f) -> Modification:
+        """The component at f of the curried transformation."""
+        A, B = self.src.domA, self.src.domB
+        return Modification(top=self.src.horizontal_at(f), bottom=self.tgt.horizontal_at(f),
+                            left=self.right_at(A.hsrc(f)), right=self.right_at(A.htgt(f)),
+                            at_obj={c: self.cell_left[(f, c)] for c in B.objects})
 
 
 @dataclass
@@ -205,14 +189,26 @@ class TwoVarHorizontal:
             at_hmor={g: self.cell_ag[(a, g)] for g in B.hmors},
         )
 
-    def left_at(self, c) -> HorizontalPseudoTransformation:
-        A = self.src.domA
-        return HorizontalPseudoTransformation(
-            src=self.src.partial_left[c], tgt=self.tgt.partial_left[c],
-            at_obj={a: self.at_pair[(a, c)] for a in A.objects},
-            at_vmor={u: self.cell_uc[(u, c)] for u in A.vmors},
-            at_hmor={f: self.cell_fc[(f, c)] for f in A.hmors},
-        )
+    def mod_at_vmor(self, u) -> Modification:
+        """The component at u of the curried transformation."""
+        A, B = self.src.domA, self.src.domB
+        return Modification(top=self.right_at(A.vsrc(u)), bottom=self.right_at(A.vtgt(u)),
+                            left=self.src.vertical_at(u), right=self.tgt.vertical_at(u),
+                            at_obj={c: self.cell_uc[(u, c)] for c in B.objects})
+
+    def mods_at_hmor(self, f) -> tuple:
+        """The component at f of the curried transformation and its inverse."""
+        A, B = self.src.domA, self.src.domB
+        a, b = A.hsrc(f), A.htgt(f)
+        top = hcomp_horizontal(self.right_at(b), self.src.horizontal_at(f))
+        bot = hcomp_horizontal(self.tgt.horizontal_at(f), self.right_at(a))
+        left = identity_vertical(self.src.partial_right[a])
+        right = identity_vertical(self.tgt.partial_right[b])
+        fwd = Modification(top=top, bottom=bot, left=left, right=right,
+                           at_obj={c: self.cell_fc[(f, c)][0] for c in B.objects})
+        inv = Modification(top=bot, bottom=top, left=left, right=right,
+                           at_obj={c: self.cell_fc[(f, c)][1] for c in B.objects})
+        return fwd, inv
 
 
 @dataclass
@@ -227,18 +223,30 @@ class TwoVarModification:
     def key(self):
         return ("2mod", tuple(sorted(self.at_pair.items())))
 
+    def right_at(self, a) -> Modification:
+        B = self.top.src.domB
+        return Modification(top=self.top.right_at(a), bottom=self.bottom.right_at(a),
+                            left=self.left.right_at(a), right=self.right.right_at(a),
+                            at_obj={c: self.at_pair[(a, c)] for c in B.objects})
+
 
 # ---------------------------------------------------------------------------
-# checkers
+# checkers: each checks the first variable of x and of skew_s(x)
 # ---------------------------------------------------------------------------
+
+def _require_each(rep, family, elems, build, check):
+    for e in elems:
+        r = check(build(e))
+        rep.require(family, r.ok, (e,), detail=r.summary())
+
 
 def check_twovar_functor(F: TwoVarFunctor) -> Report:
     A, B, C = F.domA, F.domB, F.cod
     rep = Report("check_twovar_functor")
-    for a in A.objects:
-        rep.merge(check_functor(F.partial_right[a]))
-    for c in B.objects:
-        rep.merge(check_functor(F.partial_left[c]))
+    both = (F, skew_s(F))
+    for x in both:
+        for a in x.domA.objects:
+            rep.merge(check_functor(x.partial_right[a]))
     for a in A.objects:
         for c in B.objects:
             rep.require("2fun.obj.agree",
@@ -253,122 +261,50 @@ def check_twovar_functor(F: TwoVarFunctor) -> Report:
             rep.require("2fun.square", lhs == rhs, (u, v))
     if rep.failures():
         return rep
-    for u in A.vmors:
-        r = check_vertical(F.vertical_at(u))
-        rep.require("2fun.vert.first", r.ok, (u,), detail=r.summary())
-    for v in B.vmors:
-        r = check_vertical(F.vertical_at2(v))
-        rep.require("2fun.vert.second", r.ok, (v,), detail=r.summary())
-    for f in A.hmors:
-        r = check_horizontal(F.horizontal_at(f))
-        rep.require("2fun.horiz.first", r.ok, (f,), detail=r.summary())
-    for g in B.hmors:
-        r = check_horizontal(F.horizontal_at2(g))
-        rep.require("2fun.horiz.second", r.ok, (g,), detail=r.summary())
+    for x, family in zip(both, ("2fun.vert.first", "2fun.vert.second")):
+        _require_each(rep, family, x.domA.vmors, x.vertical_at, check_vertical)
+    for x, family in zip(both, ("2fun.horiz.first", "2fun.horiz.second")):
+        _require_each(rep, family, x.domA.hmors, x.horizontal_at, check_horizontal)
     return rep
 
 
 def check_twovar_vertical(s: TwoVarVertical) -> Report:
-    F, G = s.src, s.tgt
-    A, B = F.domA, F.domB
     rep = Report("check_twovar_vertical")
-    for a in A.objects:
-        r = check_vertical(s.right_at(a))
-        rep.require("2vt.right", r.ok, (a,), detail=r.summary())
-    for c in B.objects:
-        r = check_vertical(s.left_at(c))
-        rep.require("2vt.left", r.ok, (c,), detail=r.summary())
+    both = (s, skew_s(s))
+    for x, family in zip(both, ("2vt.right", "2vt.left")):
+        _require_each(rep, family, x.src.domA.objects, x.right_at, check_vertical)
     if rep.failures():
         return rep
     # modification axioms in the other variable
-    for f in A.hmors:
-        a, b = A.hsrc(f), A.htgt(f)
-        m = Modification(top=F.horizontal_at(f), bottom=G.horizontal_at(f),
-                         left=s.right_at(a), right=s.right_at(b),
-                         at_obj={c: s.cell_left[(f, c)] for c in B.objects})
-        r = check_modification(m)
-        rep.require("2vt.mod.first", r.ok, (f,), detail=r.summary())
-    for g in B.hmors:
-        c, d = B.hsrc(g), B.htgt(g)
-        m = Modification(top=F.horizontal_at2(g), bottom=G.horizontal_at2(g),
-                         left=s.left_at(c), right=s.left_at(d),
-                         at_obj={a: s.cell_right[(a, g)] for a in A.objects})
-        r = check_modification(m)
-        rep.require("2vt.mod.second", r.ok, (g,), detail=r.summary())
+    for x, family in zip(both, ("2vt.mod.first", "2vt.mod.second")):
+        _require_each(rep, family, x.src.domA.hmors, x.mod_at, check_modification)
     return rep
 
 
 def check_twovar_horizontal(t: TwoVarHorizontal) -> Report:
-    F, G = t.src, t.tgt
-    A, B = F.domA, F.domB
     rep = Report("check_twovar_horizontal")
-    for a in A.objects:
-        r = check_horizontal(t.right_at(a))
-        rep.require("2ht.right", r.ok, (a,), detail=r.summary())
-    for c in B.objects:
-        r = check_horizontal(t.left_at(c))
-        rep.require("2ht.left", r.ok, (c,), detail=r.summary())
+    both = (t, skew_s(t))
+    for x, family in zip(both, ("2ht.right", "2ht.left")):
+        _require_each(rep, family, x.src.domA.objects, x.right_at, check_horizontal)
     if rep.failures():
         return rep
-    for u in A.vmors:
-        a, b = A.vsrc(u), A.vtgt(u)
-        m = Modification(top=t.right_at(a), bottom=t.right_at(b),
-                         left=F.vertical_at(u), right=G.vertical_at(u),
-                         at_obj={c: t.cell_uc[(u, c)] for c in B.objects})
-        r = check_modification(m)
-        rep.require("2ht.mod.u", r.ok, (u,), detail=r.summary())
-    for v in B.vmors:
-        c, d = B.vsrc(v), B.vtgt(v)
-        m = Modification(top=t.left_at(c), bottom=t.left_at(d),
-                         left=F.vertical_at2(v), right=G.vertical_at2(v),
-                         at_obj={a: t.cell_av[(a, v)] for a in A.objects})
-        r = check_modification(m)
-        rep.require("2ht.mod.v", r.ok, (v,), detail=r.summary())
+    for x, family in zip(both, ("2ht.mod.u", "2ht.mod.v")):
+        _require_each(rep, family, x.src.domA.vmors, x.mod_at_vmor, check_modification)
     # invertible modifications between composites in the remaining variable
-    for f in A.hmors:
-        a, b = A.hsrc(f), A.htgt(f)
-        top = hcomp_horizontal(t.right_at(b), F.horizontal_at(f))
-        bot = hcomp_horizontal(G.horizontal_at(f), t.right_at(a))
-        m = Modification(top=top, bottom=bot,
-                         left=identity_vertical(F.partial_right[a]),
-                         right=identity_vertical(G.partial_right[b]),
-                         at_obj={c: t.cell_fc[(f, c)][0] for c in B.objects})
-        r = check_modification(m)
-        rep.require("2ht.mod.f", r.ok, (f,), detail=r.summary())
-        minv = Modification(top=bot, bottom=top,
-                            left=m.left, right=m.right,
-                            at_obj={c: t.cell_fc[(f, c)][1] for c in B.objects})
-        r = check_modification(minv)
-        rep.require("2ht.mod.f.inv", r.ok, (f,), detail=r.summary())
-    for g in B.hmors:
-        c, d = B.hsrc(g), B.htgt(g)
-        top = hcomp_horizontal(t.left_at(d), F.horizontal_at2(g))
-        bot = hcomp_horizontal(G.horizontal_at2(g), t.left_at(c))
-        m = Modification(top=top, bottom=bot,
-                         left=identity_vertical(F.partial_left[c]),
-                         right=identity_vertical(G.partial_left[d]),
-                         at_obj={a: t.cell_ag[(a, g)][0] for a in A.objects})
-        r = check_modification(m)
-        rep.require("2ht.mod.g", r.ok, (g,), detail=r.summary())
+    for x, family in zip(both, ("2ht.mod.f", "2ht.mod.g")):
+        for f in x.src.domA.hmors:
+            m, minv = x.mods_at_hmor(f)
+            r = check_modification(m)
+            rep.require(family, r.ok, (f,), detail=r.summary())
+            r = check_modification(minv)
+            rep.require(family + ".inv", r.ok, (f,), detail=r.summary())
     return rep
 
 
 def check_twovar_modification(m: TwoVarModification) -> Report:
-    F = m.top.src
-    A, B = F.domA, F.domB
     rep = Report("check_twovar_modification")
-    for a in A.objects:
-        mm = Modification(top=m.top.right_at(a), bottom=m.bottom.right_at(a),
-                          left=m.left.right_at(a), right=m.right.right_at(a),
-                          at_obj={c: m.at_pair[(a, c)] for c in B.objects})
-        r = check_modification(mm)
-        rep.require("2mod.right", r.ok, (a,), detail=r.summary())
-    for c in B.objects:
-        mm = Modification(top=m.top.left_at(c), bottom=m.bottom.left_at(c),
-                          left=m.left.left_at(c), right=m.right.left_at(c),
-                          at_obj={a: m.at_pair[(a, c)] for a in A.objects})
-        r = check_modification(mm)
-        rep.require("2mod.left", r.ok, (c,), detail=r.summary())
+    for x, family in zip((m, skew_s(m)), ("2mod.right", "2mod.left")):
+        _require_each(rep, family, x.top.src.domA.objects, x.right_at, check_modification)
     return rep
 
 
@@ -443,14 +379,8 @@ def uncurry_functor(P: PseudoDoubleFunctor, hom: HomDouble, B: TableDouble,
 
 def curry_vertical(s: TwoVarVertical, hom: HomDouble,
                    Pf: PseudoDoubleFunctor, Pg: PseudoDoubleFunctor) -> VerticalTransformation:
-    A, B = s.src.domA, s.src.domB
-    at_hmor = {}
-    for f in A.hmors:
-        a, b = A.hsrc(f), A.htgt(f)
-        m = Modification(top=s.src.horizontal_at(f), bottom=s.tgt.horizontal_at(f),
-                         left=s.right_at(a), right=s.right_at(b),
-                         at_obj={c: s.cell_left[(f, c)] for c in B.objects})
-        at_hmor[f] = hom.id_of(m)
+    A = s.src.domA
+    at_hmor = {f: hom.id_of(s.mod_at(f)) for f in A.hmors}
     return VerticalTransformation(
         src=Pf, tgt=Pg,
         at_obj={a: hom.id_of(s.right_at(a)) for a in A.objects},
@@ -472,27 +402,10 @@ def uncurry_vertical(t: VerticalTransformation, hom: HomDouble,
 
 
 def curry_horizontal(t: TwoVarHorizontal, hom: HomDouble, Pf, Pg) -> HorizontalPseudoTransformation:
-    A, B = t.src.domA, t.src.domB
+    A = t.src.domA
     id_of = hom.id_of
-    at_vmor = {}
-    for u in A.vmors:
-        a, b = A.vsrc(u), A.vtgt(u)
-        m = Modification(top=t.right_at(a), bottom=t.right_at(b),
-                         left=t.src.vertical_at(u), right=t.tgt.vertical_at(u),
-                         at_obj={c: t.cell_uc[(u, c)] for c in B.objects})
-        at_vmor[u] = id_of(m)
-    at_hmor = {}
-    for f in A.hmors:
-        a, b = A.hsrc(f), A.htgt(f)
-        top = hcomp_horizontal(t.right_at(b), t.src.horizontal_at(f))
-        bot = hcomp_horizontal(t.tgt.horizontal_at(f), t.right_at(a))
-        m = Modification(top=top, bottom=bot,
-                         left=identity_vertical(t.src.partial_right[a]),
-                         right=identity_vertical(t.tgt.partial_right[b]),
-                         at_obj={c: t.cell_fc[(f, c)][0] for c in B.objects})
-        minv = Modification(top=bot, bottom=top, left=m.left, right=m.right,
-                            at_obj={c: t.cell_fc[(f, c)][1] for c in B.objects})
-        at_hmor[f] = (id_of(m), id_of(minv))
+    at_vmor = {u: id_of(t.mod_at_vmor(u)) for u in A.vmors}
+    at_hmor = {f: tuple(map(id_of, t.mods_at_hmor(f))) for f in A.hmors}
     return HorizontalPseudoTransformation(
         src=Pf, tgt=Pg,
         at_obj={a: id_of(t.right_at(a)) for a in A.objects},
@@ -520,13 +433,7 @@ def uncurry_horizontal(t: HorizontalPseudoTransformation, hom: HomDouble,
 
 def curry_modification(m: TwoVarModification, hom: HomDouble, top, bottom,
                        left, right) -> Modification:
-    A, B = m.top.src.domA, m.top.src.domB
-    at_obj = {}
-    for a in A.objects:
-        mm = Modification(top=m.top.right_at(a), bottom=m.bottom.right_at(a),
-                          left=m.left.right_at(a), right=m.right.right_at(a),
-                          at_obj={c: m.at_pair[(a, c)] for c in B.objects})
-        at_obj[a] = hom.id_of(mm)
+    at_obj = {a: hom.id_of(m.right_at(a)) for a in m.top.src.domA.objects}
     return Modification(top=top, bottom=bottom, left=left, right=right, at_obj=at_obj)
 
 
@@ -715,18 +622,33 @@ def skew_L(A: TableDouble, B: TableDouble, C: TableDouble,
     )
 
 
-def skew_s(F: TwoVarFunctor) -> TwoVarFunctor:
-    """Swap the two variables; the (vi)-cells are replaced by their inverses."""
-    return TwoVarFunctor(
-        domA=F.domB, domB=F.domA, cod=F.cod,
-        partial_right={c: F.partial_left[c] for c in F.domB.objects},
-        partial_left={a: F.partial_right[a] for a in F.domA.objects},
-        cell_vh={(v, f): F.cell_hv[(f, v)] for f in F.domA.hmors for v in F.domB.vmors},
-        cell_hv={(g, u): F.cell_vh[(u, g)] for u in F.domA.vmors for g in F.domB.hmors},
-        cell_hh={(g, f): (F.cell_hh[(f, g)][1], F.cell_hh[(f, g)][0])
-                 for f in F.domA.hmors for g in F.domB.hmors},
-        name=f"s({F.name})",
-    )
+def _flip(pairs: dict) -> dict:
+    return {(y, x): v for (x, y), v in pairs.items()}
+
+
+def skew_s(x):
+    """The symmetry: swap the two variables of a two-variable functor,
+    transformation or modification.  A functor's (vi)-cells are replaced by
+    their inverses."""
+    name = f"s({x.name})"
+    if isinstance(x, TwoVarFunctor):
+        return TwoVarFunctor(
+            domA=x.domB, domB=x.domA, cod=x.cod,
+            partial_right=x.partial_left, partial_left=x.partial_right,
+            cell_vh=_flip(x.cell_hv), cell_hv=_flip(x.cell_vh),
+            cell_hh={(g, f): (inv, fwd) for (f, g), (fwd, inv) in x.cell_hh.items()},
+            name=name)
+    if isinstance(x, TwoVarVertical):
+        return TwoVarVertical(skew_s(x.src), skew_s(x.tgt), _flip(x.at_pair),
+                              cell_right=_flip(x.cell_left), cell_left=_flip(x.cell_right),
+                              name=name)
+    if isinstance(x, TwoVarHorizontal):
+        return TwoVarHorizontal(skew_s(x.src), skew_s(x.tgt), _flip(x.at_pair),
+                                cell_av=_flip(x.cell_uc), cell_ag=_flip(x.cell_fc),
+                                cell_uc=_flip(x.cell_av), cell_fc=_flip(x.cell_ag),
+                                name=name)
+    return TwoVarModification(skew_s(x.top), skew_s(x.bottom), skew_s(x.left),
+                              skew_s(x.right), _flip(x.at_pair), name=name)
 
 
 # ---------------------------------------------------------------------------

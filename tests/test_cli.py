@@ -159,6 +159,14 @@ def test_cli_universal_property_honours_the_candidate_budget(corpus_dir, monkeyp
     assert code == 1 and doc["truncated"] is True and doc["pass"] is False
 
 
+def test_cli_adjunction_check_honours_the_candidate_budget(corpus_dir, monkeypatch):
+    monkeypatch.setenv("STRAWCAT_MAX_CANDIDATES", "2")
+    code, out = run_cli("adjunction-check", *(str(corpus_dir / f"{m}.pdc")
+                                              for m in ("nonstrict", "sigmaM", "quintet")))
+    doc = json.loads(out)
+    assert code == 1 and doc["truncated"] is True and doc["pass"] is False
+
+
 def test_cli_envelope_refuses_a_word_cap_above_the_arity_cap(capsys):
     assert main(["envelope", "--multicat", "endo2", "--arity-cap", "3"]) == 2
     captured = capsys.readouterr()

@@ -1,12 +1,19 @@
+import dataclasses
+
 import pytest
 
 from strawcat import product, terminal, unit_object
-from strawcat.homs import (check_functor, enumerate_functors,
-                           enumerate_vertical, hom_double, identity_functor,
-                           interchanger, interchanger_inv, is_strict_functor)
+from strawcat.homs import (HorizontalPseudoTransformation, Modification,
+                           VerticalTransformation, check_functor,
+                           enumerate_functors, enumerate_horizontal,
+                           enumerate_modifications, enumerate_vertical,
+                           hcomp_horizontal, hom_double, identity_functor,
+                           identity_vertical, interchanger, interchanger_inv,
+                           is_strict_functor)
 from strawcat.report import StructuralError
 from strawcat.twovar import (
     check_twovar_functor,
+    check_twovar_horizontal,
     check_twovar_modification,
     check_twovar_vertical,
     cubical_K,
@@ -289,3 +296,197 @@ def test_rebracketing_isos_compose_coherently(tables):
                     b = rebracket_iso(N, t1, t2)[0]
                     c = rebracket_iso(N, t0, t2)[0]
                     assert N.vcomp_cell(b, a) == c
+
+
+# Second-variable reads written out directly, as independent oracles for the
+# first-variable reads on the swap.
+
+def _vertical_at2(F, v):
+    A, B = F.domA, F.domB
+    c, d = B.vsrc(v), B.vtgt(v)
+    return VerticalTransformation(
+        src=F.partial_left[c], tgt=F.partial_left[d],
+        at_obj={a: F.partial_right[a].vmor(v) for a in A.objects},
+        at_hmor={f: F.cell_hv[(f, v)] for f in A.hmors},
+    )
+
+
+def _horizontal_at2(F, g):
+    A, B = F.domA, F.domB
+    c, d = B.hsrc(g), B.htgt(g)
+    return HorizontalPseudoTransformation(
+        src=F.partial_left[c], tgt=F.partial_left[d],
+        at_obj={a: F.partial_right[a].hmor(g) for a in A.objects},
+        at_vmor={u: F.cell_vh[(u, g)] for u in A.vmors},
+        at_hmor={f: (F.cell_hh[(f, g)][1], F.cell_hh[(f, g)][0]) for f in A.hmors},
+    )
+
+
+def _vertical_left_at(s, c):
+    A = s.src.domA
+    return VerticalTransformation(
+        src=s.src.partial_left[c], tgt=s.tgt.partial_left[c],
+        at_obj={a: s.at_pair[(a, c)] for a in A.objects},
+        at_hmor={f: s.cell_left[(f, c)] for f in A.hmors},
+    )
+
+
+def _horizontal_left_at(t, c):
+    A = t.src.domA
+    return HorizontalPseudoTransformation(
+        src=t.src.partial_left[c], tgt=t.tgt.partial_left[c],
+        at_obj={a: t.at_pair[(a, c)] for a in A.objects},
+        at_vmor={u: t.cell_uc[(u, c)] for u in A.vmors},
+        at_hmor={f: t.cell_fc[(f, c)] for f in A.hmors},
+    )
+
+
+def _deep_key(x):
+    """key() of a one-variable datum together with its boundaries."""
+    if isinstance(x, Modification):
+        return (x.key(),) + tuple(_deep_key(y) for y in (x.top, x.bottom, x.left, x.right))
+    return (x.key(), x.src.key(), x.tgt.key())
+
+
+def _assert_functor_swap(F):
+    S = skew_s(F)
+    for v in F.domB.vmors:
+        assert _deep_key(S.vertical_at(v)) == _deep_key(_vertical_at2(F, v))
+    for g in F.domB.hmors:
+        assert _deep_key(S.horizontal_at(g)) == _deep_key(_horizontal_at2(F, g))
+    assert skew_s(S).key() == F.key()
+
+
+def _assert_vertical_swap(s):
+    A, B = s.src.domA, s.src.domB
+    S = skew_s(s)
+    for c in B.objects:
+        assert _deep_key(S.right_at(c)) == _deep_key(_vertical_left_at(s, c))
+    for g in B.hmors:
+        want = Modification(
+            top=_horizontal_at2(s.src, g), bottom=_horizontal_at2(s.tgt, g),
+            left=_vertical_left_at(s, B.hsrc(g)), right=_vertical_left_at(s, B.htgt(g)),
+            at_obj={a: s.cell_right[(a, g)] for a in A.objects})
+        assert _deep_key(S.mod_at(g)) == _deep_key(want)
+    assert skew_s(S).key() == s.key()
+
+
+def _assert_horizontal_swap(t):
+    A, B = t.src.domA, t.src.domB
+    F, G = t.src, t.tgt
+    S = skew_s(t)
+    for c in B.objects:
+        assert _deep_key(S.right_at(c)) == _deep_key(_horizontal_left_at(t, c))
+    for v in B.vmors:
+        want = Modification(
+            top=_horizontal_left_at(t, B.vsrc(v)), bottom=_horizontal_left_at(t, B.vtgt(v)),
+            left=_vertical_at2(F, v), right=_vertical_at2(G, v),
+            at_obj={a: t.cell_av[(a, v)] for a in A.objects})
+        assert _deep_key(S.mod_at_vmor(v)) == _deep_key(want)
+    for g in B.hmors:
+        c, d = B.hsrc(g), B.htgt(g)
+        top = hcomp_horizontal(_horizontal_left_at(t, d), _horizontal_at2(F, g))
+        bot = hcomp_horizontal(_horizontal_at2(G, g), _horizontal_left_at(t, c))
+        left, right = identity_vertical(F.partial_left[c]), identity_vertical(G.partial_left[d])
+        want = (Modification(top=top, bottom=bot, left=left, right=right,
+                             at_obj={a: t.cell_ag[(a, g)][0] for a in A.objects}),
+                Modification(top=bot, bottom=top, left=left, right=right,
+                             at_obj={a: t.cell_ag[(a, g)][1] for a in A.objects}))
+        assert [_deep_key(m) for m in S.mods_at_hmor(g)] == [_deep_key(m) for m in want]
+    assert skew_s(S).key() == t.key()
+
+
+def _assert_modification_swap(m):
+    A = m.top.src.domA
+    S = skew_s(m)
+    for c in m.top.src.domB.objects:
+        want = Modification(
+            top=_horizontal_left_at(m.top, c), bottom=_horizontal_left_at(m.bottom, c),
+            left=_vertical_left_at(m.left, c), right=_vertical_left_at(m.right, c),
+            at_obj={a: m.at_pair[(a, c)] for a in A.objects})
+        assert _deep_key(S.right_at(c)) == _deep_key(want)
+    assert skew_s(S).key() == m.key()
+
+
+def test_skew_s_second_variable_reads_match_direct_oracles(QQM, tables):
+    Q, M, hom = QQM
+    for F in enumerate_twovar_functors(Q, Q, M, hom):
+        _assert_functor_swap(F)
+    N = tables["nonstrict"]
+    hom = hom_double(N, M)
+    two = enumerate_twovar_functors(N, N, M, hom)
+    curried = {F.key(): curry_functor(F, hom) for F in two}
+    counts = dict.fromkeys(("functor", "vertical", "horizontal", "modification"), 0)
+    for F in two:
+        _assert_functor_swap(F)
+        counts["functor"] += 1
+    for F in two:
+        for G in two:
+            Pf, Pg = curried[F.key()], curried[G.key()]
+            for t in enumerate_vertical(Pf, Pg):
+                _assert_vertical_swap(uncurry_vertical(t, hom, F, G))
+                counts["vertical"] += 1
+            hs = enumerate_horizontal(Pf, Pg)
+            s_id = uncurry_vertical(identity_vertical(Pf), hom, F, F)
+            r_id = uncurry_vertical(identity_vertical(Pg), hom, G, G)
+            for t in hs:
+                h_t = uncurry_horizontal(t, hom, F, G)
+                _assert_horizontal_swap(h_t)
+                counts["horizontal"] += 1
+                for b in hs:
+                    h_b = uncurry_horizontal(b, hom, F, G)
+                    for m in enumerate_modifications(
+                            t, b, identity_vertical(Pf), identity_vertical(Pg)):
+                        _assert_modification_swap(
+                            uncurry_modification(m, hom, h_t, h_b, s_id, r_id))
+                        counts["modification"] += 1
+    assert all(counts.values()), counts
+
+
+def _failed_families(rep):
+    return {f.check for f in rep.failures()}
+
+
+def test_twovar_vertical_checker_names_a_wrong_cell_in_either_variable(tables):
+    N, M = tables["nonstrict"], tables["sigmaM"]
+    hom = hom_double(N, M)
+    F = enumerate_twovar_functors(N, N, M, hom)[0]
+    P = curry_functor(F, hom)
+    s = uncurry_vertical(identity_vertical(P), hom, F, F)
+    assert check_twovar_vertical(s).ok
+    n = 0
+    for field, family in (("cell_right", "2vt.right"), ("cell_left", "2vt.left")):
+        cells = getattr(s, field)
+        for k, c in cells.items():
+            for other in M.cells:
+                if other != c:
+                    mutant = dataclasses.replace(s, **{field: {**cells, k: other}})
+                    assert _failed_families(check_twovar_vertical(mutant)) == {family}
+                    n += 1
+    assert n > 0
+
+
+def test_twovar_horizontal_checker_names_a_wrong_cell_in_either_variable(tables):
+    T, N = terminal(), tables["nonstrict"]
+    hom = hom_double(T, N)
+    (F,) = enumerate_twovar_functors(T, T, N, hom)
+    P = curry_functor(F, hom)
+    seen = set()
+    for t in enumerate_horizontal(P, P):
+        h = uncurry_horizontal(t, hom, F, F)
+        assert check_twovar_horizontal(h).ok
+        for field, family in (("cell_av", "2ht.right"), ("cell_ag", "2ht.right"),
+                              ("cell_uc", "2ht.left"), ("cell_fc", "2ht.left")):
+            cells = getattr(h, field)
+            for k, c in cells.items():
+                pair = isinstance(c, tuple)
+                for other in N.cells_with_frame(N.frame(c[0] if pair else c)):
+                    if pair:
+                        if N.inverse_of(other) is None:
+                            continue
+                        other = (other, N.inverse_of(other))
+                    if other != c:
+                        mutant = dataclasses.replace(h, **{field: {**cells, k: other}})
+                        assert _failed_families(check_twovar_horizontal(mutant)) == {family}
+                        seen.add(field)
+    assert seen == {"cell_av", "cell_ag", "cell_uc", "cell_fc"}
