@@ -6,21 +6,22 @@ levels; the inverse maps are the four extension operators.
 """
 
 from strawcat.corpus import corpus
-from strawcat.homs import enumerate_functors
-from strawcat.strictify import (check_extension_strict, counit, eta,
-                                extend_functor, restrict_extension, st,
-                                triangle1_report, triangle2_report,
+from strawcat.homs import check_functor, enumerate_functors, is_strict_functor
+from strawcat.strictify import (counit, eta, extend_functor, restrict_extension,
+                                st, triangle1_report, triangle2_report,
                                 verify_3d_iso)
 
 C = corpus()
 N, M = C["nonstrict"], C["sigmaM"]
 S = st(N)
+T = S.table(3)          # st N on paths of length <= 3, as a table
 etaN = eta(N, S)
 
 for F in enumerate_functors(N, M):
     E = extend_functor(F, S, M)
+    EF = E.functor(T)
     print(f"{F.name}: extension is a strict functor on bounded data:",
-          check_extension_strict(E, 3).ok,
+          check_functor(EF).ok and is_strict_functor(EF),
           "| restriction recovers F:",
           restrict_extension(E, etaN).key() == F.key())
 

@@ -385,8 +385,14 @@ def serialize_report(command: str, inputs: list, rep: Report) -> str:
     return json.dumps(doc, indent=2, default=str) + "\n"
 
 
-def _emit(args, command, inputs, rep: Report) -> int:
-    text = serialize_report(command, inputs, rep)
+def _inputs(args) -> list:
+    """The command's input files, in the order of its arguments."""
+    return ([getattr(args, k) for k in ("file", "file_a", "file_b", "file_c") if hasattr(args, k)]
+            + getattr(args, "files", []))
+
+
+def _emit(args, rep: Report) -> int:
+    text = serialize_report(args.command, _inputs(args), rep)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
@@ -424,7 +430,7 @@ def cmd_validate(args):
                 tuple(str(f.witness) for f in sub.failures()[:5]))
         if args.strict_expected and not is_strict(A):
             rep.add(f"strict.{A.name}", False, ())
-    return _emit(args, "validate", args.files, rep)
+    return _emit(args, rep)
 
 
 def cmd_strictify(args):
@@ -432,7 +438,7 @@ def cmd_strictify(args):
     A = _load(args.file)
     rep = st_strict_report(st(A), args.bound)
     rep.params["hcomp_bracketing"] = "left-nested"
-    return _emit(args, "strictify", [args.file], rep)
+    return _emit(args, rep)
 
 
 def cmd_universal_property(args):
@@ -440,7 +446,7 @@ def cmd_universal_property(args):
     A = _load(args.file_a)
     B = _load(args.file_b)
     rep = verify_3d_iso(A, B, args.bound, _max_candidates())
-    return _emit(args, "universal-property", [args.file_a, args.file_b], rep)
+    return _emit(args, rep)
 
 
 def cmd_hom(args):
@@ -453,7 +459,7 @@ def cmd_hom(args):
     rep.params["vertical_transformations"] = len(H.verticals)
     rep.params["horizontal_transformations"] = len(H.horizontals)
     rep.params["modifications"] = len(H.modifications)
-    return _emit(args, "hom", [args.file_a, args.file_b], rep)
+    return _emit(args, rep)
 
 
 def cmd_curry_check(args):
@@ -473,14 +479,14 @@ def cmd_curry_check(args):
         rep.require("curry.roundtrip", back.key() == F.key(), (F.name,))
         rep.require("curry.s.involution", skew_s(skew_s(F)).key() == F.key(),
                     (F.name,))
-    return _emit(args, "curry-check", [args.file_a, args.file_b, args.file_c], rep)
+    return _emit(args, rep)
 
 
 def cmd_equivalence_check(args):
     from .twovar import verify_equivalence
     A, B, C = _load(args.file_a), _load(args.file_b), _load(args.file_c)
     rep = verify_equivalence(A, B, C, max_candidates=_max_candidates())
-    return _emit(args, "equivalence-check", [args.file_a, args.file_b, args.file_c], rep)
+    return _emit(args, rep)
 
 
 BUILTIN_MULTICATS = ("terminal", "z2", "truncadd", "endo2")
@@ -517,7 +523,7 @@ def cmd_envelope(args):
     rep = validate_multicat(V)
     rep.merge(validate_envelope(envelope(V, cap)))
     rep.params["multicat"] = args.multicat
-    return _emit(args, "envelope", [], rep)
+    return _emit(args, rep)
 
 
 def cmd_adjunction_check(args):
@@ -536,7 +542,7 @@ def cmd_adjunction_check(args):
         rep, data = hypothesis_check(T, {"x": "x"}, {"x": V.ident("x")})
         if data is not None:
             rep.merge(adjunction_check(data))
-    return _emit(args, "adjunction-check", args.files, rep)
+    return _emit(args, rep)
 
 
 def cmd_interchange(args):
@@ -557,21 +563,21 @@ def cmd_interchange(args):
                         (alphas, betas))
             count += 1
     rep.params["grids"] = count
-    return _emit(args, "interchange", [args.file], rep)
+    return _emit(args, rep)
 
 
 def cmd_gray_check(args):
     from .gray import gray_axiom_check
     A, B, C = _load(args.file_a), _load(args.file_b), _load(args.file_c)
     rep = gray_axiom_check(A, B, C, args.bound, _max_candidates())
-    return _emit(args, "gray-check", [args.file_a, args.file_b, args.file_c], rep)
+    return _emit(args, rep)
 
 
 def cmd_biequivalence_check(args):
     from .gray import biequivalence_check
     A, B = _load(args.file_a), _load(args.file_b)
     rep = biequivalence_check(A, B, args.bound)
-    return _emit(args, "biequivalence-check", [args.file_a, args.file_b], rep)
+    return _emit(args, rep)
 
 
 def main(argv=None) -> int:
@@ -649,10 +655,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except Truncated:
-        rep = Report(args.command)
+        rep = Report(args.command, params={"bound": args.bound} if hasattr(args, "bound") else {})
         rep.truncated = True
         rep.add("enumeration", False, (), "candidate cap exceeded")
-        return _emit(args, args.command, [], rep)
+        return _emit(args, rep)
     except (ParseError, ElaborationError, StructuralError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -369,6 +369,8 @@ def check_functor(F: PseudoDoubleFunctor) -> Report:
         fr = A.frame(c)
         want = Frame(F.hmor(fr.top), F.hmor(fr.bottom), F.vmor(fr.left), F.vmor(fr.right))
         rep.require("fun.cell.frame", B.frame(F.cell(c)) == want, (c,))
+    if rep.failures():
+        return rep              # the composites below need well-typed maps
     for f in A.hmors:
         rep.require("fun.cell.vid", F.cell(A.vid_of(f)) == B.vid_of(F.hmor(f)), (f,))
     for (lo, up), out in A.vcomp_cell_table.items():

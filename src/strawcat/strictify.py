@@ -1,8 +1,10 @@
 """Strictification of a pseudo double category.
 
-st A is never materialised as a table: horizontal morphisms are paths over
-A's horizontal morphisms under concatenation, and cells store their payload
-(a cell of A between the left-nested evaluations of the boundary paths).
+st A is lazy: horizontal morphisms are paths over A's horizontal morphisms
+under concatenation, and cells store their payload (a cell of A between the
+left-nested evaluations of the boundary paths).  `StrictifiedDouble.table`
+materialises its part on paths of bounded length as a `TableDouble`, so that
+`homs`' functor and transformation checkers run on st A unchanged.
 Horizontal composition of st-cells conjugates by the canonical coherence
 isomorphism between the evaluation of a concatenation and the composite of
 the evaluations; the bracketing is fixed left-nested throughout and order
@@ -19,12 +21,14 @@ the st-cells, int32 tables for cell composition and for the forward and
 inverse coherence isos xi, and a sentinel id for "undefined".  Each instance
 is still computed and compared, in batches of array gathers.
 
-Every structure map on paths (the evaluation eps, the coherence iso xi, the
-extension of a pseudo functor and of its transformations) is one memoised
-left-nested recursion, `_fold`, given a nullary case, a unary case and a
-step; this is st's path description (Gurski, *Coherence in
-Three-Dimensional Category Theory*, CUP 2013).  Every walk over composable
-pairs of paths is `StrictifiedDouble.composable_pairs`.
+Every structure map on paths (the evaluation eps, the coherence iso xi, and
+`StExtension`'s paths and comparison cells phi) is one memoised left-nested
+recursion, `_fold`, given a nullary case, a unary case and a step; this is
+st's path description (Gurski, *Coherence in Three-Dimensional Category
+Theory*, CUP 2013).  `extend_vertical` and `extend_horizontal` build their
+path components with it too, the component dict they return serving as its
+memo.  Every walk over composable pairs and triples of paths is
+`StrictifiedDouble.composable_pairs` and `composable_triples`.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .homs import (
     check_modification,
     check_vertical,
     identity_functor,
+    is_strict_functor,
     iter_functor_candidates,
     iter_horizontal_candidates,
     iter_modification_candidates,
@@ -199,11 +204,13 @@ class StrictifiedDouble:
             out = [p for p in out if self.htgt(p) == tgt]
         return out
 
-    def composable_pairs(self, bound: int):
+    def composable_pairs(self, bound: int, paths=None):
         """The pairs (p, q) of ``paths(bound)`` with q starting where p ends
         and len(p) + len(q) <= bound, in the order of the double loop over
-        them; each p's first pair is (p, the empty path at its end)."""
-        paths = self.paths(bound)
+        them; each p's first pair is (p, the empty path at its end).  A
+        caller that holds ``paths(bound)`` passes it as ``paths``."""
+        if paths is None:
+            paths = self.paths(bound)
         starting = {}
         for q in paths:
             starting.setdefault(q.src, []).append(q)
@@ -214,6 +221,17 @@ class StrictifiedDouble:
                     break                       # paths come in length order
                 out.append((p, q))
         return out
+
+    @staticmethod
+    def composable_triples(pairs, bound: int):
+        """The triples (p, q, r) with (p, q) and (q, r) in ``pairs``, which is
+        ``composable_pairs(bound)``, and len(p) + len(q) + len(r) <= bound, in
+        the order of the walk over those pairs."""
+        after = {}
+        for q, r in pairs:
+            after.setdefault(q, []).append(r)
+        return [(p, q, r) for p, q in pairs for r in after[q]
+                if len(p) + len(q) + len(r) <= bound]
 
     # -- coherence isomorphism -----------------------------------------------
 
@@ -347,6 +365,42 @@ class StrictifiedDouble:
                     if self.base.frame(c).bottom == eq:
                         out.append(StCell(p, q, c))
         return out
+
+    def table(self, bound: int) -> TableDouble:
+        """The bounded part of st A as a table: A's objects and vertical
+        data, ``paths(bound)``, ``cells(bound)``, every vertical composite,
+        the horizontal composites whose dom and cod lengths each total
+        <= bound, and identity constraints.  `homs`' checkers run on it, so
+        Ps(st A, B) is decided by the same axioms as Hom(A, B)."""
+        A = self.base
+        paths, cells = self.paths(bound), self.cells(bound)
+        pairs = self.composable_pairs(bound, paths)
+        frames = {c: self.frame(c) for c in cells}
+        by_dom, by_left = {}, {}
+        for c in cells:
+            by_dom.setdefault(c.dom, []).append(c)
+            by_left.setdefault(frames[c].left, []).append(c)
+        return TableDouble(
+            name=f"{self.name}<={bound}", objects=A.objects,
+            vmors=A.vmors, vmor_src=A.vmor_src, vmor_tgt=A.vmor_tgt,
+            v_identity=A.v_identity, vcomp_vmor_table=A.vcomp_vmor_table,
+            hmors=tuple(paths), hmor_src={p: p.src for p in paths},
+            hmor_tgt={p: self.htgt(p) for p in paths},
+            h_identity={p.src: p for p in paths if not p.hmors},
+            hcomp_hmor_table={(q, p): p + q for p, q in pairs},
+            cells=tuple(cells), cell_frames=frames,
+            vcomp_cell_table={(lo, up): self.vcomp_cell(lo, up)
+                              for up in cells for lo in by_dom.get(up.cod, ())},
+            vid_cell={p: self.vid_of(p) for p in paths},
+            hcomp_cell_table={(r, l): self.hcomp_cell(r, l) for l in cells
+                              for r in by_left.get(frames[l].right, ())
+                              if len(l.dom) + len(r.dom) <= bound
+                              and len(l.cod) + len(r.cod) <= bound},
+            hid_cell={u: self.hid_of(u) for u in A.vmors},
+            assoc={pqr: self.assoc_of(*pqr) for pqr in self.composable_triples(pairs, bound)},
+            lunit={p: self.lunit_of(p) for p in paths},
+            runit={p: self.runit_of(p) for p in paths},
+        )
 
 
 def st(A: TableDouble) -> StrictifiedDouble:
@@ -731,7 +785,7 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
         counts[k] = counts.get(k, 0) + 1
 
     all_paths = S.paths(bound)
-    pairs = S.composable_pairs(bound)
+    pairs = S.composable_pairs(bound, all_paths)
 
     # P1: concatenation associativity and units
     for p in all_paths:
@@ -739,12 +793,7 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
                     S.hcomp_hmor(S.h_id(S.htgt(p)), p) == p
                     and S.hcomp_hmor(p, S.h_id(p.src)) == p, (p,))
         tally("st.hmor.unit")
-    # the composable triples within the bound, walked again by C8
-    after = {}
-    for q, r in pairs:
-        after.setdefault(q, []).append(r)
-    triples = [(p, q, r) for p, q in pairs for r in after[q]
-               if len(p) + len(q) + len(r) <= bound]
+    triples = S.composable_triples(pairs, bound)   # walked again by C8
     for p, q, r in triples:
         rep.require("st.hmor.assoc",
                     S.hcomp_hmor(r, S.hcomp_hmor(q, p)) ==
@@ -850,7 +899,8 @@ class StExtension:
     """The strict double functor st A -> B induced by a pseudo functor
     F: A -> B into a strict double category: paths go to their left-nested
     evaluations in B and a cell goes to the conjugate of its payload by the
-    canonical comparison cells phi."""
+    canonical comparison cells phi.  `functor` gives it as a
+    `PseudoDoubleFunctor` on a bounded table of st A."""
 
     def __init__(self, F: PseudoDoubleFunctor, S: StrictifiedDouble, B):
         self.F = F
@@ -892,63 +942,22 @@ class StExtension:
         return self.B.vcomp_cells(self.phi(c.dom)[0], self.F.cell(c.payload),
                                   self.phi(c.cod)[1])
 
+    def functor(self, T: TableDouble) -> PseudoDoubleFunctor:
+        """This strict functor on T = ``S.table(bound)``: on_path and on_cell,
+        with identity constraints."""
+        B, hmor_map = self.B, {p: self.on_path(p) for p in T.hmors}
+        return PseudoDoubleFunctor(
+            dom=T, cod=B, obj_map=self.F.obj_map, vmor_map=self.F.vmor_map,
+            hmor_map=hmor_map, cell_map={c: self.on_cell(c) for c in T.cells},
+            phi0={a: B.vid_of(hmor_map[p]) for a, p in T.h_identity.items()},
+            phi2={(f, g): B.vid_of(hmor_map[gf]) for (g, f), gf in T.hcomp_hmor_table.items()},
+            name=self.name)
+
 
 def extend_functor(F: PseudoDoubleFunctor, S: StrictifiedDouble, B) -> StExtension:
     if isinstance(B, TableDouble) and not is_strict(B):
         raise StructuralError("extend_functor requires a strict codomain")
     return StExtension(F, S, B)
-
-
-def check_extension_strict(E: StExtension, bound: int) -> Report:
-    """All strict double functor axiom instances of an extension within the
-    bound: identities, both compositions, frames."""
-    S, B = E.S, E.B
-    A = S.base
-    rep = Report(f"strictfun({E.name})", params={"bound": bound})
-    for a in A.objects:
-        rep.require("ext.hid", E.on_path(S.h_id(a)) == B.h_id(E.obj(a)), (a,))
-        rep.require("ext.vid.cell",
-                    E.on_cell(S.vid_of(S.h_id(a))) == B.vid_of(B.h_id(E.obj(a))), (a,))
-    for u in A.vmors:
-        rep.require("ext.hid.cell", E.on_cell(S.hid_of(u)) == B.hid_of(E.vmor(u)), (u,))
-    for p, q in S.composable_pairs(bound):
-        if not q.hmors:                         # p's first pair
-            rep.require("ext.vid.path", E.on_cell(S.vid_of(p)) == B.vid_of(E.on_path(p)),
-                        (p,))
-        rep.require("ext.hcomp.path",
-                    E.on_path(p + q) == B.hcomp_hmor(E.on_path(q), E.on_path(p)), (p, q))
-    cells = S.cells(bound)
-    for c in cells:
-        fr = S.frame(c)
-        want = Frame(E.on_path(c.dom), E.on_path(c.cod), E.vmor(fr.left), E.vmor(fr.right))
-        rep.require("ext.frame", B.frame(E.on_cell(c)) == want, (c,))
-        if rep.failures():
-            return rep
-    by_dom = {}
-    for c in cells:
-        by_dom.setdefault(c.dom, []).append(c)
-    for c1 in cells:
-        for c2 in by_dom.get(c1.cod, ()):
-            lhs = E.on_cell(S.vcomp_cell(c2, c1))
-            rhs = B.vcomp_cell(E.on_cell(c2), E.on_cell(c1))
-            rep.require("ext.vcomp.cell", lhs == rhs, (c1, c2))
-            if rep.failures():
-                return rep
-    by_left = {}
-    for c in cells:
-        by_left.setdefault(A.frame(c.payload).left, []).append(c)
-    for c1 in cells:
-        for c2 in by_left.get(A.frame(c1.payload).right, ()):
-            if c2.dom.src != S.htgt(c1.dom):
-                continue
-            if len(c1.dom) + len(c2.dom) > bound or len(c1.cod) + len(c2.cod) > bound:
-                continue
-            lhs = E.on_cell(S.hcomp_cell(c2, c1))
-            rhs = B.hcomp_cell(E.on_cell(c2), E.on_cell(c1))
-            rep.require("ext.hcomp.cell", lhs == rhs, (c1, c2))
-            if rep.failures():
-                return rep
-    return rep
 
 
 def restrict_extension(E: StExtension, etaA: PseudoDoubleFunctor) -> PseudoDoubleFunctor:
@@ -967,156 +976,41 @@ def restrict_extension(E: StExtension, etaA: PseudoDoubleFunctor) -> PseudoDoubl
     )
 
 
-class StVertical:
-    """Extension of a vertical transformation along eta."""
-
-    def __init__(self, t: VerticalTransformation, E: StExtension, E2: StExtension):
-        self.t = t
-        self.E = E
-        self.E2 = E2
-        self._at = {}
-        B = E.B
-        self._rule = (lambda p: B.hid_of(t.at_obj[p.src]), None,
-                      lambda p, p1, f: B.hcomp_cell(t.at_hmor[f], self.at_path(p1)))
-
-    def at_obj(self, a):
-        return self.t.at_obj[a]
-
-    def at_path(self, p: Path):
-        return _fold(self._at, p, p, self._rule)
+def extend_vertical(t: VerticalTransformation, E: PseudoDoubleFunctor,
+                    E2: PseudoDoubleFunctor) -> VerticalTransformation:
+    """t extended along eta to the strict functors E, E2 on a bounded table
+    of st A (`StExtension.functor`): its component at a path is the
+    horizontal composite of its components at the steps."""
+    B, at = E.cod, {}
+    rule = (lambda p: B.hid_of(t.at_obj[p.src]), None,
+            lambda p, p1, f: B.hcomp_cell(t.at_hmor[f], _fold(at, p1, p1, rule)))
+    for p in E.dom.hmors:
+        _fold(at, p, p, rule)
+    return VerticalTransformation(E, E2, dict(t.at_obj), at)
 
 
-def extend_vertical(t: VerticalTransformation, E: StExtension, E2: StExtension) -> StVertical:
-    return StVertical(t, E, E2)
+def extend_horizontal(t: HorizontalPseudoTransformation, E: PseudoDoubleFunctor,
+                      E2: PseudoDoubleFunctor) -> HorizontalPseudoTransformation:
+    """t extended along eta to the strict functors E, E2 on a bounded table
+    of st A: its component at a path, (cell, inverse), pastes its
+    components at the steps."""
+    T, B, at = E.dom, E.cod, {}
+
+    def step(p, p1, f):
+        (sub, sub_inv), (tf, tf_inv) = _fold(at, p1, p1, rule), t.at_hmor[f]
+        e1, e2 = B.vid_of(E.hmor(p1)), B.vid_of(E2.hmor(Path(T.htgt(p1), (f,))))
+        return (B.vcomp_cells(B.hcomp_cell(tf, e1), B.hcomp_cell(e2, sub)),
+                B.vcomp_cells(B.hcomp_cell(e2, sub_inv), B.hcomp_cell(tf_inv, e1)))
+
+    rule = (lambda p: (B.vid_of(t.at_obj[p.src]),) * 2, None, step)
+    for p in T.hmors:
+        _fold(at, p, p, rule)
+    return HorizontalPseudoTransformation(E, E2, dict(t.at_obj), dict(t.at_vmor), at)
 
 
-def check_stvertical(v: StVertical, bound: int) -> Report:
-    S, B = v.E.S, v.E.B
-    A = S.base
-    rep = Report("stvertical", params={"bound": bound})
-    for u in A.vmors:
-        a, b = A.vsrc(u), A.vtgt(u)
-        rep.require("stv.natural.vmor",
-                    B.vcomp_vmor(v.at_obj(b), v.E.vmor(u)) ==
-                    B.vcomp_vmor(v.E2.vmor(u), v.at_obj(a)), (u,))
-    for p in S.paths(bound):
-        a, b = p.src, S.htgt(p)
-        want = Frame(v.E.on_path(p), v.E2.on_path(p), v.at_obj(a), v.at_obj(b))
-        rep.require("stv.frame", B.frame(v.at_path(p)) == want, (p,))
-        if rep.failures():
-            return rep
-    for p, q in S.composable_pairs(bound):
-        lhs = v.at_path(p + q)
-        rhs = B.hcomp_cell(v.at_path(q), v.at_path(p))
-        rep.require("stv.hfunctorial", lhs == rhs, (p, q))
-    for c in S.cells(bound):
-        lhs = B.vcomp_cells(v.E.on_cell(c), v.at_path(c.cod))
-        rhs = B.vcomp_cells(v.at_path(c.dom), v.E2.on_cell(c))
-        rep.require("stv.natural.cell", lhs == rhs, (c,))
-        if rep.failures():
-            return rep
-    return rep
-
-
-class StHorizontal:
-    """Extension of a horizontal pseudo transformation along eta."""
-
-    def __init__(self, t: HorizontalPseudoTransformation, E: StExtension, E2: StExtension):
-        self.t = t
-        self.E = E
-        self.E2 = E2
-        self._at = {}
-        B = E.B
-        self._rule = (lambda p: (B.vid_of(t.at_obj[p.src]),) * 2, None, self._step)
-
-    def at_obj(self, a):
-        return self.t.at_obj[a]
-
-    def at_vmor(self, u):
-        return self.t.at_vmor[u]
-
-    def at_path(self, p: Path):
-        """(cell, inverse): t_b . E(p) -> E2(p) . t_a."""
-        return _fold(self._at, p, p, self._rule)
-
-    def _step(self, p, p1, f):
-        B = self.E.B
-        sub, sub_inv = self.at_path(p1)
-        tf, tf_inv = self.t.at_hmor[f]
-        fwd = B.vcomp_cells(
-            B.hcomp_cell(tf, B.vid_of(self.E.on_path(p1))),
-            B.hcomp_cell(B.vid_of(self.E2.F.hmor(f)), sub),
-        )
-        bwd = B.vcomp_cells(
-            B.hcomp_cell(B.vid_of(self.E2.F.hmor(f)), sub_inv),
-            B.hcomp_cell(tf_inv, B.vid_of(self.E.on_path(p1))),
-        )
-        return (fwd, bwd)
-
-
-def extend_horizontal(t, E, E2) -> StHorizontal:
-    return StHorizontal(t, E, E2)
-
-
-def check_sthorizontal(h: StHorizontal, bound: int) -> Report:
-    S, B = h.E.S, h.E.B
-    A = S.base
-    rep = Report("sthorizontal", params={"bound": bound})
-    for a in A.objects:
-        rep.require("sth.vid", h.at_vmor(A.v_id(a)) == B.vid_of(h.at_obj(a)), (a,))
-    for (w, u), wu in A.vcomp_vmor_table.items():
-        rep.require("sth.vfunctorial",
-                    h.at_vmor(wu) == B.vcomp_cells(h.at_vmor(u), h.at_vmor(w)), (u, w))
-    for p in S.paths(bound):
-        a, b = p.src, S.htgt(p)
-        cell, inv = h.at_path(p)
-        src_h = B.hcomp_hmor(h.at_obj(b), h.E.on_path(p))
-        tgt_h = B.hcomp_hmor(h.E2.on_path(p), h.at_obj(a))
-        fr = B.frame(cell)
-        ok = fr.top == src_h and fr.bottom == tgt_h and B.is_globular(cell)
-        rep.require("sth.frame", ok, (p,))
-        if not ok:
-            return rep
-        rep.require("sth.invertible",
-                    B.vcomp_cell(inv, cell) == B.vid_of(src_h)
-                    and B.vcomp_cell(cell, inv) == B.vid_of(tgt_h), (p,))
-    for p, q in S.composable_pairs(bound):
-        lhs = h.at_path(p + q)[0]
-        rhs = B.vcomp_cells(
-            B.hcomp_cell(h.at_path(q)[0], B.vid_of(h.E.on_path(p))),
-            B.hcomp_cell(B.vid_of(h.E2.on_path(q)), h.at_path(p)[0]),
-        )
-        rep.require("sth.hfunctorial", lhs == rhs, (p, q))
-        if rep.failures():
-            return rep
-    for cc in S.cells(bound):
-        fr = S.frame(cc)
-        u, v_ = fr.left, fr.right
-        lhs = B.vcomp_cells(B.hcomp_cell(h.at_vmor(v_), h.E.on_cell(cc)),
-                            h.at_path(cc.cod)[0])
-        rhs = B.vcomp_cells(h.at_path(cc.dom)[0],
-                            B.hcomp_cell(h.E2.on_cell(cc), h.at_vmor(u)))
-        rep.require("sth.natural.cell", lhs == rhs, (cc,))
-        if rep.failures():
-            return rep
-    return rep
-
-
-class StModification:
-    def __init__(self, m: Modification, top: StHorizontal, bottom: StHorizontal,
-                 left: StVertical, right: StVertical):
-        self.m = m
-        self.top = top
-        self.bottom = bottom
-        self.left = left
-        self.right = right
-
-    def at_obj(self, a):
-        return self.m.at_obj[a]
-
-
-def extend_modification(m, top, bottom, left, right) -> StModification:
-    return StModification(m, top, bottom, left, right)
+def extend_modification(m: Modification, top, bottom, left, right) -> Modification:
+    """m in the frame of the extended transformations: the same components."""
+    return Modification(top, bottom, left, right, dict(m.at_obj))
 
 
 class StFunctor:
@@ -1196,13 +1090,16 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
     the generating data of st A, equivalently the full data of a pseudo
     functor A -> B and its transformations), so the verification runs over
     every frame-typed candidate and confirms that the two membership tests
-    agree: the axiom check over A on one side, the bounded strict axiom
-    check over st A of the extension on the other.  Round trips are exact
-    by construction and re-verified on the members.
+    agree: `homs`' checkers over A on one side and, on the other, the same
+    checkers on the extension over ``S.table(bound)``, the bounded st A, with
+    a functor also strict there: Ps(st A, B) is the sub double category of
+    Hom(st A, B) on the strict functors.  Round trips are exact by
+    construction; the functor's is re-verified on the members.
     """
     if not is_strict(B):
         raise StructuralError("verify_3d_iso requires a strict codomain")
     S = st(A)
+    T = S.table(bound)
     etaA = eta(A, S)
     rep = Report(f"3d-iso({A.name},{B.name})", params={"bound": bound})
     rep.params["inverse_maps"] = ("extend_functor", "extend_vertical",
@@ -1214,15 +1111,16 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
         n_cand += 1
         a_ok = check_functor(F).ok
         E = StExtension(F, S, B)
-        b_ok = check_extension_strict(E, bound).ok
-        if b_ok:
-            res = restrict_extension(E, etaA)
-            b_ok = (res.key() == F.key())
+        EF = E.functor(T)
+        # functor() builds identity constraints, so check_functor's phi frames
+        # already force strictness; is_strict_functor guards that construction
+        b_ok = (check_functor(EF).ok and is_strict_functor(EF)
+                and restrict_extension(E, etaA).key() == F.key())
         rep.require("iso.obj.agree", a_ok == b_ok, (F.key(),),
                     detail=f"hom-side={a_ok} st-side={b_ok}")
         if a_ok and b_ok:
             F.name = f"F{len(members)}"
-            members.append((F, E))
+            members.append((F, EF))
     rep.params["functor_candidates"] = n_cand
     rep.params["objects_each_side"] = len(members)
 
@@ -1237,7 +1135,7 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
                 raw_v += 1
                 a_ok = check_vertical(t).ok
                 sv = extend_vertical(t, EF, EG)
-                b_ok = check_stvertical(sv, bound).ok
+                b_ok = check_vertical(sv).ok
                 rep.require("iso.vmor.agree", a_ok == b_ok, (F.name, G.name, t.key()),
                             detail=f"hom-side={a_ok} st-side={b_ok}")
                 if a_ok and b_ok:
@@ -1250,7 +1148,7 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
                 raw_h += 1
                 a_ok = check_horizontal(t).ok
                 sh = extend_horizontal(t, EF, EG)
-                b_ok = check_sthorizontal(sh, bound).ok
+                b_ok = check_horizontal(sh).ok
                 rep.require("iso.hmor.agree", a_ok == b_ok, (F.name, G.name, t.key()),
                             detail=f"hom-side={a_ok} st-side={b_ok}")
                 if a_ok and b_ok:
@@ -1277,7 +1175,7 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
                                         raw_m += 1
                                         a_ok = check_modification(m).ok
                                         sm = extend_modification(m, sh_t, sh_b, ssg, sta)
-                                        b_ok = check_stmodification(sm, bound).ok
+                                        b_ok = check_modification(sm).ok
                                         rep.require("iso.cell.agree", a_ok == b_ok,
                                                     (m.key(),),
                                                     detail=f"hom={a_ok} st={b_ok}")
@@ -1285,26 +1183,4 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
                                             n_m += 1
     rep.params["cells_each_side"] = n_m
     rep.params["cell_candidates"] = raw_m
-    return rep
-
-
-def check_stmodification(mm: StModification, bound: int) -> Report:
-    S = mm.top.E.S
-    B = mm.top.E.B
-    A = S.base
-    rep = Report("stmodification", params={"bound": bound})
-    for u in A.vmors:
-        x, y = A.vsrc(u), A.vtgt(u)
-        lhs = B.vcomp_cells(mm.top.at_vmor(u), mm.at_obj(y))
-        rhs = B.vcomp_cells(mm.at_obj(x), mm.bottom.at_vmor(u))
-        rep.require("stm.vnatural", lhs == rhs, (u,))
-    for p in S.paths(bound):
-        x, y = p.src, S.htgt(p)
-        lhs = B.vcomp_cells(B.hcomp_cell(mm.at_obj(y), mm.left.at_path(p)),
-                            mm.bottom.at_path(p)[0])
-        rhs = B.vcomp_cells(mm.top.at_path(p)[0],
-                            B.hcomp_cell(mm.right.at_path(p), mm.at_obj(x)))
-        rep.require("stm.hnatural", lhs == rhs, (p,))
-        if rep.failures():
-            return rep
     return rep

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import re
@@ -151,20 +152,30 @@ def test_cli_envelope_small():
     assert {k: doc["params"][k] for k in want} == want
 
 
+def _assert_truncated_keeping(out, paths, bound):
+    # a truncated report still names its inputs, with their digests, and bound
+    doc = json.loads(out)
+    assert doc["truncated"] is True and doc["pass"] is False
+    assert [i["path"] for i in doc["inputs"]] == paths
+    for i, path in zip(doc["inputs"], paths):
+        assert i["sha256"] == hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+    assert doc["params"] == {"bound": bound}
+
+
 def test_cli_universal_property_honours_the_candidate_budget(corpus_dir, monkeypatch):
     monkeypatch.setenv("STRAWCAT_MAX_CANDIDATES", "2")
-    code, out = run_cli("universal-property", str(corpus_dir / "terminal.pdc"),
-                        str(corpus_dir / "sigmaM.pdc"), "--bound", "3")
-    doc = json.loads(out)
-    assert code == 1 and doc["truncated"] is True and doc["pass"] is False
+    paths = [str(corpus_dir / "terminal.pdc"), str(corpus_dir / "sigmaM.pdc")]
+    code, out = run_cli("universal-property", *paths, "--bound", "2")
+    assert code == 1
+    _assert_truncated_keeping(out, paths, 2)
 
 
 def test_cli_adjunction_check_honours_the_candidate_budget(corpus_dir, monkeypatch):
     monkeypatch.setenv("STRAWCAT_MAX_CANDIDATES", "2")
-    code, out = run_cli("adjunction-check", *(str(corpus_dir / f"{m}.pdc")
-                                              for m in ("nonstrict", "sigmaM", "quintet")))
-    doc = json.loads(out)
-    assert code == 1 and doc["truncated"] is True and doc["pass"] is False
+    paths = [str(corpus_dir / f"{m}.pdc") for m in ("nonstrict", "sigmaM", "quintet")]
+    code, out = run_cli("adjunction-check", *paths)
+    assert code == 1
+    _assert_truncated_keeping(out, paths, 3)
 
 
 def test_cli_envelope_refuses_a_word_cap_above_the_arity_cap(capsys):

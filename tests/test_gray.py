@@ -133,6 +133,23 @@ def test_biequivalence_checks(tables):
     assert rep.ok, rep.render()
 
 
+def test_biequivalence_names_a_path_category_that_is_not_free(tables, monkeypatch):
+    # (e) planted as the composite of (e) with itself in the bounded table of
+    # st A: (e) then has no factorisation into indecomposables
+    from strawcat.strictify import StrictifiedDouble
+    table = StrictifiedDouble.table
+
+    def planted(S, bound):
+        T = table(S, bound)
+        e = S.unary("e")
+        T.hcomp_hmor_table[(e, e)] = e
+        return T
+
+    monkeypatch.setattr(StrictifiedDouble, "table", planted)
+    rep = biequivalence_check(tables["nonstrict"], tables["sigmaM"], bound=3)
+    assert {f.check for f in rep.failures()} == {"bieq.stA.cofibrant.horizontal"}
+
+
 def test_biequivalence_rejects_bad_inputs(tables):
     with pytest.raises(StructuralError):
         biequivalence_check(tables["quintet"], tables["sigmaM"])

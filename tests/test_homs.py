@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -125,6 +126,18 @@ def test_mutated_phi2_breaks_naturality(tables):
         for c in variants:
             F.phi2[("e", "e")] = c
             assert not check_functor(F).ok
+
+
+def test_ill_typed_cell_map_is_reported_not_raised(tables):
+    # a cell moved to another frame fails fun.cell.frame; the composites
+    # after it would compose cells that do not meet
+    N, M = tables["nonstrict"], tables["sigmaM"]
+    F = next(iter(enumerate_functors(N, M)))
+    for c in N.cells:
+        for d in M.cells:
+            if M.frame(d) != M.frame(F.cell(c)):
+                G = dataclasses.replace(F, cell_map={**F.cell_map, c: d})
+                assert {f.check for f in check_functor(G).failures()} == {"fun.cell.frame"}
 
 
 def test_compose_functors(tables):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
@@ -6,14 +8,30 @@ from hypothesis import given, settings, strategies as st_
 from strawcat import is_strict, terminal
 from strawcat.cli import elaborate, parse
 from strawcat.corpus import nonstrict
-from strawcat.homs import check_functor, enumerate_functors, identity_functor
+from strawcat.core import Frame
+from strawcat.homs import (
+    check_functor,
+    check_horizontal,
+    check_modification,
+    check_vertical,
+    enumerate_functors,
+    enumerate_vertical,
+    identity_functor,
+    is_strict_functor,
+    iter_functor_candidates,
+    iter_horizontal_candidates,
+    iter_modification_candidates,
+    iter_vertical_candidates,
+)
 from strawcat.strictify import (
     Path,
-    check_extension_strict,
     counit,
     decompose_kappa,
     eta,
     extend_functor,
+    extend_horizontal,
+    extend_modification,
+    extend_vertical,
     flatten_path,
     kappa,
     normalize_cell,
@@ -25,7 +43,7 @@ from strawcat.strictify import (
     triangle2_report,
     verify_3d_iso,
 )
-from strawcat.report import StructuralError
+from strawcat.report import Report, StructuralError
 
 
 @pytest.fixture(scope="module")
@@ -189,10 +207,12 @@ def test_extension_of_identity_is_counit(tables):
 def test_extension_restriction_roundtrip(N, tables):
     M = tables["sigmaM"]
     S = st(N)
+    T = S.table(3)
     e = eta(N, S)
     for F in enumerate_functors(N, M):
         E = extend_functor(F, S, M)
-        assert check_extension_strict(E, 3).ok
+        EF = E.functor(T)
+        assert check_functor(EF).ok and is_strict_functor(EF)
         back = restrict_extension(E, e)
         assert back.key() == F.key()
 
@@ -253,25 +273,22 @@ def test_uniqueness_by_free_enumeration_at_bound(tables):
     # literal quantification: enumerate every frame-compatible family of
     # components over all bounded paths, filter by the bounded axioms, and
     # compare with the recursion extensions of the valid restrictions
-    import itertools
-    from strawcat.homs import enumerate_vertical
-    from strawcat.strictify import (check_stvertical, extend_vertical)
-
     for a, b in [("nonstrict", "sigmaM"), ("quintet", "quintetP")]:
         A, B = tables[a], tables[b]
         S = st(A)
         bound = 3
+        T = S.table(bound)
         paths = S.paths(bound)
         for F in enumerate_functors(A, B):
-            EF = extend_functor(F, S, B)
+            EF = extend_functor(F, S, B).functor(T)
             for G in enumerate_functors(A, B):
-                EG = extend_functor(G, S, B)
+                EG = extend_functor(G, S, B).functor(T)
                 expected = set()
                 for t in enumerate_vertical(F, G):
                     sv = extend_vertical(t, EF, EG)
-                    if check_stvertical(sv, bound).ok:
+                    if check_vertical(sv).ok:
                         expected.add(tuple(sorted(
-                            (p.hmors, sv.at_path(p)) for p in paths)))
+                            (p.hmors, sv.at_hmor[p]) for p in paths)))
                 obj_cands = [[v for v in B.vmors
                               if B.vsrc(v) == F.obj(x) and B.vtgt(v) == G.obj(x)]
                              for x in A.objects]
@@ -280,8 +297,7 @@ def test_uniqueness_by_free_enumeration_at_bound(tables):
                     at_obj = dict(zip(A.objects, opick))
                     cands = []
                     for p in paths:
-                        from strawcat.core import Frame
-                        want = Frame(EF.on_path(p), EG.on_path(p),
+                        want = Frame(EF.hmor(p), EG.hmor(p),
                                      at_obj[p.src], at_obj[S.htgt(p)])
                         cands.append(B.cells_with_frame(want))
                     for pick in itertools.product(*cands):
@@ -298,8 +314,8 @@ def test_uniqueness_by_free_enumeration_at_bound(tables):
                                 break
                         if ok:
                             for c in S.cells(bound):
-                                lhs = B.vcomp_cells(EF.on_cell(c), comp[c.cod])
-                                rhs = B.vcomp_cells(comp[c.dom], EG.on_cell(c))
+                                lhs = B.vcomp_cells(EF.cell(c), comp[c.cod])
+                                rhs = B.vcomp_cells(comp[c.dom], EG.cell(c))
                                 if lhs != rhs:
                                     ok = False
                                     break
@@ -307,6 +323,261 @@ def test_uniqueness_by_free_enumeration_at_bound(tables):
                             found.add(tuple(sorted(
                                 (p.hmors, comp[p]) for p in paths)))
                 assert found == expected, (a, b, F.name, G.name)
+
+
+# -- the former st-side checkers, kept as a reference oracle -------------------
+#
+# verify_3d_iso once decided the st side with these hand-written bounded
+# axioms, and now runs homs' checkers on S.table(bound).  The bodies are kept
+# as they were; they read the same extended data, a strict functor or a
+# transformation on S.table(bound), and walk S's own paths, pairs and cells.
+
+def ref_extension_strict(S, E, bound):
+    """All strict double functor axiom instances of an extension within the
+    bound: identities, both compositions, frames."""
+    B, on_path, on_cell = E.cod, E.hmor, E.cell
+    A = S.base
+    rep = Report("strictfun", params={"bound": bound})
+    for a in A.objects:
+        rep.require("ext.hid", on_path(S.h_id(a)) == B.h_id(E.obj(a)), (a,))
+        rep.require("ext.vid.cell",
+                    on_cell(S.vid_of(S.h_id(a))) == B.vid_of(B.h_id(E.obj(a))), (a,))
+    for u in A.vmors:
+        rep.require("ext.hid.cell", on_cell(S.hid_of(u)) == B.hid_of(E.vmor(u)), (u,))
+    for p, q in S.composable_pairs(bound):
+        if not q.hmors:                         # p's first pair
+            rep.require("ext.vid.path", on_cell(S.vid_of(p)) == B.vid_of(on_path(p)), (p,))
+        rep.require("ext.hcomp.path",
+                    on_path(p + q) == B.hcomp_hmor(on_path(q), on_path(p)), (p, q))
+    cells = S.cells(bound)
+    for c in cells:
+        fr = S.frame(c)
+        want = Frame(on_path(c.dom), on_path(c.cod), E.vmor(fr.left), E.vmor(fr.right))
+        rep.require("ext.frame", B.frame(on_cell(c)) == want, (c,))
+        if rep.failures():
+            return rep
+    by_dom = {}
+    for c in cells:
+        by_dom.setdefault(c.dom, []).append(c)
+    for c1 in cells:
+        for c2 in by_dom.get(c1.cod, ()):
+            lhs = on_cell(S.vcomp_cell(c2, c1))
+            rhs = B.vcomp_cell(on_cell(c2), on_cell(c1))
+            rep.require("ext.vcomp.cell", lhs == rhs, (c1, c2))
+            if rep.failures():
+                return rep
+    by_left = {}
+    for c in cells:
+        by_left.setdefault(A.frame(c.payload).left, []).append(c)
+    for c1 in cells:
+        for c2 in by_left.get(A.frame(c1.payload).right, ()):
+            if c2.dom.src != S.htgt(c1.dom):
+                continue
+            if len(c1.dom) + len(c2.dom) > bound or len(c1.cod) + len(c2.cod) > bound:
+                continue
+            lhs = on_cell(S.hcomp_cell(c2, c1))
+            rhs = B.hcomp_cell(on_cell(c2), on_cell(c1))
+            rep.require("ext.hcomp.cell", lhs == rhs, (c1, c2))
+            if rep.failures():
+                return rep
+    return rep
+
+
+def ref_stvertical(S, v, bound):
+    E, E2, B = v.src, v.tgt, v.src.cod
+    A = S.base
+    rep = Report("stvertical", params={"bound": bound})
+    for u in A.vmors:
+        a, b = A.vsrc(u), A.vtgt(u)
+        rep.require("stv.natural.vmor",
+                    B.vcomp_vmor(v.at_obj[b], E.vmor(u)) ==
+                    B.vcomp_vmor(E2.vmor(u), v.at_obj[a]), (u,))
+    for p in S.paths(bound):
+        a, b = p.src, S.htgt(p)
+        want = Frame(E.hmor(p), E2.hmor(p), v.at_obj[a], v.at_obj[b])
+        rep.require("stv.frame", B.frame(v.at_hmor[p]) == want, (p,))
+        if rep.failures():
+            return rep
+    for p, q in S.composable_pairs(bound):
+        lhs = v.at_hmor[p + q]
+        rhs = B.hcomp_cell(v.at_hmor[q], v.at_hmor[p])
+        rep.require("stv.hfunctorial", lhs == rhs, (p, q))
+    for c in S.cells(bound):
+        lhs = B.vcomp_cells(E.cell(c), v.at_hmor[c.cod])
+        rhs = B.vcomp_cells(v.at_hmor[c.dom], E2.cell(c))
+        rep.require("stv.natural.cell", lhs == rhs, (c,))
+        if rep.failures():
+            return rep
+    return rep
+
+
+def ref_sthorizontal(S, h, bound):
+    E, E2, B = h.src, h.tgt, h.src.cod
+    A = S.base
+    rep = Report("sthorizontal", params={"bound": bound})
+    for a in A.objects:
+        rep.require("sth.vid", h.at_vmor[A.v_id(a)] == B.vid_of(h.at_obj[a]), (a,))
+    for (w, u), wu in A.vcomp_vmor_table.items():
+        rep.require("sth.vfunctorial",
+                    h.at_vmor[wu] == B.vcomp_cells(h.at_vmor[u], h.at_vmor[w]), (u, w))
+    for p in S.paths(bound):
+        a, b = p.src, S.htgt(p)
+        cell, inv = h.at_hmor[p]
+        src_h = B.hcomp_hmor(h.at_obj[b], E.hmor(p))
+        tgt_h = B.hcomp_hmor(E2.hmor(p), h.at_obj[a])
+        fr = B.frame(cell)
+        ok = fr.top == src_h and fr.bottom == tgt_h and B.is_globular(cell)
+        rep.require("sth.frame", ok, (p,))
+        if not ok:
+            return rep
+        rep.require("sth.invertible",
+                    B.vcomp_cell(inv, cell) == B.vid_of(src_h)
+                    and B.vcomp_cell(cell, inv) == B.vid_of(tgt_h), (p,))
+    for p, q in S.composable_pairs(bound):
+        lhs = h.at_hmor[p + q][0]
+        rhs = B.vcomp_cells(
+            B.hcomp_cell(h.at_hmor[q][0], B.vid_of(E.hmor(p))),
+            B.hcomp_cell(B.vid_of(E2.hmor(q)), h.at_hmor[p][0]),
+        )
+        rep.require("sth.hfunctorial", lhs == rhs, (p, q))
+        if rep.failures():
+            return rep
+    for cc in S.cells(bound):
+        fr = S.frame(cc)
+        u, v_ = fr.left, fr.right
+        lhs = B.vcomp_cells(B.hcomp_cell(h.at_vmor[v_], E.cell(cc)), h.at_hmor[cc.cod][0])
+        rhs = B.vcomp_cells(h.at_hmor[cc.dom][0], B.hcomp_cell(E2.cell(cc), h.at_vmor[u]))
+        rep.require("sth.natural.cell", lhs == rhs, (cc,))
+        if rep.failures():
+            return rep
+    return rep
+
+
+def ref_stmodification(S, mm, bound):
+    B = mm.top.src.cod
+    A = S.base
+    rep = Report("stmodification", params={"bound": bound})
+    for u in A.vmors:
+        x, y = A.vsrc(u), A.vtgt(u)
+        lhs = B.vcomp_cells(mm.top.at_vmor[u], mm.at_obj[y])
+        rhs = B.vcomp_cells(mm.at_obj[x], mm.bottom.at_vmor[u])
+        rep.require("stm.vnatural", lhs == rhs, (u,))
+    for p in S.paths(bound):
+        x, y = p.src, S.htgt(p)
+        lhs = B.vcomp_cells(B.hcomp_cell(mm.at_obj[y], mm.left.at_hmor[p]),
+                            mm.bottom.at_hmor[p][0])
+        rhs = B.vcomp_cells(mm.top.at_hmor[p][0],
+                            B.hcomp_cell(mm.right.at_hmor[p], mm.at_obj[x]))
+        rep.require("stm.hnatural", lhs == rhs, (p,))
+        if rep.failures():
+            return rep
+    return rep
+
+
+def _st_side(A, B, bound):
+    """verify_3d_iso's raw candidates of each kind, as (hom-side datum,
+    extension to S.table(bound)) pairs, enumerated as it does."""
+    S = st(A)
+    T = S.table(bound)
+    funs = [(F, extend_functor(F, S, B).functor(T))
+            for F in iter_functor_candidates(A, B, False)]
+    members = [x for x in funs if check_functor(x[0]).ok]
+    verts, hors = [], []
+    for (F, EF), (G, EG) in itertools.product(members, members):
+        verts += [(t, extend_vertical(t, EF, EG)) for t in iter_vertical_candidates(F, G)]
+        hors += [(t, extend_horizontal(t, EF, EG)) for t in iter_horizontal_candidates(F, G)]
+    vm = [x for x in verts if check_vertical(x[0]).ok]
+    hm = [x for x in hors if check_horizontal(x[0]).ok]
+    mods = []
+    for (t, st_), (b, sb) in itertools.product(hm, hm):
+        for (s, ss), (r, sr) in itertools.product(vm, vm):
+            if (s.src, s.tgt, r.src, r.tgt) == (t.src, b.src, t.tgt, b.tgt):
+                mods += [(m, extend_modification(m, st_, sb, ss, sr))
+                         for m in iter_modification_candidates(t, b, s, r)]
+    return S, {"functor": funs, "vertical": verts, "horizontal": hors, "modification": mods}
+
+
+_OLD = {"functor": ref_extension_strict, "vertical": ref_stvertical,
+        "horizontal": ref_sthorizontal, "modification": ref_stmodification}
+_NEW = {"functor": lambda E: check_functor(E).ok and is_strict_functor(E),
+        "vertical": lambda x: check_vertical(x).ok,
+        "horizontal": lambda x: check_horizontal(x).ok,
+        "modification": lambda x: check_modification(x).ok}
+
+
+def _verdicts(S, kind, x, bound):
+    """The former verdict, 'ok', 'fail' or 'raise' (data it cannot type: not a
+    member either), and the current one, which reports and never raises."""
+    try:
+        old = "ok" if _OLD[kind](S, x, bound).ok else "fail"
+    except StructuralError:
+        old = "raise"
+    return old, _NEW[kind](x)
+
+
+def _one_component_mutants(kind, x, B):
+    """x with one component moved to a cell of another frame or to a
+    non-invertible cell (horizontal morphisms of a functor: to another one),
+    on a spread of components of each map."""
+    nonunit = [c for c in B.cells if B.inverse_of(c) is None][:1]
+
+    def cells(c):
+        other = [d for d in B.cells if B.frame(d) != B.frame(c)][:1]
+        return other + [d for d in nonunit if d != c and d not in other]
+
+    moves = {"functor": {"hmor_map": lambda f: [g for g in B.hmors if g != f][:1],
+                         "cell_map": cells},
+             "vertical": {"at_hmor": cells},
+             "horizontal": {"at_vmor": cells,
+                            "at_hmor": lambda ci: [(d, ci[1]) for d in cells(ci[0])]},
+             "modification": {"at_obj": cells}}[kind]
+    for field, values in moves.items():
+        d = getattr(x, field)
+        keys = list(d)
+        for k in keys[::max(1, len(keys) // 6)]:
+            for v in values(d[k]):
+                yield dataclasses.replace(x, **{field: {**d, k: v}})
+
+
+@pytest.mark.parametrize("a, b, bound", [("nonstrict", "sigmaM", 3), ("quintet", "quintetP", 3),
+                                         ("nonstrict", "sigma2", 2), ("sigmaM", "sigmaM", 3)])
+def test_st_side_verdicts_match_the_former_st_checkers(tables, a, b, bound):
+    B = tables[b]
+    S, raw = _st_side(tables[a], B, bound)
+    rejected = set()
+    for kind, pairs in raw.items():
+        assert pairs, kind
+        for datum, x in pairs:
+            old, new = _verdicts(S, kind, x, bound)
+            assert (old == "ok") == new, (kind, datum.key(), old, new)
+            if not new:
+                continue
+            for y in _one_component_mutants(kind, x, B):
+                old, new = _verdicts(S, kind, y, bound)
+                assert (old == "ok") == new, (kind, datum.key(), old, new)
+                if not new:
+                    rejected.add(kind)
+    assert rejected == set(raw), rejected
+
+
+@pytest.mark.parametrize("a, b", [("nonstrict", "sigmaM"), ("quintet", "quintetP")])
+@pytest.mark.parametrize("operator, family", [("extend_vertical", "iso.vmor.agree"),
+                                              ("extend_horizontal", "iso.hmor.agree")])
+def test_3d_iso_names_a_wrong_extension_operator(tables, monkeypatch, a, b, operator, family):
+    # a path of length >= 2 takes the component of its first step
+    import strawcat.strictify as strictify
+    right = getattr(strictify, operator)
+
+    def wrong(t, E, E2):
+        x = right(t, E, E2)
+        for p in x.at_hmor:
+            if len(p) >= 2:
+                x.at_hmor[p] = x.at_hmor[Path(p.src, p.hmors[:1])]
+        return x
+
+    monkeypatch.setattr(strictify, operator, wrong)
+    rep = verify_3d_iso(tables[a], tables[b], 3)
+    assert rep.failures() and {f.check for f in rep.failures()} == {family}
 
 
 # -- the st kernel of families C4 and C6 against plain loops -------------------
