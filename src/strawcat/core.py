@@ -97,6 +97,7 @@ class TableDouble:
     runit: dict                 # f -> (cell, inverse): f.1 -> f
 
     _inv_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _by_frame: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -199,8 +200,14 @@ class TableDouble:
 
     # -- derived views -----------------------------------------------------
 
-    def cells_with_frame(self, fr: Frame):
-        return [c for c in self.cells if self.cell_frames[c] == fr]
+    def cells_with_frame(self, fr: Frame) -> tuple:
+        """The cells in frame fr, in table order, from an index built once."""
+        if not self._by_frame:
+            by = {}
+            for c in self.cells:
+                by.setdefault(self.cell_frames[c], []).append(c)
+            self._by_frame.update((fr, tuple(cs)) for fr, cs in by.items())
+        return self._by_frame.get(fr, ())
 
     def globular_cells(self, f, g):
         a = self.hmor_src[f]

@@ -256,6 +256,9 @@ GOLDEN_COMMANDS = (
        ("envelope", "--multicat", "z2", "--arity-cap", "3"),
        ("adjunction-check", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc",
         "corpus/quintet.pdc"),
+       ("adjunction-check", "corpus/nonstrict.pdc", "corpus/sigma2.pdc", "--bound", "2"),
+       ("adjunction-check", "corpus/sigma2.pdc", "corpus/quintetP.pdc",
+        "corpus/terminal.pdc", "--bound", "1"),
        ("biequivalence-check", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc")])
 
 

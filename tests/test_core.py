@@ -135,10 +135,20 @@ def test_a_replaced_table_computes_its_own_inverses():
     assert mutate(N, vcomp_cell_table=vc).inverse_of("t") is None
 
 
+def test_a_replaced_table_indexes_its_own_frames():
+    N = nonstrict()
+    fr = N.frame("t")
+    assert N.cells_with_frame(fr) == ("ce", "t")
+    moved = mutate(N, cell_frames={**N.cell_frames, "t": N.frame("cj")})
+    assert moved.cells_with_frame(fr) == ("ce",)
+    assert moved.cells_with_frame(N.frame("cj")) == ("cj", "t")
+
+
 def test_inverse_lookups_leave_equality_alone():
     N, N2 = nonstrict(), nonstrict()
     assert N == N2
     N.inverse_of("t")
+    N.cells_with_frame(N.frame("t"))
     assert N == N2 and N2 == N
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from strawcat import strictify
 from strawcat.multicat import (
     EnvelopeCategory,
     MultiFunctorData,
@@ -20,6 +21,7 @@ from strawcat.multicat import (
     validate_envelope,
     validate_multicat,
 )
+from strawcat.strictify import StCell
 
 
 def addz2(x, y):
@@ -242,3 +244,54 @@ def test_strictification_adjunction_small(tables):
     assert rep.ok, rep.render()
     assert rep.params["unit_naturality_instances"] > 0
     assert rep.params["S_functoriality_instances"] > 0
+
+
+def _mutate_eta_cell(F, A):
+    # eta sends the identity cell ce of nonstrict to the unary cell over t
+    c = F.cell_map["ce"]
+    F.cell_map["ce"] = StCell(c.dom, c.cod, "t")
+
+
+def _mutate_eta_phi2(F, A):
+    # eta's comparison cell at (e, e) carries t instead of the identity ce
+    c = F.phi2[("e", "e")]
+    F.phi2[("e", "e")] = StCell(c.dom, c.cod, "t")
+
+
+def _mutate_eta_objects(F, A):
+    # eta sends both objects of quintet to the first
+    F.obj_map = {a: A.objects[0] for a in A.objects}
+
+
+def _mutate_counit_objects(E, B):
+    # the counit of quintet swaps its two objects
+    a, b = B.objects
+    E.F.obj_map = {a: b, b: a}
+
+
+# each mutant is planted in eta or the counit of one member; the named
+# family must report it
+ADJUNCTION_MUTANTS = [
+    ("sadj.unit.natural", "eta", "nonstrict", _mutate_eta_cell, ("nonstrict", "sigma2")),
+    ("sadj.S.functorial", "eta", "nonstrict", _mutate_eta_phi2, ("nonstrict", "sigmaM")),
+    ("sadj.counit.natural", "eta", "quintet", _mutate_eta_objects, ("quintet", "sigma2")),
+    ("sadj.pronormal.identity", "eta", "quintet", _mutate_eta_objects, ("quintet",)),
+    ("sadj.pronormal.identity", "counit", "quintet", _mutate_counit_objects, ("quintet",)),
+]
+
+
+@pytest.mark.parametrize("family,target,member,mutate,members", ADJUNCTION_MUTANTS,
+                         ids=[f"{m[0]}-{m[1]}" for m in ADJUNCTION_MUTANTS])
+def test_strictification_adjunction_names_a_planted_mutant(
+        tables, monkeypatch, family, target, member, mutate, members):
+    real = getattr(strictify, target)
+
+    def planted(X, *rest):
+        out = real(X, *rest)
+        if X.name == member:
+            mutate(out, X)
+        return out
+
+    monkeypatch.setattr(strictify, target, planted)
+    rep = strictification_adjunction_report({k: tables[k] for k in members}, bound=2)
+    assert family in {f.check for f in rep.failures()}, rep.render()

@@ -11,6 +11,7 @@ from strawcat.corpus import nonstrict
 from strawcat.core import Frame
 from strawcat.homs import (
     check_functor,
+    compose_functors,
     check_horizontal,
     check_modification,
     check_vertical,
@@ -25,6 +26,8 @@ from strawcat.homs import (
 )
 from strawcat.strictify import (
     Path,
+    StCell,
+    StExtension,
     counit,
     decompose_kappa,
     eta,
@@ -32,7 +35,6 @@ from strawcat.strictify import (
     extend_horizontal,
     extend_modification,
     extend_vertical,
-    flatten_path,
     kappa,
     normalize_cell,
     renormalize,
@@ -234,9 +236,35 @@ def test_triangle_identities(tables):
             assert triangle2_report(A).ok, name
 
 
-def test_flatten_path():
-    p = Path("st", (Path("st", ("e",)), Path("st", ("j", "e"))))
-    assert flatten_path(p) == Path("st", ("e", "j", "e"))
+def _st_functor_reference(F, SA):
+    """st F for F: A -> B, written out by hand: paths map pointwise and a
+    cell's payload is conjugated by the comparison cells of F."""
+    E = StExtension(F, SA, F.cod)
+
+    def on_path(p):
+        return Path(F.obj(p.src), tuple(F.hmor(f) for f in p.hmors))
+
+    def on_cell(c):
+        return StCell(on_path(c.dom), on_path(c.cod), E.on_cell(c))
+
+    return on_path, on_cell
+
+
+def test_st_of_a_functor_is_the_extension_of_eta_after_it(tables):
+    # st f = ext(eta_B . f) on every bounded path and cell, for every
+    # enumerated functor of every ordered pair of members
+    n = 0
+    for A, B in itertools.product(tables.values(), repeat=2):
+        SA, SB = st(A), st(B)
+        etaB = eta(B, SB)
+        paths, cells = SA.paths(3), SA.cells(3)
+        for f in enumerate_functors(A, B):
+            stf = StExtension(compose_functors(etaB, f), SA, SB)
+            on_path, on_cell = _st_functor_reference(f, SA)
+            assert all(stf.on_path(p) == on_path(p) for p in paths), (A.name, B.name)
+            assert all(stf.on_cell(c) == on_cell(c) for c in cells), (A.name, B.name)
+            n += len(paths) + len(cells)
+    assert n == 27164
 
 
 def test_3d_iso_small(tables):
