@@ -6,9 +6,7 @@ bounded degree and is checked exactly there.
 """
 
 from strawcat.corpus import nonstrict
-from strawcat.strictify import (Path, decompose_kappa, eta, kappa,
-                                normalize_cell, renormalize, st,
-                                st_strict_report)
+from strawcat.strictify import Path, StCell, eta, kappa, st, st_strict_report
 from strawcat.homs import check_functor
 
 N = nonstrict()
@@ -23,13 +21,16 @@ print("the empty path evaluates to the horizontal identity:",
 k = kappa(S, p)
 print("\nkappa collapses the path onto its evaluation:", k.cod)
 print("its payload is the identity cell on the evaluation:", k.payload)
-first, second = decompose_kappa(S, p)
+p1, f = Path(p.src, p.hmors[:-1]), p.hmors[-1]
+first = S.hcomp_cell(S.vid_of(S.unary(f)), kappa(S, p1))
+second = kappa(S, Path(p.src, (S.eps(p1), f)))
 print("kappa factors as (1 . kappa) then the binary kappa:",
       S.vcomp_cells(first, second) == k)
 
 c = S.cells(2)[5]
+mid = StCell(S.unary(S.eps(c.dom)), S.unary(S.eps(c.cod)), c.payload)
 print("\nevery st-cell is determined by its payload:",
-      renormalize(S, c.dom, c.cod, normalize_cell(S, c)) == c)
+      S.vcomp_cells(kappa(S, c.dom), mid, S.inv(kappa(S, c.cod))) == c)
 
 print("\nthe unit is a pseudo functor with kappa constraints:",
       check_functor(eta(N, S)).ok)

@@ -3,8 +3,9 @@
 The functors, transformations, and modifications between two tables again
 form a pseudo double category, which the validator accepts like any other.
 Horizontal composition of 2-cells is not primitive at this level; the
-specified interchangers mediate it, and pasting grids of them is order
-independent.
+specified interchangers mediate it.  A grid of them is pasted from two
+smaller grids at a time, and pasting it row by row or column by column
+gives the same cell.
 """
 
 from strawcat import validate
@@ -28,6 +29,10 @@ print("pseudonaturality cell:",
 
 sh = st_hom(N, N)
 ctx = GridContext(sh, sh.hom, sh.hom)
+print("\nthe composition functor L stores that interchanger:",
+      ctx.L.cell_hh[("h2", "h1")][0] == sh.hom.id_of(m))
+single = interchange_grid(ctx, sh.S.unary("h1"), sh.S.unary("h2"))
+print("and the 1x1 grid is it:", single.payload == sh.hom.id_of(m))
 alphas = sh.S.paths(2)[9]
 betas = sh.S.paths(2)[10]
 row = interchange_grid(ctx, alphas, betas, "row")

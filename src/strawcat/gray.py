@@ -5,10 +5,11 @@ cofibrancy/biequivalence component checks.
 2-cells between pseudofunctors A -> B are paths of horizontal transformations
 in the strictification of the hom double category's underlying bicategory;
 3-cells are its st-cells, whose payloads are modifications.  The interchange
-of two paths is computed by bubbling each right-hand transformation across
-the left-hand ones with single interchanger cells, whiskered by identity
-paths; the evaluation order is fixed row-major and order independence is a
-tested property, not an assumption.
+grid of two paths is a memoised fold: a 1x1 grid is the single interchanger,
+and a larger one is the whiskered paste of two smaller grids, split off along
+the betas ("row") or the alphas ("col").  The two orders paste the same
+elementary interchangers in different orders; their agreement is a tested
+property, not an assumption.
 """
 
 from __future__ import annotations
@@ -26,54 +27,40 @@ from .twovar import check_twovar_functor, skew_L
 
 @dataclass
 class StHom:
-    """st Hom(A, B) together with the dictionaries back to transformation data."""
+    """Hom(A, B) together with st of its underlying bicategory."""
     hom: HomDouble
-    bicat: TableDouble
     S: StrictifiedDouble
 
 
 def st_hom(A: TableDouble, B: TableDouble, max_candidates=None) -> StHom:
     hom = hom_double(A, B, max_candidates)
-    bic = underlying_bicategory(hom.table)
-    return StHom(hom, bic, st(bic))
-
-
-def eta_star(sh: StHom, alpha_id) -> Path:
-    """A pseudonatural transformation as the unary vertical path it comprises."""
-    return sh.S.unary(alpha_id)
+    return StHom(hom, st(underlying_bicategory(hom.table)))
 
 
 class GridContext:
     """Horizontal composition Hom(B, C) x Hom(A, B) -> Hom(A, C) over a fixed
     triple of homs, read from the two-variable functor L = skew_L built once:
     composite functors, whiskered transformations and interchangers as ids
-    of Hom(A, C)."""
+    of Hom(A, C).  ``grids`` memoises interchange_grid for this triple."""
 
     def __init__(self, sh_ac: StHom, hom_ab: HomDouble, hom_bc: HomDouble):
         self.sh_ac = sh_ac
         self.hom_ab = hom_ab
         self.hom_bc = hom_bc
         self.L = skew_L(hom_ab.dom, hom_ab.cod, hom_bc.cod, hom_bc, hom_ab, sh_ac.hom)
-
-    def post(self, g_id, a_id):
-        """Transformation id of g . alpha in Hom(A, C)."""
-        return self.L.partial_right[g_id].hmor_map[a_id]
-
-    def pre(self, b_id, f_id):
-        """Transformation id of beta . f in Hom(A, C)."""
-        return self.L.partial_left[f_id].hmor_map[b_id]
-
-    def obj(self, g_id, f_id):
-        """Functor id of g . f in Hom(A, C)."""
-        return self.L.partial_right[g_id].obj_map[f_id]
+        self.grids = {}
 
     def whisker_path_post(self, g_id, path: Path) -> Path:
-        return Path(self.obj(g_id, path.src),
-                    tuple(self.post(g_id, a) for a in path.hmors))
+        """The path g . alpha1, .., g . alphan of Hom(A, C)."""
+        return _on_path(self.L.partial_right[g_id], path)
 
-    def interchanger_payload(self, a_id, b_id):
-        """Modification id of the interchanger of alpha and beta."""
-        return self.L.cell_hh[(b_id, a_id)][0]
+    def whisker_path_pre(self, path: Path, f_id) -> Path:
+        """The path beta1 . f, .., betam . f of Hom(A, C)."""
+        return _on_path(self.L.partial_left[f_id], path)
+
+
+def _on_path(F, path: Path) -> Path:
+    return Path(F.obj_map[path.src], tuple(F.hmor_map[h] for h in path.hmors))
 
 
 def interchange_grid(ctx: GridContext, alphas: Path, betas: Path,
@@ -83,71 +70,49 @@ def interchange_grid(ctx: GridContext, alphas: Path, betas: Path,
         (g0 a1, .., g0 an, b1 fn, .., bm fn)
             -> (b1 f0, .., bm f0, gm a1, .., gm an)
 
-    pasted from single interchangers; "row" moves each beta across every
-    alpha in turn, "col" moves each alpha under every beta."""
-    S = ctx.sh_ac.S
+    pasted from single interchangers and memoised on ctx.  "row" splits off
+    the last beta while there are two or more, so each beta crosses every
+    alpha in turn; "col" splits off the last alpha while there are two or
+    more, so each alpha crosses every beta."""
+    if order not in ("row", "col"):
+        raise ValueError(order)
+    key = (alphas, betas, order)
+    out = ctx.grids.get(key)
+    if out is None:
+        out = ctx.grids[key] = _grid(ctx, alphas, betas, order)
+    return out
+
+
+def _grid(ctx: GridContext, alphas: Path, betas: Path, order: str) -> StCell:
+    S, L = ctx.sh_ac.S, ctx.L
     TAB, TBC = ctx.hom_ab.table, ctx.hom_bc.table
     n, m = len(alphas), len(betas)
-    # boundary 1-cells: f0..fn on the alpha side, g0..gm on the beta side
-    fs = [alphas.src]
-    for a in alphas.hmors:
-        fs.append(TAB.hmor_tgt[a])
-    gs = [betas.src]
-    for b in betas.hmors:
-        gs.append(TBC.hmor_tgt[b])
-
-    # symbols: ("a", i, j) is g_j a_i ; ("b", j, i) is b_j f_i
-    def sid(sym):
-        kind, x, y = sym
-        if kind == "a":
-            return ctx.post(gs[y], alphas.hmors[x - 1])
-        return ctx.pre(betas.hmors[x - 1], fs[y])
-
-    state = [("a", i, 0) for i in range(1, n + 1)] + \
-            [("b", j, n) for j in range(1, m + 1)]
-
-    def path_of(syms):
-        return Path(ctx.obj(gs[0], fs[0]), tuple(sid(s) for s in syms))
-
-    cur = path_of(state)
-    total = None
-
-    def apply_swap(k):
-        nonlocal total, cur
-        kind1, i, j0 = state[k]
-        kind2, j, i0 = state[k + 1]
-        if not (kind1 == "a" and kind2 == "b" and j0 == j - 1 and i0 == i):
-            raise StructuralError("grid schedule out of order")
-        payload = ctx.interchanger_payload(alphas.hmors[i - 1], betas.hmors[j - 1])
-        old = cur
-        state[k] = ("b", j, i - 1)
-        state[k + 1] = ("a", i, j)
-        new = path_of(state)
-        pre_path = Path(old.src, old.hmors[:k])
-        dom_bin = Path(S.htgt(pre_path), old.hmors[k:k + 2])
-        cod_bin = Path(S.htgt(pre_path), new.hmors[k:k + 2])
-        cell = S.mk_cell(dom_bin, cod_bin, payload)
-        if k:
-            cell = S.hcomp_cell(cell, S.vid_of(pre_path))
-        if k + 2 < len(old.hmors):
-            suf = Path(S.htgt(Path(new.src, new.hmors[:k + 2])), new.hmors[k + 2:])
-            cell = S.hcomp_cell(S.vid_of(suf), cell)
-        total = cell if total is None else S.vcomp_cell(cell, total)
-        cur = new
-
-    if order == "row":
-        for j in range(1, m + 1):
-            for step in range(n):
-                apply_swap((j - 1) + (n - 1 - step))
-    elif order == "col":
-        for i in range(n, 0, -1):
-            for j in range(1, m + 1):
-                apply_swap((i - 1) + (j - 1))
+    f0, g0 = alphas.src, betas.src
+    if not (n and m):
+        return S.vid_of(ctx.whisker_path_pre(betas, f0) if m
+                        else ctx.whisker_path_post(g0, alphas))
+    fn, gm = TAB.htgt(alphas.hmors[-1]), TBC.htgt(betas.hmors[-1])
+    if n == 1 and m == 1:
+        return S.mk_cell(ctx.whisker_path_post(g0, alphas) + ctx.whisker_path_pre(betas, fn),
+                         ctx.whisker_path_pre(betas, f0) + ctx.whisker_path_post(gm, alphas),
+                         L.cell_hh[(betas.hmors[0], alphas.hmors[0])][0])
+    if m > 1 and (order == "row" or n == 1):
+        # G(alpha, beta) beside b fn, then beta f0 beside G(alpha, (b))
+        b = betas.hmors[-1]
+        head, last = Path(g0, betas.hmors[:-1]), Path(TBC.hsrc(b), (b,))
+        up = S.hcomp_cell(S.vid_of(ctx.whisker_path_pre(last, fn)),
+                          interchange_grid(ctx, alphas, head, order))
+        lo = S.hcomp_cell(interchange_grid(ctx, alphas, last, order),
+                          S.vid_of(ctx.whisker_path_pre(head, f0)))
     else:
-        raise ValueError(order)
-    if total is None:
-        total = S.vid_of(cur)
-    return total
+        # g0 alpha beside G((a), beta), then G(alpha, beta) beside gm a
+        a = alphas.hmors[-1]
+        head, last = Path(f0, alphas.hmors[:-1]), Path(TAB.hsrc(a), (a,))
+        up = S.hcomp_cell(interchange_grid(ctx, last, betas, order),
+                          S.vid_of(ctx.whisker_path_post(g0, head)))
+        lo = S.hcomp_cell(S.vid_of(ctx.whisker_path_post(gm, last)),
+                          interchange_grid(ctx, head, betas, order))
+    return S.vcomp_cell(lo, up)
 
 
 def gray_axiom_check(A: TableDouble, B: TableDouble, C: TableDouble,
@@ -176,7 +141,7 @@ def gray_axiom_check(A: TableDouble, B: TableDouble, C: TableDouble,
         for gid in sh_bc.hom.table.objects:
             w = ctx.whisker_path_post(gid, p)
             rep.require("gray.whisker.compat",
-                        len(w) == len(p) and w.src == ctx.obj(gid, p.src), (gid,))
+                        len(w) == len(p) and w.src == ctx.L.obj(gid, p.src), (gid,))
             n_wh += 1
     rep.params["whisker_instances"] = n_wh
 

@@ -415,26 +415,6 @@ def kappa(S: StrictifiedDouble, p: Path) -> StCell:
     return StCell(p, S.unary(e), S.base.vid_of(e))
 
 
-def kappa_inv(S: StrictifiedDouble, p: Path) -> StCell:
-    e = S.eps(p)
-    return StCell(S.unary(e), p, S.base.vid_of(e))
-
-
-def decompose_kappa(S: StrictifiedDouble, p: Path):
-    """The two-factor recipe for kappa on paths of length >= 2:
-    first (1 . kappa) on the split p = p' + (f), then the binary kappa."""
-    if len(p) < 2:
-        return [kappa(S, p)]
-    p1 = Path(p.src, p.hmors[:-1])
-    f = p.hmors[-1]
-    last = S.unary(f)
-    step1 = S.hcomp_cell(S.vid_of(last), kappa(S, p1))
-    e1 = S.eps(p1)
-    binary = Path(p.src, (e1, f))
-    step2 = kappa(S, binary)
-    return [step1, step2]
-
-
 def eta(A: TableDouble, S: StrictifiedDouble | None = None) -> PseudoDoubleFunctor:
     """The unit A -> st A: identity on the underlying category, unary paths
     on horizontal morphisms; constraints are kappa cells."""
@@ -453,17 +433,6 @@ def eta(A: TableDouble, S: StrictifiedDouble | None = None) -> PseudoDoubleFunct
         phi2=phi2,
         name=f"eta_{A.name}",
     )
-
-
-def normalize_cell(S: StrictifiedDouble, c: StCell):
-    """The unique base cell through which c factors across kappa."""
-    return c.payload
-
-
-def renormalize(S: StrictifiedDouble, dom: Path, cod: Path, payload) -> StCell:
-    """Recompose kappa^-1 . unary(payload) . kappa; inverse to normalize_cell."""
-    mid = StCell(S.unary(S.eps(dom)), S.unary(S.eps(cod)), payload)
-    return S.vcomp_cells(kappa(S, dom), mid, kappa_inv(S, cod))
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,7 @@ GOLDEN_COMMANDS = (
        ("gray-check", "corpus/sigma2.pdc", "corpus/sigma2.pdc", "corpus/sigma2.pdc"),
        ("gray-check", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc", "corpus/sigmaM.pdc"),
        ("interchange", "corpus/nonstrict.pdc", "--n", "1", "--m", "1"),
+       ("interchange", "corpus/nonstrict.pdc", "--n", "2", "--m", "2"),
        ("envelope", "--multicat", "z2", "--arity-cap", "3"),
        ("adjunction-check", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc",
         "corpus/quintet.pdc"),

@@ -2,8 +2,8 @@ import pytest
 
 from strawcat import terminal
 from strawcat import gray
-from strawcat.gray import (GridContext, biequivalence_check, eta_star,
-                           gray_axiom_check, interchange_grid, st_hom)
+from strawcat.gray import (GridContext, biequivalence_check, gray_axiom_check,
+                           interchange_grid, st_hom)
 from strawcat.homs import (compose_functors, interchanger, whisker_post_functor,
                            whisker_pre_functor)
 from strawcat.report import StructuralError
@@ -18,12 +18,6 @@ def shNN(tables):
 @pytest.fixture(scope="module")
 def ctxNN(shNN):
     return GridContext(shNN, shNN.hom, shNN.hom)
-
-
-def test_eta_star_is_unary(shNN):
-    h = shNN.hom.table.hmors[0]
-    p = eta_star(shNN, h)
-    assert len(p) == 1 and p.hmors == (h,)
 
 
 def test_empty_grids_are_identities(shNN, ctxNN):
@@ -47,7 +41,7 @@ def test_single_grid_is_the_interchanger(shNN, ctxNN):
             al = S_unary = shNN.S.unary(a)
             be = shNN.S.unary(b)
             g = interchange_grid(ctxNN, al, be)
-            assert g.payload == ctxNN.interchanger_payload(a, b)
+            assert g.payload == ctxNN.L.cell_hh[(b, a)][0]
             gi = shNN.S.inverse_of(g)
             assert gi is not None
             assert shNN.S.vcomp_cell(gi, g) == shNN.S.vid_of(g.dom)
@@ -71,6 +65,91 @@ def test_grid_order_independence_2x2(shNN, ctxNN):
     assert count
 
 
+def _swap_schedule_grid(ctx, alphas, betas, order):
+    # the grid as a swap schedule pastes it: the path is a list of symbols,
+    # ("a", i, j) for g_j a_i and ("b", j, i) for b_j f_i, and each swap of
+    # an adjacent (a, b) is one interchanger whiskered by identities on the
+    # rest of the path
+    S, L = ctx.sh_ac.S, ctx.L
+    TAB, TBC = ctx.hom_ab.table, ctx.hom_bc.table
+    n, m = len(alphas), len(betas)
+    fs = [alphas.src] + [TAB.hmor_tgt[a] for a in alphas.hmors]
+    gs = [betas.src] + [TBC.hmor_tgt[b] for b in betas.hmors]
+
+    def sid(sym):
+        kind, x, y = sym
+        if kind == "a":
+            return L.partial_right[gs[y]].hmor_map[alphas.hmors[x - 1]]
+        return L.partial_left[fs[y]].hmor_map[betas.hmors[x - 1]]
+
+    state = [("a", i, 0) for i in range(1, n + 1)] + \
+            [("b", j, n) for j in range(1, m + 1)]
+
+    def path_of(syms):
+        return Path(L.partial_right[gs[0]].obj_map[fs[0]], tuple(sid(s) for s in syms))
+
+    cur = path_of(state)
+    total = None
+
+    def apply_swap(k):
+        nonlocal total, cur
+        kind1, i, j0 = state[k]
+        kind2, j, i0 = state[k + 1]
+        assert kind1 == "a" and kind2 == "b" and j0 == j - 1 and i0 == i
+        payload = L.cell_hh[(betas.hmors[j - 1], alphas.hmors[i - 1])][0]
+        old = cur
+        state[k] = ("b", j, i - 1)
+        state[k + 1] = ("a", i, j)
+        new = path_of(state)
+        pre_path = Path(old.src, old.hmors[:k])
+        dom_bin = Path(S.htgt(pre_path), old.hmors[k:k + 2])
+        cod_bin = Path(S.htgt(pre_path), new.hmors[k:k + 2])
+        cell = S.mk_cell(dom_bin, cod_bin, payload)
+        if k:
+            cell = S.hcomp_cell(cell, S.vid_of(pre_path))
+        if k + 2 < len(old.hmors):
+            suf = Path(S.htgt(Path(new.src, new.hmors[:k + 2])), new.hmors[k + 2:])
+            cell = S.hcomp_cell(S.vid_of(suf), cell)
+        total = cell if total is None else S.vcomp_cell(cell, total)
+        cur = new
+
+    if order == "row":
+        for j in range(1, m + 1):
+            for step in range(n):
+                apply_swap((j - 1) + (n - 1 - step))
+    else:
+        for i in range(n, 0, -1):
+            for j in range(1, m + 1):
+                apply_swap((i - 1) + (j - 1))
+    return S.vid_of(cur) if total is None else total
+
+
+@pytest.mark.parametrize("names, count", [
+    (("nonstrict", "sigmaM", "sigmaM"), 9828),
+    (("sigma2", "sigma2", "sigma2"), 392),
+    (("quintet", "quintet", "quintet"), 450)])
+def test_grid_fold_matches_the_swap_schedule(tables, names, count):
+    # every (alphas, betas, order) at bound 2: the memoised fold pastes the
+    # same cell as the swap schedule, on the nose
+    A, B, C = (tables[n] for n in names)
+    sh_ab, sh_bc = st_hom(A, B), st_hom(B, C)
+    ctx = GridContext(st_hom(A, C), sh_ab.hom, sh_bc.hom)
+    seen = 0
+    for alphas in sh_ab.S.paths(2):
+        for betas in sh_bc.S.paths(2):
+            for order in ("row", "col"):
+                assert interchange_grid(ctx, alphas, betas, order) == \
+                    _swap_schedule_grid(ctx, alphas, betas, order), (alphas, betas, order)
+                seen += 1
+    assert seen == count
+
+
+def test_grid_rejects_an_unknown_order(shNN, ctxNN):
+    one = shNN.S.unary(shNN.hom.table.hmors[0])
+    with pytest.raises(ValueError):
+        interchange_grid(ctxNN, one, one, "diagonal")
+
+
 def test_gray_axiom_check_terminal_triple(tables):
     rep = gray_axiom_check(terminal(), terminal(), terminal(), bound=2)
     assert rep.ok, rep.render()
@@ -90,17 +169,17 @@ def test_grid_context_reads_agree_with_direct_composition(tables, names):
     A, B, C = (tables[n] for n in names)
     sh_ab, sh_bc, sh_ac = st_hom(A, B), st_hom(B, C), st_hom(A, C)
     ctx = GridContext(sh_ac, sh_ab.hom, sh_bc.hom)
-    H_ab, H_bc, id_of = sh_ab.hom, sh_bc.hom, sh_ac.hom.id_of
+    H_ab, H_bc, id_of, L = sh_ab.hom, sh_bc.hom, sh_ac.hom.id_of, ctx.L
     for g, G in H_bc.functors.items():
         for f, F in H_ab.functors.items():
-            assert ctx.obj(g, f) == id_of(compose_functors(G, F))
+            assert L.partial_right[g].obj_map[f] == id_of(compose_functors(G, F))
         for a, al in H_ab.horizontals.items():
-            assert ctx.post(g, a) == id_of(whisker_post_functor(G, al))
+            assert L.partial_right[g].hmor_map[a] == id_of(whisker_post_functor(G, al))
     for b, be in H_bc.horizontals.items():
         for f, F in H_ab.functors.items():
-            assert ctx.pre(b, f) == id_of(whisker_pre_functor(be, F))
+            assert L.partial_left[f].hmor_map[b] == id_of(whisker_pre_functor(be, F))
         for a, al in H_ab.horizontals.items():
-            assert ctx.interchanger_payload(a, b) == id_of(interchanger(al, be))
+            assert L.cell_hh[(b, a)][0] == id_of(interchanger(al, be))
 
 
 def test_gray_composite_names_a_wrong_interchanger(tables, monkeypatch):

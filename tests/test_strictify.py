@@ -29,15 +29,12 @@ from strawcat.strictify import (
     StCell,
     StExtension,
     counit,
-    decompose_kappa,
     eta,
     extend_functor,
     extend_horizontal,
     extend_modification,
     extend_vertical,
     kappa,
-    normalize_cell,
-    renormalize,
     restrict_extension,
     st,
     st_strict_report,
@@ -109,18 +106,21 @@ def test_kappa_empty_is_eta_unit_constraint(SN, N):
 
 
 def test_kappa_decomposition_all_length3(SN):
+    # on p = p1 + (f): (1 . kappa) on the split, then the binary kappa
     for p in SN.paths(3):
         if len(p) < 2:
             continue
-        recipe = decompose_kappa(SN, p)
-        assert len(recipe) == 2
-        assert SN.vcomp_cells(*recipe) == kappa(SN, p)
+        p1, f = Path(p.src, p.hmors[:-1]), p.hmors[-1]
+        first = SN.hcomp_cell(SN.vid_of(SN.unary(f)), kappa(SN, p1))
+        second = kappa(SN, Path(p.src, (SN.eps(p1), f)))
+        assert SN.vcomp_cells(first, second) == kappa(SN, p)
 
 
 def test_normalize_roundtrip(SN):
+    # every st-cell is kappa^-1 . (its payload on the evaluations) . kappa
     for c in SN.cells(3):
-        alpha = normalize_cell(SN, c)
-        assert renormalize(SN, c.dom, c.cod, alpha) == c
+        mid = StCell(SN.unary(SN.eps(c.dom)), SN.unary(SN.eps(c.cod)), c.payload)
+        assert SN.vcomp_cells(kappa(SN, c.dom), mid, SN.inv(kappa(SN, c.cod))) == c
 
 
 def test_normalize_is_bijective_per_boundary(SN, N):
