@@ -512,16 +512,16 @@ def _builtin_multicat(name: str, cap: int):
 
 def cmd_envelope(args):
     from .multicat import envelope, validate_envelope, validate_multicat
+    if args.arity_cap is None:          # the builtin's own arity cap
+        args.arity_cap = ENDO2_ARITY_CAP if args.multicat == "endo2" else 4
     cap = args.arity_cap
-    if cap is None:                     # the builtin's own arity cap
-        cap = ENDO2_ARITY_CAP if args.multicat == "endo2" else 4
     if args.multicat == "endo2" and cap > ENDO2_ARITY_CAP:
         raise StructuralError(f"envelope word cap {cap} exceeds the arity cap "
                               f"{ENDO2_ARITY_CAP} of endo2, whose gamma is defined only "
                               f"up to that arity")
     V = _builtin_multicat(args.multicat, cap)
     rep = validate_multicat(V)
-    rep.merge(validate_envelope(envelope(V, cap)))
+    rep.merge(validate_envelope(envelope(V, cap, _max_candidates())))
     rep.params["multicat"] = args.multicat
     return _emit(args, rep)
 
@@ -655,7 +655,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except Truncated:
-        rep = Report(args.command, params={"bound": args.bound} if hasattr(args, "bound") else {})
+        kept = ("bound", "multicat", "arity_cap")
+        rep = Report(args.command, params={k: getattr(args, k) for k in kept if hasattr(args, k)})
         rep.truncated = True
         rep.add("enumeration", False, (), "candidate cap exceeded")
         return _emit(args, rep)

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Frame, TableDouble, category_is_free, horizontal_category,
-                   is_bicategory, is_cofibrant, is_strict, underlying_bicategory)
+from .core import (FiniteCategory, Frame, TableDouble, category_is_free,
+                   horizontal_category, is_bicategory, is_cofibrant, is_strict,
+                   underlying_bicategory)
 from .homs import HomDouble, hom_double
 from .report import Report, StructuralError
 from .strictify import Path, StCell, StrictifiedDouble, counit, kappa, st, \
@@ -212,7 +213,8 @@ def biequivalence_check(A: TableDouble, B: TableDouble, bound: int = 3) -> Repor
 
     # eta_A: bijective on objects, locally an equivalence at the bound
     rep.require("bieq.eta.objects", tuple(S.objects) == tuple(A.objects))
-    for p in S.paths(bound):
+    paths = S.paths(bound)
+    for p in paths:
         k = kappa(S, p)
         rep.require("bieq.eta.kappa.invertible", S.inverse_of(k) is not None, (p,))
         rep.require("bieq.eta.kappa.unary", len(k.cod) == 1, (p,))
@@ -226,8 +228,12 @@ def biequivalence_check(A: TableDouble, B: TableDouble, bound: int = 3) -> Repor
 
     # cofibrancy of st A
     rep.require("bieq.stA.cofibrant.vertical", is_cofibrant(A), ())
-    rep.require("bieq.stA.cofibrant.horizontal",
-                category_is_free(horizontal_category(S.table(bound))), ())
+    # the horizontal category of the bounded table of st A
+    Uh = FiniteCategory(f"Uh({S.name}<={bound})", A.objects, tuple(paths),
+                        {p: p.src for p in paths}, {p: S.htgt(p) for p in paths},
+                        {p.src: p for p in paths if not p.hmors},
+                        {(q, p): p + q for p, q in S.composable_pairs(bound, paths)})
+    rep.require("bieq.stA.cofibrant.horizontal", category_is_free(Uh), ())
 
     # counit at strict B: bijective on objects, locally an equivalence
     SB = st(B)

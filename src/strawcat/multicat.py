@@ -13,11 +13,12 @@ symmetry).
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .homs import within_budget
 from .report import Report, StructuralError
 
 
@@ -217,6 +218,15 @@ def validate_multicat(V: FiniteSymMulticat) -> Report:
     for X in V.objects:
         i = V.ident(X)
         rep.require("mc.ident.sig", V.sig[i] == ((X,), X), (X,))
+    # substitution is typed: the fs' outputs are g's inputs, and the result
+    # runs from the fs' inputs, concatenated, to g's output
+    for (g, fs), h in V.gamma_table.items():
+        sigs = [V.sig.get(m) for m in (g, *fs)]
+        ok = None not in sigs and tuple(s[1] for s in sigs[1:]) == sigs[0][0]
+        rep.require("mc.gamma.sig", ok and V.sig.get(h) == (
+            tuple(x for s in sigs[1:] for x in s[0]), sigs[0][1]), (g, fs))
+    if rep.failures():
+        return rep              # the laws below substitute along these types
     # identity laws
     for m in V.all_mms():
         xs, y = V.sig[m]
@@ -297,103 +307,190 @@ class EnvMor:
     fibers: tuple               # fibers[j] = multimorphism for output slot j
 
 
-def _pickers(idx, m):
-    """Per output slot k < m, a function taking the entries of a tuple at the
-    positions that idx sends to k, as a tuple (itemgetter returns a bare
-    entry for one position; a slice keeps a tuple for one position or none)."""
-    pre = [[] for _ in range(m)]
-    for j, k in enumerate(idx):
-        pre[k].append(j)
-    return tuple(operator.itemgetter(*js) if len(js) > 1 else
-                 operator.itemgetter(slice(js[0], js[0] + 1) if js else slice(0))
-                 for js in pre)
+_BATCH = 1 << 16                # composable pairs per batch of a composition table
 
 
-def _plan(gidx, m, fidx):
-    """The index map of g after f and, per output slot k < m of g, the
-    permutation restoring input order once the fibers of f that g feeds into
-    k are substituted there (None when substitution keeps the order).  The
-    substituted inputs of slot k arrive in blocks, ordered by f's output and
-    then by position; input i sits at rank[i] in that order."""
-    idx = tuple([gidx[j] for j in fidx])
-    rank = [0] * len(fidx)
-    seen = [0] * m
-    for i in sorted(range(len(fidx)), key=fidx.__getitem__):
-        rank[i] = seen[idx[i]]
-        seen[idx[i]] += 1
-    perms = [[] for _ in range(m)]
-    for i, k in enumerate(idx):
-        perms[k].append(rank[i])
-    return idx, tuple(None if p == sorted(p) else tuple(p) for p in perms)
+@dataclass(frozen=True)
+class EnvComposition:
+    """Composition in an envelope as one int32 table over positions in
+    E.morphisms (index).  g after f sits at table[row[g] + col[f]], and
+    table[t] is pair_g[t] after pair_f[t]; dom and cod are word positions."""
+    index: dict
+    dom: np.ndarray
+    cod: np.ndarray
+    by_dom: list
+    by_cod: list
+    row: np.ndarray
+    col: np.ndarray
+    pair_g: np.ndarray
+    pair_f: np.ndarray
+    table: np.ndarray
+
+    def __call__(self, g, f):
+        return self.table[self.row[g] + self.col[f]]
 
 
 @dataclass
 class EnvelopeCategory:
+    """The symmetric strict monoidal envelope of V on the words of length
+    <= word_cap.  Its morphisms are enumerated eagerly, within the candidate
+    budget; composition reads one table, built on first use."""
     V: FiniteSymMulticat
     word_cap: int
+    max_candidates: int | None = None
     objects: list = field(default_factory=list)
     morphisms: list = field(default_factory=list)
 
     def __post_init__(self):
-        self._plans = {}
         self.objects = words = _words(self.V.objects, self.word_cap)
-        mors = []
-        for dom in words:
-            n = len(dom)
-            for cod in words:
-                m = len(cod)
-                for idx in itertools.product(range(m), repeat=n):
-                    pools = []
-                    ok = True
-                    for j in range(m):
-                        ins = tuple(dom[i] for i in range(n) if idx[i] == j)
-                        pool = self.V.hom(ins, cod[j])
-                        if not pool:
-                            ok = False
-                            break
-                        pools.append(pool)
-                    if not ok:
-                        continue
-                    for fibers in itertools.product(*pools):
-                        mors.append(EnvMor(dom, cod, idx, fibers))
-        self.morphisms = mors
+
+        def candidates():
+            for dom in words:
+                n = len(dom)
+                for cod in words:
+                    m = len(cod)
+                    for idx in itertools.product(range(m), repeat=n):
+                        pools = []
+                        for j in range(m):
+                            ins = tuple(dom[i] for i in range(n) if idx[i] == j)
+                            pool = self.V.hom(ins, cod[j])
+                            if not pool:
+                                break
+                            pools.append(pool)
+                        else:
+                            for fibers in itertools.product(*pools):
+                                yield EnvMor(dom, cod, idx, fibers)
+        self.morphisms = list(within_budget(candidates(), self.max_candidates))
 
     def identity(self, w) -> EnvMor:
         return EnvMor(w, w, tuple(range(len(w))),
                       tuple(self.V.ident(x) for x in w))
 
-    def _composites(self, g: EnvMor, fs) -> list:
-        """The fields (dom, cod, idx, fibers) of g after f for each f in fs,
-        all with f.cod == g.dom.  Output slot k of the composite carries g's
-        fiber at k with the fibers of f that g feeds into k substituted, then
-        permuted back into input order.  What depends on the index maps alone
-        is cached: per (g.idx, len(g.cod)) the pickers of those fibers, and
-        below it per f.idx the composite's index map and the permutations."""
-        key = (g.idx, len(g.cod))
-        cached = self._plans.get(key)
-        if cached is None:
-            cached = self._plans[key] = (_pickers(g.idx, len(g.cod)), {})
-        takes, plans = cached
-        gamma, act = self.V.gamma, self.V.act
-        out = []
-        for f in fs:
-            plan = plans.get(f.idx)
-            if plan is None:
-                plan = plans[f.idx] = _plan(g.idx, len(g.cod), f.idx)
-            idx, perms = plan
-            ff = f.fibers
-            fibers = []
-            for m, take, perm in zip(g.fibers, takes, perms):
-                m = gamma(m, take(ff))
-                fibers.append(m if perm is None else act(m, perm))
-            out.append((f.dom, g.cod, idx, tuple(fibers)))
-        return out
+    @cached_property
+    def composition(self) -> EnvComposition:
+        """Every composite g after f, by integer gathers over batches of
+        pairs.  Slot k of g after f is gamma of g's fiber at k on f's fibers
+        at the inputs g feeds into k, which arrive by f's output, then by
+        position; the action restores input order where that differs."""
+        V, mors, words = self.V, self.morphisms, self.objects
+        nm, nw, width = len(mors), len(words), max(self.word_cap, 1)
+        index = {f: i for i, f in enumerate(mors)}
+        wid = {w: k for k, w in enumerate(words)}
+        dom = np.array([wid[f.dom] for f in mors], dtype=np.int64)
+        cod = np.array([wid[f.cod] for f in mors], dtype=np.int64)
+        by_dom = [np.flatnonzero(dom == k) for k in range(nw)]
+        by_cod = [np.flatnonzero(cod == k) for k in range(nw)]
+        col, row = np.zeros(nm, dtype=np.int64), np.zeros(nm, dtype=np.int64)
+        start = 0
+        for gs, fs in zip(by_dom, by_cod):
+            col[fs] = np.arange(len(fs))
+            row[gs] = start + len(fs) * np.arange(len(gs))
+            start += len(gs) * len(fs)
+        pair_g = np.concatenate([np.repeat(g, len(f)) for g, f in zip(by_dom, by_cod)])
+        pair_f = np.concatenate([np.tile(f, len(g)) for g, f in zip(by_dom, by_cod)])
+
+        # V as int tables: its multimorphisms numbered, in keys as digits
+        # m + 1 of radix M + 1, with 0 for the padding past a row's end
+        ids = {m: i for i, m in enumerate(V.sig)}
+
+        def num(m):
+            return ids.setdefault(m, len(ids))
+
+        def padded(rows):
+            return np.array([r + (-1,) * (width - len(r)) for r in rows], dtype=np.int64)
+
+        # slot-major: F[k] is each morphism's fiber at k, G[i] input i's slot
+        F = padded([tuple(map(num, f.fibers)) for f in mors]).T
+        G = padded([f.idx for f in mors]).T
+        gamma = [(num(g), tuple(map(num, fs)), num(h))
+                 for (g, fs), h in V.gamma_table.items() if len(fs) <= width]
+        action = [(num(m), sum(x * width ** t for t, x in enumerate(p)), num(h))
+                  for (m, p), h in V.action_table.items() if len(p) <= width]
+        radix = len(ids) + 1
+        if nw * nw * (width + 1) ** width * radix ** (width + 1) >= 2 ** 63:
+            raise StructuralError(f"{V.name}: too many multimorphisms for int64 keys")
+        digit = radix ** np.arange(width - 1, -1, -1)
+
+        def sort_keys(keys, values):
+            order = np.argsort(keys)            # then a sentinel above all
+            return np.append(keys[order], 2 ** 63 - 1), np.append(values[order], -1)
+
+        gkey, gval = sort_keys(
+            np.array([g * radix ** width + sum((f + 1) * digit[t] for t, f in enumerate(fs))
+                      for g, fs, _ in gamma], dtype=np.int64),
+            np.array([h for *_, h in gamma], dtype=np.int64))
+        act = np.full((radix, width ** width), -1, dtype=np.int64)
+        for m, code, h in action:
+            act[m, code] = h
+
+        # a morphism's key: (dom, cod), its index map and its fibers as digits
+        index_digit = (width + 1) ** np.arange(width)
+
+        def mor_key(dom, cod, idx, fibers):
+            return (((dom * nw + cod) * (width + 1) ** width + index_digit @ (idx + 1))
+                    * radix ** width + digit @ (fibers + 1))
+
+        mkey, mpos = sort_keys(mor_key(dom, cod, G, F), np.arange(nm))
+        # per morphism: each input's rank among the inputs fed into its slot,
+        # as the digit weight of its fiber in gamma's key
+        slots = np.arange(width)
+        rank = np.array([(G[:j] == G[j]).sum(0) for j in slots])
+        weight = np.where(G >= 0, radix ** (width - 1 - rank), 0)
+
+        table = np.empty(len(pair_g), dtype=np.int32)
+        for s in range(0, len(pair_g), _BATCH):
+            g, f = pair_g[s:s + _BATCH], pair_f[s:s + _BATCH]
+            Gg, Gf, Fg = G[:, g], G[:, f], F[:, g]
+            live = Fg >= 0
+            # gamma: slot k of g substitutes f's fibers at g's inputs fed into k
+            key, digits = Fg * radix ** width, (F[:, f] + 1) * weight[:, g]
+            for j in slots:
+                key += (Gg[j] == slots[:, None]) * digits[j]
+            at = np.searchsorted(gkey, key)
+            bad = live & (gkey[at] != key)
+            if bad.any():             # V's own error for the first missing entry
+                b, k = np.argwhere(bad.T)[0]
+                gm, fm = mors[g[b]], mors[f[b]]
+                V.gamma(gm.fibers[k], tuple(x for x, j in zip(fm.fibers, gm.idx) if j == k))
+            out = np.where(live, gval[at], -1)
+            # the composite's index map; per slot, the code of the permutation
+            # taking input i, at pos among its slot's inputs, to its arrival
+            cidx = np.where(Gf >= 0, np.take_along_axis(Gg, np.maximum(Gf, 0), 0), -1)
+            arrival = Gf * width + slots[:, None]
+            arrive, pos = np.zeros_like(cidx), np.zeros_like(cidx)
+            code, turn = np.zeros_like(out), np.zeros_like(live)
+            for i in slots:
+                same = (cidx == cidx[i]) & (cidx[i] >= 0)
+                arrive += same & (arrival[i] < arrival)
+                pos[i + 1:] += same[i + 1:]
+            for i in slots:
+                in_slot = cidx[i] == slots[:, None]
+                code += in_slot * (arrive[i] * width ** pos[i])
+                turn |= in_slot & (arrive[i] != pos[i])
+            k, b = np.nonzero(turn)
+            acted = act[out[k, b], code[k, b]]
+            if (acted < 0).any():
+                k, b = k[np.argmax(acted < 0)], b[np.argmax(acted < 0)]
+                V.act(list(ids)[out[k, b]], tuple(arrive[cidx[:, b] == k, b].tolist()))
+            out[k, b] = acted
+            # the composite's position, if it is a morphism
+            key = mor_key(dom[f], cod[g], cidx, out)
+            at = np.searchsorted(mkey, key)
+            if (mkey[at] != key).any():
+                b = np.argmax(mkey[at] != key)
+                raise StructuralError(f"{V.name}: {mors[g[b]]} after {mors[f[b]]} has a "
+                                      f"fiber outside the hom of its slot")
+            table[s:s + _BATCH] = mpos[at]
+        return EnvComposition(index, dom, cod, by_dom, by_cod, row, col,
+                              pair_g, pair_f, table)
 
     def compose(self, g: EnvMor, f: EnvMor) -> EnvMor:
-        """g after f; defined whenever f.cod == g.dom."""
-        if f.cod != g.dom:
-            raise StructuralError("envelope: not composable")
-        return EnvMor(*self._composites(g, (f,))[0])
+        """g after f, read from the composition table; g and f are morphisms
+        of E with f.cod == g.dom."""
+        t = self.composition
+        if f.cod != g.dom or g not in t.index or f not in t.index:
+            raise StructuralError("envelope: not composable within the word cap")
+        return self.morphisms[t(t.index[g], t.index[f])]
 
     def tensor(self, f: EnvMor, g: EnvMor) -> EnvMor:
         m1 = len(f.cod)
@@ -407,8 +504,10 @@ class EnvelopeCategory:
         return EnvMor(w1 + w2, w2 + w1, idx, fibers)
 
 
-def envelope(V: FiniteSymMulticat, word_cap: int | None = None) -> EnvelopeCategory:
-    return EnvelopeCategory(V, word_cap if word_cap is not None else V.arity_cap)
+def envelope(V: FiniteSymMulticat, word_cap: int | None = None,
+             max_candidates: int | None = None) -> EnvelopeCategory:
+    return EnvelopeCategory(V, word_cap if word_cap is not None else V.arity_cap,
+                            max_candidates)
 
 
 def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
@@ -420,9 +519,12 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
 
     Witnesses number morphisms by their position in E.morphisms; those of
     env.assoc count among the morphisms between short words only.  The
-    checks run on integer tables built once: every composite g after f in
-    one int32 array, and every tensor product within the cap per pair of
-    length profiles.  The two associativity strata report their first
+    checks run on integer tables built once: E.composition, every composite
+    g after f in one int32 array, which E.compose and so env.sym.involution
+    and env.sym.hexagon read too, and every tensor product within the cap
+    per pair of length profiles.  A composite that V's gamma or action
+    does not define, or whose fiber falls outside its hom, raises
+    StructuralError.  The two associativity strata report their first
     violation per outer (short words) or middle (structural) morphism; every
     other family reports each violated instance.
     """
@@ -431,41 +533,16 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     cap = E.word_cap
     mors = E.morphisms
     nm = len(mors)
-    index = {(f.dom, f.cod, f.idx, f.fibers): i for i, f in enumerate(mors)}
-
-    def ix(f):
-        return index[(f.dom, f.cod, f.idx, f.fibers)]
-
+    comp = E.composition
+    index, dom, cod = comp.index, comp.dom, comp.cod
+    by_dom, by_cod = comp.by_dom, comp.by_cod
+    pair_g, pair_f, table = comp.pair_g, comp.pair_f, comp.table
     wid = {w: k for k, w in enumerate(E.objects)}
     wlen = np.array([len(w) for w in E.objects])
-    dom = np.array([wid[f.dom] for f in mors], dtype=np.int64)
-    cod = np.array([wid[f.cod] for f in mors], dtype=np.int64)
-    by_dom = [np.flatnonzero(dom == k) for k in range(len(E.objects))]
-    by_cod = [np.flatnonzero(cod == k) for k in range(len(E.objects))]
-
-    # the composition table, row by row: the row of g holds g after f for f
-    # in by_cod[g.dom], so g after f sits at table[row[g] + col[f]]
-    col = np.zeros(nm, dtype=np.int64)
-    for fs in by_cod:
-        col[fs] = np.arange(len(fs))
-    row = np.zeros(nm, dtype=np.int64)
-    flat = []
-    for k in range(len(E.objects)):
-        fs = [mors[i] for i in by_cod[k]]
-        for ig in by_dom[k]:
-            row[ig] = len(flat)
-            flat.extend(map(index.__getitem__, E._composites(mors[ig], fs)))
-    table = np.array(flat, dtype=np.int32)
-    # the composable pairs in table order: table[t] is pair_g[t] after pair_f[t]
-    pair_g = np.concatenate([np.repeat(g, len(f)) for g, f in zip(by_dom, by_cod)])
-    pair_f = np.concatenate([np.tile(f, len(g)) for g, f in zip(by_dom, by_cod)])
-
-    def comp(g, f):
-        return table[row[g] + col[f]]
 
     # identities
     ids = np.arange(nm)
-    id_of = np.array([ix(E.identity(w)) for w in E.objects])
+    id_of = np.array([index[E.identity(w)] for w in E.objects])
     for i in np.flatnonzero((comp(id_of[cod], ids) != ids)
                             | (comp(ids, id_of[dom]) != ids)):
         rep.add("env.unit", False, (int(i),))
@@ -495,7 +572,7 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     for w1 in E.objects:
         for w2 in E.objects:
             if len(w1) + len(w2) <= cap:
-                sym[wid[w1], wid[w2]] = ix(E.symmetry(w1, w2))
+                sym[wid[w1], wid[w2]] = index[E.symmetry(w1, w2)]
     structural.update(sym[sym >= 0].tolist())
     n_struct = 0
     for s in sorted(structural):
@@ -540,7 +617,7 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
         for p2 in mprofiles:
             if p1[0] + p2[0] <= cap and p1[1] + p2[1] <= cap:
                 tens[(p1, p2)] = np.array(
-                    [[ix(E.tensor(mors[i], mors[j])) for j in by_profile[p2]]
+                    [[index[E.tensor(mors[i], mors[j])] for j in by_profile[p2]]
                      for i in by_profile[p1]], dtype=np.int64)
 
     def tensor(f, g, pf, pg):

@@ -178,6 +178,17 @@ def test_cli_adjunction_check_honours_the_candidate_budget(corpus_dir, monkeypat
     _assert_truncated_keeping(out, paths, 3)
 
 
+def test_cli_envelope_honours_the_candidate_budget(monkeypatch):
+    # the envelope's morphisms count against the budget; the truncated
+    # report keeps the command's parameters
+    monkeypatch.setenv("STRAWCAT_MAX_CANDIDATES", "2")
+    code, out = run_cli("envelope", "--multicat", "z2", "--arity-cap", "2")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["truncated"] is True and doc["pass"] is False
+    assert doc["params"] == {"arity_cap": 2, "multicat": "z2"}
+
+
 def test_cli_envelope_refuses_a_word_cap_above_the_arity_cap(capsys):
     assert main(["envelope", "--multicat", "endo2", "--arity-cap", "3"]) == 2
     captured = capsys.readouterr()
@@ -255,6 +266,8 @@ GOLDEN_COMMANDS = (
        ("interchange", "corpus/nonstrict.pdc", "--n", "1", "--m", "1"),
        ("interchange", "corpus/nonstrict.pdc", "--n", "2", "--m", "2"),
        ("envelope", "--multicat", "z2", "--arity-cap", "3"),
+       ("envelope", "--multicat", "endo2", "--arity-cap", "2"),
+       ("envelope", "--multicat", "truncadd", "--arity-cap", "3"),
        ("adjunction-check", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc",
         "corpus/quintet.pdc"),
        ("adjunction-check", "corpus/nonstrict.pdc", "corpus/sigma2.pdc", "--bound", "2"),

@@ -7,7 +7,7 @@ from strawcat.gray import (GridContext, biequivalence_check, gray_axiom_check,
 from strawcat.homs import (compose_functors, interchanger, whisker_post_functor,
                            whisker_pre_functor)
 from strawcat.report import StructuralError
-from strawcat.strictify import Path
+from strawcat.strictify import Path, st
 
 
 @pytest.fixture(scope="module")
@@ -213,18 +213,17 @@ def test_biequivalence_checks(tables):
 
 
 def test_biequivalence_names_a_path_category_that_is_not_free(tables, monkeypatch):
-    # (e) planted as the composite of (e) with itself in the bounded table of
-    # st A: (e) then has no factorisation into indecomposables
-    from strawcat.strictify import StrictifiedDouble
-    table = StrictifiedDouble.table
+    # (e) planted as the composite of (e) with itself in the bounded path
+    # category of st A: (e) then has no factorisation into indecomposables
+    e = st(tables["nonstrict"]).unary("e")
+    free = gray.category_is_free
 
-    def planted(S, bound):
-        T = table(S, bound)
-        e = S.unary("e")
-        T.hcomp_hmor_table[(e, e)] = e
-        return T
+    def planted(C):
+        if e in C.mors:
+            C.comp[(e, e)] = e
+        return free(C)
 
-    monkeypatch.setattr(StrictifiedDouble, "table", planted)
+    monkeypatch.setattr(gray, "category_is_free", planted)
     rep = biequivalence_check(tables["nonstrict"], tables["sigmaM"], bound=3)
     assert {f.check for f in rep.failures()} == {"bieq.stA.cofibrant.horizontal"}
 

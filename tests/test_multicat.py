@@ -1,8 +1,13 @@
+import json
+import pathlib
+import re
+
 import pytest
 
-from strawcat import strictify
+from strawcat import multicat, strictify
 from strawcat.multicat import (
     EnvelopeCategory,
+    EnvMor,
     MultiFunctorData,
     adjunction_check,
     check_multifunctor,
@@ -21,7 +26,10 @@ from strawcat.multicat import (
     validate_envelope,
     validate_multicat,
 )
+from strawcat.report import StructuralError
 from strawcat.strictify import StCell
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def addz2(x, y):
@@ -64,6 +72,29 @@ def test_from_monoidal_valid(z2mon):
     assert not z2mon.hom(("0", "1", "1"), "1")
 
 
+ZERO2, ZERO0 = ("m", ("0", "0"), "0"), ("m", (), "0")
+
+
+def _off_signature_z2():
+    # gamma of 0 + 0 = 0 on two nullary 0s set to the unary 1 -> 1, where
+    # the nullary 0 belongs
+    V = from_monoidal("z2", ("0", "1"), addz2, "0", 2)
+    V.gamma_table[(ZERO2, (ZERO0, ZERO0))] = ("m", ("1",), "1")
+    return V
+
+
+def test_validate_multicat_names_an_off_signature_substitution():
+    rep = validate_multicat(_off_signature_z2())
+    assert [(f.check, f.witness) for f in rep.failures()] == [
+        ("mc.gamma.sig", (ZERO2, (ZERO0, ZERO0)))]
+
+
+def test_envelope_refuses_an_off_signature_substitution():
+    # the composite's fiber lies outside the hom its slot draws from
+    with pytest.raises(StructuralError, match="outside the hom of its slot"):
+        validate_envelope(envelope(_off_signature_z2(), 2))
+
+
 def test_from_monoidal_rejects_noncommutative():
     elems = ("i", "a", "b")
     table = {("i", x): x for x in elems} | {(x, "i"): x for x in elems}
@@ -90,31 +121,106 @@ def test_envelope_morphism_composition_uses_actions(z2mon):
 
 CONJ = ("f", 2, ("0", "0", "0", "1"))
 CONST0 = ("f", 2, ("0", "0", "0", "0"))
+BROKEN_ENTRIES = {
+    "gamma_table": (CONJ, (("f", 1, ("1", "0")), ("f", 1, ("0", "1")))),
+    "action_table": (CONJ, (1, 0)),
+}
 
 
-@pytest.mark.parametrize("table, key", [
-    ("gamma_table", (CONJ, (("f", 1, ("1", "0")), ("f", 1, ("0", "1"))))),
-    ("action_table", (CONJ, (1, 0))),
-])
-def test_envelope_checker_fails_on_a_broken_table(table, key):
+def _broken_endo2(table, key):
     # one substitution or action entry of endo({0,1}) changed to another
-    # binary function: the envelope's composites go wrong, and the checker
-    # must say so, naming the envelope family that broke
+    # binary function
     V = endo_multicat("endo2", ("0", "1"), 2)
     entries = getattr(V, table)
     assert entries[key] != CONST0 and V.sig[entries[key]] == V.sig[CONST0]
     entries[key] = CONST0
-    rep = validate_envelope(envelope(V, 2), assoc_full_len=2)
-    assert not rep.ok
+    return V
+
+
+@pytest.mark.parametrize("table, key", BROKEN_ENTRIES.items())
+def test_envelope_checker_fails_on_a_broken_table(table, key):
+    # the envelope's composites go wrong, and the checker must say so,
+    # naming exactly the findings recorded before composition became a table
+    rep = validate_envelope(envelope(_broken_endo2(table, key), 2), assoc_full_len=2)
     fails = rep.failures()
     assert fails and all(f.check.startswith("env.") for f in fails)
     assert "env.assoc" in {f.check for f in fails}
+    want = json.loads((GOLDEN / "planted-endo2-findings.json").read_text())[table]
+    assert [[f.check, list(f.witness)] for f in fails] == want
+
+
+@pytest.mark.parametrize("table, key", BROKEN_ENTRIES.items())
+def test_envelope_names_a_missing_entry(table, key):
+    # an entry that V lacks raises V's own error, as the per-pair composite did
+    V = endo_multicat("endo2", ("0", "1"), 2)
+    del getattr(V, table)[key]
+    want = f"endo2: {table.split('_')[0]} undefined for {key[0]} {key[1]}"
+    with pytest.raises(StructuralError, match=re.escape(want)):
+        envelope(V, 2).composition
+
+
+def _plan(gidx, m, fidx):
+    """The index map of g after f and, per output slot k < m of g, the
+    permutation restoring input order once the fibers of f that g feeds into
+    k are substituted there (None when substitution keeps the order).  The
+    substituted inputs of slot k arrive in blocks, ordered by f's output and
+    then by position; input i sits at rank[i] in that order."""
+    idx = tuple([gidx[j] for j in fidx])
+    rank = [0] * len(fidx)
+    seen = [0] * m
+    for i in sorted(range(len(fidx)), key=fidx.__getitem__):
+        rank[i] = seen[idx[i]]
+        seen[idx[i]] += 1
+    perms = [[] for _ in range(m)]
+    for i, k in enumerate(idx):
+        perms[k].append(rank[i])
+    return idx, tuple(None if p == sorted(p) else tuple(p) for p in perms)
+
+
+def _plain_composite(V, g, f):
+    """g after f, one pair at a time through V's gamma and action dicts: the
+    oracle for the envelope's composition table.  Output slot k carries g's
+    fiber at k with the fibers of f that g feeds into k substituted, then
+    permuted back into input order."""
+    idx, perms = _plan(g.idx, len(g.cod), f.idx)
+    fibers = []
+    for k, (m, perm) in enumerate(zip(g.fibers, perms)):
+        m = V.gamma(m, tuple(x for x, j in zip(f.fibers, g.idx) if j == k))
+        fibers.append(m if perm is None else V.act(m, perm))
+    return EnvMor(f.dom, g.cod, idx, tuple(fibers))
+
+
+@pytest.mark.parametrize("make, cap, n_pairs", [
+    (lambda: terminal_multicat(3), 3, 1_678),
+    (lambda: from_monoidal("z2mon", ("0", "1"), addz2, "0", 3), 3, 10_608),
+    (lambda: from_monoidal("truncadd", ("0", "1", "2"),
+                           lambda x, y: str(min(int(x) + int(y), 2)), "0", 3), 3, 33_390),
+    (lambda: _broken_endo2("gamma_table", BROKEN_ENTRIES["gamma_table"]), 2, 13_439),
+    (lambda: _broken_endo2("action_table", BROKEN_ENTRIES["action_table"]), 2, 13_439),
+], ids=["terminal", "z2mon", "truncadd", "endo2-gamma", "endo2-action"])
+def test_composition_table_matches_plain_composites(make, cap, n_pairs, monkeypatch):
+    # every composable pair, in table order, against the plain per-pair
+    # composite, over batches small enough that most cases span several;
+    # compose reads the same table
+    monkeypatch.setattr(multicat, "_BATCH", 4096)
+    V = make()
+    E = envelope(V, cap)
+    t, mors = E.composition, E.morphisms
+    assert len(t.table) == n_pairs
+    want = [_plain_composite(V, mors[g], mors[f]) for g, f in zip(t.pair_g, t.pair_f)]
+    assert [mors[i] for i in t.table] == want
+    assert E.compose(mors[t.pair_g[-1]], mors[t.pair_f[-1]]) == want[-1]
 
 
 def _plain_loop_findings(E):
     """env.tensor.functorial and env.sym.natural violations, found by plain
-    loops over the morphisms in the order validate_envelope promises."""
+    loops over the morphisms in the order validate_envelope promises, with
+    the plain per-pair composite."""
     mors, cap = E.morphisms, E.word_cap
+
+    def compose(g, f):
+        return _plain_composite(E.V, g, f)
+
     index = {f: i for i, f in enumerate(mors)}
     pairs, by_profile, out = {}, {}, []
     for w in E.objects:
@@ -127,8 +233,8 @@ def _plain_loop_findings(E):
                 continue
             for g1, f1 in pairs[p1]:
                 for g2, f2 in pairs[p2]:
-                    if (E.tensor(E.compose(g1, f1), E.compose(g2, f2))
-                            != E.compose(E.tensor(g1, g2), E.tensor(f1, f2))):
+                    if (E.tensor(compose(g1, f1), compose(g2, f2))
+                            != compose(E.tensor(g1, g2), E.tensor(f1, f2))):
                         out.append(("env.tensor.functorial",
                                     (index[f1], index[g1], index[f2], index[g2])))
     for f in mors:
@@ -139,8 +245,8 @@ def _plain_loop_findings(E):
                 continue
             for f in by_profile[p1]:
                 for g in by_profile[p2]:
-                    if (E.compose(E.symmetry(f.cod, g.cod), E.tensor(f, g))
-                            != E.compose(E.tensor(g, f), E.symmetry(f.dom, g.dom))):
+                    if (compose(E.symmetry(f.cod, g.cod), E.tensor(f, g))
+                            != compose(E.tensor(g, f), E.symmetry(f.dom, g.dom))):
                         out.append(("env.sym.natural", (index[f], index[g])))
     return out
 
