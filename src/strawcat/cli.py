@@ -425,9 +425,9 @@ def cmd_validate(args):
         except (ParseError, ElaborationError) as e:
             rep.add("parse", False, (path,), str(e))
             continue
-        sub = validate(A)
-        rep.add(f"validate.{A.name}", sub.ok,
-                tuple(str(f.witness) for f in sub.failures()[:5]))
+        fails = validate(A).failures()
+        rep.add(f"validate.{A.name}", not fails, tuple(str(f.witness) for f in fails[:5]),
+                ", ".join(dict.fromkeys(f.check for f in fails)))
         if args.strict_expected and not is_strict(A):
             rep.add(f"strict.{A.name}", False, ())
     return _emit(args, rep)

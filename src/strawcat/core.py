@@ -25,7 +25,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Protocol, runtime_checkable
+
+import numpy as np
 
 from .report import Report, StructuralError
 
@@ -233,7 +236,9 @@ class FiniteCategory:
 # ---------------------------------------------------------------------------
 
 def _structural(A: TableDouble, rep: Report) -> bool:
-    """Dangling-id and totality checks; returns False if anything dangles."""
+    """Dangling-id checks on morphisms, identities and frames; returns False
+    if anything dangles.  Frames whose corners do not meet are reported, and
+    `validate` still checks the tables' keys and totality before it stops."""
     ok = True
 
     def need(cond, witness, what):
@@ -245,7 +250,6 @@ def _structural(A: TableDouble, rep: Report) -> bool:
     objs = set(A.objects)
     vm = set(A.vmors)
     hm = set(A.hmors)
-    cs = set(A.cells)
     for u in A.vmors:
         need(A.vmor_src.get(u) in objs and A.vmor_tgt.get(u) in objs, (u,), "vmor.endpoints")
     for f in A.hmors:
@@ -275,235 +279,359 @@ def _structural(A: TableDouble, rep: Report) -> bool:
         need(A.vmor_tgt[fr.left] == A.hmor_src[fr.bottom], (c,), "cell.frame.botleft")
         need(A.vmor_src[fr.right] == A.hmor_tgt[fr.top], (c,), "cell.frame.topright")
         need(A.vmor_tgt[fr.right] == A.hmor_tgt[fr.bottom], (c,), "cell.frame.botright")
+    return True
 
-    # totality of the composition tables over composable data
-    for w, u in itertools.product(A.vmors, A.vmors):
-        if A.vmor_tgt[u] == A.vmor_src[w]:
-            need((w, u) in A.vcomp_vmor_table, (w, u), "vcomp.vmor.total")
-    for g, f in itertools.product(A.hmors, A.hmors):
-        if A.hmor_tgt[f] == A.hmor_src[g]:
-            need((g, f) in A.hcomp_hmor_table, (g, f), "hcomp.hmor.total")
-    for f in A.hmors:
-        need(f in A.vid_cell and A.vid_cell[f] in cs, (f,), "vid.total")
-    for u in A.vmors:
-        need(u in A.hid_cell and A.hid_cell[u] in cs, (u,), "hid.total")
-    if not ok:
-        return False
-    for lo, up in itertools.product(A.cells, A.cells):
-        if A.cell_frames[up].bottom == A.cell_frames[lo].top:
-            need((lo, up) in A.vcomp_cell_table, (lo, up), "vcomp.cell.total")
-    for r, l in itertools.product(A.cells, A.cells):
-        if A.cell_frames[l].right == A.cell_frames[r].left:
-            need((r, l) in A.hcomp_cell_table, (r, l), "hcomp.cell.total")
-    for f, g in itertools.product(A.hmors, A.hmors):
-        if A.hmor_tgt[f] != A.hmor_src[g]:
-            continue
-        for h in A.hmors:
-            if A.hmor_tgt[g] == A.hmor_src[h]:
-                need((f, g, h) in A.assoc, (f, g, h), "assoc.total")
-    for f in A.hmors:
-        need(f in A.lunit, (f,), "lunit.total")
-        need(f in A.runit, (f,), "runit.total")
-    if not ok:
-        return False
 
-    # table outputs well-typed
-    for (w, u), x in A.vcomp_vmor_table.items():
-        need(x in vm and A.vmor_src[x] == A.vmor_src[u] and A.vmor_tgt[x] == A.vmor_tgt[w],
-             (w, u, x), "vcomp.vmor.typed")
-    for (g, f), x in A.hcomp_hmor_table.items():
-        need(x in hm and A.hmor_src[x] == A.hmor_src[f] and A.hmor_tgt[x] == A.hmor_tgt[g],
-             (g, f, x), "hcomp.hmor.typed")
-    for (c, d) in list(A.assoc.values()) + list(A.lunit.values()) + list(A.runit.values()):
-        need(c in cs and d in cs, (c, d), "constraint.ids")
-    return ok
+_BATCH = 1 << 12                # instances per batch of a quantified family
+
+
+class _Groups:
+    """Ids 0..n-1 grouped by key[i], in id order within a group: group k is
+    members[ptr[k]:ptr[k + 1]], and id i sits at place pos[i] of its group."""
+
+    def __init__(self, key, nkeys: int):
+        self.key = key
+        self.members = key.argsort(kind="stable")
+        self.count = np.bincount(key, minlength=nkeys)
+        self.ptr = np.zeros(nkeys + 1, dtype=np.int64)
+        self.ptr[1:] = self.count.cumsum()
+        self.pos = np.empty_like(self.members)
+        self.pos[self.members] = np.arange(len(key)) - self.ptr[key[self.members]]
+
+
+class _Table:
+    """A composition table as one flat int array.  The composable pair
+    (s, f), s second and f first, meets at a boundary b = seconds.key[s] =
+    firsts.key[f] and sits in b's block at row[s] + col[f]; the blocks hold
+    every composable pair and nothing else."""
+
+    def __init__(self, seconds: _Groups, firsts: _Groups):
+        self.seconds, self.firsts = seconds, firsts
+        width = firsts.count
+        self.start = np.concatenate(([0], np.cumsum(seconds.count * width)))
+        self.row = self.start[seconds.key] + width[seconds.key] * seconds.pos
+        self.col = firsts.pos
+        self.table = np.empty(self.start[-1], dtype=np.int64)
+        self.filled = np.empty(0, dtype=np.int64)   # positions given an entry
+
+    def at(self, s, f):
+        return self.row[s] + self.col[f]
+
+    def __call__(self, s, f):
+        return self.table[self.row[s] + self.col[f]]
+
+    def fill(self, at, x) -> None:
+        self.table[at] = x
+        self.filled = at
+
+    def gaps(self):
+        """The positions that no entry filled.  Entries have distinct keys,
+        so each fills its own position."""
+        if len(self.filled) == len(self.table):
+            return ()
+        return np.flatnonzero(np.bincount(self.filled, minlength=len(self.table)) == 0)
+
+    def pairs(self):
+        """The pair (s, f) at each position, as two columns."""
+        s, f = self.seconds, self.firsts
+        block = np.repeat(np.arange(len(s.count)), s.count * f.count)
+        off = np.arange(self.start[-1]) - self.start[block]
+        width = f.count[block]
+        return s.members[s.ptr[block] + off // width], f.members[f.ptr[block] + off % width]
+
+
+def _ids(index: dict, xs) -> np.ndarray:
+    """The numbers of xs in index, -1 for those it lacks."""
+    return np.fromiter(map(index.get, xs, itertools.repeat(-1)), dtype=np.int64)
+
+
+def _columns(table: dict, arity: int, *index) -> list:
+    """The entries of table, in its order, as columns of ids: arity columns
+    for the key, then one for each part of the value; index[i] numbers
+    column i."""
+    parts = len(index) - arity
+    keys = [map(itemgetter(i), table) for i in range(arity)] if arity > 1 else [table]
+    values = (table.values(),) if parts == 1 else (
+        map(itemgetter(i), table.values()) for i in range(parts))
+    return [_ids(ix, col) for ix, col in zip(index, [*keys, *values])]
+
+
+def _batches(*cols):
+    """The columns, _BATCH rows at a time."""
+    for i in range(0, len(cols[0]), _BATCH):
+        yield [c[i:i + _BATCH] for c in cols]
+
+
+def _joins(n: int, *steps):
+    """Batches of id columns in nested-loop order: the first column runs
+    over 0..n-1, and each step (groups, key, i) adds a column that runs
+    over the group key[column i] of groups.  A batch holds about _BATCH
+    rows, or one row of the step before and all its extensions."""
+    batches = _batches(np.arange(n))
+    for groups, key, i in steps:
+        batches = _extend(batches, groups, key, i)
+    return batches
+
+
+def _extend(batches, groups: _Groups, key, i: int):
+    for cols in batches:
+        k = key[cols[i]]
+        count = groups.count[k]
+        # row r's extensions are t in [ends[r], ends[r + 1]), each members[shift[r] + t]
+        ends = np.zeros(len(k) + 1, dtype=np.int64)
+        ends[1:] = count.cumsum()
+        shift = groups.ptr[k] - ends[:-1]
+        cuts = [] if ends[-1] <= _BATCH else ends[1:].searchsorted(
+            np.arange(_BATCH, ends[-1], _BATCH), "right").tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(k)]):
+            if ends[hi] > ends[lo]:
+                c = count[lo:hi]
+                t = np.arange(ends[lo], ends[hi])
+                yield ([col[lo:hi].repeat(c) for col in cols]
+                       + [groups.members[shift[lo:hi].repeat(c) + t]])
+
+
+def _report(rep: Report, *slots) -> None:
+    """The failing instances of one batch as findings, in instance order and,
+    within an instance, in slot order.  A slot is (check, bad, witness), the
+    witness a tuple of (ids, column) pairs that map an instance back to the
+    table's ids."""
+    if not any(map(np.count_nonzero, (b for _, b, _ in slots))):
+        return
+    bad = np.stack([b for _, b, _ in slots], axis=1)
+    for i, j in zip(*np.nonzero(bad)):
+        check, _, witness = slots[j]
+        rep.add(check, False, tuple(ids[col[i]] for ids, col in witness))
+
+
+def _report_rows(rep: Report, check: str, bad, rows) -> None:
+    """Findings for the bad entries of a table, each witnessed by its row
+    as the table holds it, ids it does not resolve included."""
+    if np.count_nonzero(bad):
+        rows = list(rows)
+        for i in np.flatnonzero(bad):
+            rep.add(check, False, rows[i])
 
 
 def validate(A: TableDouble) -> Report:
     """Exhaustive axiom check; the report is empty iff A is a pseudo double
     category.  Every axiom family quantifies over all composable tuples in
-    the tables; nothing is sampled."""
+    the tables; nothing is sampled.
+
+    Objects, vmors, hmors and cells are numbered afresh on each call, each
+    composition table and assoc become a `_Table`, and each family is a few
+    gathers over batches of its instances, in the order of the nested loops
+    that quantify it.  Findings name the table's own ids."""
     rep = Report(f"validate({A.name})")
     if not _structural(A, rep):
         return rep
 
-    vid_vals = set(A.vid_cell.values())
+    Os, Vs, Hs, Cs = A.objects, A.vmors, A.hmors, A.cells
+    O, V, H, C = ({x: i for i, x in enumerate(xs)} for xs in (Os, Vs, Hs, Cs))
+    nO, nV, nH, nC = len(Os), len(Vs), len(Hs), len(Cs)
+    vs, vt = _ids(O, map(A.vmor_src.get, Vs)), _ids(O, map(A.vmor_tgt.get, Vs))
+    hs, ht = _ids(O, map(A.hmor_src.get, Hs)), _ids(O, map(A.hmor_tgt.get, Hs))
+    frames = [A.cell_frames[c] for c in Cs]
+    top, bot = _ids(H, (f.top for f in frames)), _ids(H, (f.bottom for f in frames))
+    lef, rig = _ids(V, (f.left for f in frames)), _ids(V, (f.right for f in frames))
+    frame = np.stack((top, bot, lef, rig))
+    vI, hI = _ids(V, map(A.v_identity.get, Os)), _ids(H, map(A.h_identity.get, Os))
+
+    def ids(*cols):
+        return tuple(zip(cols[::2], cols[1::2]))
+
+    out_v, in_v = _Groups(vs, nO), _Groups(vt, nO)
+    out_h, in_h = _Groups(hs, nO), _Groups(ht, nO)
+    by_top, by_bot = _Groups(top, nH), _Groups(bot, nH)
+    by_left, by_right = _Groups(lef, nV), _Groups(rig, nV)
+    vv, hh = _Table(out_v, in_v), _Table(out_h, in_h)
+    cv, ch = _Table(by_top, by_bot), _Table(by_left, by_right)
+    # assoc[(f, g, h)] sits at the pair h after (g after f), which meet at ht[g]
+    pg, pf = hh.pairs()
+    a3 = _Table(out_h, _Groups(ht[pg], nO))
+
+    def assoc(f, g, h):
+        return a3(h, hh.at(g, f))
+
+    def assoc_triples():
+        h, p = a3.pairs()
+        return pf[p], pg[p], h
+
+    vv_w, vv_u, vv_x = _columns(A.vcomp_vmor_table, 2, V, V, V)
+    hh_g, hh_f, hh_x = _columns(A.hcomp_hmor_table, 2, H, H, H)
+    cv_lo, cv_up, cv_x = _columns(A.vcomp_cell_table, 2, C, C, C)
+    ch_r, ch_l, ch_x = _columns(A.hcomp_cell_table, 2, C, C, C)
+    af, ag, ah, ac, ad = _columns(A.assoc, 3, H, H, H, C, C)
+    vid_f, vid_c = _columns(A.vid_cell, 1, H, C)
+    hid_u, hid_c = _columns(A.hid_cell, 1, V, C)
+    lun_f, lun_c, lun_d = _columns(A.lunit, 1, H, C, C)
+    run_f, run_c, run_d = _columns(A.runit, 1, H, C, C)
+
+    # every key of a table is composable data, or one id, of its kind; each
+    # composition table and assoc holds its composable entries
+    def known(*cols):
+        return np.minimum.reduce(cols) >= 0
+
+    for what, table, T, s, f, x in (("vcomp.vmor", A.vcomp_vmor_table, vv, vv_w, vv_u, vv_x),
+                                    ("hcomp.hmor", A.hcomp_hmor_table, hh, hh_g, hh_f, hh_x),
+                                    ("vcomp.cell", A.vcomp_cell_table, cv, cv_lo, cv_up, cv_x),
+                                    ("hcomp.cell", A.hcomp_cell_table, ch, ch_r, ch_l, ch_x)):
+        ok = known(s, f)
+        ok[ok] = T.seconds.key[s[ok]] == T.firsts.key[f[ok]]
+        _report_rows(rep, f"structure.{what}.composable", ~ok, table)
+        T.fill(T.at(s[ok], f[ok]), x[ok])
+    ok = known(af, ag, ah)
+    f, g, h = af[ok], ag[ok], ah[ok]
+    ok[ok] = (ht[f] == hs[g]) & (ht[g] == hs[h])
+    _report_rows(rep, "structure.assoc.composable", ~ok, A.assoc)
+    a3.fill(a3.at(ah[ok], hh.at(ag[ok], af[ok])), ac[ok])
+    for what, table, key in (("vid", A.vid_cell, vid_f), ("hid", A.hid_cell, hid_u),
+                             ("lunit", A.lunit, lun_f), ("runit", A.runit, run_f)):
+        _report_rows(rep, f"structure.{what}.keys", key < 0, ((k,) for k in table))
+
+    def missing(check, T, names, tuples):
+        # the composable tuples without an entry, in lexicographic order
+        gone = T.gaps()
+        if len(gone):
+            cols = [c[gone] for c in tuples()]
+            order = np.lexsort(cols[::-1])
+            _report(rep, (check, np.ones(len(gone), dtype=bool),
+                          tuple((names, c[order]) for c in cols)))
+
+    missing("structure.vcomp.vmor.total", vv, Vs, vv.pairs)
+    missing("structure.hcomp.hmor.total", hh, Hs, hh.pairs)
+    vid, hid = _ids(C, map(A.vid_cell.get, Hs)), _ids(C, map(A.hid_cell.get, Vs))
+    _report(rep, ("structure.vid.total", vid < 0, ids(Hs, np.arange(nH))))
+    _report(rep, ("structure.hid.total", hid < 0, ids(Vs, np.arange(nV))))
+    if rep.failures():
+        return rep
+    missing("structure.vcomp.cell.total", cv, Cs, cv.pairs)
+    missing("structure.hcomp.cell.total", ch, Cs, ch.pairs)
+    missing("structure.assoc.total", a3, Hs, assoc_triples)
+    has_l = np.fromiter(map(A.lunit.__contains__, Hs), dtype=bool, count=nH)
+    has_r = np.fromiter(map(A.runit.__contains__, Hs), dtype=bool, count=nH)
+    _report(rep, ("structure.lunit.total", ~has_l, ids(Hs, np.arange(nH))),
+            ("structure.runit.total", ~has_r, ids(Hs, np.arange(nH))))
+    if rep.failures():
+        return rep
+
+    # table outputs well-typed
+    for what, table, s, f, x, src, tgt in (
+            ("vcomp.vmor", A.vcomp_vmor_table, vv_w, vv_u, vv_x, vs, vt),
+            ("hcomp.hmor", A.hcomp_hmor_table, hh_g, hh_f, hh_x, hs, ht)):
+        ok = x >= 0
+        ok[ok] = (src[x[ok]] == src[f[ok]]) & (tgt[x[ok]] == tgt[s[ok]])
+        _report_rows(rep, f"structure.{what}.typed", ~ok, ((*k, y) for k, y in table.items()))
+    for what, table, x in (("vcomp.cell", A.vcomp_cell_table, cv_x),
+                           ("hcomp.cell", A.hcomp_cell_table, ch_x)):
+        _report_rows(rep, f"structure.{what}.ids", x < 0, ((*k, y) for k, y in table.items()))
+    _report_rows(rep, "structure.constraint.ids",
+                 ~known(np.concatenate((ac, lun_c, run_c)), np.concatenate((ad, lun_d, run_d))),
+                 itertools.chain(A.assoc.values(), A.lunit.values(), A.runit.values()))
+    if rep.failures():
+        return rep
+    lun, run = _ids(C, (A.lunit[f][0] for f in Hs)), _ids(C, (A.runit[f][0] for f in Hs))
 
     # vertical category of objects and vmors
-    for u in A.vmors:
-        a, b = A.vmor_src[u], A.vmor_tgt[u]
-        rep.require("vcat.unit", A.vcomp_vmor_table[(A.v_identity[b], u)] == u, (u,))
-        rep.require("vcat.unit", A.vcomp_vmor_table[(u, A.v_identity[a])] == u, (u,))
-    for u in A.vmors:
-        for w in A.vmors:
-            if A.vmor_src[w] != A.vmor_tgt[u]:
-                continue
-            for x in A.vmors:
-                if A.vmor_src[x] != A.vmor_tgt[w]:
-                    continue
-                lhs = A.vcomp_vmor_table[(x, A.vcomp_vmor_table[(w, u)])]
-                rhs = A.vcomp_vmor_table[(A.vcomp_vmor_table[(x, w)], u)]
-                rep.require("vcat.assoc", lhs == rhs, (u, w, x))
+    for (u,) in _joins(nV):
+        _report(rep, ("vcat.unit", vv(vI[vt[u]], u) != u, ids(Vs, u)),
+                ("vcat.unit", vv(u, vI[vs[u]]) != u, ids(Vs, u)))
+    for u, w, x in _joins(nV, (out_v, vt, 0), (out_v, vt, 1)):
+        _report(rep, ("vcat.assoc", vv(x, vv(w, u)) != vv(vv(x, w), u), ids(Vs, u, Vs, w, Vs, x)))
 
     # frames of composites
-    for (lo, up), out in A.vcomp_cell_table.items():
-        fu, fl = A.cell_frames[up], A.cell_frames[lo]
-        want = Frame(fu.top, fl.bottom,
-                     A.vcomp_vmor_table[(fl.left, fu.left)],
-                     A.vcomp_vmor_table[(fl.right, fu.right)])
-        rep.require("frame.vcomp", A.cell_frames[out] == want, (lo, up, out))
-    for (r, l), out in A.hcomp_cell_table.items():
-        fl, fr_ = A.cell_frames[l], A.cell_frames[r]
-        want = Frame(A.hcomp_hmor_table[(fr_.top, fl.top)],
-                     A.hcomp_hmor_table[(fr_.bottom, fl.bottom)],
-                     fl.left, fr_.right)
-        rep.require("frame.hcomp", A.cell_frames[out] == want, (r, l, out))
-    for f, c in A.vid_cell.items():
-        a, b = A.hmor_src[f], A.hmor_tgt[f]
-        want = Frame(f, f, A.v_identity[a], A.v_identity[b])
-        rep.require("frame.vid", A.cell_frames[c] == want, (f, c))
-    for u, c in A.hid_cell.items():
-        a, b = A.vmor_src[u], A.vmor_tgt[u]
-        want = Frame(A.h_identity[a], A.h_identity[b], u, u)
-        rep.require("frame.hid", A.cell_frames[c] == want, (u, c))
+    for lo, up, x in _batches(cv_lo, cv_up, cv_x):
+        want = (top[up], bot[lo], vv(lef[lo], lef[up]), vv(rig[lo], rig[up]))
+        _report(rep, ("frame.vcomp", (frame[:, x] != want).any(0), ids(Cs, lo, Cs, up, Cs, x)))
+    for r, l, x in _batches(ch_r, ch_l, ch_x):
+        want = (hh(top[r], top[l]), hh(bot[r], bot[l]), lef[l], rig[r])
+        _report(rep, ("frame.hcomp", (frame[:, x] != want).any(0), ids(Cs, r, Cs, l, Cs, x)))
+    for f, c in _batches(vid_f, vid_c):
+        _report(rep, ("frame.vid", (frame[:, c] != (f, f, vI[hs[f]], vI[ht[f]])).any(0),
+                      ids(Hs, f, Cs, c)))
+    for u, c in _batches(hid_u, hid_c):
+        _report(rep, ("frame.hid", (frame[:, c] != (hI[vs[u]], hI[vt[u]], u, u)).any(0),
+                      ids(Vs, u, Cs, c)))
     if rep.failures():
         # later families look composites up by frame; meaningless if broken
         return rep
 
     # cells form a category under vertical composition
-    for c in A.cells:
-        fr = A.cell_frames[c]
-        rep.require("cell.vcat.unit", A.vcomp_cell_table[(A.vid_cell[fr.bottom], c)] == c, (c,))
-        rep.require("cell.vcat.unit", A.vcomp_cell_table[(c, A.vid_cell[fr.top])] == c, (c,))
-    by_top = {}
-    for c in A.cells:
-        by_top.setdefault(A.cell_frames[c].top, []).append(c)
-    for c1 in A.cells:
-        for c2 in by_top.get(A.cell_frames[c1].bottom, ()):
-            c12 = A.vcomp_cell_table[(c2, c1)]
-            for c3 in by_top.get(A.cell_frames[c2].bottom, ()):
-                lhs = A.vcomp_cell_table[(c3, c12)]
-                rhs = A.vcomp_cell_table[(A.vcomp_cell_table[(c3, c2)], c1)]
-                rep.require("cell.vcat.assoc", lhs == rhs, (c1, c2, c3))
+    for (c,) in _joins(nC):
+        _report(rep, ("cell.vcat.unit", cv(vid[bot[c]], c) != c, ids(Cs, c)),
+                ("cell.vcat.unit", cv(c, vid[top[c]]) != c, ids(Cs, c)))
+    for c1, c2, c3 in _joins(nC, (by_top, bot, 0), (by_top, bot, 1)):
+        _report(rep, ("cell.vcat.assoc", cv(c3, cv(c2, c1)) != cv(cv(c3, c2), c1),
+                      ids(Cs, c1, Cs, c2, Cs, c3)))
 
     # horizontal composition of cells is a functor A1 x_{A0} A1 -> A1
-    by_left = {}
-    for c in A.cells:
-        by_left.setdefault(A.cell_frames[c].left, []).append(c)
-    for g, f in A.hcomp_hmor_table:
-        gf = A.hcomp_hmor_table[(g, f)]
-        rep.require("hcomp.vid", A.hcomp_cell_table[(A.vid_cell[g], A.vid_cell[f])] == A.vid_cell[gf],
-                    (f, g))
-    for l1 in A.cells:
-        for r1 in by_left.get(A.cell_frames[l1].right, ()):
-            top1 = A.hcomp_cell_table[(r1, l1)]
-            fl1, fr1 = A.cell_frames[l1], A.cell_frames[r1]
-            for l2 in by_top.get(fl1.bottom, ()):
-                for r2 in by_left.get(A.cell_frames[l2].right, ()):
-                    if A.cell_frames[r2].top != fr1.bottom:
-                        continue
-                    bot = A.hcomp_cell_table[(r2, l2)]
-                    lhs = A.vcomp_cell_table[(bot, top1)]
-                    rhs = A.hcomp_cell_table[(A.vcomp_cell_table[(r2, r1)],
-                                              A.vcomp_cell_table[(l2, l1)])]
-                    rep.require("interchange", lhs == rhs, (l1, r1, l2, r2))
+    for g, f, gf in _batches(hh_g, hh_f, hh_x):
+        _report(rep, ("hcomp.vid", ch(vid[g], vid[f]) != vid[gf], ids(Hs, f, Hs, g)))
+    for l1, r1, l2, r2 in _joins(nC, (by_left, rig, 0), (by_top, bot, 0), (by_left, rig, 2)):
+        keep = top[r2] == bot[r1]
+        l1, r1, l2, r2 = l1[keep], r1[keep], l2[keep], r2[keep]
+        lhs = cv(ch(r2, l2), ch(r1, l1))
+        _report(rep, ("interchange", lhs != ch(cv(r2, r1), cv(l2, l1)),
+                      ids(Cs, l1, Cs, r1, Cs, l2, Cs, r2)))
 
     # horizontal identities are functorial in the vertical direction
-    for a in A.objects:
-        rep.require("hid.of.videntity", A.hid_cell[A.v_identity[a]] == A.vid_cell[A.h_identity[a]],
-                    (a,))
-    for (w, u), wu in A.vcomp_vmor_table.items():
-        lhs = A.vcomp_cell_table[(A.hid_cell[w], A.hid_cell[u])]
-        rep.require("hid.functorial", lhs == A.hid_cell[wu], (u, w))
+    for (a,) in _joins(nO):
+        _report(rep, ("hid.of.videntity", hid[vI[a]] != vid[hI[a]], ids(Os, a)))
+    for w, u, wu in _batches(vv_w, vv_u, vv_x):
+        _report(rep, ("hid.functorial", cv(hid[w], hid[u]) != hid[wu], ids(Vs, u, Vs, w)))
 
     # constraint cells: globular, invertible against the stored witnesses
-    def check_constraint(tag, pair, src_h, tgt_h, witness):
-        c, d = pair
-        fr = A.cell_frames[c]
-        ok = (fr.top == src_h and fr.bottom == tgt_h and A.is_globular(c))
-        rep.require(tag + ".globular", ok, witness + (c,))
-        fr2 = A.cell_frames[d]
-        ok2 = (fr2.top == tgt_h and fr2.bottom == src_h and A.is_globular(d))
-        rep.require(tag + ".globular", ok2, witness + (d,))
-        if ok and ok2:
-            rep.require(tag + ".invertible",
-                        A.vcomp_cell_table[(d, c)] == A.vid_cell[src_h]
-                        and A.vcomp_cell_table[(c, d)] == A.vid_cell[tgt_h],
-                        witness + (c, d))
+    globular = (lef == vI[hs[top]]) & (rig == vI[ht[top]])
 
-    for (f, g, h), pair in A.assoc.items():
-        hg = A.hcomp_hmor_table[(h, g)]
-        gf = A.hcomp_hmor_table[(g, f)]
-        check_constraint("assoc", pair,
-                         A.hcomp_hmor_table[(hg, f)], A.hcomp_hmor_table[(h, gf)], (f, g, h))
-    for f, pair in A.lunit.items():
-        b = A.hmor_tgt[f]
-        check_constraint("lunit", pair, A.hcomp_hmor_table[(A.h_identity[b], f)], f, (f,))
-    for f, pair in A.runit.items():
-        a = A.hmor_src[f]
-        check_constraint("runit", pair, A.hcomp_hmor_table[(f, A.h_identity[a])], f, (f,))
+    def check_constraint(tag, witness, src_h, tgt_h, c, d):
+        ok = (top[c] == src_h) & (bot[c] == tgt_h) & globular[c]
+        ok2 = (top[d] == tgt_h) & (bot[d] == src_h) & globular[d]
+        inv = ok & ok2
+        c2, d2 = c[inv], d[inv]
+        inv[inv] = (cv(d2, c2) == vid[src_h[inv]]) & (cv(c2, d2) == vid[tgt_h[inv]])
+        _report(rep, (tag + ".globular", ~ok, witness + ids(Cs, c)),
+                (tag + ".globular", ~ok2, witness + ids(Cs, d)),
+                (tag + ".invertible", ok & ok2 & ~inv, witness + ids(Cs, c, Cs, d)))
+
+    for f, g, h, c, d in _batches(af, ag, ah, ac, ad):
+        check_constraint("assoc", ids(Hs, f, Hs, g, Hs, h), hh(hh(h, g), f), hh(h, hh(g, f)), c, d)
+    for f, c, d in _batches(lun_f, lun_c, lun_d):
+        check_constraint("lunit", ids(Hs, f), hh(hI[ht[f]], f), f, c, d)
+    for f, c, d in _batches(run_f, run_c, run_d):
+        check_constraint("runit", ids(Hs, f), hh(f, hI[hs[f]]), f, c, d)
     if rep.failures():
         # naturality/coherence below assumes well-framed constraints
         return rep
 
     # naturality of the associator in all three arguments
-    for l1 in A.cells:
-        fl = A.cell_frames[l1]
-        for m1 in by_left.get(fl.right, ()):
-            fm = A.cell_frames[m1]
-            top_lm = A.hcomp_cell_table[(m1, l1)]
-            for r1 in by_left.get(fm.right, ()):
-                fr_ = A.cell_frames[r1]
-                lhs = A.vcomp_cell_table[(A.assoc[(fl.bottom, fm.bottom, fr_.bottom)][0],
-                                          A.hcomp_cell_table[(r1, top_lm)])]
-                rhs = A.vcomp_cell_table[(A.hcomp_cell_table[(A.hcomp_cell_table[(r1, m1)], l1)],
-                                          A.assoc[(fl.top, fm.top, fr_.top)][0])]
-                rep.require("assoc.natural", lhs == rhs, (l1, m1, r1))
+    for l1, m1, r1 in _joins(nC, (by_left, rig, 0), (by_left, rig, 1)):
+        lhs = cv(assoc(bot[l1], bot[m1], bot[r1]), ch(r1, ch(m1, l1)))
+        rhs = cv(ch(ch(r1, m1), l1), assoc(top[l1], top[m1], top[r1]))
+        _report(rep, ("assoc.natural", lhs != rhs, ids(Cs, l1, Cs, m1, Cs, r1)))
 
     # naturality of the unitors
-    for c in A.cells:
-        fr = A.cell_frames[c]
-        lhs = A.vcomp_cell_table[(A.lunit[fr.bottom][0],
-                                  A.hcomp_cell_table[(A.hid_cell[fr.right], c)])]
-        rhs = A.vcomp_cell_table[(c, A.lunit[fr.top][0])]
-        rep.require("lunit.natural", lhs == rhs, (c,))
-        lhs = A.vcomp_cell_table[(A.runit[fr.bottom][0],
-                                  A.hcomp_cell_table[(c, A.hid_cell[fr.left])])]
-        rhs = A.vcomp_cell_table[(c, A.runit[fr.top][0])]
-        rep.require("runit.natural", lhs == rhs, (c,))
+    for (c,) in _joins(nC):
+        _report(rep, ("lunit.natural", cv(lun[bot[c]], ch(hid[rig[c]], c)) != cv(c, lun[top[c]]),
+                      ids(Cs, c)),
+                ("runit.natural", cv(run[bot[c]], ch(c, hid[lef[c]])) != cv(c, run[top[c]]),
+                 ids(Cs, c)))
 
     # pentagon and triangle
-    out_of = {}
-    for f in A.hmors:
-        out_of.setdefault(A.hmor_src[f], []).append(f)
-    for f in A.hmors:
-        for g in out_of.get(A.hmor_tgt[f], ()):
-            gf = A.hcomp_hmor_table[(g, f)]
-            for h in out_of.get(A.hmor_tgt[g], ()):
-                hg = A.hcomp_hmor_table[(h, g)]
-                for k in out_of.get(A.hmor_tgt[h], ()):
-                    kh = A.hcomp_hmor_table[(k, h)]
-                    p1 = A.vcomp_cells(
-                        A.hcomp_cell_table[(A.assoc[(g, h, k)][0], A.vid_cell[f])],
-                        A.assoc[(f, hg, k)][0],
-                        A.hcomp_cell_table[(A.vid_cell[k], A.assoc[(f, g, h)][0])],
-                    )
-                    p2 = A.vcomp_cells(A.assoc[(f, g, kh)][0], A.assoc[(gf, h, k)][0])
-                    rep.require("pentagon", p1 == p2, (f, g, h, k))
-    for f in A.hmors:
-        b = A.hmor_tgt[f]
-        for g in out_of.get(b, ()):
-            lhs = A.vcomp_cell_table[(A.hcomp_cell_table[(A.vid_cell[g], A.lunit[f][0])],
-                                      A.assoc[(f, A.h_identity[b], g)][0])]
-            rhs = A.hcomp_cell_table[(A.runit[g][0], A.vid_cell[f])]
-            rep.require("triangle", lhs == rhs, (f, g))
+    for f, g, h, k in _joins(nH, (out_h, ht, 0), (out_h, ht, 1), (out_h, ht, 2)):
+        p1 = cv(ch(vid[k], assoc(f, g, h)),
+                cv(assoc(f, hh(h, g), k), ch(assoc(g, h, k), vid[f])))
+        p2 = cv(assoc(hh(g, f), h, k), assoc(f, g, hh(k, h)))
+        _report(rep, ("pentagon", p1 != p2, ids(Hs, f, Hs, g, Hs, h, Hs, k)))
+    for f, g in _joins(nH, (out_h, ht, 0)):
+        lhs = cv(ch(vid[g], lun[f]), assoc(f, hI[ht[f]], g))
+        _report(rep, ("triangle", lhs != ch(run[g], vid[f]), ids(Hs, f, Hs, g)))
 
     # bookkeeping: instance counts make reports comparable across runs
     rep.params["objects"] = len(A.objects)
     rep.params["vmors"] = len(A.vmors)
     rep.params["hmors"] = len(A.hmors)
     rep.params["cells"] = len(A.cells)
-    rep.params["vid_cells"] = len(vid_vals)
+    rep.params["vid_cells"] = len(set(A.vid_cell.values()))
     return rep
 
 

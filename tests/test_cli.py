@@ -242,6 +242,17 @@ def test_cli_invalid_input_fails(tmp_path, corpus_dir):
     assert code == 1 and doc["pass"] is False
 
 
+def test_cli_validate_names_a_non_composable_key(tmp_path, corpus_dir):
+    # ca lives over a, cb over b: the row keys VCOMP by cells that do not stack
+    text = (corpus_dir / "vertfree.pdc").read_text()
+    path = tmp_path / "vertfree.pdc"
+    path.write_text(text.replace("  cu . ca = cu\n", "  cu . ca = cu\n  ca . cb = ca\n"))
+    code, out = run_cli("validate", str(path))
+    (check,) = json.loads(out)["checks"]
+    assert code == 1 and check["pass"] is False
+    assert check["witnesses"] == [["('ca', 'cb')", "structure.vcomp.cell.composable"]]
+
+
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 # Each row is a command line, run from the repository root; its exact output
@@ -273,7 +284,9 @@ GOLDEN_COMMANDS = (
        ("adjunction-check", "corpus/nonstrict.pdc", "corpus/sigma2.pdc", "--bound", "2"),
        ("adjunction-check", "corpus/sigma2.pdc", "corpus/quintetP.pdc",
         "corpus/terminal.pdc", "--bound", "1"),
-       ("biequivalence-check", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc")])
+       ("biequivalence-check", "corpus/nonstrict.pdc", "corpus/sigmaM.pdc"),
+       ("validate", *(f"corpus/{m}.pdc" for m in ("nonstrict", "quintet", "quintetP", "sigma2",
+                                                  "sigmaM", "terminal", "unit", "vertfree")))])
 
 
 def golden_name(argv):
