@@ -66,10 +66,13 @@ def parse(text: str, name: str = "anonymous") -> Presentation:
     p = Presentation(name=name)
     section = None
     declared = set()
+    well_formed = set()         # each distinct token is matched once
 
     def check_name(tok, lineno, col=1, declare=False):
-        if not NAME_RE.match(tok):
-            raise ParseError(lineno, col, f"bad name {tok!r}")
+        if tok not in well_formed:
+            if not NAME_RE.match(tok):
+                raise ParseError(lineno, col, f"bad name {tok!r}")
+            well_formed.add(tok)
         if declare:
             if tok in declared:
                 raise ParseError(lineno, col, f"duplicate name {tok!r}")

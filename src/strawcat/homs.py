@@ -603,7 +603,8 @@ def _members(candidates, check, prefix):
 
 def enumerate_underlying_functors(A: TableDouble, B, max_candidates=None):
     """Functors A0 -> B0 as (obj_map, vmor_map) pairs, deterministic order."""
-    nonid_v = [u for u in A.vmors if u not in set(A.v_identity.values())]
+    vid_vals = set(A.v_identity.values())
+    nonid_v = [u for u in A.vmors if u not in vid_vals]
 
     def candidates():
         for objs in itertools.product(B.objects, repeat=len(A.objects)):
@@ -623,6 +624,33 @@ def enumerate_underlying_functors(A: TableDouble, B, max_candidates=None):
                    for (w, u), wu in A.vcomp_vmor_table.items())]
 
 
+def _forward_checked(names, choices, slots):
+    """Bind names[i] to each of choices[i] in turn, depth first, so complete
+    bindings come in the order of ``itertools.product(*choices)``.  A slot
+    (reads, fill) gets its list ``fill(binding)`` as soon as the names it
+    reads are bound, and a branch where a list is empty is cut.  Yields
+    (binding, lists) for each complete binding, lists in slot order."""
+    pos = {x: i for i, x in enumerate(names)}
+    ready = [[] for _ in range(len(names) + 1)]
+    for k, (reads, _) in enumerate(slots):
+        ready[max(pos[x] + 1 for x in reads)].append(k)
+    binding, lists = {}, [None] * len(slots)
+
+    def search(i):
+        for k in ready[i]:
+            lists[k] = slots[k][1](binding)
+            if not lists[k]:
+                return
+        if i == len(names):
+            yield dict(binding), list(lists)
+            return
+        for x in choices[i]:
+            binding[names[i]] = x
+            yield from search(i + 1)
+
+    return search(0)
+
+
 def iter_functor_candidates(A: TableDouble, B, require_invertible=True,
                             max_candidates=None):
     """Frame-typed functor data A -> B, not yet filtered by the axioms.
@@ -631,6 +659,11 @@ def iter_functor_candidates(A: TableDouble, B, require_invertible=True,
     the horizontal identity cells of vertical morphisms by naturality of the
     unit constraint; everything else ranges over all frame-compatible
     choices (constraints restricted to invertible cells unless asked not to).
+
+    Hmor maps are searched by `_forward_checked`, so a branch where a phi0,
+    phi2 or cell slot has no candidate is cut.  The plain product over all
+    hmor maps yields nothing there either: the stream, its order and what
+    the budget counts (candidates, not search nodes) are unchanged.
     """
     invertible = {c for c in B.cells if B.inverse_of(c) is not None}
     vid_vals = set(A.vid_cell.values())
@@ -640,34 +673,28 @@ def iter_functor_candidates(A: TableDouble, B, require_invertible=True,
         free_cells = [c for c in A.cells if c not in vid_vals and c not in hid_vals]
     else:
         free_cells = [c for c in A.cells if c not in vid_vals]
+    p2keys = [(f, g) for (g, f) in A.hcomp_hmor_table]
+    n0, n2 = len(A.objects), len(A.objects) + len(p2keys)
+
+    def constraints(src_h, tgt_h):
+        return [c for c in B.globular_cells(src_h, tgt_h)
+                if not require_invertible or c in invertible]
 
     def candidates():
         for obj_map, vmor_map in enumerate_underlying_functors(A, B, max_candidates):
-            hcands = []
-            for f in A.hmors:
-                cs = [x for x in B.hmors
-                      if B.hsrc(x) == obj_map[A.hsrc(f)] and B.htgt(x) == obj_map[A.htgt(f)]]
-                hcands.append(cs)
-            for hpick in itertools.product(*hcands):
-                hmor_map = dict(zip(A.hmors, hpick))
-                p0cands = []
-                for a in A.objects:
-                    cs = [c for c in B.globular_cells(B.h_id(obj_map[a]), hmor_map[A.h_id(a)])
-                          if not require_invertible or c in invertible]
-                    p0cands.append(cs)
-                p2keys = [(f, g) for (g, f) in A.hcomp_hmor_table]
-                p2cands = []
-                for (f, g) in p2keys:
-                    src_h = B.hcomp_hmor(hmor_map[g], hmor_map[f])
-                    cs = [c for c in B.globular_cells(src_h, hmor_map[A.hcomp_hmor(g, f)])
-                          if not require_invertible or c in invertible]
-                    p2cands.append(cs)
-                ccands = []
-                for c in free_cells:
-                    fr = A.frame(c)
-                    want = Frame(hmor_map[fr.top], hmor_map[fr.bottom],
-                                 vmor_map[fr.left], vmor_map[fr.right])
-                    ccands.append(B.cells_with_frame(want))
+            hcands = [[x for x in B.hmors
+                       if B.hsrc(x) == obj_map[A.hsrc(f)] and B.htgt(x) == obj_map[A.htgt(f)]]
+                      for f in A.hmors]
+            # (hmors read, candidate list given the hmor map): phi0, phi2, cells
+            slots = ([((A.h_id(a),), lambda hm, a=a: constraints(
+                         B.h_id(obj_map[a]), hm[A.h_id(a)])) for a in A.objects]
+                     + [((f, g, A.hcomp_hmor(g, f)), lambda hm, f=f, g=g: constraints(
+                         B.hcomp_hmor(hm[g], hm[f]), hm[A.hcomp_hmor(g, f)])) for (f, g) in p2keys]
+                     + [((fr.top, fr.bottom), lambda hm, fr=fr: B.cells_with_frame(
+                         Frame(hm[fr.top], hm[fr.bottom], vmor_map[fr.left], vmor_map[fr.right])))
+                        for fr in map(A.frame, free_cells)])
+            for hmor_map, lists in _forward_checked(A.hmors, hcands, slots):
+                p0cands, p2cands, ccands = lists[:n0], lists[n0:n2], lists[n2:]
                 for p0pick in itertools.product(*p0cands):
                     phi0 = dict(zip(A.objects, p0pick))
                     for p2pick in itertools.product(*p2cands):

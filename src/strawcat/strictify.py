@@ -875,6 +875,7 @@ class StExtension:
         self.name = f"ext({F.name})"
         self._phi = {}
         self._path = {}
+        self._cell = {}
         self._path_rule = (lambda p: B.h_id(F.obj(p.src)), lambda p: F.hmor(p.hmors[0]),
                            lambda p, p1, f: B.hcomp_hmor(F.hmor(f), self.on_path(p1)))
         self._phi_rule = (self._phi_empty, lambda p: (B.vid_of(F.hmor(p.hmors[0])),) * 2,
@@ -905,8 +906,11 @@ class StExtension:
                 B.vcomp_cells(B.inv(c2), B.hcomp_cell(B.vid_of(F.hmor(f)), sub_inv)))
 
     def on_cell(self, c: StCell):
-        return self.B.vcomp_cells(self.phi(c.dom)[0], self.F.cell(c.payload),
-                                  self.phi(c.cod)[1])
+        out = self._cell.get(c)
+        if out is None:
+            out = self._cell[c] = self.B.vcomp_cells(
+                self.phi(c.dom)[0], self.F.cell(c.payload), self.phi(c.cod)[1])
+        return out
 
     def functor(self, T: TableDouble) -> PseudoDoubleFunctor:
         """This strict functor on T = ``S.table(bound)``: on_path and on_cell,

@@ -53,6 +53,19 @@ def test_syntax_error_reports_position():
     assert e.value.line == 4
 
 
+@pytest.mark.parametrize("row", ["c_z0 . c_z0 = c_z0", "c_z1 . c_z1 = c_z1"])
+def test_bad_reference_name_reports_its_row(corpus_dir, row):
+    # the first VCOMP cell row and the last, whose good names the reader has
+    # already seen on earlier rows
+    text = (corpus_dir / "sigma2.pdc").read_text()
+    assert text.count(row) == 1
+    lineno = text[:text.index(row)].count("\n") + 1
+    with pytest.raises(ParseError) as e:
+        parse(text.replace(row, "1b" + row[4:]), "sigma2")
+    assert e.value.line == lineno
+    assert "'1b'" in str(e.value)
+
+
 def test_declaration_before_section():
     with pytest.raises(ParseError):
         parse("  a\nOBJECTS\n")

@@ -3,8 +3,9 @@ import itertools
 
 import pytest
 
-from strawcat import Frame, terminal, unit_object, validate
+from strawcat import Frame, product, terminal, unit_object, validate
 from strawcat.homs import (
+    PseudoDoubleFunctor,
     Truncated,
     check_functor,
     check_horizontal,
@@ -13,6 +14,7 @@ from strawcat.homs import (
     compose_functors,
     enumerate_functors,
     enumerate_horizontal,
+    enumerate_underlying_functors,
     enumerate_vertical,
     hom_double,
     identity_functor,
@@ -28,6 +30,7 @@ from strawcat.homs import (
     ps_sub,
     whisker_post_functor,
     whisker_pre_functor,
+    within_budget,
 )
 
 
@@ -86,7 +89,6 @@ def naive_enumerate_functors(A, B):
                                                                      B.v_identity[b0])])
                     for p0s in itertools.product(*p0_pool):
                         for p2s in itertools.product(*p2_pool):
-                            from strawcat.homs import PseudoDoubleFunctor
                             F = PseudoDoubleFunctor(A, B, om, vm, hm, cm,
                                                     dict(zip(A.objects, p0s)),
                                                     dict(zip(p2keys, p2s)))
@@ -104,6 +106,95 @@ def test_enumerator_matches_naive_oracle(tables):
         assert fast == slow, (a, b, len(fast), len(slow))
 
 
+def product_functor_candidates(A, B, require_invertible=True, max_candidates=None):
+    """The functor candidate stream as the plain product over all hmor maps,
+    each expanded into its phi0, phi2 and cell candidate lists: the oracle
+    for the forward-checked search of `iter_functor_candidates`."""
+    invertible = {c for c in B.cells if B.inverse_of(c) is not None}
+    vid_vals = set(A.vid_cell.values())
+    hid_vals = set(A.hid_cell.values())
+    if require_invertible:
+        free_cells = [c for c in A.cells if c not in vid_vals and c not in hid_vals]
+    else:
+        free_cells = [c for c in A.cells if c not in vid_vals]
+
+    def candidates():
+        for obj_map, vmor_map in enumerate_underlying_functors(A, B, max_candidates):
+            hcands = []
+            for f in A.hmors:
+                cs = [x for x in B.hmors
+                      if B.hsrc(x) == obj_map[A.hsrc(f)] and B.htgt(x) == obj_map[A.htgt(f)]]
+                hcands.append(cs)
+            for hpick in itertools.product(*hcands):
+                hmor_map = dict(zip(A.hmors, hpick))
+                p0cands = []
+                for a in A.objects:
+                    cs = [c for c in B.globular_cells(B.h_id(obj_map[a]), hmor_map[A.h_id(a)])
+                          if not require_invertible or c in invertible]
+                    p0cands.append(cs)
+                p2keys = [(f, g) for (g, f) in A.hcomp_hmor_table]
+                p2cands = []
+                for (f, g) in p2keys:
+                    src_h = B.hcomp_hmor(hmor_map[g], hmor_map[f])
+                    cs = [c for c in B.globular_cells(src_h, hmor_map[A.hcomp_hmor(g, f)])
+                          if not require_invertible or c in invertible]
+                    p2cands.append(cs)
+                ccands = []
+                for c in free_cells:
+                    fr = A.frame(c)
+                    want = Frame(hmor_map[fr.top], hmor_map[fr.bottom],
+                                 vmor_map[fr.left], vmor_map[fr.right])
+                    ccands.append(B.cells_with_frame(want))
+                for p0pick in itertools.product(*p0cands):
+                    phi0 = dict(zip(A.objects, p0pick))
+                    for p2pick in itertools.product(*p2cands):
+                        phi2 = dict(zip(p2keys, p2pick))
+                        for cpick in itertools.product(*ccands):
+                            cell_map = dict(zip(free_cells, cpick))
+                            for f in A.hmors:
+                                cell_map[A.vid_of(f)] = B.vid_of(hmor_map[f])
+                            for u in A.vmors:
+                                c = A.hid_of(u)
+                                if c not in cell_map:
+                                    cell_map[c] = B.vcomp_cells(
+                                        B.inv(phi0[A.vsrc(u)]),
+                                        B.hid_of(vmor_map[u]),
+                                        phi0[A.vtgt(u)])
+                            yield PseudoDoubleFunctor(A, B, obj_map, vmor_map, hmor_map,
+                                                      cell_map, phi0, phi2)
+
+    yield from within_budget(candidates(), max_candidates)
+
+
+def _drawn_keys(candidates):
+    """The keys of the candidates drawn, and whether the budget ran out."""
+    keys = []
+    try:
+        for F in candidates:
+            keys.append(F.key())
+    except Truncated:
+        return keys, True
+    return keys, False
+
+
+def test_functor_candidate_stream_matches_the_product_oracle(tables):
+    pairs = [(tables[a], tables[b]) for a in tables for b in tables]
+    pairs += [(product(tables[x], tables[x]), tables["sigmaM"])
+              for x in ("quintet", "nonstrict")]
+    for A, B in pairs:
+        for inv in (True, False):
+            new = _drawn_keys(iter_functor_candidates(A, B, inv))
+            assert new == _drawn_keys(product_functor_candidates(A, B, inv)), (A.name, B.name)
+            assert not new[1]
+    # the budget runs out at the same candidate: sigmaM -> nonstrict has 257
+    A, B = tables["sigmaM"], tables["nonstrict"]
+    assert len(_drawn_keys(iter_functor_candidates(A, B))[0]) == 257
+    for mc in (1, 100, 256):
+        new = _drawn_keys(iter_functor_candidates(A, B, True, mc))
+        assert new == _drawn_keys(product_functor_candidates(A, B, True, mc)) == (
+            _drawn_keys(iter_functor_candidates(A, B))[0][:mc], True)
+
+
 def test_functor_counts(tables):
     # frozen counts, derived once from the oracle above
     assert len(enumerate_functors(tables["nonstrict"], tables["sigmaM"])) == 2
@@ -118,14 +209,52 @@ def test_identity_and_eta_pass_checkers(tables):
         assert check_functor(eta(A, st(A))).ok
 
 
-def test_mutated_phi2_breaks_naturality(tables):
-    N, M = tables["nonstrict"], tables["sigmaM"]
-    for F in enumerate_functors(N, M):
-        variants = [c for c in M.cells if c != F.phi2[("e", "e")]
-                    and M.cell_frames[c] == M.cell_frames[F.phi2[("e", "e")]]]
-        for c in variants:
-            F.phi2[("e", "e")] = c
-            assert not check_functor(F).ok
+def test_mutated_phi2_is_named_or_is_another_functor(tables):
+    # every phi2 component of every functor N -> N moved to another cell of
+    # its frame (sigmaM has one cell per frame, so N -> sigmaM has none)
+    N = tables["nonstrict"]
+    fs = enumerate_functors(N, N)
+    keys = {F.key() for F in fs}
+    named = 0
+    for F in fs:
+        for k, c0 in F.phi2.items():
+            for c in N.cells:
+                if c == c0 or N.frame(c) != N.frame(c0):
+                    continue
+                G = dataclasses.replace(F, phi2={**F.phi2, k: c})
+                failures = check_functor(G).failures()
+                if failures:
+                    assert failures[0].check in {"fun.phi2.invertible", "fun.phi2.natural",
+                                                 "fun.hexagon"}, (F.name, k, c)
+                    named += 1
+                else:
+                    assert G.key() in keys, (F.name, k, c)
+    assert named > 0
+
+
+def test_perturbed_horizontal_component_is_named_under_its_family(tables):
+    # one component of a horizontal transformation N -> N moved to another
+    # cell of its frame: a unit hmor's fails unit coherence, any other hmor's
+    # composition coherence, the identity vmor's ht.vid
+    N = tables["nonstrict"]
+    H = hom_double(N, N)
+    units = set(N.h_identity.values())
+    n = 0
+    for t in H.horizontals.values():
+        for f, (c0, _) in t.at_hmor.items():
+            for c in N.cells:
+                if c != c0 and N.frame(c) == N.frame(c0) and N.inverse_of(c) is not None:
+                    u = dataclasses.replace(t, at_hmor={**t.at_hmor, f: (c, N.inverse_of(c))})
+                    want = "ht.unitcoh" if f in units else "ht.compcoh"
+                    assert check_horizontal(u).failures()[0].check == want, (t.name, f, c)
+                    n += 1
+        for v, c0 in t.at_vmor.items():
+            for c in N.cells:
+                if c != c0 and N.frame(c) == N.frame(c0):
+                    u = dataclasses.replace(t, at_vmor={**t.at_vmor, v: c})
+                    assert check_horizontal(u).failures()[0].check == "ht.vid", (t.name, v, c)
+                    n += 1
+    assert n > 0
 
 
 def test_ill_typed_cell_map_is_reported_not_raised(tables):
