@@ -556,7 +556,6 @@ def cmd_interchange(args):
     rep = Report(f"interchange({A.name})",
                  params={"n": args.n, "m": args.m})
     S = sh.S
-    count = 0
     for alphas in S.paths(args.n):
         for betas in S.paths(args.m):
             g = interchange_grid(ctx, alphas, betas, "row")
@@ -564,8 +563,7 @@ def cmd_interchange(args):
             rep.require("interchange.order", g == g2, (alphas, betas))
             rep.require("interchange.invertible", S.inverse_of(g) is not None,
                         (alphas, betas))
-            count += 1
-    rep.params["grids"] = count
+    rep.params["grids"] = rep.counts.get("interchange.order", 0)
     return _emit(args, rep)
 
 

@@ -136,23 +136,19 @@ def gray_axiom_check(A: TableDouble, B: TableDouble, C: TableDouble,
     for f in check_twovar_functor(ctx.L).failures():
         rep.add("gray.composite", False, (f.check,) + f.witness, f.detail)
 
+    a_chains = sh_ab.S.paths(bound)
+    b_chains = sh_bc.S.paths(bound)
     # whiskering by identities and by composites
-    n_wh = 0
-    for p in sh_ab.S.paths(bound):
+    for p in a_chains:
         for gid in sh_bc.hom.table.objects:
             w = ctx.whisker_path_post(gid, p)
             rep.require("gray.whisker.compat",
                         len(w) == len(p) and w.src == ctx.L.obj(gid, p.src), (gid,))
-            n_wh += 1
-    rep.params["whisker_instances"] = n_wh
+    rep.params["whisker_instances"] = rep.counts.get("gray.whisker.compat", 0)
 
-    a_chains = sh_ab.S.paths(bound)
-    b_chains = sh_bc.S.paths(bound)
-    n_grid = 0
     for alphas in a_chains:
         for betas in b_chains:
             g = interchange_grid(ctx, alphas, betas, "row")
-            n_grid += 1
             gi = sh_ac.S.inverse_of(g)
             rep.require("gray.grid.invertible", gi is not None,
                         (alphas, betas))
@@ -173,11 +169,10 @@ def gray_axiom_check(A: TableDouble, B: TableDouble, C: TableDouble,
                 for a in A.objects:
                     rep.require("gray.grid.component.pointwise",
                                 mod.at_obj[a] == be.at_hmor[al.at_obj[a]][0], (a,))
-    rep.params["grid_instances"] = n_grid
+    rep.params["grid_instances"] = rep.counts.get("gray.grid.invertible", 0)
 
     # concatenation compatibility in the vertical-path argument
-    n_cat = 0
-    for alphas, alphas2 in sh_ab.S.composable_pairs(bound):
+    for alphas, alphas2 in sh_ab.S.composable_pairs(bound, a_chains):
         if not alphas.hmors or not alphas2.hmors:
             continue
         for betas in b_chains:
@@ -193,8 +188,7 @@ def gray_axiom_check(A: TableDouble, B: TableDouble, C: TableDouble,
             step2 = sh_ac.S.hcomp_cell(sh_ac.S.vid_of(right), g2)
             pasted = sh_ac.S.vcomp_cell(step2, step1)
             rep.require("gray.grid.concat", combined == pasted, (alphas, alphas2, betas))
-            n_cat += 1
-    rep.params["concat_instances"] = n_cat
+    rep.params["concat_instances"] = rep.counts.get("gray.grid.concat", 0)
     return rep
 
 

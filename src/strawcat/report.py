@@ -1,8 +1,9 @@
 """Verification reports shared by every checker in the package.
 
 A report is a flat list of findings.  Each finding names the check that ran,
-whether it held, and the witnessing identifiers when it did not.  Reports are
-deterministic functions of their inputs: checkers enumerate in the fixed
+whether it held, and the witnessing identifiers when it did not.  A report
+also counts, per family, every instance handed to `Report.require`.  Reports
+are deterministic functions of their inputs: checkers enumerate in the fixed
 construction order of the tables they inspect.
 """
 
@@ -34,18 +35,24 @@ class Report:
     params: dict = field(default_factory=dict)
     findings: list = field(default_factory=list)
     truncated: bool = False
+    counts: dict = field(default_factory=dict)
 
     def add(self, check: str, ok: bool, witness: tuple = (), detail: str = "") -> None:
         self.findings.append(Finding(check, bool(ok), tuple(witness), detail))
 
     def require(self, check: str, ok: bool, witness: tuple = (), detail: str = "") -> None:
-        # Record only violations; passing instances are tallied by callers.
+        # One instance of the family `check`: counted whether or not it holds,
+        # and recorded as a finding only when it fails.
+        self.counts[check] = self.counts.get(check, 0) + 1
         if not ok:
             self.add(check, False, witness, detail)
 
     def merge(self, other: "Report") -> None:
-        """Append other's findings; params self lacks are copied over."""
+        """Append other's findings and add its counts; params self lacks are
+        copied over."""
         self.findings.extend(other.findings)
+        for k, n in other.counts.items():
+            self.counts[k] = self.counts.get(k, 0) + n
         for k, v in other.params.items():
             self.params.setdefault(k, v)
         self.truncated = self.truncated or other.truncated

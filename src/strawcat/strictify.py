@@ -745,11 +745,6 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
     """
     rep = Report(f"strict({S.name})", params={"bound": bound})
     A = S.base
-    counts = {}
-
-    def tally(k):
-        counts[k] = counts.get(k, 0) + 1
-
     all_paths = S.paths(bound)
     pairs = S.composable_pairs(bound, all_paths)
 
@@ -758,13 +753,11 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
         rep.require("st.hmor.unit",
                     S.hcomp_hmor(S.h_id(S.htgt(p)), p) == p
                     and S.hcomp_hmor(p, S.h_id(p.src)) == p, (p,))
-        tally("st.hmor.unit")
     triples = S.composable_triples(pairs, bound)   # walked again by C8
     for p, q, r in triples:
         rep.require("st.hmor.assoc",
                     S.hcomp_hmor(r, S.hcomp_hmor(q, p)) ==
                     S.hcomp_hmor(S.hcomp_hmor(r, q), p), (p, q, r))
-        tally("st.hmor.assoc")
 
     cells = S.cells(bound)
 
@@ -773,7 +766,6 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
         rep.require("st.cell.vunit",
                     S.vcomp_cell(S.vid_of(c.cod), c) == c
                     and S.vcomp_cell(c, S.vid_of(c.dom)) == c, (c,))
-        tally("st.cell.vunit")
 
     # C2: vertical associativity: bounded total-length chains + unary stratum
     small = [c for c in cells if len(c.dom) + len(c.cod) <= bound]
@@ -792,7 +784,6 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
                 lhs = S.vcomp_cell(c3, c12)
                 rhs = S.vcomp_cell(S.vcomp_cell(c3, c2), c1)
                 rep.require("st.cell.vassoc", lhs == rhs, (c1, c2, c3))
-                tally("st.cell.vassoc")
     unary = [c for c in cells if len(c.dom) == 1 and len(c.cod) == 1]
     unary_by_dom = {}
     for c in unary:
@@ -804,7 +795,6 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
                 lhs = S.vcomp_cell(c3, c12)
                 rhs = S.vcomp_cell(S.vcomp_cell(c3, c2), c1)
                 rep.require("st.cell.vassoc", lhs == rhs, (c1, c2, c3))
-                tally("st.cell.vassoc")
 
     # C3: horizontal unit cells (empty paths) are neutral for hcomp
     for c in cells:
@@ -813,47 +803,40 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
         fr = A.frame(c.payload)
         if A.frame(e_l.payload).right == fr.left:
             rep.require("st.cell.hunit", S.hcomp_cell(c, e_l) == c, (c,))
-            tally("st.cell.hunit")
         if fr.right == A.frame(e_r.payload).left:
             rep.require("st.cell.hunit", S.hcomp_cell(e_r, c) == c, (c,))
-            tally("st.cell.hunit")
 
     # C4: hcomp associativity within total bound; compared on payloads since
     # boundary paths agree by concatenation associativity (family P1)
     K = _StKernel(S, bound, all_paths, pairs, cells)
-    counts["st.cell.hassoc"] = K.hassoc(rep)
+    rep.counts["st.cell.hassoc"] = K.hassoc(rep)
 
     # C5: vid multiplicative over concatenation
     for p, q in pairs:
         rep.require("st.vid.mult",
                     S.hcomp_cell(S.vid_of(q), S.vid_of(p)) == S.vid_of(p + q), (p, q))
-        tally("st.vid.mult")
 
     # C6: interchange on bounded 2x2 grids (payload comparison, as in C4)
-    counts["st.interchange"] = K.interchange(rep)
+    rep.counts["st.interchange"] = K.interchange(rep)
 
     # C7: horizontal identities functorial
     for a in A.objects:
         rep.require("st.hid.videntity",
                     S.hid_of(A.v_id(a)) == S.vid_of(S.h_id(a)), (a,))
-        tally("st.hid.videntity")
     for (w, u), wu in A.vcomp_vmor_table.items():
         rep.require("st.hid.functorial",
                     S.vcomp_cell(S.hid_of(w), S.hid_of(u)) == S.hid_of(wu), (u, w))
-        tally("st.hid.functorial")
 
     # C8: all constraints are identity cells
     for p, q, r in triples:
         c, d = S.assoc_of(p, q, r)
         rep.require("st.constraint.identity",
                     c == S.vid_of(p + q + r) and d == c, (p, q, r))
-        tally("st.constraint.identity")
     for p in all_paths:
         rep.require("st.constraint.identity",
                     S.lunit_of(p)[0] == S.vid_of(p) and S.runit_of(p)[0] == S.vid_of(p), (p,))
-        tally("st.constraint.identity")
 
-    rep.params["instances"] = counts
+    rep.params["instances"] = dict(rep.counts)
     return rep
 
 
@@ -1048,9 +1031,7 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
                                   "extend_horizontal", "extend_modification")
 
     members = []        # (F, extension) for the valid tuples
-    n_cand = 0
     for F in iter_functor_candidates(A, B, False, max_candidates):
-        n_cand += 1
         a_ok = check_functor(F).ok
         E = StExtension(F, S, B)
         EF = E.functor(T)
@@ -1063,66 +1044,51 @@ def verify_3d_iso(A: TableDouble, B: TableDouble, bound: int,
         if a_ok and b_ok:
             F.name = f"F{len(members)}"
             members.append((F, EF))
-    rep.params["functor_candidates"] = n_cand
+    rep.params["functor_candidates"] = rep.counts.get("iso.obj.agree", 0)
     rep.params["objects_each_side"] = len(members)
 
-    n_v = n_h = raw_v = raw_h = 0
+    def agreeing(family, candidates, check, extend, witness=()):
+        """Every raw frame-typed candidate is an instance of `family`: its
+        hom-side membership must agree with bounded st-side membership of its
+        extension.  Returns the (hom-side, st-side) pairs both accept."""
+        got = []
+        for t in candidates:
+            a_ok = check(t).ok
+            st_t = extend(t)
+            b_ok = check(st_t).ok
+            rep.require(family, a_ok == b_ok, witness + (t.key(),),
+                        detail=f"hom-side={a_ok} st-side={b_ok}")
+            if a_ok and b_ok:
+                got.append((t, st_t))
+        return got
+
     vmembers, hmembers = {}, {}
     for i, (F, EF) in enumerate(members):
         for j, (G, EG) in enumerate(members):
-            got = []
-            # every raw frame-typed candidate: hom-side membership must agree
-            # with bounded st-side membership of the recursion extension
-            for t in iter_vertical_candidates(F, G, max_candidates):
-                raw_v += 1
-                a_ok = check_vertical(t).ok
-                sv = extend_vertical(t, EF, EG)
-                b_ok = check_vertical(sv).ok
-                rep.require("iso.vmor.agree", a_ok == b_ok, (F.name, G.name, t.key()),
-                            detail=f"hom-side={a_ok} st-side={b_ok}")
-                if a_ok and b_ok:
-                    got.append((t, sv))
-            n_v += len(got)
-            vmembers[(i, j)] = got
-
-            hgot = []
-            for t in iter_horizontal_candidates(F, G, max_candidates):
-                raw_h += 1
-                a_ok = check_horizontal(t).ok
-                sh = extend_horizontal(t, EF, EG)
-                b_ok = check_horizontal(sh).ok
-                rep.require("iso.hmor.agree", a_ok == b_ok, (F.name, G.name, t.key()),
-                            detail=f"hom-side={a_ok} st-side={b_ok}")
-                if a_ok and b_ok:
-                    hgot.append((t, sh))
-            n_h += len(hgot)
-            hmembers[(i, j)] = hgot
-    rep.params["vmors_each_side"] = n_v
-    rep.params["hmors_each_side"] = n_h
-    rep.params["vmor_candidates"] = raw_v
-    rep.params["hmor_candidates"] = raw_h
+            vmembers[(i, j)] = agreeing(
+                "iso.vmor.agree", iter_vertical_candidates(F, G, max_candidates),
+                check_vertical, lambda t: extend_vertical(t, EF, EG), (F.name, G.name))
+            hmembers[(i, j)] = agreeing(
+                "iso.hmor.agree", iter_horizontal_candidates(F, G, max_candidates),
+                check_horizontal, lambda t: extend_horizontal(t, EF, EG), (F.name, G.name))
+    rep.params["vmors_each_side"] = sum(map(len, vmembers.values()))
+    rep.params["hmors_each_side"] = sum(map(len, hmembers.values()))
+    rep.params["vmor_candidates"] = rep.counts.get("iso.vmor.agree", 0)
+    rep.params["hmor_candidates"] = rep.counts.get("iso.hmor.agree", 0)
 
     # cells: modifications between enumerated boundaries
-    n_m = raw_m = 0
-    for i in range(len(members)):
-        for j in range(len(members)):
-            for t, sh_t in hmembers[(i, j)]:
-                for k in range(len(members)):
-                    for l in range(len(members)):
-                        for b_, sh_b in hmembers[(k, l)]:
-                            for sg, ssg in vmembers[(i, k)]:
-                                for ta, sta in vmembers[(j, l)]:
-                                    for m in iter_modification_candidates(
-                                            t, b_, sg, ta, max_candidates):
-                                        raw_m += 1
-                                        a_ok = check_modification(m).ok
-                                        sm = extend_modification(m, sh_t, sh_b, ssg, sta)
-                                        b_ok = check_modification(sm).ok
-                                        rep.require("iso.cell.agree", a_ok == b_ok,
-                                                    (m.key(),),
-                                                    detail=f"hom={a_ok} st={b_ok}")
-                                        if a_ok and b_ok:
-                                            n_m += 1
-    rep.params["cells_each_side"] = n_m
-    rep.params["cell_candidates"] = raw_m
+    cells = []
+    for (i, j), tops in hmembers.items():
+        for t, sh_t in tops:
+            for (k, l), bottoms in hmembers.items():
+                for b_, sh_b in bottoms:
+                    for sg, ssg in vmembers[(i, k)]:
+                        for ta, sta in vmembers[(j, l)]:
+                            cells += agreeing(
+                                "iso.cell.agree",
+                                iter_modification_candidates(t, b_, sg, ta, max_candidates),
+                                check_modification,
+                                lambda m: extend_modification(m, sh_t, sh_b, ssg, sta))
+    rep.params["cells_each_side"] = len(cells)
+    rep.params["cell_candidates"] = rep.counts.get("iso.cell.agree", 0)
     return rep

@@ -17,10 +17,9 @@ mod_at_vmor, mods_at_hmor), which the checkers and curry_* share.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .core import Frame, TableDouble, product, terminal
+from .core import TableDouble, product, terminal
 from .homs import (
     HomDouble,
     HorizontalPseudoTransformation,
@@ -43,7 +42,6 @@ from .homs import (
     interchanger_inv,
     whisker_post_functor,
     whisker_pre_functor,
-    within_budget,
 )
 from .report import Report, StructuralError
 from .strictify import Path, st
@@ -900,6 +898,7 @@ def verify_equivalence(A: TableDouble, B: TableDouble, C: TableDouble,
     fully faithful on vertical transformations (via transport_faithful)."""
     rep = Report(f"equivalence({A.name},{B.name};{C.name})")
     P = product(A, B)
+    hom_BC = hom_BC or hom_double(B, C, max_candidates)
     two = enumerate_twovar_functors(A, B, C, hom_BC, max_candidates)
     rep.params["twovar_functors"] = len(two)
 
@@ -917,15 +916,17 @@ def verify_equivalence(A: TableDouble, B: TableDouble, C: TableDouble,
             all(C.inverse_of(c) is not None for c in sg.cell_left.values())
         rep.require("eq.transport.sigma.invertible", inv_ok, (F.name,))
 
-    # full faithfulness on vertical transformations
+    # full faithfulness on vertical transformations; the two-variable
+    # verticals HK -> H2K are enumerated through their curried encoding
     ones = enumerate_functors(P, C, max_candidates)
     rep.params["product_functors"] = len(ones)
-    for H in ones:
-        for H2 in ones:
-            HK = restrict_along_K(H, A, B)
-            H2K = restrict_along_K(H2, A, B)
+    curried = [(HK, curry_functor(HK, hom_BC))
+               for HK in (restrict_along_K(H, A, B) for H in ones)]
+    for H, (HK, cHK) in zip(ones, curried):
+        for H2, (H2K, cH2K) in zip(ones, curried):
             verts = enumerate_vertical(H, H2, max_candidates)
-            twoverts = _enumerate_twovar_verticals(HK, H2K, max_candidates)
+            twoverts = [uncurry_vertical(t, hom_BC, HK, H2K)
+                        for t in enumerate_vertical(cHK, cH2K, max_candidates)]
             rep.add("eq.ff.count", len(verts) == len(twoverts),
                     (H.name, H2.name), detail=f"{len(verts)} vs {len(twoverts)}")
             restricted = []
@@ -939,6 +940,8 @@ def verify_equivalence(A: TableDouble, B: TableDouble, C: TableDouble,
             rep.require("eq.ff.injective", len(set(restricted)) == len(restricted),
                         (H.name, H2.name))
             for s in twoverts:
+                r = check_twovar_vertical(s)
+                rep.require("eq.uncurry.valid", r.ok, (H.name, H2.name), detail=r.summary())
                 t = transport_faithful(s, H, H2)
                 r = check_vertical(t)
                 rep.require("eq.full.valid", r.ok, (H.name, H2.name), detail=r.summary())
@@ -957,41 +960,3 @@ def _restrict_vertical_along_K(t: VerticalTransformation, FK: TwoVarFunctor,
         cell_left={(f, c): t.at_hmor[(f, B.h_id(c))] for f in A.hmors for c in B.objects},
     )
 
-
-def iter_twovar_vertical_candidates(F: TwoVarFunctor, G: TwoVarFunctor,
-                                    max_candidates=None):
-    """Frame-typed two-variable vertical transformation data F -> G, not yet
-    filtered by the axioms."""
-    A, B, C = F.domA, F.domB, F.cod
-    pairs = [(a, c) for a in A.objects for c in B.objects]
-    pair_cands = [[v for v in C.vmors if C.vsrc(v) == F.obj(a, c) and C.vtgt(v) == G.obj(a, c)]
-                  for (a, c) in pairs]
-    rkeys = [(a, g) for a in A.objects for g in B.hmors]
-    lkeys = [(f, c) for f in A.hmors for c in B.objects]
-
-    def candidates():
-        for pick in itertools.product(*pair_cands):
-            at_pair = dict(zip(pairs, pick))
-            rcands = []
-            for (a, g) in rkeys:
-                c, d = B.hsrc(g), B.htgt(g)
-                want = Frame(F.partial_right[a].hmor(g), G.partial_right[a].hmor(g),
-                             at_pair[(a, c)], at_pair[(a, d)])
-                rcands.append(C.cells_with_frame(want))
-            lcands = []
-            for (f, c) in lkeys:
-                a, b = A.hsrc(f), A.htgt(f)
-                want = Frame(F.partial_left[c].hmor(f), G.partial_left[c].hmor(f),
-                             at_pair[(a, c)], at_pair[(b, c)])
-                lcands.append(C.cells_with_frame(want))
-            for rpick in itertools.product(*rcands):
-                for lpick in itertools.product(*lcands):
-                    yield TwoVarVertical(F, G, at_pair, dict(zip(rkeys, rpick)),
-                                         dict(zip(lkeys, lpick)))
-
-    yield from within_budget(candidates(), max_candidates)
-
-
-def _enumerate_twovar_verticals(F: TwoVarFunctor, G: TwoVarFunctor, max_candidates=None):
-    return [s for s in iter_twovar_vertical_candidates(F, G, max_candidates)
-            if check_twovar_vertical(s).ok]

@@ -395,21 +395,15 @@ def test_enumerate_transformations_complete(tables):
 
 
 def test_candidate_generators_truncate_at_budget_plus_one(tables):
-    from strawcat.twovar import (enumerate_twovar_functors,
-                                 iter_twovar_vertical_candidates)
-    N, T = tables["nonstrict"], tables["terminal"]
+    N = tables["nonstrict"]
     fs = enumerate_functors(N, N)
     t = enumerate_horizontal(fs[0], fs[0])[1]
     v = identity_vertical(fs[0])
-    two = enumerate_twovar_functors(N, T, N)
-    F2, G2 = max(((F, G) for F in two for G in two),
-                 key=lambda FG: len(list(iter_twovar_vertical_candidates(*FG))))
     generators = {
         "functor": lambda mc: iter_functor_candidates(N, N, True, mc),
         "vertical": lambda mc: iter_vertical_candidates(fs[1], fs[1], mc),
         "horizontal": lambda mc: iter_horizontal_candidates(fs[0], fs[0], mc),
         "modification": lambda mc: iter_modification_candidates(t, t, v, v, mc),
-        "twovar vertical": lambda mc: iter_twovar_vertical_candidates(F2, G2, mc),
     }
     for kind, gen in generators.items():
         n = len(list(gen(None)))

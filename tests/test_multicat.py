@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from strawcat import multicat, strictify
+from strawcat import homs, multicat, strictify
+from strawcat.core import TableDouble
 from strawcat.multicat import (
     EnvelopeCategory,
     EnvMor,
@@ -401,3 +402,22 @@ def test_strictification_adjunction_names_a_planted_mutant(
     monkeypatch.setattr(strictify, target, planted)
     rep = strictification_adjunction_report({k: tables[k] for k in members}, bound=2)
     assert family in {f.check for f in rep.failures()}, rep.render()
+
+
+def test_strictification_adjunction_names_a_composite_that_is_not_enumerated(
+        tables, monkeypatch):
+    # g f between corpus members gets one phi2 value that is not a cell, so
+    # no enumerated functor has its key and st(g f) has no extension
+    real = homs.compose_functors
+
+    def planted(G, F):
+        out = real(G, F)
+        tabled = (F.dom, F.cod, G.dom, G.cod)
+        if out.phi2 and all(isinstance(X, TableDouble) for X in tabled):
+            out.phi2[next(iter(out.phi2))] = "not-a-cell"
+        return out
+
+    monkeypatch.setattr(homs, "compose_functors", planted)
+    rep = strictification_adjunction_report(
+        {k: tables[k] for k in ("nonstrict", "sigmaM")}, bound=2)
+    assert "sadj.S.functorial" in {f.check for f in rep.failures()}, rep.render()
