@@ -124,13 +124,18 @@ def gray_axiom_check(A: TableDouble, B: TableDouble, C: TableDouble,
     grid invertibility, order independence, concatenation compatibility,
     and the pointwise 1x1 component identity."""
     rep = Report(f"gray({A.name},{B.name},{C.name})", params={"bound": bound})
-    sh_ab = st_hom(A, B, max_candidates)
-    sh_bc = st_hom(B, C, max_candidates)
-    sh_ac = st_hom(A, C, max_candidates)
+    built = {}                  # st Hom(X, Y) and its strictness, per (X, Y) given
+
+    def hom(X, Y):
+        if (id(X), id(Y)) not in built:
+            sh = st_hom(X, Y, max_candidates)
+            built[(id(X), id(Y))] = sh, st_strict_report(sh.S, bound)
+        return built[(id(X), id(Y))]
+
+    (sh_ab, r_ab), (sh_bc, r_bc), (sh_ac, r_ac) = hom(A, B), hom(B, C), hom(A, C)
     ctx = GridContext(sh_ac, sh_ab.hom, sh_bc.hom)
 
-    for name, sh in [("AB", sh_ab), ("BC", sh_bc), ("AC", sh_ac)]:
-        r = st_strict_report(sh.S, bound)
+    for name, r in [("AB", r_ab), ("BC", r_bc), ("AC", r_ac)]:
         rep.require("gray.sthom.strict." + name, r.ok, (name,), detail=r.summary())
     # the composition the grids read is itself checked as a two-variable functor
     for f in check_twovar_functor(ctx.L).failures():

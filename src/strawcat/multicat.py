@@ -247,16 +247,23 @@ def validate_multicat(V: FiniteSymMulticat) -> Report:
             for q in all_perms(n):
                 rep.require("mc.act.comp",
                             V.act(mp, q) == V.act(m, perm_compose(p, q)), (m, p, q))
-    by_out_size = _by_out_size(V.sig)
+    by_out_size, tuples = _by_out_size(V.sig), {}
+
+    def budgeted(outputs):
+        """_budgeted within the cap, enumerated once per call."""
+        if outputs not in tuples:
+            tuples[outputs] = tuple(_budgeted(by_out_size, outputs, V.arity_cap))
+        return tuples[outputs]
+
     # associativity of substitution on two-level trees within the cap
     for g in V.all_mms():
         ys, z = V.sig[g]
         if not ys:
             continue
-        for fs in _budgeted(by_out_size, tuple(ys), V.arity_cap):
+        for fs in budgeted(tuple(ys)):
             gf = V.gamma(g, fs)
             xs_all = tuple(x for f in fs for x in V.sig[f][0])
-            for flat in _budgeted(by_out_size, xs_all, V.arity_cap):
+            for flat in budgeted(xs_all):
                 # split flat back into the blocks of the fs
                 ess, off = [], 0
                 for f in fs:
@@ -273,7 +280,7 @@ def validate_multicat(V: FiniteSymMulticat) -> Report:
         n = len(ys)
         if n == 0:
             continue
-        for fs in _budgeted(by_out_size, tuple(ys), V.arity_cap):
+        for fs in budgeted(tuple(ys)):
             sizes = [len(V.sig[f][0]) for f in fs]
             base = V.gamma(g, fs)
             for p in all_perms(n):
@@ -308,11 +315,45 @@ class EnvMor:
 _BATCH = 1 << 16                # composable pairs per batch of a composition table
 
 
+def _shapes(Gg, Gf, width):
+    """The combinatorial half of g after f, which depends on the index maps
+    alone, for columns of index maps padded with -1 (slot-major: Gg[j] is the
+    output slot of g fed by input j).  Returns the composite's index map and,
+    per output slot of g, the code sum_t p[t] * width**t of the permutation p
+    that restores input order once the fibers of f that g feeds into the
+    slot are substituted there, or -1 where substitution keeps the order.
+    The substituted inputs of a slot arrive in blocks, by f's output and
+    then by position: input x arrives at arrive[x] and sits at pos[x]."""
+    n, small = Gg.shape[1], np.int16
+    Gg, Gf = Gg.astype(small), Gf.astype(small)
+    cidx = np.where(Gf >= 0, np.take_along_axis(Gg, np.maximum(Gf, 0), 0), -1).astype(small)
+    arrival = Gf * width + np.arange(width, dtype=small)[:, None]
+    arrive, pos, live = np.zeros_like(cidx), np.zeros_like(cidx), cidx >= 0
+    for x in range(width):
+        for i in range(x):
+            same = (cidx[i] == cidx[x]) & live[x]
+            pos[x] += same
+            ahead = arrival[i] < arrival[x]
+            arrive[x] += same & ahead
+            arrive[i] += same & ~ahead
+    # each input adds its digit to its slot's code; -1 slots land in a spare row
+    code = np.zeros((width + 1) * n, dtype=np.int64)
+    turn = np.zeros((width + 1) * n, dtype=bool)
+    power, cols = width ** np.arange(width), np.arange(n)
+    for x in range(width):
+        at = cidx[x].astype(np.int64) * n + cols
+        code[at] += arrive[x] * power[pos[x]]
+        turn[at] |= arrive[x] != pos[x]
+    code, turn = code[:width * n].reshape(width, n), turn[:width * n].reshape(width, n)
+    return cidx, np.where(turn, code, -1)
+
+
 @dataclass(frozen=True)
 class EnvComposition:
     """Composition in an envelope as one int32 table over positions in
     E.morphisms (index).  g after f sits at table[row[g] + col[f]], and
-    table[t] is pair_g[t] after pair_f[t]; dom and cod are word positions."""
+    table[t] is pair_g[t] after pair_f[t], both int32 too; dom and cod are
+    word positions."""
     index: dict
     dom: np.ndarray
     cod: np.ndarray
@@ -341,23 +382,33 @@ class EnvelopeCategory:
 
     def __post_init__(self):
         self.objects = words = _words(self.V.objects, self.word_cap)
+        V, obj = self.V, {x: i for i, x in enumerate(self.V.objects)}
+        maps = {}
+
+        def index_maps(n, m):
+            """The maps n -> m in product order, and per map the inputs it
+            feeds into each slot as a bit mask."""
+            if (n, m) not in maps:
+                idxs = list(itertools.product(range(m), repeat=n))
+                a = np.array(idxs, dtype=np.int64).reshape(len(idxs), n)
+                masks = ((a[:, :, None] == np.arange(m)) << np.arange(n)[:, None]).sum(1)
+                maps[(n, m)] = idxs, masks
+            return maps[(n, m)]
 
         def candidates():
             for dom in words:
                 n = len(dom)
+                # pools[mask][y]: the hom from the inputs of dom in mask to y
+                pools = [[V.hom(tuple(x for i, x in enumerate(dom) if mask >> i & 1), y)
+                          for y in V.objects] for mask in range(2 ** n)]
+                live = np.array([[len(p) > 0 for p in row] for row in pools])
                 for cod in words:
-                    m = len(cod)
-                    for idx in itertools.product(range(m), repeat=n):
-                        pools = []
-                        for j in range(m):
-                            ins = tuple(dom[i] for i in range(n) if idx[i] == j)
-                            pool = self.V.hom(ins, cod[j])
-                            if not pool:
-                                break
-                            pools.append(pool)
-                        else:
-                            for fibers in itertools.product(*pools):
-                                yield EnvMor(dom, cod, idx, fibers)
+                    idxs, masks = index_maps(n, len(cod))
+                    ys = [obj[y] for y in cod]
+                    for t in np.flatnonzero(live[masks, ys].all(1)):
+                        for fibers in itertools.product(
+                                *[pools[mask][y] for mask, y in zip(masks[t].tolist(), ys)]):
+                            yield EnvMor(dom, cod, idxs[t], fibers)
         self.morphisms = list(within_budget(candidates(), self.max_candidates))
 
     def identity(self, w) -> EnvMor:
@@ -369,15 +420,18 @@ class EnvelopeCategory:
         """Every composite g after f, by integer gathers over batches of
         pairs.  Slot k of g after f is gamma of g's fiber at k on f's fibers
         at the inputs g feeds into k, which arrive by f's output, then by
-        position; the action restores input order where that differs."""
+        position; the action restores input order where that differs.  That
+        order, and the composite's index map, depend on the pair's index
+        maps alone (_shapes): the batches take g by index map, and each
+        batch plans each pair of index maps in it once."""
         V, mors, words = self.V, self.morphisms, self.objects
         nm, nw, width = len(mors), len(words), max(self.word_cap, 1)
         index = {f: i for i, f in enumerate(mors)}
         wid = {w: k for k, w in enumerate(words)}
         dom = np.array([wid[f.dom] for f in mors], dtype=np.int64)
         cod = np.array([wid[f.cod] for f in mors], dtype=np.int64)
-        by_dom = [np.flatnonzero(dom == k) for k in range(nw)]
-        by_cod = [np.flatnonzero(cod == k) for k in range(nw)]
+        by_dom = [np.flatnonzero(dom == k).astype(np.int32) for k in range(nw)]
+        by_cod = [np.flatnonzero(cod == k).astype(np.int32) for k in range(nw)]
         col, row = np.zeros(nm, dtype=np.int64), np.zeros(nm, dtype=np.int64)
         start = 0
         for gs, fs in zip(by_dom, by_cod):
@@ -424,26 +478,45 @@ class EnvelopeCategory:
         # a morphism's key: (dom, cod), its index map and its fibers as digits
         index_digit = (width + 1) ** np.arange(width)
 
-        def mor_key(dom, cod, idx, fibers):
-            return (((dom * nw + cod) * (width + 1) ** width + index_digit @ (idx + 1))
-                    * radix ** width + digit @ (fibers + 1))
+        def mor_key(dom, cod, idx_key, fibers):
+            return (((dom * nw + cod) * (width + 1) ** width + idx_key) * radix ** width
+                    + digit @ (fibers + 1))
 
-        mkey, mpos = sort_keys(mor_key(dom, cod, G, F), np.arange(nm))
-        # per morphism: each input's rank among the inputs fed into its slot,
-        # as the digit weight of its fiber in gamma's key
+        mkey, mpos = sort_keys(mor_key(dom, cod, index_digit @ (G + 1), F), np.arange(nm))
+        # gamma's key for slot k of g after f is g's fiber at k, then f's
+        # fibers at the outputs that g feeds into k, in order: sub[f, mask]
+        # has f's fibers on each set of outputs (a bit mask) as digits, and
+        # feeds[k, g] the mask that g feeds into k
         slots = np.arange(width)
-        rank = np.array([(G[:j] == G[j]).sum(0) for j in slots])
-        weight = np.where(G >= 0, radix ** (width - 1 - rank), 0)
+        sub = np.zeros((nm, 2 ** width), dtype=np.int64)
+        for mask in range(2 ** width):
+            for r, j in enumerate(j for j in slots if mask >> j & 1):
+                sub[:, mask] += (F[j] + 1) * digit[r]
+        feeds = ((G[:, None, :] == slots[:, None]) << slots[:, None, None]).sum(0)
 
+        # the pairs taken g by g, the g ordered by index map, so that a
+        # batch holds few pairs of index maps
+        maps = {}
+        imap = np.array([maps.setdefault(f.idx, len(maps)) for f in mors], dtype=np.int64)
+        run = np.array([len(fs) for fs in by_cod])[dom]
+        by_map = np.argsort(imap, kind="stable")
+        ends = np.cumsum(run[by_map])
         table = np.empty(len(pair_g), dtype=np.int32)
         for s in range(0, len(pair_g), _BATCH):
-            g, f = pair_g[s:s + _BATCH], pair_f[s:s + _BATCH]
-            Gg, Gf, Fg = G[:, g], G[:, f], F[:, g]
-            live = Fg >= 0
+            nth = np.arange(s, min(s + _BATCH, len(pair_g)))
+            r = np.searchsorted(ends, nth, side="right")
+            g = by_map[r]
+            t = row[g] + nth - (ends[r] - run[g])
+            f = pair_f[t]
+            # the shape of each pair, planned once per pair of index maps
+            _, first, shape = np.unique(imap[g] * len(maps) + imap[f],
+                                        return_index=True, return_inverse=True)
+            cidx, code = _shapes(G[:, g[first]], G[:, f[first]], width)
+            code = code.take(shape, axis=1)
             # gamma: slot k of g substitutes f's fibers at g's inputs fed into k
-            key, digits = Fg * radix ** width, (F[:, f] + 1) * weight[:, g]
-            for j in slots:
-                key += (Gg[j] == slots[:, None]) * digits[j]
+            Fg = F.take(g, axis=1)
+            live = Fg >= 0
+            key = Fg * radix ** width + sub.take(f * 2 ** width + feeds.take(g, axis=1))
             at = np.searchsorted(gkey, key)
             bad = live & (gkey[at] != key)
             if bad.any():             # V's own error for the first missing entry
@@ -451,34 +524,23 @@ class EnvelopeCategory:
                 gm, fm = mors[g[b]], mors[f[b]]
                 V.gamma(gm.fibers[k], tuple(x for x, j in zip(fm.fibers, gm.idx) if j == k))
             out = np.where(live, gval[at], -1)
-            # the composite's index map; per slot, the code of the permutation
-            # taking input i, at pos among its slot's inputs, to its arrival
-            cidx = np.where(Gf >= 0, np.take_along_axis(Gg, np.maximum(Gf, 0), 0), -1)
-            arrival = Gf * width + slots[:, None]
-            arrive, pos = np.zeros_like(cidx), np.zeros_like(cidx)
-            code, turn = np.zeros_like(out), np.zeros_like(live)
-            for i in slots:
-                same = (cidx == cidx[i]) & (cidx[i] >= 0)
-                arrive += same & (arrival[i] < arrival)
-                pos[i + 1:] += same[i + 1:]
-            for i in slots:
-                in_slot = cidx[i] == slots[:, None]
-                code += in_slot * (arrive[i] * width ** pos[i])
-                turn |= in_slot & (arrive[i] != pos[i])
-            k, b = np.nonzero(turn)
-            acted = act[out[k, b], code[k, b]]
+            # the action, where the shape turns a slot's inputs
+            turn = np.flatnonzero(code >= 0)
+            acted = act.take(out.take(turn) * width ** width + code.take(turn))
             if (acted < 0).any():
-                k, b = k[np.argmax(acted < 0)], b[np.argmax(acted < 0)]
-                V.act(list(ids)[out[k, b]], tuple(arrive[cidx[:, b] == k, b].tolist()))
-            out[k, b] = acted
+                k, b = divmod(int(turn[np.argmax(acted < 0)]), len(g))
+                size = int((cidx[:, shape[b]] == k).sum())
+                V.act(list(ids)[out[k, b]],
+                      tuple(int(code[k, b]) // width ** i % width for i in range(size)))
+            out.put(turn, acted)
             # the composite's position, if it is a morphism
-            key = mor_key(dom[f], cod[g], cidx, out)
+            key = mor_key(dom[f], cod[g], (index_digit @ (cidx + 1))[shape], out)
             at = np.searchsorted(mkey, key)
             if (mkey[at] != key).any():
                 b = np.argmax(mkey[at] != key)
                 raise StructuralError(f"{V.name}: {mors[g[b]]} after {mors[f[b]]} has a "
                                       f"fiber outside the hom of its slot")
-            table[s:s + _BATCH] = mpos[at]
+            table[t] = mpos[at]
         return EnvComposition(index, dom, cod, by_dom, by_cod, row, col,
                               pair_g, pair_f, table)
 
@@ -508,6 +570,19 @@ def envelope(V: FiniteSymMulticat, word_cap: int | None = None,
                             max_candidates)
 
 
+def _blocks(n_rows, n_cols):
+    """An n_rows x n_cols grid in row-major blocks of about _BATCH cells:
+    whole rows at a time, or one row in slices where a row is longer."""
+    if n_cols > _BATCH:
+        for r in range(n_rows):
+            for c in range(0, n_cols, _BATCH):
+                yield slice(r, r + 1), slice(c, c + _BATCH)
+    else:
+        step = _BATCH // max(n_cols, 1)
+        for r in range(0, n_rows, step):
+            yield slice(r, r + step), slice(None)
+
+
 def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     """Symmetric strict monoidal axioms for the envelope, exhaustively up to
     the word cap.  Composition associativity is exhausted on the full
@@ -520,11 +595,14 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     checks run on integer tables built once: E.composition, every composite
     g after f in one int32 array, which E.compose and so env.sym.involution
     and env.sym.hexagon read too, and every tensor product within the cap
-    per pair of length profiles.  A composite that V's gamma or action
-    does not define, or whose fiber falls outside its hom, raises
-    StructuralError.  The two associativity strata report their first
-    violation per outer (short words) or middle (structural) morphism; every
-    other family reports each violated instance.
+    per pair of length profiles.  The structural-associativity and
+    tensor-functoriality strata compare their grids in row-major blocks of
+    about _BATCH instances, so memory stays bounded by the table, not by
+    the strata.  A composite that V's gamma or action does not define, or
+    whose fiber falls outside its hom, raises StructuralError.  The two
+    associativity strata report their first violation per outer (short
+    words) or middle (structural) morphism; every other family reports each
+    violated instance.
     """
     rep = Report(f"validate_envelope({E.V.name})",
                  params={"word_cap": E.word_cap, "assoc_full_len": assoc_full_len})
@@ -535,6 +613,7 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     index, dom, cod = comp.index, comp.dom, comp.cod
     by_dom, by_cod = comp.by_dom, comp.by_cod
     pair_g, pair_f, table = comp.pair_g, comp.pair_f, comp.table
+    row, col = comp.row, comp.col
     wid = {w: k for k, w in enumerate(E.objects)}
     wlen = np.array([len(w) for w in E.objects])
 
@@ -575,13 +654,15 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     n_struct = 0
     for s in sorted(structural):
         f_ids, g_ids = by_cod[dom[s]], by_dom[cod[s]]
-        lhs = comp(comp(g_ids, s)[:, None], f_ids[None, :])
-        rhs = comp(g_ids[:, None], comp(s, f_ids)[None, :])
-        n_struct += lhs.size
-        if (lhs != rhs).any():
-            gi, fi = np.argwhere(lhs != rhs)[0]
-            rep.add("env.assoc.structural", False,
-                    (int(g_ids[gi]), s, int(f_ids[fi])))
+        gs, sf = comp(g_ids, s), comp(s, f_ids)
+        n_struct += len(g_ids) * len(f_ids)
+        for rows, cols in _blocks(len(g_ids), len(f_ids)):
+            bad = comp(gs[rows, None], f_ids[cols]) != comp(g_ids[rows, None], sf[cols])
+            if bad.any():
+                gi, fi = np.argwhere(bad)[0]
+                rep.add("env.assoc.structural", False,
+                        (int(g_ids[rows][gi]), s, int(f_ids[cols][fi])))
+                break
     rep.params["assoc_instances_structural"] = n_struct
 
     # tensor: strict associativity and unit on objects and morphisms
@@ -619,30 +700,39 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
                      for i in by_profile[p1]], dtype=np.int64)
 
     def tensor(f, g, pf, pg):
-        return tens[(pf, pg)][ppos[f], ppos[g]]
+        t = tens[(pf, pg)]
+        return t.ravel()[ppos[f] * t.shape[1] + ppos[g]]
 
     # tensor functoriality over every two composable pairs, bucketed by the
-    # length profile (dom, mid, cod) of each pair
-    profile = np.stack([wlen[dom[pair_f]], wlen[cod[pair_f]], wlen[cod[pair_g]]])
-    code = np.ravel_multi_index(profile, (cap + 1,) * 3)
-    order = np.argsort(code, kind="stable")
-    codes, starts = np.unique(code[order], return_index=True)
-    buckets = []
-    for c, run in zip(codes, np.split(order, starts[1:])):
-        p = tuple(int(x) for x in np.unravel_index(c, (cap + 1,) * 3))
-        buckets.append((p, pair_g[run], pair_f[run], table[run]))
+    # length profile (dom, mid, cod) of each pair; a bucket holds its pairs'
+    # table positions in table order, which is word by word, g-major
+    buckets = {}
+    for k, w in enumerate(E.objects):
+        gs, fs = by_dom[k], by_cod[k]
+        for c in range(cap + 1):
+            g = gs[wlen[cod[gs]] == c]
+            for a in range(cap + 1):
+                f = fs[wlen[dom[fs]] == a]
+                if len(g) and len(f):
+                    buckets.setdefault((a, len(w), c), []).append(
+                        (row[g][:, None] + col[f]).ravel().astype(np.int32))
+    buckets = {p: np.concatenate(runs) for p, runs in sorted(buckets.items())}
     n_fun = 0
-    for (a1, b1, c1), g1, f1, gf1 in buckets:
-        for (a2, b2, c2), g2, f2, gf2 in buckets:
+    for (a1, b1, c1), t1 in buckets.items():
+        for (a2, b2, c2), t2 in buckets.items():
             if a1 + a2 > cap or b1 + b2 > cap or c1 + c2 > cap:
                 continue
-            lhs = tensor(gf1[:, None], gf2[None, :], (a1, c1), (a2, c2))
-            rhs = comp(tensor(g1[:, None], g2[None, :], (b1, c1), (b2, c2)),
-                       tensor(f1[:, None], f2[None, :], (a1, b1), (a2, b2)))
-            for i, j in np.argwhere(lhs != rhs):
-                rep.add("env.tensor.functorial", False,
-                        (int(f1[i]), int(g1[i]), int(f2[j]), int(g2[j])))
-            n_fun += lhs.size
+            g2, f2, gf2 = pair_g[t2], pair_f[t2], table[t2]
+            for rows, cols in _blocks(len(t1), len(t2)):
+                t = t1[rows, None]
+                g1, f1, g, f = pair_g[t], pair_f[t], g2[cols], f2[cols]
+                lhs = tensor(table[t], gf2[cols], (a1, c1), (a2, c2))
+                rhs = comp(tensor(g1, g, (b1, c1), (b2, c2)),
+                           tensor(f1, f, (a1, b1), (a2, b2)))
+                for i, j in np.argwhere(lhs != rhs):
+                    rep.add("env.tensor.functorial", False,
+                            (int(f1[i, 0]), int(g1[i, 0]), int(f[j]), int(g[j])))
+            n_fun += len(t1) * len(t2)
     rep.params["tensor_functoriality_instances"] = n_fun
 
     # symmetry: involution, naturality, coherence

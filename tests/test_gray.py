@@ -162,6 +162,24 @@ def test_gray_axiom_check_mixed_triple(tables):
     assert rep.params["grid_instances"] > 0
 
 
+@pytest.mark.parametrize("names, calls", [(("nonstrict", "sigmaM", "sigmaM"), 2),
+                                          (("sigma2", "sigma2", "sigma2"), 1)])
+def test_gray_axiom_check_builds_each_hom_once(tables, monkeypatch, names, calls):
+    # a hom that occurs twice in the triple is built and checked once, and
+    # each strictness family still requires once
+    real, built = gray.hom_double, []
+
+    def counted(*args):
+        built.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(gray, "hom_double", counted)
+    rep = gray_axiom_check(*(tables[n] for n in names), bound=1)
+    assert rep.ok, rep.render()
+    assert len(built) == calls
+    assert [rep.counts[f"gray.sthom.strict.{n}"] for n in ("AB", "BC", "AC")] == [1, 1, 1]
+
+
 @pytest.mark.parametrize("names", [("nonstrict", "sigmaM", "sigmaM"),
                                    ("sigma2", "sigma2", "sigma2")])
 def test_grid_context_reads_agree_with_direct_composition(tables, names):

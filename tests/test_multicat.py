@@ -1,9 +1,16 @@
+import itertools
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import time
 
+import numpy as np
 import pytest
 
+import strawcat
 from strawcat import homs, multicat, strictify
 from strawcat.core import TableDouble
 from strawcat.multicat import (
@@ -178,6 +185,81 @@ def _plan(gidx, m, fidx):
     return idx, tuple(None if p == sorted(p) else tuple(p) for p in perms)
 
 
+def test_shapes_match_the_plan_on_every_pair_of_index_maps():
+    # every composable pair of index maps up to length 4, whatever V: a
+    # dropped or inverted transposition shows here even where V's actions
+    # are trivial, as terminal's are
+    w = 4
+    maps = [(m, idx) for n in range(w + 1) for m in range(w + 1)
+            for idx in itertools.product(range(m), repeat=n)]
+    pairs = [(g, f) for g in maps for f in maps if f[0] == len(g[1])]
+    assert len(pairs) == 133_799
+
+    def padded(idxs):
+        return np.array([idx + (-1,) * (w - len(idx)) for idx in idxs]).T
+
+    cidx, code = multicat._shapes(padded([g for (_, g), _ in pairs]),
+                                  padded([f for _, (_, f) in pairs]), w)
+    for ((m, gidx), (_, fidx)), c, p in zip(pairs, cidx.T.tolist(), code.T.tolist()):
+        idx = tuple(c[:len(fidx)])
+        perms = tuple(None if x < 0 else tuple(x // w ** t % w for t in range(idx.count(k)))
+                      for k, x in enumerate(p[:m]))
+        assert (idx, perms) == _plan(gidx, m, fidx), (gidx, m, fidx)
+        assert c[len(fidx):] == [-1] * (w - len(fidx)) and p[m:] == [-1] * (w - m)
+
+
+def _plain_morphisms(V, cap):
+    """The envelope's morphisms, one index map and one slot at a time: the
+    oracle for the enumeration that filters index maps as arrays."""
+    words = multicat._words(V.objects, cap)
+    for dom in words:
+        n = len(dom)
+        for cod in words:
+            m = len(cod)
+            for idx in itertools.product(range(m), repeat=n):
+                pools = []
+                for j in range(m):
+                    ins = tuple(dom[i] for i in range(n) if idx[i] == j)
+                    pool = V.hom(ins, cod[j])
+                    if not pool:
+                        break
+                    pools.append(pool)
+                else:
+                    for fibers in itertools.product(*pools):
+                        yield EnvMor(dom, cod, idx, fibers)
+
+
+@pytest.mark.parametrize("budget", [1, 100, 1_000])
+def test_envelope_budget_stops_at_the_plain_candidate(budget, monkeypatch):
+    # the candidates reach the budget in the oracle's order, and the same
+    # candidate raises Truncated; z2 at cap 3 has 360 morphisms, so both
+    # enumerations meet a budget of 1,000 in full
+    V = from_monoidal("z2mon", ("0", "1"), addz2, "0", 3)
+    real, seen = multicat.within_budget, []
+
+    def pulled(candidates, max_candidates):
+        def record():
+            for x in candidates:
+                seen.append(x)
+                yield x
+        return real(record(), max_candidates)
+
+    def outcome(enumerate_all):
+        seen.clear()
+        try:
+            enumerate_all()
+            stop = None
+        except homs.Truncated:
+            stop = "Truncated"
+        return stop, list(seen)
+
+    want = outcome(lambda: list(pulled(_plain_morphisms(V, 3), budget)))
+    monkeypatch.setattr(multicat, "within_budget", pulled)
+    assert outcome(lambda: envelope(V, 3, max_candidates=budget)) == want
+    assert want[0] == ("Truncated" if budget < 360 else None)
+    assert len(want[1]) == min(budget + 1, 360)
+
+
 def _plain_composite(V, g, f):
     """g after f, one pair at a time through V's gamma and action dicts: the
     oracle for the envelope's composition table.  Output slot k carries g's
@@ -207,6 +289,7 @@ def test_composition_table_matches_plain_composites(make, cap, n_pairs, monkeypa
     V = make()
     E = envelope(V, cap)
     t, mors = E.composition, E.morphisms
+    assert mors == list(_plain_morphisms(V, cap))
     assert len(t.table) == n_pairs
     want = [_plain_composite(V, mors[g], mors[f]) for g, f in zip(t.pair_g, t.pair_f)]
     assert [mors[i] for i in t.table] == want
@@ -421,3 +504,35 @@ def test_strictification_adjunction_names_a_composite_that_is_not_enumerated(
     rep = strictification_adjunction_report(
         {k: tables[k] for k in ("nonstrict", "sigmaM")}, bound=2)
     assert "sadj.S.functorial" in {f.check for f in rep.failures()}, rep.render()
+
+
+# terminal at word cap 5: its morphisms and instance counts; structural
+# associativity and tensor functoriality as recorded before the strata ran
+# in batches
+CAP5_COUNTS = {"morphisms": 5_705,
+               "assoc_instances_small": 50_018,
+               "assoc_instances_structural": 92_018_316,
+               "tensor_functoriality_instances": 54_530_401,
+               "symmetry_naturality_instances": 18_645}
+SCALE = "STRAWCAT_SCALE"
+
+
+@pytest.mark.skipif(not os.environ.get(SCALE), reason=f"a scale point; set {SCALE}=1 to run it")
+def test_envelope_of_terminal_at_word_cap_5_within_60_s_and_1_gb():
+    # a fresh process, so that its ru_maxrss is the peak of this run alone
+    script = ("import json, resource\n"
+              "from strawcat.multicat import envelope, terminal_multicat, validate_envelope\n"
+              "rep = validate_envelope(envelope(terminal_multicat(5), 5))\n"
+              "print(json.dumps({'ok': rep.ok, 'params': rep.params,\n"
+              "                  'kb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))\n")
+    src = str(pathlib.Path(strawcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=600)
+    seconds = time.perf_counter() - t0
+    run = json.loads(out.stdout.splitlines()[-1])
+    assert run["ok"]
+    assert {k: run["params"][k] for k in CAP5_COUNTS} == CAP5_COUNTS
+    assert seconds <= 60, seconds
+    assert run["kb"] <= 1 << 20, run["kb"]          # KiB: 1 GiB
