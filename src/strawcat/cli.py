@@ -298,9 +298,7 @@ def elaborate(p: Presentation, allow_invalid: bool = False) -> TableDouble:
     rep = validate(A)
     if not rep.ok and not allow_invalid:
         msgs = [f.render() for f in rep.failures()[:10]]
-        raise ElaborationError(
-            "invalid table (pass --allow-invalid to elaborate anyway):\n  "
-            + "\n  ".join(msgs))
+        raise ElaborationError("invalid table:\n  " + "\n  ".join(msgs))
     return A
 
 
@@ -591,7 +589,6 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("validate")
     sp.add_argument("files", nargs="+")
-    sp.add_argument("--allow-invalid", action="store_true", dest="allow_invalid")
     sp.add_argument("--strict-expected", action="store_true", dest="strict_expected")
     sp.set_defaults(fn=cmd_validate)
 

@@ -362,6 +362,28 @@ def _batches(*cols):
         yield [c[i:i + _BATCH] for c in cols]
 
 
+def _ranges(lo, hi):
+    """The ranges [lo[i], hi[i]) laid end to end, as (owner, pos): the index
+    i each element came from, and the element; a range with hi <= lo is
+    empty."""
+    n = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(len(n)), n)
+    return owner, np.arange(len(owner)) + (lo - (n.cumsum() - n))[owner]
+
+
+def _parts(sizes):
+    """The bounds (a, b) of consecutive runs of rows whose sizes sum to about
+    _BATCH each, or to one row's size where that is more; runs of total size
+    0 are skipped."""
+    ends = np.zeros(len(sizes) + 1, dtype=np.int64)
+    ends[1:] = np.cumsum(sizes)
+    cuts = [] if ends[-1] <= _BATCH else ends[1:].searchsorted(
+        np.arange(_BATCH, ends[-1], _BATCH), "right").tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(sizes)]):
+        if ends[b] > ends[a]:
+            yield a, b
+
+
 def _joins(n: int, *steps):
     """Batches of id columns in nested-loop order: the first column runs
     over 0..n-1, and each step (groups, key, i) adds a column that runs
@@ -376,19 +398,10 @@ def _joins(n: int, *steps):
 def _extend(batches, groups: _Groups, key, i: int):
     for cols in batches:
         k = key[cols[i]]
-        count = groups.count[k]
-        # row r's extensions are t in [ends[r], ends[r + 1]), each members[shift[r] + t]
-        ends = np.zeros(len(k) + 1, dtype=np.int64)
-        ends[1:] = count.cumsum()
-        shift = groups.ptr[k] - ends[:-1]
-        cuts = [] if ends[-1] <= _BATCH else ends[1:].searchsorted(
-            np.arange(_BATCH, ends[-1], _BATCH), "right").tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, len(k)]):
-            if ends[hi] > ends[lo]:
-                c = count[lo:hi]
-                t = np.arange(ends[lo], ends[hi])
-                yield ([col[lo:hi].repeat(c) for col in cols]
-                       + [groups.members[shift[lo:hi].repeat(c) + t]])
+        lo, n = groups.ptr[k], groups.count[k]
+        for a, b in _parts(n):
+            row, at = _ranges(lo[a:b], lo[a:b] + n[a:b])
+            yield [col[a:b][row] for col in cols] + [groups.members[at]]
 
 
 def _report(rep: Report, *slots) -> None:

@@ -17,9 +17,12 @@ Because a cell of st A is a base cell between evaluations, the two largest
 families of the strictness oracle, hcomp associativity and interchange, run
 on an integer-indexed kernel (`_StKernel`) built once per
 `st_strict_report` call: dense ids for the bounded paths, the base cells and
-the st-cells, int32 tables for cell composition and for the forward and
-inverse coherence isos xi, and a sentinel id for "undefined".  Each instance
-is still computed and compared, in batches of array gathers.
+the st-cells, and int32 tables for cell composition and for the forward and
+inverse coherence isos xi.  Each instance is still computed and compared, in
+batches of array gathers cut as `core.validate` cuts its own.
+`st_strict_report` validates the base on entry and refuses one that fails a
+structure, frame or globularity family, so every composite it looks up is
+defined.
 
 Every structure map on paths (the evaluation eps, the coherence iso xi, and
 `StExtension`'s paths and comparison cells phi) is one memoised left-nested
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Frame, TableDouble, is_strict
+from .core import Frame, TableDouble, _batches, _parts, _ranges, is_strict, validate
 from .homs import (
     HorizontalPseudoTransformation,
     Modification,
@@ -439,30 +442,6 @@ def eta(A: TableDouble, S: StrictifiedDouble | None = None) -> PseudoDoubleFunct
 # bounded strictness check (the st-side oracle)
 # ---------------------------------------------------------------------------
 
-_BATCH = 1 << 12        # instances the st kernel gathers at once
-
-
-def _ranges(lo, hi):
-    """The ranges [lo[i], hi[i]) laid end to end, with the index i that each
-    element came from; a range with hi <= lo is empty."""
-    n = np.maximum(hi - lo, 0)
-    ends = np.cumsum(n)
-    owner = np.repeat(np.arange(len(n)), n)
-    pos = np.arange(ends[-1] if len(n) else 0) + np.repeat(lo - (ends - n), n)
-    return owner, pos
-
-
-def _batches(idx, sizes):
-    """Consecutive parts of idx whose sizes sum to about _BATCH each."""
-    if not len(idx):
-        return
-    ends = np.cumsum(sizes)
-    cuts = np.searchsorted(ends, np.arange(_BATCH, ends[-1], _BATCH)).tolist()
-    bounds = sorted({0, len(idx), *cuts})
-    for a, b in zip(bounds, bounds[1:]):
-        yield idx[a:b]
-
-
 class _StKernel:
     """The st-cells of one bound as integer ids, for the hcomp-associativity
     (C4) and interchange (C6) families of `st_strict_report`.
@@ -477,9 +456,9 @@ class _StKernel:
       with one extra row and column, id ``undef``, standing for "undefined";
       a composite with either factor undefined is undefined;
     * ``XF``/``XB``: forward/inverse ``S.xi`` on every composable pair of
-      paths within the bound (``undef`` elsewhere, or where ``S.xi``
-      raised), and ``CAT`` the id of the concatenation, or the extra path
-      id ``len(paths)`` where there is none;
+      paths within the bound (``undef`` elsewhere), and ``CAT`` the id of
+      the concatenation, or the extra path id ``len(paths)`` where there is
+      none;
     * per st-cell: ``dom``, ``cod``, ``pay`` (payload), ``left``/``right``
       (the payload's vertical sides) and the boundary lengths.
 
@@ -489,20 +468,18 @@ class _StKernel:
     right side, where c.dom ends) and both boundaries within the bound,
     ordered by c, then dom length, cod length and position of c'; ``Hpay``
     holds their composites.  ``B`` lists the bottom rows of interchange
-    grids, grouped by their dom paths.  A family is
-    evaluated in batches of consecutive instances; an undefined value in a
-    batch is re-evaluated with checked lookups and raises a
-    `StructuralError` that names the first undefined composite, in loop
-    order."""
+    grids, grouped by their dom paths.  A family is evaluated in batches of
+    consecutive instances.  The base is well-framed (`st_strict_report`
+    checks it on entry), so every composite is defined; an ``undef`` in a
+    batch raises a `StructuralError`."""
 
     def __init__(self, S: StrictifiedDouble, bound: int, paths: list, pairs: list,
                  cells: list):
         A = S.base
-        self.S, self.bound, self.paths, self.cells = S, bound, paths, cells
+        self.name, self.bound, self.cells = S.name, bound, cells
         pid = {p: i for i, p in enumerate(paths)}
         cid = {c: i for i, c in enumerate(A.cells)}
         und = self.undef = len(A.cells)
-        self._strict = False
 
         def table(comp):
             T = np.full((und + 1, und + 1), und, np.int32)
@@ -519,10 +496,7 @@ class _StKernel:
         for p, q in pairs:
             i, j = pid[p], pid[q]
             self.CAT[i, j] = pid[p + q]
-            try:
-                fwd, bwd = S.xi(p, q)
-            except StructuralError:
-                continue
+            fwd, bwd = S.xi(p, q)
             self.XF[i, j], self.XB[i, j] = cid[fwd], cid[bwd]
 
         vid = {u: i for i, u in enumerate(A.vmors)}
@@ -588,136 +562,76 @@ class _StKernel:
         hi = np.searchsorted(self._skey, want + cmax[:, None], "right")
         return lo, np.where(np.arange(self.bound + 1) <= dmax[:, None], hi, lo)
 
-    # -- lookups ---------------------------------------------------------------
-
-    def _look(self, T, i, j):
-        """T[i, j]; checked lookups, made on one instance, raise on undef."""
-        out = T[i, j]
-        if self._strict and out[0] == (len(self.paths) if T is self.CAT else self.undef):
-            x, y = int(i[0]), int(j[0])
-            A, S = self.S.base, self.S
-            if T is self.VT:
-                raise StructuralError(
-                    f"{A.name}: cells not v-composable: {A.cells[x]} under {A.cells[y]}")
-            if T is self.HT:
-                raise StructuralError(
-                    f"{A.name}: cells not h-composable: {A.cells[x]} after {A.cells[y]}")
-            p, q = self.paths[x], self.paths[y]
-            if T is not self.CAT and S.htgt(p) == q.src:
-                S.xi(p, q)              # raised when the table was filled
-            raise StructuralError(f"{S.name}: paths not composable: {p} then {q}")
-        return out
-
     def hp(self, dl, cl, pl, dr, cr, pr):
         """Payload of the horizontal composite of the cells (dl, cl, pl) and
         (dr, cr, pr), on the right; ``StrictifiedDouble.hcomp_payload`` on ids."""
-        mid = self._look(self.HT, pr, pl)
-        xb = self._look(self.XB, cl, cr)
-        return self._look(self.VT, xb, self._look(self.VT, mid, self._look(self.XF, dl, dr)))
+        VT = self.VT
+        return VT[self.XB[cl, cr], VT[self.HT[pr, pl], self.XF[dl, dr]]]
 
     def _hcomp(self, l, r):
         d, k, p = self.dom, self.cod, self.pay
         return self.hp(d[l], k[l], p[l], d[r], k[r], p[r])
 
-    def _pair(self, h):
-        """Composite of the H pairs h: stored, or recomputed when checked."""
-        return self._hcomp(self.Hl[h], self.Hr[h]) if self._strict else self.Hpay[h]
-
-    def _bottom(self, bi):
-        return self._hcomp(self.Bl[bi], self.Br[bi]) if self._strict else self.Bpay[bi]
-
     def _in_batches(self, ls, rs):
-        out = np.empty(len(ls), np.int32)
-        for a in range(0, len(ls), _BATCH):
-            out[a:a + _BATCH] = self._hcomp(ls[a:a + _BATCH], rs[a:a + _BATCH])
-        return out
+        return np.concatenate([np.zeros(0, np.int32),
+                               *(self._hcomp(l, r) for l, r in _batches(ls, rs))])
 
-    def _raise_first_undefined(self, part, own, bad, replay):
-        """Raise for the first undefined composite of a batch in loop order:
-        the composite of an outer pair ``part[o]`` comes before the
-        instances of that pair, ``replay(j)`` re-evaluates instance j."""
-        outer = np.flatnonzero(self.Hpay[part] == self.undef)[:1]
-        first = np.flatnonzero(bad)[:1]
-        self._strict = True
-        try:
-            if len(outer) and (not len(first) or outer[0] <= own[first[0]]):
-                self._pair(part[outer])
-            replay(first)
-        finally:
-            self._strict = False
-        raise StructuralError(f"{self.S.name}: undefined composite")
+    def _defined(self, *sides):
+        if any((x == self.undef).any() for x in sides):
+            raise StructuralError(f"{self.name}: undefined composite")
 
     # -- the two families ------------------------------------------------------
-
-    def _hassoc_sides(self, h12, h23):
-        d, k, CAT, look = self.dom, self.cod, self.CAT, self._look
-        c1, c2, c3 = self.Hl[h12], self.Hr[h12], self.Hr[h23]
-        lhs = self.hp(look(CAT, d[c1], d[c2]), look(CAT, k[c1], k[c2]), self._pair(h12),
-                      d[c3], k[c3], self.pay[c3])
-        rhs = self.hp(d[c1], k[c1], self.pay[c1],
-                      look(CAT, d[c2], d[c3]), look(CAT, k[c2], k[c3]), self._pair(h23))
-        return lhs, rhs
 
     def hassoc(self, rep: Report) -> int:
         """C4 on every triple (c1, c2, c3) of H-neighbours whose dom and cod
         lengths each total <= bound, except for c1 with both boundaries
         at the bound; returns the number of instances."""
-        b, Hl, Hr = self.bound, self.Hl, self.Hr
+        b, Hl, Hr, Hpay = self.bound, self.Hl, self.Hr, self.Hpay
+        d, k, pay, CAT = self.dom, self.cod, self.pay, self.CAT
         dlen, clen, cells = self.dlen, self.clen, self.cells
         outer = np.flatnonzero((dlen[Hl] < b) | (clen[Hl] < b))
         n = 0
-        step = _BATCH // (b + 1)
-        for a in range(0, len(outer), step):
-            chunk = outer[a:a + step]
+        # each outer pair has b + 1 runs of right neighbours, one per dom length
+        for a, z in _parts(np.full(len(outer), b + 1)):
+            chunk = outer[a:z]
             c1, c2 = Hl[chunk], Hr[chunk]
             lo, hi = self._rights(c2, b - dlen[c1] - dlen[c2], b - clen[c1] - clen[c2])
             hbase = self._hbase[c2]
-            for rows in _batches(np.arange(len(chunk)), np.maximum(hi - lo, 0).sum(1)):
-                run, pos = _ranges(lo[rows].ravel(), hi[rows].ravel())
-                own = run // (b + 1)
-                part = chunk[rows]
-                h12, h23 = part[own], hbase[rows].ravel()[run] + pos
-                lhs, rhs = self._hassoc_sides(h12, h23)
-                bad = (lhs == self.undef) | (rhs == self.undef)
-                if bad.any() or (self.Hpay[part] == self.undef).any():
-                    self._raise_first_undefined(
-                        part, own, bad, lambda j: self._hassoc_sides(h12[j], h23[j]))
+            for r0, r1 in _parts(np.maximum(hi - lo, 0).sum(1)):
+                run, pos = _ranges(lo[r0:r1].ravel(), hi[r0:r1].ravel())
+                h12 = chunk[r0:r1][run // (b + 1)]
+                h23 = hbase[r0:r1].ravel()[run] + pos
+                l, m, r = Hl[h12], Hr[h12], Hr[h23]
+                lhs = self.hp(CAT[d[l], d[m]], CAT[k[l], k[m]], Hpay[h12], d[r], k[r], pay[r])
+                rhs = self.hp(d[l], k[l], pay[l], CAT[d[m], d[r]], CAT[k[m], k[r]], Hpay[h23])
+                self._defined(lhs, rhs)
                 for i in np.flatnonzero(lhs != rhs).tolist():
-                    rep.add("st.cell.hassoc", False,
-                            (cells[Hl[h12[i]]], cells[Hr[h12[i]]], cells[Hr[h23[i]]]))
+                    rep.add("st.cell.hassoc", False, (cells[l[i]], cells[m[i]], cells[r[i]]))
                 n += len(h12)
         return n
-
-    def _interchange_sides(self, h, bi):
-        l1, r1, l2, r2 = self.Hl[h], self.Hr[h], self.Bl[bi], self.Br[bi]
-        p, VT = self.pay, self.VT
-        top = self._pair(h)
-        lhs = self._look(VT, self._bottom(bi), top)
-        rhs = self.hp(self.dom[l1], self.cod[l2], self._look(VT, p[l2], p[l1]),
-                      self.dom[r1], self.cod[r2], self._look(VT, p[r2], p[r1]))
-        return lhs, rhs
 
     def interchange(self, rep: Report) -> int:
         """C6 on every 2x2 grid: (l1, r1) in H, l2 below l1 and r2 below r1
         with l2's right side r2's left side, and the cod lengths of each row
         totalling <= bound; returns the number of instances."""
         Hl, Hr, Bl, Br, cells = self.Hl, self.Hr, self.Bl, self.Br, self.cells
+        p, VT = self.pay, self.VT
         lo = self.BS[self.cod[Hl], self.cod[Hr]]
         hi = self.BE[self.cod[Hl], self.cod[Hr]]
         n = 0
-        for part in _batches(np.arange(len(Hl)), hi - lo):
-            own, bi = _ranges(lo[part], hi[part])
-            h = part[own]
+        for a, z in _parts(hi - lo):
+            own, bi = _ranges(lo[a:z], hi[a:z])
+            h = own + a
             keep = np.flatnonzero(self.clen[Bl[bi]] + self.clen[Hr[h]] <= self.bound)
-            own, h, bi = own[keep], h[keep], bi[keep]
-            lhs, rhs = self._interchange_sides(h, bi)
-            bad = (lhs == self.undef) | (rhs == self.undef)
-            if bad.any() or (self.Hpay[part] == self.undef).any():
-                self._raise_first_undefined(
-                    part, own, bad, lambda j: self._interchange_sides(h[j], bi[j]))
+            h, bi = h[keep], bi[keep]
+            l1, r1, l2, r2 = Hl[h], Hr[h], Bl[bi], Br[bi]
+            lhs = VT[self.Bpay[bi], self.Hpay[h]]
+            rhs = self.hp(self.dom[l1], self.cod[l2], VT[p[l2], p[l1]],
+                          self.dom[r1], self.cod[r2], VT[p[r2], p[r1]])
+            self._defined(lhs, rhs)
             for i in np.flatnonzero(lhs != rhs).tolist():
                 rep.add("st.interchange", False,
-                        (cells[Hl[h[i]]], cells[Hr[h[i]]], cells[Bl[bi[i]]], cells[Br[bi[i]]]))
+                        (cells[l1[i]], cells[r1[i]], cells[l2[i]], cells[r2[i]]))
             n += len(h)
         return n
 
@@ -736,15 +650,22 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
     * interchange: all 2x2 grids bounded the same way;
     * constraint cells: identity on all composable path tuples, total <= bound.
 
+    The base is validated first: if it fails a ``structure.*``, ``frame.*``
+    or ``*.globular`` family of `validate`, some composite of st A is
+    undefined, and a `StructuralError` names the first such failure and its
+    witness.  A base that fails only axiom families is checked as any other.
     Hcomp associativity (C4) and interchange (C6) run on `_StKernel`: the
     bounded paths, base cells and st-cells get dense ids, cell composition
-    and xi become int32 tables whose extra id stands for "undefined", and an
-    instance becomes a handful of array gathers.  Failures are reported in
-    loop order with their st-cell witnesses; an undefined composite raises
-    a `StructuralError` naming the pair, as on every other family.
+    and xi become int32 tables, and an instance becomes a handful of array
+    gathers.  Failures are reported in loop order with their st-cell
+    witnesses.
     """
-    rep = Report(f"strict({S.name})", params={"bound": bound})
     A = S.base
+    for f in validate(A).failures():
+        if f.check.startswith(("structure.", "frame.")) or f.check.endswith(".globular"):
+            raise StructuralError(f"{S.name}: the base fails {f.check} at "
+                                  f"({', '.join(map(str, f.witness))})")
+    rep = Report(f"strict({S.name})", params={"bound": bound})
     all_paths = S.paths(bound)
     pairs = S.composable_pairs(bound, all_paths)
 

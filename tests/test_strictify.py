@@ -1,14 +1,15 @@
 import dataclasses
 import itertools
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from strawcat import is_strict, terminal
+from strawcat import core, is_strict, terminal
 from strawcat.cli import elaborate, parse
-from strawcat.corpus import nonstrict
-from strawcat.core import Frame
+from strawcat.corpus import nonstrict, quintet, sigma_m3
+from strawcat.core import Frame, validate
 from strawcat.homs import (
     check_functor,
     compose_functors,
@@ -43,6 +44,7 @@ from strawcat.strictify import (
     verify_3d_iso,
 )
 from strawcat.report import Report, StructuralError
+from test_core import single_entry_mutants
 
 
 @pytest.fixture(scope="module")
@@ -703,14 +705,17 @@ def _mutant(corpus_dir, name, old, new):
     return elaborate(parse(text.replace(old, new, 1), name), allow_invalid=True)
 
 
-def test_st_kernel_findings_on_a_broken_cell_table(corpus_dir):
+def test_st_kernel_findings_on_a_broken_cell_table(corpus_dir, monkeypatch):
     A = _mutant(corpus_dir, "nonstrict", "  t * t = ce", "  t * t = t")
-    S = st(A)
-    rep = st_strict_report(S, 3)
-    assert not rep.ok
-    assert Counter(f.check for f in rep.failures()) == {"st.interchange": 1680,
-                                                        "st.cell.hassoc": 84}
-    _assert_kernel_matches_oracles(S, 3, rep)
+    # the default batch, and one smaller than the bound + 1 runs of an outer pair
+    for batch in (core._BATCH, 2):
+        monkeypatch.setattr(core, "_BATCH", batch)
+        S = st(A)
+        rep = st_strict_report(S, 3)
+        assert not rep.ok
+        assert Counter(f.check for f in rep.failures()) == {"st.interchange": 1680,
+                                                            "st.cell.hassoc": 84}
+        _assert_kernel_matches_oracles(S, 3, rep)
 
 
 def test_st_kernel_findings_on_a_planted_coherence_iso():
@@ -727,13 +732,33 @@ def test_st_kernel_findings_on_a_planted_coherence_iso():
     _assert_kernel_matches_oracles(S, 4, rep)
 
 
-@pytest.mark.parametrize("name, old, new, pair", [
-    ("nonstrict", "  e * e = e", "  e * e = j", "ce under cj"),
-    ("sigmaM", "  m1 * m1 = m2", "  m1 * m1 = m1", "c_m2 under c_m1"),
-    ("quintet", "  cb * s = s", "  cb * s = cb", "cb under cf"),
-    ("sigma2", "  z1 * z1 = z0", "  z1 * z1 = z1", "c_z0 under c_z1"),
+@pytest.mark.parametrize("name, old, new, failure", [
+    ("nonstrict", "  e * e = e", "  e * e = j", "frame.hcomp at (ce, ce, ce)"),
+    ("sigmaM", "  m1 * m1 = m2", "  m1 * m1 = m1", "frame.hcomp at (c_m1, c_m1, c_m2)"),
+    ("quintet", "  cb * s = s", "  cb * s = cb", "frame.hcomp at (cb, s, cb)"),
+    ("sigma2", "  z1 * z1 = z0", "  z1 * z1 = z1", "frame.hcomp at (c_z1, c_z1, c_z0)"),
+    # cu runs along u, not along identities
+    ("quintet", "  ha ha ha = ca ca", "  ha ha ha = cu ca", "assoc.globular at (ha, ha, ha, cu)"),
 ])
-def test_st_undefined_composite_is_a_structural_error(corpus_dir, name, old, new, pair):
-    # the first three fail inside the kernel (family C4), quintet in C3
-    with pytest.raises(StructuralError, match=f"cells not v-composable: {pair}$"):
+def test_st_undefined_composite_is_a_structural_error(corpus_dir, name, old, new, failure):
+    # refused on entry, naming validate's first failure of the base
+    with pytest.raises(StructuralError, match=re.escape(f"the base fails {failure}") + "$"):
         st_strict_report(st(_mutant(corpus_dir, name, old, new)), 3)
+
+
+def test_st_strict_report_refuses_exactly_the_ill_framed_mutants():
+    # a base that fails a structure, frame or globularity family leaves some
+    # composite of st A undefined; any other base gets a report
+    refused = run = 0
+    for M in itertools.chain(*(single_entry_mutants(b()) for b in (nonstrict, quintet, sigma_m3))):
+        framing = [f.check for f in validate(M).failures()
+                   if f.check.startswith(("structure.", "frame."))
+                   or f.check.endswith(".globular")]
+        if framing:
+            with pytest.raises(StructuralError, match=re.escape(f"the base fails {framing[0]} at")):
+                st_strict_report(st(M), 3)
+            refused += 1
+        else:
+            assert isinstance(st_strict_report(st(M), 3), Report)
+            run += 1
+    assert (refused, run) == (741, 31)
