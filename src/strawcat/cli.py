@@ -295,10 +295,11 @@ def elaborate(p: Presentation, allow_invalid: bool = False) -> TableDouble:
         if nonid:
             raise ElaborationError(
                 f"BICATEGORY flag but non-identity vmors present: {nonid}")
-    rep = validate(A)
-    if not rep.ok and not allow_invalid:
-        msgs = [f.render() for f in rep.failures()[:10]]
-        raise ElaborationError("invalid table:\n  " + "\n  ".join(msgs))
+    if not allow_invalid:
+        rep = validate(A)
+        if not rep.ok:
+            msgs = [f.render() for f in rep.failures()[:10]]
+            raise ElaborationError("invalid table:\n  " + "\n  ".join(msgs))
     return A
 
 

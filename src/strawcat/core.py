@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -101,6 +101,13 @@ class TableDouble:
 
     _inv_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _by_frame: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _interned: Interned | None = field(default=None, init=False, repr=False, compare=False)
+
+    def interned(self) -> Interned:
+        """The integer form of this table, built on first use."""
+        if self._interned is None:
+            self._interned = Interned(self)
+        return self._interned
 
     # -- basic accessors ---------------------------------------------------
 
@@ -236,9 +243,8 @@ class FiniteCategory:
 # ---------------------------------------------------------------------------
 
 def _structural(A: TableDouble, rep: Report) -> bool:
-    """Dangling-id checks on morphisms, identities and frames; returns False
-    if anything dangles.  Frames whose corners do not meet are reported, and
-    `validate` still checks the tables' keys and totality before it stops."""
+    """Dangling-id checks on morphisms, identities and frames, and identities'
+    endpoints; returns False if any fails, and then A cannot be interned."""
     ok = True
 
     def need(cond, witness, what):
@@ -271,15 +277,7 @@ def _structural(A: TableDouble, rep: Report) -> bool:
             continue
         need(fr.top in hm and fr.bottom in hm and fr.left in vm and fr.right in vm,
              (c,), "cell.frame.ids")
-    if not ok:
-        return False
-    for c in A.cells:
-        fr = A.cell_frames[c]
-        need(A.vmor_src[fr.left] == A.hmor_src[fr.top], (c,), "cell.frame.topleft")
-        need(A.vmor_tgt[fr.left] == A.hmor_src[fr.bottom], (c,), "cell.frame.botleft")
-        need(A.vmor_src[fr.right] == A.hmor_tgt[fr.top], (c,), "cell.frame.topright")
-        need(A.vmor_tgt[fr.right] == A.hmor_tgt[fr.bottom], (c,), "cell.frame.botright")
-    return True
+    return ok
 
 
 _BATCH = 1 << 12                # instances per batch of a quantified family
@@ -303,49 +301,41 @@ class _Table:
     """A composition table as one flat int array.  The composable pair
     (s, f), s second and f first, meets at a boundary b = seconds.key[s] =
     firsts.key[f] and sits in b's block at row[s] + col[f]; the blocks hold
-    every composable pair and nothing else."""
+    every composable pair and nothing else.  A pair without an entry, and
+    the position ``end`` after the blocks, hold ``undef``: the number of ids
+    of the composite's kind.  row and col send the undefined id (that number,
+    or -1) to ``end``, where lookups clip: an undefined factor stays undefined."""
 
-    def __init__(self, seconds: _Groups, firsts: _Groups):
-        self.seconds, self.firsts = seconds, firsts
+    def __init__(self, seconds: _Groups, firsts: _Groups, undef: int):
+        self.seconds, self.firsts, self.undef = seconds, firsts, undef
         width = firsts.count
         self.start = np.concatenate(([0], np.cumsum(seconds.count * width)))
-        self.row = self.start[seconds.key] + width[seconds.key] * seconds.pos
-        self.col = firsts.pos
-        self.table = np.empty(self.start[-1], dtype=np.int64)
-        self.filled = np.empty(0, dtype=np.int64)   # positions given an entry
+        self.end = end = int(self.start[-1])
+        row = self.start[seconds.key] + width[seconds.key] * seconds.pos
+        self.row, self.col = np.concatenate((row, [end])), np.concatenate((firsts.pos, [end]))
+        self.table = np.full(end + 1, undef, dtype=np.intp)
 
     def at(self, s, f):
-        return self.row[s] + self.col[f]
+        return np.minimum(self.row[s] + self.col[f], self.end)
 
     def __call__(self, s, f):
-        return self.table[self.row[s] + self.col[f]]
-
-    def fill(self, at, x) -> None:
-        self.table[at] = x
-        self.filled = at
-
-    def gaps(self):
-        """The positions that no entry filled.  Entries have distinct keys,
-        so each fills its own position."""
-        if len(self.filled) == len(self.table):
-            return ()
-        return np.flatnonzero(np.bincount(self.filled, minlength=len(self.table)) == 0)
+        return self.table.take(self.row[s] + self.col[f], mode="clip")
 
     def pairs(self):
         """The pair (s, f) at each position, as two columns."""
         s, f = self.seconds, self.firsts
         block = np.repeat(np.arange(len(s.count)), s.count * f.count)
-        off = np.arange(self.start[-1]) - self.start[block]
+        off = np.arange(self.end) - self.start[block]
         width = f.count[block]
         return s.members[s.ptr[block] + off // width], f.members[f.ptr[block] + off % width]
 
 
-def _ids(index: dict, xs) -> np.ndarray:
+def _ids(index: dict, xs, dtype=np.intp) -> np.ndarray:
     """The numbers of xs in index, -1 for those it lacks."""
-    return np.fromiter(map(index.get, xs, itertools.repeat(-1)), dtype=np.int64)
+    return np.fromiter(map(index.get, xs, itertools.repeat(-1)), dtype=dtype)
 
 
-def _columns(table: dict, arity: int, *index) -> list:
+def _columns(table: dict, arity: int, *index, dtype=np.intp) -> list:
     """The entries of table, in its order, as columns of ids: arity columns
     for the key, then one for each part of the value; index[i] numbers
     column i."""
@@ -353,7 +343,60 @@ def _columns(table: dict, arity: int, *index) -> list:
     keys = [map(itemgetter(i), table) for i in range(arity)] if arity > 1 else [table]
     values = (table.values(),) if parts == 1 else (
         map(itemgetter(i), table.values()) for i in range(parts))
-    return [_ids(ix, col) for ix, col in zip(index, [*keys, *values])]
+    return [_ids(ix, col, dtype) for ix, col in zip(index, [*keys, *values])]
+
+
+class Interned:
+    """A table as integers, built once per table by `TableDouble.interned`;
+    `validate` and the st kernel read it, and nothing else numbers a table.
+    ``O``, ``V``, ``H``, ``C`` number the objects, vmors, hmors and cells in
+    table order, an id used but not declared being -1; the other fields are
+    arrays over those numbers, named as `validate` reads them.  Each `_Table`
+    keeps its dict's entries as id columns in dict order (``entries``, int32
+    for assoc's triples) and marks those it holds, whose keys compose (``ok``)."""
+
+    def __init__(self, A: TableDouble):
+        Os, Vs, Hs, Cs = A.objects, A.vmors, A.hmors, A.cells
+        self.O, self.V, self.H, self.C = O, V, H, C = [
+            {x: i for i, x in enumerate(xs)} for xs in (Os, Vs, Hs, Cs)]
+        nO, nV, nH, nC = len(Os), len(Vs), len(Hs), len(Cs)
+        self.vs, self.vt, self.hs, self.ht = vs, vt, hs, ht = [
+            _ids(O, map(ends.get, xs)) for ends, xs in (
+                (A.vmor_src, Vs), (A.vmor_tgt, Vs), (A.hmor_src, Hs), (A.hmor_tgt, Hs))]
+        frames = [A.cell_frames[c] for c in Cs]
+        self.frame = top, bot, lef, rig = np.stack([_ids(ix, map(attrgetter(side), frames))
+                                                    for ix, side in ((H, "top"), (H, "bottom"),
+                                                                     (V, "left"), (V, "right"))])
+        self.vI, self.hI = _ids(V, map(A.v_identity.get, Os)), _ids(H, map(A.h_identity.get, Os))
+
+        self.out_v, self.in_v, self.out_h, self.in_h = (_Groups(k, nO) for k in (vs, vt, hs, ht))
+        self.by_top, self.by_bot = _Groups(top, nH), _Groups(bot, nH)
+        self.by_left, self.by_right = _Groups(lef, nV), _Groups(rig, nV)
+        self.vv, self.hh = _Table(self.out_v, self.in_v, nV), _Table(self.out_h, self.in_h, nH)
+        self.cv = _Table(self.by_top, self.by_bot, nC)
+        self.ch = _Table(self.by_left, self.by_right, nC)
+        for T, table, ix in ((self.vv, A.vcomp_vmor_table, V), (self.hh, A.hcomp_hmor_table, H),
+                             (self.cv, A.vcomp_cell_table, C), (self.ch, A.hcomp_cell_table, C)):
+            s, f, x = T.entries = _columns(table, 2, ix, ix, ix)
+            ok = T.ok = np.minimum(s, f) >= 0
+            ok[ok] = T.seconds.key[s[ok]] == T.firsts.key[f[ok]]
+            T.table[T.at(s[ok], f[ok])] = x[ok]
+        # assoc[(f, g, h)] sits at the pair h after (g after f), which meet at ht[g]
+        pg, _ = self.hh.pairs()
+        a3 = self.a3 = _Table(self.out_h, _Groups(ht[pg], nO), nC)
+        f, g, h, c, _ = a3.entries = _columns(A.assoc, 3, H, H, H, C, C, dtype=np.int32)
+        ok = a3.ok = np.minimum.reduce((f, g, h)) >= 0
+        ok[ok] = (ht[f[ok]] == hs[g[ok]]) & (ht[g[ok]] == hs[h[ok]])
+        a3.table[a3.at(h[ok], self.hh.at(g[ok], f[ok]))] = c[ok]
+
+        self.vid_cols, self.hid_cols = _columns(A.vid_cell, 1, H, C), _columns(A.hid_cell, 1, V, C)
+        self.lun_cols, self.run_cols = _columns(A.lunit, 1, H, C, C), _columns(A.runit, 1, H, C, C)
+        self.vid, self.hid = _ids(C, map(A.vid_cell.get, Hs)), _ids(C, map(A.hid_cell.get, Vs))
+        self.lun, self.run = (_ids(C, (d[f][0] if f in d else None for f in Hs))
+                              for d in (A.lunit, A.runit))
+
+    def assoc(self, f, g, h):
+        return self.a3(h, self.hh.at(g, f))
 
 
 def _batches(*cols):
@@ -431,89 +474,63 @@ def validate(A: TableDouble) -> Report:
     category.  Every axiom family quantifies over all composable tuples in
     the tables; nothing is sampled.
 
-    Objects, vmors, hmors and cells are numbered afresh on each call, each
-    composition table and assoc become a `_Table`, and each family is a few
-    gathers over batches of its instances, in the order of the nested loops
-    that quantify it.  Findings name the table's own ids."""
+    The table is numbered once, by `TableDouble.interned`, so a second call
+    on one table only checks, and each family is a few gathers over batches
+    of its instances, in the order of the nested loops that quantify it.
+    Findings name the table's own ids."""
     rep = Report(f"validate({A.name})")
     if not _structural(A, rep):
         return rep
 
+    T = A.interned()
     Os, Vs, Hs, Cs = A.objects, A.vmors, A.hmors, A.cells
-    O, V, H, C = ({x: i for i, x in enumerate(xs)} for xs in (Os, Vs, Hs, Cs))
     nO, nV, nH, nC = len(Os), len(Vs), len(Hs), len(Cs)
-    vs, vt = _ids(O, map(A.vmor_src.get, Vs)), _ids(O, map(A.vmor_tgt.get, Vs))
-    hs, ht = _ids(O, map(A.hmor_src.get, Hs)), _ids(O, map(A.hmor_tgt.get, Hs))
-    frames = [A.cell_frames[c] for c in Cs]
-    top, bot = _ids(H, (f.top for f in frames)), _ids(H, (f.bottom for f in frames))
-    lef, rig = _ids(V, (f.left for f in frames)), _ids(V, (f.right for f in frames))
-    frame = np.stack((top, bot, lef, rig))
-    vI, hI = _ids(V, map(A.v_identity.get, Os)), _ids(H, map(A.h_identity.get, Os))
+    vs, vt, hs, ht, vI, hI = T.vs, T.vt, T.hs, T.ht, T.vI, T.hI
+    top, bot, lef, rig = frame = T.frame
+    vv, hh, cv, ch, a3, assoc = T.vv, T.hh, T.cv, T.ch, T.a3, T.assoc
+    vid, hid, lun, run = T.vid, T.hid, T.lun, T.run
+    (vid_f, vid_c), (hid_u, hid_c) = T.vid_cols, T.hid_cols
+    (lun_f, lun_c, lun_d), (run_f, run_c, run_d) = T.lun_cols, T.run_cols
 
     def ids(*cols):
         return tuple(zip(cols[::2], cols[1::2]))
 
-    out_v, in_v = _Groups(vs, nO), _Groups(vt, nO)
-    out_h, in_h = _Groups(hs, nO), _Groups(ht, nO)
-    by_top, by_bot = _Groups(top, nH), _Groups(bot, nH)
-    by_left, by_right = _Groups(lef, nV), _Groups(rig, nV)
-    vv, hh = _Table(out_v, in_v), _Table(out_h, in_h)
-    cv, ch = _Table(by_top, by_bot), _Table(by_left, by_right)
-    # assoc[(f, g, h)] sits at the pair h after (g after f), which meet at ht[g]
-    pg, pf = hh.pairs()
-    a3 = _Table(out_h, _Groups(ht[pg], nO))
-
-    def assoc(f, g, h):
-        return a3(h, hh.at(g, f))
-
-    def assoc_triples():
-        h, p = a3.pairs()
-        return pf[p], pg[p], h
-
-    vv_w, vv_u, vv_x = _columns(A.vcomp_vmor_table, 2, V, V, V)
-    hh_g, hh_f, hh_x = _columns(A.hcomp_hmor_table, 2, H, H, H)
-    cv_lo, cv_up, cv_x = _columns(A.vcomp_cell_table, 2, C, C, C)
-    ch_r, ch_l, ch_x = _columns(A.hcomp_cell_table, 2, C, C, C)
-    af, ag, ah, ac, ad = _columns(A.assoc, 3, H, H, H, C, C)
-    vid_f, vid_c = _columns(A.vid_cell, 1, H, C)
-    hid_u, hid_c = _columns(A.hid_cell, 1, V, C)
-    lun_f, lun_c, lun_d = _columns(A.lunit, 1, H, C, C)
-    run_f, run_c, run_d = _columns(A.runit, 1, H, C, C)
+    # the corners of each frame meet; a frame that fails is still checked
+    # with the tables' keys and totality before `validate` stops
+    each = ids(Cs, np.arange(nC))
+    _report(rep, ("structure.cell.frame.topleft", vs[lef] != hs[top], each),
+            ("structure.cell.frame.botleft", vt[lef] != hs[bot], each),
+            ("structure.cell.frame.topright", vs[rig] != ht[top], each),
+            ("structure.cell.frame.botright", vt[rig] != ht[bot], each))
 
     # every key of a table is composable data, or one id, of its kind; each
     # composition table and assoc holds its composable entries
-    def known(*cols):
-        return np.minimum.reduce(cols) >= 0
-
-    for what, table, T, s, f, x in (("vcomp.vmor", A.vcomp_vmor_table, vv, vv_w, vv_u, vv_x),
-                                    ("hcomp.hmor", A.hcomp_hmor_table, hh, hh_g, hh_f, hh_x),
-                                    ("vcomp.cell", A.vcomp_cell_table, cv, cv_lo, cv_up, cv_x),
-                                    ("hcomp.cell", A.hcomp_cell_table, ch, ch_r, ch_l, ch_x)):
-        ok = known(s, f)
-        ok[ok] = T.seconds.key[s[ok]] == T.firsts.key[f[ok]]
-        _report_rows(rep, f"structure.{what}.composable", ~ok, table)
-        T.fill(T.at(s[ok], f[ok]), x[ok])
-    ok = known(af, ag, ah)
-    f, g, h = af[ok], ag[ok], ah[ok]
-    ok[ok] = (ht[f] == hs[g]) & (ht[g] == hs[h])
-    _report_rows(rep, "structure.assoc.composable", ~ok, A.assoc)
-    a3.fill(a3.at(ah[ok], hh.at(ag[ok], af[ok])), ac[ok])
+    for what, table, X in (("vcomp.vmor", A.vcomp_vmor_table, vv),
+                           ("hcomp.hmor", A.hcomp_hmor_table, hh),
+                           ("vcomp.cell", A.vcomp_cell_table, cv),
+                           ("hcomp.cell", A.hcomp_cell_table, ch),
+                           ("assoc", A.assoc, a3)):
+        _report_rows(rep, f"structure.{what}.composable", ~X.ok, table)
     for what, table, key in (("vid", A.vid_cell, vid_f), ("hid", A.hid_cell, hid_u),
                              ("lunit", A.lunit, lun_f), ("runit", A.runit, run_f)):
         _report_rows(rep, f"structure.{what}.keys", key < 0, ((k,) for k in table))
 
-    def missing(check, T, names, tuples):
+    def missing(check, X, names, tuples):
         # the composable tuples without an entry, in lexicographic order
-        gone = T.gaps()
+        gone = np.flatnonzero(X.table[:X.end] == X.undef)
         if len(gone):
             cols = [c[gone] for c in tuples()]
             order = np.lexsort(cols[::-1])
             _report(rep, (check, np.ones(len(gone), dtype=bool),
                           tuple((names, c[order]) for c in cols)))
 
+    def assoc_triples():
+        h, p = a3.pairs()
+        pg, pf = hh.pairs()
+        return pf[p], pg[p], h
+
     missing("structure.vcomp.vmor.total", vv, Vs, vv.pairs)
     missing("structure.hcomp.hmor.total", hh, Hs, hh.pairs)
-    vid, hid = _ids(C, map(A.vid_cell.get, Hs)), _ids(C, map(A.hid_cell.get, Vs))
     _report(rep, ("structure.vid.total", vid < 0, ids(Hs, np.arange(nH))))
     _report(rep, ("structure.hid.total", hid < 0, ids(Vs, np.arange(nV))))
     if rep.failures():
@@ -521,42 +538,44 @@ def validate(A: TableDouble) -> Report:
     missing("structure.vcomp.cell.total", cv, Cs, cv.pairs)
     missing("structure.hcomp.cell.total", ch, Cs, ch.pairs)
     missing("structure.assoc.total", a3, Hs, assoc_triples)
-    has_l = np.fromiter(map(A.lunit.__contains__, Hs), dtype=bool, count=nH)
-    has_r = np.fromiter(map(A.runit.__contains__, Hs), dtype=bool, count=nH)
+    has_l = np.bincount(lun_f[lun_f >= 0], minlength=nH) > 0
+    has_r = np.bincount(run_f[run_f >= 0], minlength=nH) > 0
     _report(rep, ("structure.lunit.total", ~has_l, ids(Hs, np.arange(nH))),
             ("structure.runit.total", ~has_r, ids(Hs, np.arange(nH))))
     if rep.failures():
         return rep
 
     # table outputs well-typed
-    for what, table, s, f, x, src, tgt in (
-            ("vcomp.vmor", A.vcomp_vmor_table, vv_w, vv_u, vv_x, vs, vt),
-            ("hcomp.hmor", A.hcomp_hmor_table, hh_g, hh_f, hh_x, hs, ht)):
+    for what, table, (s, f, x), src, tgt in (
+            ("vcomp.vmor", A.vcomp_vmor_table, vv.entries, vs, vt),
+            ("hcomp.hmor", A.hcomp_hmor_table, hh.entries, hs, ht)):
         ok = x >= 0
         ok[ok] = (src[x[ok]] == src[f[ok]]) & (tgt[x[ok]] == tgt[s[ok]])
         _report_rows(rep, f"structure.{what}.typed", ~ok, ((*k, y) for k, y in table.items()))
-    for what, table, x in (("vcomp.cell", A.vcomp_cell_table, cv_x),
-                           ("hcomp.cell", A.hcomp_cell_table, ch_x)):
-        _report_rows(rep, f"structure.{what}.ids", x < 0, ((*k, y) for k, y in table.items()))
+    for what, table, X in (("vcomp.cell", A.vcomp_cell_table, cv),
+                           ("hcomp.cell", A.hcomp_cell_table, ch)):
+        _report_rows(rep, f"structure.{what}.ids", X.entries[2] < 0,
+                     ((*k, y) for k, y in table.items()))
+    af, ag, ah, ac, ad = a3.entries
     _report_rows(rep, "structure.constraint.ids",
-                 ~known(np.concatenate((ac, lun_c, run_c)), np.concatenate((ad, lun_d, run_d))),
+                 np.minimum(np.concatenate((ac, lun_c, run_c)),
+                            np.concatenate((ad, lun_d, run_d))) < 0,
                  itertools.chain(A.assoc.values(), A.lunit.values(), A.runit.values()))
     if rep.failures():
         return rep
-    lun, run = _ids(C, (A.lunit[f][0] for f in Hs)), _ids(C, (A.runit[f][0] for f in Hs))
 
     # vertical category of objects and vmors
     for (u,) in _joins(nV):
         _report(rep, ("vcat.unit", vv(vI[vt[u]], u) != u, ids(Vs, u)),
                 ("vcat.unit", vv(u, vI[vs[u]]) != u, ids(Vs, u)))
-    for u, w, x in _joins(nV, (out_v, vt, 0), (out_v, vt, 1)):
+    for u, w, x in _joins(nV, (T.out_v, vt, 0), (T.out_v, vt, 1)):
         _report(rep, ("vcat.assoc", vv(x, vv(w, u)) != vv(vv(x, w), u), ids(Vs, u, Vs, w, Vs, x)))
 
     # frames of composites
-    for lo, up, x in _batches(cv_lo, cv_up, cv_x):
+    for lo, up, x in _batches(*cv.entries):
         want = (top[up], bot[lo], vv(lef[lo], lef[up]), vv(rig[lo], rig[up]))
         _report(rep, ("frame.vcomp", (frame[:, x] != want).any(0), ids(Cs, lo, Cs, up, Cs, x)))
-    for r, l, x in _batches(ch_r, ch_l, ch_x):
+    for r, l, x in _batches(*ch.entries):
         want = (hh(top[r], top[l]), hh(bot[r], bot[l]), lef[l], rig[r])
         _report(rep, ("frame.hcomp", (frame[:, x] != want).any(0), ids(Cs, r, Cs, l, Cs, x)))
     for f, c in _batches(vid_f, vid_c):
@@ -573,14 +592,15 @@ def validate(A: TableDouble) -> Report:
     for (c,) in _joins(nC):
         _report(rep, ("cell.vcat.unit", cv(vid[bot[c]], c) != c, ids(Cs, c)),
                 ("cell.vcat.unit", cv(c, vid[top[c]]) != c, ids(Cs, c)))
-    for c1, c2, c3 in _joins(nC, (by_top, bot, 0), (by_top, bot, 1)):
+    for c1, c2, c3 in _joins(nC, (T.by_top, bot, 0), (T.by_top, bot, 1)):
         _report(rep, ("cell.vcat.assoc", cv(c3, cv(c2, c1)) != cv(cv(c3, c2), c1),
                       ids(Cs, c1, Cs, c2, Cs, c3)))
 
     # horizontal composition of cells is a functor A1 x_{A0} A1 -> A1
-    for g, f, gf in _batches(hh_g, hh_f, hh_x):
+    for g, f, gf in _batches(*hh.entries):
         _report(rep, ("hcomp.vid", ch(vid[g], vid[f]) != vid[gf], ids(Hs, f, Hs, g)))
-    for l1, r1, l2, r2 in _joins(nC, (by_left, rig, 0), (by_top, bot, 0), (by_left, rig, 2)):
+    for l1, r1, l2, r2 in _joins(nC, (T.by_left, rig, 0), (T.by_top, bot, 0),
+                                 (T.by_left, rig, 2)):
         keep = top[r2] == bot[r1]
         l1, r1, l2, r2 = l1[keep], r1[keep], l2[keep], r2[keep]
         lhs = cv(ch(r2, l2), ch(r1, l1))
@@ -590,7 +610,7 @@ def validate(A: TableDouble) -> Report:
     # horizontal identities are functorial in the vertical direction
     for (a,) in _joins(nO):
         _report(rep, ("hid.of.videntity", hid[vI[a]] != vid[hI[a]], ids(Os, a)))
-    for w, u, wu in _batches(vv_w, vv_u, vv_x):
+    for w, u, wu in _batches(*vv.entries):
         _report(rep, ("hid.functorial", cv(hid[w], hid[u]) != hid[wu], ids(Vs, u, Vs, w)))
 
     # constraint cells: globular, invertible against the stored witnesses
@@ -617,7 +637,7 @@ def validate(A: TableDouble) -> Report:
         return rep
 
     # naturality of the associator in all three arguments
-    for l1, m1, r1 in _joins(nC, (by_left, rig, 0), (by_left, rig, 1)):
+    for l1, m1, r1 in _joins(nC, (T.by_left, rig, 0), (T.by_left, rig, 1)):
         lhs = cv(assoc(bot[l1], bot[m1], bot[r1]), ch(r1, ch(m1, l1)))
         rhs = cv(ch(ch(r1, m1), l1), assoc(top[l1], top[m1], top[r1]))
         _report(rep, ("assoc.natural", lhs != rhs, ids(Cs, l1, Cs, m1, Cs, r1)))
@@ -630,6 +650,7 @@ def validate(A: TableDouble) -> Report:
                  ids(Cs, c)))
 
     # pentagon and triangle
+    out_h = T.out_h
     for f, g, h, k in _joins(nH, (out_h, ht, 0), (out_h, ht, 1), (out_h, ht, 2)):
         p1 = cv(ch(vid[k], assoc(f, g, h)),
                 cv(assoc(f, hh(h, g), k), ch(assoc(g, h, k), vid[f])))

@@ -16,13 +16,13 @@ the report exactly which composable tuples it quantified over.
 Because a cell of st A is a base cell between evaluations, the two largest
 families of the strictness oracle, hcomp associativity and interchange, run
 on an integer-indexed kernel (`_StKernel`) built once per
-`st_strict_report` call: dense ids for the bounded paths, the base cells and
-the st-cells, and int32 tables for cell composition and for the forward and
-inverse coherence isos xi.  Each instance is still computed and compared, in
-batches of array gathers cut as `core.validate` cuts its own.
-`st_strict_report` validates the base on entry and refuses one that fails a
-structure, frame or globularity family, so every composite it looks up is
-defined.
+`st_strict_report` call: the base's integer form (`TableDouble.interned`),
+which `validate` reads too, dense ids for the bounded paths and the
+st-cells, and int32 tables for the forward and inverse coherence isos xi.
+Each instance is still computed and compared, in batches of array gathers
+cut as `core.validate` cuts its own.  `st_strict_report` validates the base
+on entry and refuses one that fails a structure, frame or globularity
+family, so every composite it looks up is defined.
 
 Every structure map on paths (the evaluation eps, the coherence iso xi, and
 `StExtension`'s paths and comparison cells phi) is one memoised left-nested
@@ -450,20 +450,20 @@ class _StKernel:
     paths, so each composite those families compare is a few lookups in
     small tables:
 
-    * ids: the paths of ``S.paths(bound)``, the base cells, vmors and
-      objects are numbered in their construction order;
-    * ``VT``/``HT``: vertical/horizontal composition of base cells, int32,
-      with one extra row and column, id ``undef``, standing for "undefined";
-      a composite with either factor undefined is undefined;
+    * ids: the paths of ``S.paths(bound)`` in their construction order;
+      base cells and vmors keep the numbers of the base's integer form;
+    * ``cv``/``ch``: that form's vertical/horizontal composition of base
+      cells, whose sentinel ``undef`` stands for "undefined"; a composite
+      with either factor undefined is undefined;
     * ``XF``/``XB``: forward/inverse ``S.xi`` on every composable pair of
       paths within the bound (``undef`` elsewhere), and ``CAT`` the id of
       the concatenation, or the extra path id ``len(paths)`` where there is
       none;
-    * per st-cell: ``dom``, ``cod``, ``pay`` (payload), ``left``/``right``
-      (the payload's vertical sides) and the boundary lengths.
+    * per st-cell: ``dom``, ``cod``, ``pay`` (payload) and the boundary
+      lengths; the payload's vertical sides are rows of the form's frames.
 
     The payload of a horizontal composite is then
-    ``VT[XB[cl, cr], VT[HT[pr, pl], XF[dl, dr]]]``.  ``H`` lists every
+    ``cv(XB[cl, cr], cv(ch(pr, pl), XF[dl, dr]))``.  ``H`` lists every
     pair (c, c') with c' a right neighbour of c (its payload starts on c's
     right side, where c.dom ends) and both boundaries within the bound,
     ordered by c, then dom length, cod length and position of c'; ``Hpay``
@@ -475,55 +475,36 @@ class _StKernel:
 
     def __init__(self, S: StrictifiedDouble, bound: int, paths: list, pairs: list,
                  cells: list):
-        A = S.base
+        T = S.base.interned()
         self.name, self.bound, self.cells = S.name, bound, cells
+        self.cv, self.ch, self.undef = T.cv, T.ch, T.cv.undef
         pid = {p: i for i, p in enumerate(paths)}
-        cid = {c: i for i, c in enumerate(A.cells)}
-        und = self.undef = len(A.cells)
-
-        def table(comp):
-            T = np.full((und + 1, und + 1), und, np.int32)
-            for (x, y), out in comp.items():
-                T[cid[x], cid[y]] = cid[out]
-            return T
-
-        self.VT = table(A.vcomp_cell_table)
-        self.HT = table(A.hcomp_cell_table)
         P = len(paths)
-        self.XF = np.full((P + 1, P + 1), und, np.int32)
-        self.XB = np.full((P + 1, P + 1), und, np.int32)
+        self.XF = np.full((P + 1, P + 1), self.undef, np.int32)
+        self.XB = np.full((P + 1, P + 1), self.undef, np.int32)
         self.CAT = np.full((P + 1, P + 1), P, np.int32)
         for p, q in pairs:
             i, j = pid[p], pid[q]
             self.CAT[i, j] = pid[p + q]
             fwd, bwd = S.xi(p, q)
-            self.XF[i, j], self.XB[i, j] = cid[fwd], cid[bwd]
+            self.XF[i, j], self.XB[i, j] = T.C[fwd], T.C[bwd]
 
-        vid = {u: i for i, u in enumerate(A.vmors)}
-        oid = {a: i for i, a in enumerate(A.objects)}
-        frames = [A.frame(c.payload) for c in cells]
-
-        def col(xs):
-            return np.array(xs, np.int64).reshape(-1)
-
-        self.dom = dom = col([pid[c.dom] for c in cells])
-        self.cod = cod = col([pid[c.cod] for c in cells])
-        self.pay = col([cid[c.payload] for c in cells])
-        left = col([vid[f.left] for f in frames])
-        right = col([vid[f.right] for f in frames])
-        self.dlen = dlen = col([len(c.dom) for c in cells])
-        self.clen = clen = col([len(c.cod) for c in cells])
-        dsrc = col([oid[c.dom.src] for c in cells])
-        dtgt = col([oid[S.htgt(c.dom)] for c in cells])
+        self.dom = dom = np.array([pid[c.dom] for c in cells], np.int64)
+        self.cod = cod = np.array([pid[c.cod] for c in cells], np.int64)
+        self.pay = np.array([T.C[c.payload] for c in cells], np.int64)
+        left, right = T.frame[2:, self.pay]
+        self.dlen = dlen = np.array([len(c.dom) for c in cells], np.int64)
+        self.clen = clen = np.array([len(c.cod) for c in cells], np.int64)
 
         # H: the right neighbours of each cell c within the bound; the cells
-        # sorted by (left side, dom source, dom length, cod length) hold the
-        # right neighbours of c with dom length dl in one run per dl
+        # sorted by (left side, dom length, cod length) hold the right
+        # neighbours of c with dom length dl in one run per dl (a cell's
+        # left side fixes where its dom starts, the base being well-framed)
         L1 = bound + 1
-        key = (left * len(A.objects) + dsrc) * L1 * L1 + dlen * L1 + clen
+        key = left * L1 * L1 + dlen * L1 + clen
         order = np.argsort(key, kind="stable")
         self._skey = key[order]
-        self._want = ((right * len(A.objects) + dtgt) * L1 * L1)[:, None] + np.arange(L1) * L1
+        self._want = (right * L1 * L1)[:, None] + np.arange(L1) * L1
         lo, hi = self._rights(np.arange(len(cells)), bound - dlen, bound - clen)
         run, pos = _ranges(lo.ravel(), hi.ravel())
         self.Hl, self.Hr = run // L1, order[pos]
@@ -565,8 +546,8 @@ class _StKernel:
     def hp(self, dl, cl, pl, dr, cr, pr):
         """Payload of the horizontal composite of the cells (dl, cl, pl) and
         (dr, cr, pr), on the right; ``StrictifiedDouble.hcomp_payload`` on ids."""
-        VT = self.VT
-        return VT[self.XB[cl, cr], VT[self.HT[pr, pl], self.XF[dl, dr]]]
+        cv = self.cv
+        return cv(self.XB[cl, cr], cv(self.ch(pr, pl), self.XF[dl, dr]))
 
     def _hcomp(self, l, r):
         d, k, p = self.dom, self.cod, self.pay
@@ -615,7 +596,7 @@ class _StKernel:
         with l2's right side r2's left side, and the cod lengths of each row
         totalling <= bound; returns the number of instances."""
         Hl, Hr, Bl, Br, cells = self.Hl, self.Hr, self.Bl, self.Br, self.cells
-        p, VT = self.pay, self.VT
+        p, cv = self.pay, self.cv
         lo = self.BS[self.cod[Hl], self.cod[Hr]]
         hi = self.BE[self.cod[Hl], self.cod[Hr]]
         n = 0
@@ -625,9 +606,9 @@ class _StKernel:
             keep = np.flatnonzero(self.clen[Bl[bi]] + self.clen[Hr[h]] <= self.bound)
             h, bi = h[keep], bi[keep]
             l1, r1, l2, r2 = Hl[h], Hr[h], Bl[bi], Br[bi]
-            lhs = VT[self.Bpay[bi], self.Hpay[h]]
-            rhs = self.hp(self.dom[l1], self.cod[l2], VT[p[l2], p[l1]],
-                          self.dom[r1], self.cod[r2], VT[p[r2], p[r1]])
+            lhs = cv(self.Bpay[bi], self.Hpay[h])
+            rhs = self.hp(self.dom[l1], self.cod[l2], cv(p[l2], p[l1]),
+                          self.dom[r1], self.cod[r2], cv(p[r2], p[r1]))
             self._defined(lhs, rhs)
             for i in np.flatnonzero(lhs != rhs).tolist():
                 rep.add("st.interchange", False,
@@ -655,8 +636,8 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
     undefined, and a `StructuralError` names the first such failure and its
     witness.  A base that fails only axiom families is checked as any other.
     Hcomp associativity (C4) and interchange (C6) run on `_StKernel`: the
-    bounded paths, base cells and st-cells get dense ids, cell composition
-    and xi become int32 tables, and an instance becomes a handful of array
+    bounded paths and st-cells get dense ids, xi becomes int32 tables over
+    the base's integer form, and an instance becomes a handful of array
     gathers.  Failures are reported in loop order with their st-cell
     witnesses.
     """

@@ -653,10 +653,6 @@ def skew_s(x):
 # the comparison functor K and the transports
 # ---------------------------------------------------------------------------
 
-def _pair(x, y):
-    return (x, y)
-
-
 def cubical_K(A: TableDouble, B: TableDouble) -> TwoVarFunctor:
     """K: (A, B) -> A x B with identity underlying functor; the cell data
     are identities padded by unitors."""

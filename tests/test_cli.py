@@ -105,6 +105,27 @@ def test_allow_invalid_defers_to_validator(tables):
     assert {f.check for f in rep.failures()} & {"triangle", "lunit.natural"}
 
 
+def test_each_command_validates_a_file_once_and_interns_it_once(corpus_dir, monkeypatch):
+    from strawcat import cli, core, strictify
+    calls, forms = [], []
+
+    def counted(A):
+        calls.append(A.name)
+        return core.validate(A)
+
+    interned = core.Interned
+    monkeypatch.setattr(cli, "validate", counted)
+    monkeypatch.setattr(strictify, "validate", counted)
+    monkeypatch.setattr(core, "Interned", lambda A: forms.append(A.name) or interned(A))
+    code, _ = run_cli("validate", *(str(corpus_dir / f"{m}.pdc") for m in ("nonstrict", "quintet")))
+    assert code == 0 and calls == forms == ["nonstrict", "quintet"]
+    calls.clear()
+    forms.clear()
+    # elaborate's validate and st_strict_report's entry validate share one form
+    code, _ = run_cli("strictify", "--bound", "2", str(corpus_dir / "nonstrict.pdc"))
+    assert code == 0 and calls == ["nonstrict", "nonstrict"] and forms == ["nonstrict"]
+
+
 def run_cli(*argv):
     from io import StringIO
     import contextlib

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,11 +151,38 @@ def test_a_replaced_table_indexes_its_own_frames():
     assert moved.cells_with_frame(N.frame("cj")) == ("cj", "t")
 
 
+def test_a_replaced_table_gets_its_own_integer_form():
+    N = nonstrict()
+    assert validate(N).ok
+    bad = mutate(N, hcomp_cell_table={**N.hcomp_cell_table, ("ce", "t"): "ce"})
+    assert bad.interned() is not N.interned()
+    assert "interchange" in {f.check for f in validate(bad).failures()}
+
+
+def test_a_second_validate_reads_the_same_integer_form(monkeypatch):
+    N = nonstrict()
+    validate(N)
+    form = N.interned()
+    monkeypatch.setattr(core, "Interned", lambda A: pytest.fail("interned twice"))
+    assert validate(N).ok and N.interned() is form
+
+
+def test_an_undefined_factor_gives_an_undefined_composite():
+    T = nonstrict().interned()
+    n = len(T.C)
+    cells, undef = np.arange(n), np.full(n, n)
+    for X in (T.cv, T.ch):
+        assert X.undef == n
+        assert (X(cells, undef) == n).all() and (X(undef, cells) == n).all()
+        assert (X(cells, np.full(n, -1)) == n).all()     # an id the table lacks
+
+
 def test_inverse_lookups_leave_equality_alone():
     N, N2 = nonstrict(), nonstrict()
     assert N == N2
     N.inverse_of("t")
     N.cells_with_frame(N.frame("t"))
+    validate(N)
     assert N == N2 and N2 == N
 
 
