@@ -430,7 +430,7 @@ def cmd_validate(args):
         fails = validate(A).failures()
         rep.add(f"validate.{A.name}", not fails, tuple(str(f.witness) for f in fails[:5]),
                 ", ".join(dict.fromkeys(f.check for f in fails)))
-        if args.strict_expected and not is_strict(A):
+        if args.strict_expected and not fails and not is_strict(A):
             rep.add(f"strict.{A.name}", False, ())
     return _emit(args, rep)
 

@@ -13,16 +13,16 @@ independence is a tested property.
 All st-level checks take a path-length bound; every axiom family states in
 the report exactly which composable tuples it quantified over.
 
-Because a cell of st A is a base cell between evaluations, the two largest
-families of the strictness oracle, hcomp associativity and interchange, run
-on an integer-indexed kernel (`_StKernel`) built once per
-`st_strict_report` call: the base's integer form (`TableDouble.interned`),
-which `validate` reads too, dense ids for the bounded paths and the
-st-cells, and int32 tables for the forward and inverse coherence isos xi.
-Each instance is still computed and compared, in batches of array gathers
-cut as `core.validate` cuts its own.  `st_strict_report` validates the base
-on entry and refuses one that fails a structure, frame or globularity
-family, so every composite it looks up is defined.
+Because a cell of st A is a base cell between evaluations, bounded st A is
+built once, as integers, by `_StKernel`: the base's integer form
+(`TableDouble.interned`), which `validate` reads too, dense ids for the
+bounded paths and the st-cells, and int32 tables for the forward and inverse
+coherence isos xi.  `StrictifiedDouble.table` reads its composites from it,
+and the two largest families of the strictness oracle, hcomp associativity
+and interchange, run on it; each instance is still computed and compared,
+in batches of array gathers cut as `core.validate` cuts its own.  The kernel
+validates the base on entry and refuses one that fails a structure, frame
+or globularity family, so every composite it looks up is defined.
 
 Every structure map on paths (the evaluation eps, the coherence iso xi, and
 `StExtension`'s paths and comparison cells phi) is one memoised left-nested
@@ -371,15 +371,11 @@ class StrictifiedDouble:
         data, ``paths(bound)``, ``cells(bound)``, every vertical composite,
         the horizontal composites whose dom and cod lengths each total
         <= bound, and identity constraints.  `homs`' checkers run on it, so
-        Ps(st A, B) is decided by the same axioms as Hom(A, B)."""
-        A = self.base
-        paths, cells = self.paths(bound), self.cells(bound)
-        pairs = self.composable_pairs(bound, paths)
-        frames = {c: self.frame(c) for c in cells}
-        by_dom, by_left = {}, {}
-        for c in cells:
-            by_dom.setdefault(c.dom, []).append(c)
-            by_left.setdefault(frames[c].left, []).append(c)
+        Ps(st A, B) is decided by the same axioms as Hom(A, B).  Its cells
+        and composites are `_StKernel`'s, which refuses an ill-framed base."""
+        A, K = self.base, _StKernel(self, bound)
+        paths, pairs, cells = K.paths, K.pairs, K.cells
+        vcomp, hcomp = K.composites()
         return TableDouble(
             name=f"{self.name}<={bound}", objects=A.objects,
             vmors=A.vmors, vmor_src=A.vmor_src, vmor_tgt=A.vmor_tgt,
@@ -388,15 +384,9 @@ class StrictifiedDouble:
             hmor_tgt={p: self.htgt(p) for p in paths},
             h_identity={p.src: p for p in paths if not p.hmors},
             hcomp_hmor_table={(q, p): p + q for p, q in pairs},
-            cells=tuple(cells), cell_frames=frames,
-            vcomp_cell_table={(lo, up): self.vcomp_cell(lo, up)
-                              for up in cells for lo in by_dom.get(up.cod, ())},
-            vid_cell={p: self.vid_of(p) for p in paths},
-            hcomp_cell_table={(r, l): self.hcomp_cell(r, l) for l in cells
-                              for r in by_left.get(frames[l].right, ())
-                              if len(l.dom) + len(r.dom) <= bound
-                              and len(l.cod) + len(r.cod) <= bound},
-            hid_cell={u: self.hid_of(u) for u in A.vmors},
+            cells=tuple(cells), cell_frames={c: self.frame(c) for c in cells},
+            vcomp_cell_table=vcomp, vid_cell={p: self.vid_of(p) for p in paths},
+            hcomp_cell_table=hcomp, hid_cell={u: self.hid_of(u) for u in A.vmors},
             assoc={pqr: self.assoc_of(*pqr) for pqr in self.composable_triples(pairs, bound)},
             lunit={p: self.lunit_of(p) for p in paths},
             runit={p: self.runit_of(p) for p in paths},
@@ -443,15 +433,16 @@ def eta(A: TableDouble, S: StrictifiedDouble | None = None) -> PseudoDoubleFunct
 # ---------------------------------------------------------------------------
 
 class _StKernel:
-    """The st-cells of one bound as integer ids, for the hcomp-associativity
-    (C4) and interchange (C6) families of `st_strict_report`.
+    """Bounded st A as integer ids, built once: `StrictifiedDouble.table`
+    reads its composites, and `st_strict_report` its hcomp-associativity
+    (C4) and interchange (C6) families.
 
     A cell of st A is a base cell between the evaluations of its boundary
-    paths, so each composite those families compare is a few lookups in
-    small tables:
+    paths, so each composite is a few lookups in small tables:
 
-    * ids: the paths of ``S.paths(bound)`` in their construction order;
-      base cells and vmors keep the numbers of the base's integer form;
+    * ids: ``S.paths(bound)`` and ``S.cells(bound)`` in their construction
+      order, which sorts the cells by (dom, cod, payload); base cells and
+      vmors keep the numbers of the base's integer form;
     * ``cv``/``ch``: that form's vertical/horizontal composition of base
       cells, whose sentinel ``undef`` stands for "undefined"; a composite
       with either factor undefined is undefined;
@@ -467,21 +458,29 @@ class _StKernel:
     pair (c, c') with c' a right neighbour of c (its payload starts on c's
     right side, where c.dom ends) and both boundaries within the bound,
     ordered by c, then dom length, cod length and position of c'; ``Hpay``
-    holds their composites.  ``B`` lists the bottom rows of interchange
-    grids, grouped by their dom paths.  A family is evaluated in batches of
-    consecutive instances.  The base is well-framed (`st_strict_report`
-    checks it on entry), so every composite is defined; an ``undef`` in a
-    batch raises a `StructuralError`."""
+    holds their composites.  ``B`` indexes the bottom rows of interchange
+    grids: ``H`` sorted by (dom of c, dom of c', c, c'), as the doms of an
+    H pair are the cods of the H pair of their identity cells.  A family is
+    evaluated in batches of consecutive instances.  A base that fails a
+    structure, frame or globularity family is refused on entry, so every
+    composite is defined; an ``undef`` in a batch, or a composite outside
+    ``cells``, raises a `StructuralError`."""
 
-    def __init__(self, S: StrictifiedDouble, bound: int, paths: list, pairs: list,
-                 cells: list):
-        T = S.base.interned()
-        self.name, self.bound, self.cells = S.name, bound, cells
+    def __init__(self, S: StrictifiedDouble, bound: int):
+        A = S.base
+        for f in validate(A).failures():
+            if f.check.startswith(("structure.", "frame.")) or f.check.endswith(".globular"):
+                raise StructuralError(f"{S.name}: the base fails {f.check} at "
+                                      f"({', '.join(map(str, f.witness))})")
+        T = A.interned()
+        self.name, self.bound = S.name, bound
+        self.paths = paths = S.paths(bound)
+        self.pairs = pairs = S.composable_pairs(bound, paths)
+        self.cells = cells = S.cells(bound)
         self.cv, self.ch, self.undef = T.cv, T.ch, T.cv.undef
         pid = {p: i for i, p in enumerate(paths)}
-        P = len(paths)
-        self.XF = np.full((P + 1, P + 1), self.undef, np.int32)
-        self.XB = np.full((P + 1, P + 1), self.undef, np.int32)
+        self.P = P = len(paths)
+        self.XF, self.XB = np.full((2, P + 1, P + 1), self.undef, np.int32)
         self.CAT = np.full((P + 1, P + 1), P, np.int32)
         for p, q in pairs:
             i, j = pid[p], pid[q]
@@ -490,7 +489,7 @@ class _StKernel:
             self.XF[i, j], self.XB[i, j] = T.C[fwd], T.C[bwd]
 
         self.dom = dom = np.array([pid[c.dom] for c in cells], np.int64)
-        self.cod = cod = np.array([pid[c.cod] for c in cells], np.int64)
+        self.cod = np.array([pid[c.cod] for c in cells], np.int64)
         self.pay = np.array([T.C[c.payload] for c in cells], np.int64)
         left, right = T.frame[2:, self.pay]
         self.dlen = dlen = np.array([len(c.dom) for c in cells], np.int64)
@@ -511,28 +510,33 @@ class _StKernel:
         n = np.maximum(hi - lo, 0).ravel()
         self._hbase = (np.cumsum(n) - n).reshape(lo.shape) - lo    # H index - pos
         self.Hpay = self._in_batches(self.Hl, self.Hr)
+        self.B = np.lexsort((self.Hr, self.Hl, dom[self.Hr], dom[self.Hl]))
+        self._bkey = dom[self.Hl[self.B]] * P + dom[self.Hr[self.B]]
 
-        # B: per pair (q1, q2) of dom paths, the pairs (l2, r2) of cells with
-        # those doms, l2's right side r2's left side and cod lengths within
-        # the bound, in the order (l2, r2)
-        by_dom = np.argsort(dom, kind="stable")
-        DS = np.searchsorted(dom[by_dom], np.arange(P))
-        DE = np.searchsorted(dom[by_dom], np.arange(P), "right")
-        self.BS = np.zeros((P, P), np.int64)
-        self.BE = np.zeros((P, P), np.int64)
-        Bl, Br, n = [], [], 0
-        for k in sorted(set((cod[self.Hl] * P + cod[self.Hr]).tolist())):
-            q1, q2 = divmod(k, P)
-            L2, R2 = by_dom[DS[q1]:DE[q1]], by_dom[DS[q2]:DE[q2]]
-            i, j = np.nonzero((right[L2][:, None] == left[R2])
-                              & (clen[L2][:, None] + clen[R2] <= bound))
-            Bl.append(L2[i])
-            Br.append(R2[j])
-            self.BS[q1, q2], n = n, n + len(i)
-            self.BE[q1, q2] = n
-        self.Bl = np.concatenate(Bl) if Bl else np.zeros(0, np.int64)
-        self.Br = np.concatenate(Br) if Br else np.zeros(0, np.int64)
-        self.Bpay = self._in_batches(self.Bl, self.Br)
+    def composites(self):
+        """The vertical and horizontal composition tables of ``cells``: each
+        pair (lo, up) with lo's dom up's cod, by up then lo, and each pair
+        (r, l) in ``H``, by l then r."""
+        dom, cod, pay, Hl, Hr = self.dom, self.cod, self.pay, self.Hl, self.Hr
+        up, lo = _ranges(dom.searchsorted(cod), dom.searchsorted(cod, "right"))
+        v = self._cell_ids(dom[up], cod[lo], self.cv(pay[lo], pay[up]))
+        o = np.lexsort((Hr, Hl))
+        l, r = Hl[o], Hr[o]
+        h = self._cell_ids(self.CAT[dom[l], dom[r]], self.CAT[cod[l], cod[r]], self.Hpay[o])
+        C = np.empty(len(self.cells), object)
+        C[:] = self.cells
+        return (dict(zip(zip(C[lo].tolist(), C[up].tolist()), C[v].tolist())),
+                dict(zip(zip(C[r].tolist(), C[l].tolist()), C[h].tolist())))
+
+    def _cell_ids(self, dom, cod, pay):
+        """The ids of the st-cells (dom, cod, pay), each one of ``cells``."""
+        width = self.undef + 1
+        ckey = (self.dom * self.P + self.cod) * width + self.pay
+        key = (dom.astype(np.int64) * self.P + cod) * width + pay
+        i = ckey.searchsorted(key)
+        if (ckey.take(i, mode="clip") != key).any():
+            raise StructuralError(f"{self.name}: a composite is not a bounded st-cell")
+        return i
 
     def _rights(self, cs, dmax, cmax):
         """The right neighbours of each c in cs with dom length <= dmax and
@@ -595,18 +599,18 @@ class _StKernel:
         """C6 on every 2x2 grid: (l1, r1) in H, l2 below l1 and r2 below r1
         with l2's right side r2's left side, and the cod lengths of each row
         totalling <= bound; returns the number of instances."""
-        Hl, Hr, Bl, Br, cells = self.Hl, self.Hr, self.Bl, self.Br, self.cells
+        Hl, Hr, cells = self.Hl, self.Hr, self.cells
         p, cv = self.pay, self.cv
-        lo = self.BS[self.cod[Hl], self.cod[Hr]]
-        hi = self.BE[self.cod[Hl], self.cod[Hr]]
+        key = self.cod[Hl] * self.P + self.cod[Hr]
+        lo, hi = self._bkey.searchsorted(key), self._bkey.searchsorted(key, "right")
         n = 0
         for a, z in _parts(hi - lo):
             own, bi = _ranges(lo[a:z], hi[a:z])
-            h = own + a
-            keep = np.flatnonzero(self.clen[Bl[bi]] + self.clen[Hr[h]] <= self.bound)
-            h, bi = h[keep], bi[keep]
-            l1, r1, l2, r2 = Hl[h], Hr[h], Bl[bi], Br[bi]
-            lhs = cv(self.Bpay[bi], self.Hpay[h])
+            h, b = own + a, self.B[bi]
+            keep = np.flatnonzero(self.clen[Hl[b]] + self.clen[Hr[h]] <= self.bound)
+            h, b = h[keep], b[keep]
+            l1, r1, l2, r2 = Hl[h], Hr[h], Hl[b], Hr[b]
+            lhs = cv(self.Hpay[b], self.Hpay[h])
             rhs = self.hp(self.dom[l1], self.cod[l2], cv(p[l2], p[l1]),
                           self.dom[r1], self.cod[r2], cv(p[r2], p[r1]))
             self._defined(lhs, rhs)
@@ -631,24 +635,20 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
     * interchange: all 2x2 grids bounded the same way;
     * constraint cells: identity on all composable path tuples, total <= bound.
 
-    The base is validated first: if it fails a ``structure.*``, ``frame.*``
-    or ``*.globular`` family of `validate`, some composite of st A is
-    undefined, and a `StructuralError` names the first such failure and its
-    witness.  A base that fails only axiom families is checked as any other.
-    Hcomp associativity (C4) and interchange (C6) run on `_StKernel`: the
+    The paths, cells and composites are `_StKernel`'s, which validates the
+    base first: if it fails a ``structure.*``, ``frame.*`` or ``*.globular``
+    family of `validate`, some composite of st A is undefined, and a
+    `StructuralError` names the first such failure and its witness.  A base
+    that fails only axiom families is checked as any other.  Hcomp
+    associativity (C4) and interchange (C6) run on the kernel's ids: the
     bounded paths and st-cells get dense ids, xi becomes int32 tables over
     the base's integer form, and an instance becomes a handful of array
     gathers.  Failures are reported in loop order with their st-cell
     witnesses.
     """
-    A = S.base
-    for f in validate(A).failures():
-        if f.check.startswith(("structure.", "frame.")) or f.check.endswith(".globular"):
-            raise StructuralError(f"{S.name}: the base fails {f.check} at "
-                                  f"({', '.join(map(str, f.witness))})")
+    A, K = S.base, _StKernel(S, bound)
     rep = Report(f"strict({S.name})", params={"bound": bound})
-    all_paths = S.paths(bound)
-    pairs = S.composable_pairs(bound, all_paths)
+    all_paths, pairs, cells = K.paths, K.pairs, K.cells
 
     # P1: concatenation associativity and units
     for p in all_paths:
@@ -660,8 +660,6 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
         rep.require("st.hmor.assoc",
                     S.hcomp_hmor(r, S.hcomp_hmor(q, p)) ==
                     S.hcomp_hmor(S.hcomp_hmor(r, q), p), (p, q, r))
-
-    cells = S.cells(bound)
 
     # C1: vertical identity cells are neutral
     for c in cells:
@@ -710,7 +708,6 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
 
     # C4: hcomp associativity within total bound; compared on payloads since
     # boundary paths agree by concatenation associativity (family P1)
-    K = _StKernel(S, bound, all_paths, pairs, cells)
     rep.counts["st.cell.hassoc"] = K.hassoc(rep)
 
     # C5: vid multiplicative over concatenation

@@ -143,6 +143,18 @@ def test_cli_validate_exit_status(corpus_dir):
     assert doc["inputs"][0]["sha256"]
 
 
+def test_cli_validate_strict_expected_reports_an_invalid_table(corpus_dir, tmp_path):
+    # strictness is read off a valid table only; the invalid one fails validate
+    path = tmp_path / "nonstrict.pdc"
+    text = (corpus_dir / "nonstrict.pdc").read_text()
+    assert "  j * j = j\n" in text
+    path.write_text(text.replace("  j * j = j\n", "", 1))
+    code, out = run_cli("validate", "--strict-expected", str(path))
+    doc = json.loads(out)
+    assert code == 1 and doc["pass"] is False
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["validate.nonstrict"]
+
+
 def test_cli_reports_are_deterministic(corpus_dir):
     a = run_cli("validate", str(corpus_dir / "nonstrict.pdc"))
     b = run_cli("validate", str(corpus_dir / "nonstrict.pdc"))

@@ -1,15 +1,22 @@
 import dataclasses
 import itertools
+import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st_
 
+import strawcat
 from strawcat import core, is_strict, terminal
 from strawcat.cli import elaborate, parse
 from strawcat.corpus import nonstrict, quintet, sigma_m3
-from strawcat.core import Frame, validate
+from strawcat.core import Frame, TableDouble, validate
 from strawcat.homs import (
     check_functor,
     compose_functors,
@@ -29,6 +36,7 @@ from strawcat.strictify import (
     Path,
     StCell,
     StExtension,
+    StrictifiedDouble,
     counit,
     eta,
     extend_functor,
@@ -762,3 +770,130 @@ def test_st_strict_report_refuses_exactly_the_ill_framed_mutants():
             assert isinstance(st_strict_report(st(M), 3), Report)
             run += 1
     assert (refused, run) == (741, 31)
+
+
+# -- the bounded table against plain loops -----------------------------------
+
+def _plain_table(S, bound):
+    """`StrictifiedDouble.table` by plain loops over st-cells, composing each
+    pair through `StrictifiedDouble.vcomp_cell` and `hcomp_cell`."""
+    A = S.base
+    paths, cells = S.paths(bound), S.cells(bound)
+    pairs = S.composable_pairs(bound, paths)
+    frames = {c: S.frame(c) for c in cells}
+    by_dom, by_left = {}, {}
+    for c in cells:
+        by_dom.setdefault(c.dom, []).append(c)
+        by_left.setdefault(frames[c].left, []).append(c)
+    return TableDouble(
+        name=f"{S.name}<={bound}", objects=A.objects,
+        vmors=A.vmors, vmor_src=A.vmor_src, vmor_tgt=A.vmor_tgt,
+        v_identity=A.v_identity, vcomp_vmor_table=A.vcomp_vmor_table,
+        hmors=tuple(paths), hmor_src={p: p.src for p in paths},
+        hmor_tgt={p: S.htgt(p) for p in paths},
+        h_identity={p.src: p for p in paths if not p.hmors},
+        hcomp_hmor_table={(q, p): p + q for p, q in pairs},
+        cells=tuple(cells), cell_frames=frames,
+        vcomp_cell_table={(lo, up): S.vcomp_cell(lo, up)
+                          for up in cells for lo in by_dom.get(up.cod, ())},
+        vid_cell={p: S.vid_of(p) for p in paths},
+        hcomp_cell_table={(r, l): S.hcomp_cell(r, l) for l in cells
+                          for r in by_left.get(frames[l].right, ())
+                          if len(l.dom) + len(r.dom) <= bound
+                          and len(l.cod) + len(r.cod) <= bound},
+        hid_cell={u: S.hid_of(u) for u in A.vmors},
+        assoc={pqr: S.assoc_of(*pqr) for pqr in S.composable_triples(pairs, bound)},
+        lunit={p: S.lunit_of(p) for p in paths},
+        runit={p: S.runit_of(p) for p in paths},
+    )
+
+
+def _assert_table_matches_plain(A, bound, monkeypatch):
+    want = _plain_table(st(A), bound)
+
+    def composed(*_):
+        raise AssertionError("table() composed a pair of st-cells")
+
+    with monkeypatch.context() as m:
+        m.setattr(StrictifiedDouble, "vcomp_cell", composed)
+        m.setattr(StrictifiedDouble, "hcomp_cell", composed)
+        got = st(A).table(bound)
+    for f in dataclasses.fields(TableDouble):
+        if f.compare:
+            x, y = getattr(got, f.name), getattr(want, f.name)
+            assert x == y, f.name
+            if isinstance(x, dict):
+                assert list(x) == list(y), f.name          # entry order too
+    # each composite is the table's own cell
+    cells = {id(c) for c in got.cells}
+    for table in (got.vcomp_cell_table, got.hcomp_cell_table):
+        assert all(id(c) in cells for c in table.values())
+
+
+@pytest.mark.parametrize("name, bound", [(n, b) for n in ("terminal", "unit", "vertfree",
+                                                          "sigmaM", "sigma2", "quintet",
+                                                          "quintetP", "nonstrict")
+                                         for b in range(4 if n == "sigmaM" else 5)])
+def test_table_matches_the_plain_loops(tables, name, bound, monkeypatch):
+    _assert_table_matches_plain(tables[name], bound, monkeypatch)
+
+
+@pytest.mark.parametrize("batch", [core._BATCH, 2])
+def test_table_of_a_base_failing_only_axioms_matches_the_plain_loops(corpus_dir, batch,
+                                                                     monkeypatch):
+    A = _mutant(corpus_dir, "nonstrict", "  t * t = ce", "  t * t = t")
+    assert all(not f.check.startswith(("structure.", "frame.")) for f in validate(A).failures())
+    assert not validate(A).ok
+    monkeypatch.setattr(core, "_BATCH", batch)
+    for bound in range(5):
+        _assert_table_matches_plain(A, bound, monkeypatch)
+
+
+def test_table_refuses_exactly_the_mutants_st_strict_report_refuses():
+    refused = built = 0
+    for M in itertools.chain(*(single_entry_mutants(b()) for b in (nonstrict, quintet, sigma_m3))):
+        try:
+            st_strict_report(st(M), 2)
+        except StructuralError as e:
+            with pytest.raises(StructuralError, match="the base fails") as got:
+                st(M).table(2)
+            assert str(got.value) == str(e)
+            refused += 1
+        else:
+            assert isinstance(st(M).table(2), TableDouble)
+            built += 1
+    assert (refused, built) == (741, 31)
+
+
+SCALE = "STRAWCAT_SCALE"
+
+
+@pytest.mark.skipif(not os.environ.get(SCALE), reason=f"a scale point; set {SCALE}=1 to run it")
+def test_st_sigma_m_table_at_bound_4_within_5_s_and_500_mb():
+    # a fresh process, so that its ru_maxrss is the peak of this run alone
+    script = ("import json, resource\n"
+              "from strawcat.corpus import sigma_m3\n"
+              "from strawcat.strictify import st\n"
+              "T = st(sigma_m3()).table(4)\n"
+              "print(json.dumps({'counts': [len(T.cells), len(T.vcomp_cell_table),\n"
+              "                             len(T.hcomp_cell_table)],\n"
+              "                  'kb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))\n")
+    src = str(pathlib.Path(strawcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=600)
+    seconds = time.perf_counter() - t0
+    run = json.loads(out.stdout.splitlines()[-1])
+    assert run["counts"] == [11_361, 1_192_141, 56_165]
+    assert seconds <= 5, seconds
+    assert run["kb"] <= 500 << 10, run["kb"]        # KiB: 500 MiB
+
+
+def test_table_refuses_a_composite_outside_its_cells():
+    # a coherence iso framed on j, not on e, leaves horizontal composites
+    # whose payload is no cell between the evaluations of their boundaries
+    S = st(nonstrict())
+    S._xi[(Path("st", ("e",)), Path("st", ("e", "e")))] = ("cj", "cj")
+    with pytest.raises(StructuralError, match="a composite is not a bounded st-cell$"):
+        S.table(3)
