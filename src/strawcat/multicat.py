@@ -13,8 +13,10 @@ symmetry).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,6 +67,14 @@ class FiniteSymMulticat:
     identities: dict            # object -> mm
     gamma_table: dict           # (g, fs tuple) -> mm
     action_table: dict          # (mm, perm) -> mm
+    _interned: InternedMulticat | None = field(default=None, init=False, repr=False,
+                                               compare=False)
+
+    def interned(self) -> InternedMulticat:
+        """The integer form of V, built on first use."""
+        if self._interned is None:
+            self._interned = InternedMulticat(self)
+        return self._interned
 
     def hom(self, inputs, out):
         return self.homs.get((tuple(inputs), out), ())
@@ -83,9 +93,6 @@ class FiniteSymMulticat:
             return self.action_table[(f, tuple(p))]
         except KeyError:
             raise StructuralError(f"{self.name}: action undefined for {f} {p}")
-
-    def all_mms(self):
-        return list(self.sig)
 
 
 def endo_multicat(name: str, elems: tuple, cap: int) -> FiniteSymMulticat:
@@ -210,93 +217,278 @@ def from_monoidal(name: str, elems: tuple, add, zero, cap: int) -> FiniteSymMult
                              gamma, action)
 
 
+def _padded(rows, width):
+    """Tuples of ints as the rows of an int64 array, padded with -1."""
+    return np.array([r + (-1,) * (width - len(r)) for r in map(tuple, rows)],
+                    dtype=np.int64).reshape(len(rows), width)
+
+
+class InternedMulticat:
+    """V in integers.  Its multimorphisms are numbered in V.sig order, then
+    those that only its other tables name (mms, ids); its objects in
+    V.objects order, then those that only signatures name.  Per number,
+    arity, out and ins (padded with -1) are -1 off V.sig and on a spare last
+    row, which number -1 reads.  No key of V's tables holds more than width
+    multimorphisms or positions.  A lookup that V does not define, or that
+    reads -1, gives -1; gamma's entries are g, fs and h in V's order."""
+
+    def __init__(self, V: FiniteSymMulticat):
+        self.mms = list(dict.fromkeys(itertools.chain(
+            V.sig, V.identities.values(), *V.homs.values(),
+            *((g, *fs, h) for (g, fs), h in V.gamma_table.items()),
+            *((m, h) for (m, _), h in V.action_table.items()))))
+        self.ids = ids = {m: i for i, m in enumerate(self.mms)}
+        obj = {x: i for i, x in enumerate(V.objects)}
+        sigs = [(tuple(obj.setdefault(x, len(obj)) for x in xs), obj.setdefault(y, len(obj)))
+                for xs, y in V.sig.values()]
+        gamma = [(ids[g], [ids[f] for f in fs], ids[h]) for (g, fs), h in V.gamma_table.items()]
+        action = [(ids[m], p, ids[h]) for (m, p), h in V.action_table.items()]
+        self.ident = np.array([ids.get(V.identities.get(x), -1) for x in obj] + [-1])
+        self.cap, R = V.arity_cap, len(ids) + 1
+        self.radix = R
+        self.width = W = max([1, V.arity_cap] + [len(k[0]) for k in [*V.homs, *sigs]]
+                             + [len(e[1]) for e in [*gamma, *action]])
+        if R ** (W + 1) >= 2 ** 63:
+            raise StructuralError(f"{V.name}: too many multimorphisms for int64 keys")
+        self.arity, self.out, self.ins = np.full(R, -1), np.full(R, -1), np.full((R, W), -1)
+        for i, (xs, y) in enumerate(sigs):
+            self.arity[i], self.out[i], self.ins[i, :len(xs)] = len(xs), y, xs
+        # gamma(g, fs) under the key g * R**W + sum (f_t + 1) * digit[t], the
+        # keys sorted and then a sentinel above all
+        self.digit = R ** np.arange(W - 1, -1, -1)
+        self.g, self.h, self.act_m, self.act_h = (np.array([e[k] for e in es], dtype=np.int64)
+                                                  for es in (gamma, action) for k in (0, 2))
+        self.fs, self.act_p = _padded([e[1] for e in gamma], W), _padded([e[1] for e in action], W)
+        key = self.g * R ** W + (self.fs + 1) @ self.digit
+        order = np.argsort(key)
+        self.gkey, self.gval = np.append(key[order], 2 ** 63 - 1), np.append(self.h[order], -1)
+        self.by_out_size, self._act, self._budgeted = _by_out_size(dict(enumerate(sigs))), {}, {}
+
+    def find(self, key):
+        """gamma by key: its number, or -1."""
+        at = self.gkey.searchsorted(key)
+        return np.where(self.gkey[at] == key, self.gval[at], -1)
+
+    def gamma(self, g, fs):
+        """gamma(g, fs) by number, fs padded with -1 along its last axis."""
+        return self.find(g * self.radix ** self.width + (fs + 1) @ self.digit[:fs.shape[-1]])
+
+    def act(self, m, code, base=None):
+        """act(m, p) by number and by the code sum (p[t] + 1) * base**t of
+        p, which holds p's length too; base is above width, width + 1 by
+        default.  A dense table per base, built on first use."""
+        base = base or self.width + 1
+        if base not in self._act:
+            table = np.full((self.radix, base ** (base - 1)), -1)
+            table[self.act_m, (self.act_p + 1) @ base ** np.arange(self.width)] = self.act_h
+            self._act[base] = table
+        return self._act[base][m, code]
+
+    def budgeted(self, word):
+        """_budgeted within V's cap on numbers, for a tuple of object
+        numbers: one padded row per tuple, built on first use."""
+        if word not in self._budgeted:
+            self._budgeted[word] = _padded(list(_budgeted(self.by_out_size, word, self.cap)),
+                                           self.width)
+        return self._budgeted[word]
+
+
+def _inputs(form: InternedMulticat, fs):
+    """Per row of fs (numbers padded with -1): the arity of each, where
+    each one's inputs start, and the inputs of all of them in a row padded
+    with -1 (inputs past the form's width are dropped)."""
+    ks = np.maximum(form.arity[fs], 0)
+    offs = np.cumsum(ks, axis=1) - ks
+    xs, rows = np.full(fs.shape, -1), np.arange(len(fs))
+    for t, s in itertools.product(range(fs.shape[1]), range(form.width)):
+        put = (s < ks[:, t]) & (offs[:, t] + s < form.width)
+        xs[rows[put], offs[put, t] + s] = form.ins[fs[put, t], s]
+    return ks, offs, xs
+
+
+def _runs(counts):
+    """Instances numbered run after run, counts[r] in run r, in batches of
+    _BATCH: each batch's instance numbers, their runs and their places in
+    their runs."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, _BATCH):
+        nth = np.arange(lo, min(lo + _BATCH, total))
+        run = np.searchsorted(ends, nth, side="right")
+        yield nth, run, nth - ends[run] + counts[run]
+
+
 def validate_multicat(V: FiniteSymMulticat) -> Report:
+    """The laws of a symmetric multicategory on V, every instance within
+    its arity cap, as batched gathers over V.interned().
+
+    Findings come family by family, each family's in the order of the
+    loops that quantify it: mc.sig.cap and mc.sig.listed alternating per
+    multimorphism, in V.sig order; mc.ident.sig per object; mc.gamma.sig
+    per gamma_table entry, in its order.  Only when none of these fail:
+    mc.unit.left and mc.unit.right alternating per multimorphism; per
+    multimorphism, mc.act.id, then per permutation p mc.act.sig and per
+    permutation q mc.act.comp; mc.assoc per (g, fs, flat); and per (g, fs),
+    mc.equivariance.outer per p, then mc.equivariance.inner per (i, q).
+    There g runs in V.sig order, fs and flat in _budgeted order and
+    permutations in itertools.permutations order.  Witnesses are V's own
+    multimorphisms.  A substitution or action that V does not define
+    raises V's own StructuralError, for the first such lookup in that
+    order."""
     rep = Report(f"validate_multicat({V.name})", params={"arity_cap": V.arity_cap})
-    for m, (xs, y) in V.sig.items():
-        rep.require("mc.sig.cap", len(xs) <= V.arity_cap, (m,))
-        rep.require("mc.sig.listed", m in V.hom(xs, y), (m,))
-    for X in V.objects:
-        i = V.ident(X)
-        rep.require("mc.ident.sig", V.sig[i] == ((X,), X), (X,))
+    form = V.interned()
+    mms, W, ns, m = form.mms, form.width, len(V.sig), np.arange(len(V.sig))
+    arity, out, ins, never = form.arity, form.out, form.ins, np.iinfo(np.int64).max
+    found, missed = [], []
+
+    def objs(row):
+        return tuple(mms[x] for x in row if x >= 0)
+
+    def code(P):
+        return (P + 1) @ (W + 1) ** np.arange(P.shape[-1])
+
+    def lookup(at, got, subject, call, args):
+        """got, noting the first lookup, by position at, that V lacks on a
+        subject it has; call(*args(index)) makes that lookup again."""
+        at = np.where((got < 0) & (subject >= 0), at, never)
+        if at.size and at.min() < never:
+            k = np.unravel_index(at.argmin(), at.shape)
+            missed.append((at[k], call, args(k)))
+        return got
+
+    def gamma(g, fs, at):
+        got = form.gamma(g, fs)
+        g, fs = np.broadcast_to(g, got.shape), np.broadcast_to(fs, got.shape + fs.shape[-1:])
+        return lookup(at, got, g, V.gamma, lambda k: (mms[g[k]], objs(fs[k])))
+
+    def act(x, p, at):
+        got = form.act(x, p)
+        x, p = np.broadcast_arrays(x, p)
+        return lookup(at, got, x, V.act, lambda k: (mms[x[k]], tuple(
+            d - 1 for d in (int(p[k]) // (W + 1) ** t % (W + 1) for t in range(W)) if d)))
+
+    def fail(check, at, bad, witness):
+        """The bad instances, at their positions in loop order."""
+        at = np.broadcast_to(at, bad.shape)
+        found.extend((int(at[k]), check, witness(*k)) for k in zip(*np.nonzero(bad)))
+
+    def family(*counts):
+        """V's own error for the family's first missing lookup; else its
+        findings in loop order, and its instance counts."""
+        if missed:
+            _, call, args = min(missed, key=itemgetter(0))
+            call(*args)
+        for _, check, witness in sorted(found, key=itemgetter(0)):
+            rep.add(check, False, witness)
+        found.clear()
+        rep.counts.update((check, int(n)) for check, n in counts if n)
+
+    listed = np.array([x in V.hom(*V.sig[x]) for x in V.sig], dtype=bool)
+    fail("mc.sig.cap", 2 * m, arity[:ns] > V.arity_cap, lambda i: (mms[i],))
+    fail("mc.sig.listed", 2 * m + 1, ~listed, lambda i: (mms[i],))
+    family(("mc.sig.cap", ns), ("mc.sig.listed", ns))
+    typed = np.array([V.sig[V.ident(X)] == ((X,), X) for X in V.objects], dtype=bool)
+    fail("mc.ident.sig", np.arange(len(typed)), ~typed, lambda i: (V.objects[i],))
+    family(("mc.ident.sig", len(typed)))
     # substitution is typed: the fs' outputs are g's inputs, and the result
     # runs from the fs' inputs, concatenated, to g's output
-    for (g, fs), h in V.gamma_table.items():
-        sigs = [V.sig.get(m) for m in (g, *fs)]
-        ok = None not in sigs and tuple(s[1] for s in sigs[1:]) == sigs[0][0]
-        rep.require("mc.gamma.sig", ok and V.sig.get(h) == (
-            tuple(x for s in sigs[1:] for x in s[0]), sigs[0][1]), (g, fs))
+    g, fs, h, keys = form.g, form.fs, form.h, list(V.gamma_table)
+    ks, _, xs = _inputs(form, fs)
+    ok = (((fs >= 0).sum(1) == arity[g]) & (out[fs] == ins[g]).all(1)
+          & (arity[h] == ks.sum(1)) & (out[h] == out[g]) & (ins[h] == xs).all(1))
+    fail("mc.gamma.sig", np.arange(len(g)), ~ok, lambda i: keys[i])
+    family(("mc.gamma.sig", len(g)))
     if rep.failures():
         return rep              # the laws below substitute along these types
+
     # identity laws
-    for m in V.all_mms():
-        xs, y = V.sig[m]
-        rep.require("mc.unit.left", V.gamma(V.ident(y), (m,)) == m, (m,))
-        if xs:
-            rep.require("mc.unit.right",
-                        V.gamma(m, tuple(V.ident(x) for x in xs)) == m, (m,))
-    # action laws
-    for m in V.all_mms():
-        n = len(V.sig[m][0])
-        rep.require("mc.act.id", V.act(m, perm_id(n)) == m, (m,))
-        for p in all_perms(n):
-            mp = V.act(m, p)
-            xs = V.sig[m][0]
-            rep.require("mc.act.sig",
-                        V.sig[mp] == (tuple(xs[p[i]] for i in range(n)), V.sig[m][1]),
-                        (m, p))
-            for q in all_perms(n):
-                rep.require("mc.act.comp",
-                            V.act(mp, q) == V.act(m, perm_compose(p, q)), (m, p, q))
-    by_out_size, tuples = _by_out_size(V.sig), {}
+    has, right = m[arity[:ns] > 0], m.copy()
+    left = gamma(form.ident[out[m]], m[:, None], 2 * m)
+    right[has] = gamma(has, form.ident[ins[has]], 2 * has + 1)
+    fail("mc.unit.left", 2 * m, left != m, lambda i: (mms[i],))
+    fail("mc.unit.right", 2 * m + 1, right != m, lambda i: (mms[i],))
+    family(("mc.unit.left", ns), ("mc.unit.right", len(has)))
 
-    def budgeted(outputs):
-        """_budgeted within the cap, enumerated once per call."""
-        if outputs not in tuples:
-            tuples[outputs] = tuple(_budgeted(by_out_size, outputs, V.arity_cap))
-        return tuples[outputs]
+    # action laws, arity by arity; a position is (m, p, q, lookup), with p
+    # and q counted from 1, and 0 for none
+    span, n_sig, n_comp = math.factorial(W) + 1, 0, 0
+    for n in range(W + 1):
+        ms, perms = np.flatnonzero(arity[:ns] == n), all_perms(n)
+        P = np.array(perms, dtype=np.int64).reshape(len(perms), n)
+        sig_at = (ms[:, None] * span + np.arange(1, len(perms) + 1)) * span * 2
+        comp_at = sig_at[:, :, None] + np.arange(1, len(perms) + 1) * 2
+        mp = act(ms[:, None], code(P), sig_at)          # the identity comes first
+        lhs = act(mp[:, :, None], code(P), comp_at)
+        rhs = act(ms[:, None, None], code(P[:, P]), comp_at + 1)
+        fail("mc.act.id", ms * span * span * 2, mp[:, 0] != ms, lambda i: (mms[ms[i]],))
+        fail("mc.act.sig", sig_at, (arity[mp] != n) | (out[mp] != out[ms, None])
+             | (ins[mp][..., :n] != ins[ms][:, P]).any(-1), lambda i, a: (mms[ms[i]], perms[a]))
+        fail("mc.act.comp", comp_at, lhs != rhs,
+             lambda i, a, b: (mms[ms[i]], perms[a], perms[b]))
+        n_sig, n_comp = n_sig + mp.size, n_comp + lhs.size
+    family(("mc.act.id", ns), ("mc.act.sig", n_sig), ("mc.act.comp", n_comp))
 
-    # associativity of substitution on two-level trees within the cap
-    for g in V.all_mms():
-        ys, z = V.sig[g]
-        if not ys:
-            continue
-        for fs in budgeted(tuple(ys)):
-            gf = V.gamma(g, fs)
-            xs_all = tuple(x for f in fs for x in V.sig[f][0])
-            for flat in budgeted(xs_all):
-                # split flat back into the blocks of the fs
-                ess, off = [], 0
-                for f in fs:
-                    k = len(V.sig[f][0])
-                    ess.append(flat[off:off + k])
-                    off += k
-                lhs = V.gamma(gf, flat)
-                rhs = V.gamma(g, tuple(V.gamma(f, es) for f, es in zip(fs, ess)))
-                rep.require("mc.assoc", lhs == rhs, (g, fs, flat))
+    # the pairs (g, fs): g in V.sig order, fs in _budgeted order; per pair,
+    # the arities of the fs, where their inputs start, and all their inputs
+    tuples = [form.budgeted(tuple(ins[x, :arity[x]].tolist())) for x in has]
+    pg, pfs = np.repeat(has, [len(t) for t in tuples]), np.vstack([_padded([], W), *tuples])
+    ks, offs, xs = _inputs(form, pfs)
+
+    # associativity of substitution on two-level trees within the cap: a
+    # pair's flats are _budgeted on its inputs, stored once per word; a
+    # position is (instance, lookup), gf's at its pair's first instance
+    words = {}
+    word = np.array([words.setdefault(tuple(r[:k]), len(words))
+                     for r, k in zip(xs.tolist(), ks.sum(1).tolist())], dtype=np.int64)
+    flats = [form.budgeted(w) for w in words]
+    store, n_flat = np.vstack([_padded([], W), *flats]), np.fromiter(map(len, flats), np.int64)
+    store_at, n_flat = np.cumsum(n_flat) - n_flat, n_flat[word]
+    step, cols = W + 3, np.arange(W)
+    gf = gamma(pg, pfs, (np.cumsum(n_flat) - n_flat) * step)
+    for nth, p, j in _runs(n_flat):
+        flat, fs, at = store[store_at[word[p]] + j], pfs[p], nth * step
+        lhs = gamma(gf[p], flat, at + 1)
+        inner = np.stack([gamma(fs[:, t], np.where(cols < ks[p, t, None], np.take_along_axis(
+            flat, np.minimum(offs[p, t, None] + cols, W - 1), 1), -1), at + 2 + t)
+            for t in range(W)], 1)
+        rhs = gamma(pg[p], inner, at + W + 2)
+        fail("mc.assoc", nth, lhs != rhs, lambda i: (mms[pg[p[i]]], objs(fs[i]), objs(flat[i])))
+    family(("mc.assoc", n_flat.sum()))
     rep.params["assoc_instances"] = rep.counts.get("mc.assoc", 0)
-    # equivariance
-    for g in V.all_mms():
-        ys, z = V.sig[g]
-        n = len(ys)
-        if n == 0:
-            continue
-        for fs in budgeted(tuple(ys)):
-            sizes = [len(V.sig[f][0]) for f in fs]
-            base = V.gamma(g, fs)
-            for p in all_perms(n):
-                lhs = V.gamma(V.act(g, p), tuple(fs[p[i]] for i in range(n)))
-                rhs = V.act(base, perm_block(p, sizes))
-                rep.require("mc.equivariance.outer", lhs == rhs, (g, fs, p))
-            for i, f in enumerate(fs):
-                k = sizes[i]
-                for q in all_perms(k):
-                    fs2 = list(fs)
-                    fs2[i] = V.act(f, q)
-                    lhs = V.gamma(g, tuple(fs2))
-                    qs = [perm_id(s) for s in sizes]
-                    qs[i] = q
-                    rhs = V.act(base, perm_sum(qs))
-                    rep.require("mc.equivariance.inner", lhs == rhs, (g, fs, i, q))
+
+    # equivariance: a pair's instances depend on its arity profile alone,
+    # so each profile's are planned once, as rows (col, perm, rperm): outer
+    # rows (col -1) act on g by perm and permute the fs by it; inner rows
+    # act on f_col by perm; rperm acts on gf.  A position is (instance,
+    # lookup); a witness ends with (perm,) for outer rows, (col, perm) else.
+    profiles, plan, starts, n_outer = {}, [], [], 0
+    prof = np.array([profiles.setdefault(tuple(k[:n]), len(profiles))
+                     for k, n in zip(ks.tolist(), arity[pg].tolist())], dtype=np.int64)
+    for sizes in profiles:
+        ids = [perm_id(k) for k in sizes]
+        starts.append(len(plan))
+        plan += [(-1, p, perm_block(p, sizes)) for p in all_perms(len(sizes))]
+        plan += [(i, q, perm_sum(ids[:i] + [q] + ids[i + 1:]))
+                 for i, k in enumerate(sizes) for q in all_perms(k)]
+    col = np.array([r[0] for r in plan], dtype=np.int64)
+    perm, rperm = (_padded([r[k] for r in plan], W) for k in (1, 2))
+    starts = np.array(starts + [len(plan)], dtype=np.int64)
+    n_rows = np.diff(starts)[prof]
+    for nth, p, j in _runs(n_rows):
+        t, fs, at = starts[prof[p]] + j, pfs[p], nth * 4
+        c, inner = col[t], col[t] >= 0
+        acted = act(np.where(inner, fs[np.arange(len(p)), np.maximum(c, 0)], pg[p]),
+                    code(perm[t]), at + 1)
+        F = np.where(inner[:, None] | (perm[t] < 0), fs,
+                     np.take_along_axis(fs, np.maximum(perm[t], 0), 1))
+        F[inner, c[inner]] = acted[inner]
+        lhs = gamma(np.where(inner, pg[p], acted), F, at + 2)
+        rhs = act(gf[p], code(rperm[t]), at + 3)
+        n_outer += len(p) - inner.sum()
+        for check, kind in (("mc.equivariance.outer", ~inner), ("mc.equivariance.inner", inner)):
+            fail(check, nth, (lhs != rhs) & kind,
+                 lambda i: (mms[pg[p[i]]], objs(fs[i]), *plan[t[i]][int(c[i] < 0):2]))
+    family(("mc.equivariance.outer", n_outer), ("mc.equivariance.inner", n_rows.sum() - n_outer))
     return rep
 
 
@@ -315,16 +507,16 @@ class EnvMor:
 _BATCH = 1 << 16                # composable pairs per batch of a composition table
 
 
-def _shapes(Gg, Gf, width):
+def _shapes(Gg, Gf, base):
     """The combinatorial half of g after f, which depends on the index maps
     alone, for columns of index maps padded with -1 (slot-major: Gg[j] is the
     output slot of g fed by input j).  Returns the composite's index map and,
-    per output slot of g, the code sum_t p[t] * width**t of the permutation p
+    per output slot of g, the code sum_t (p[t] + 1) * base**t of the permutation p
     that restores input order once the fibers of f that g feeds into the
     slot are substituted there, or -1 where substitution keeps the order.
     The substituted inputs of a slot arrive in blocks, by f's output and
     then by position: input x arrives at arrive[x] and sits at pos[x]."""
-    n, small = Gg.shape[1], np.int16
+    (width, n), small = Gg.shape, np.int16
     Gg, Gf = Gg.astype(small), Gf.astype(small)
     cidx = np.where(Gf >= 0, np.take_along_axis(Gg, np.maximum(Gf, 0), 0), -1).astype(small)
     arrival = Gf * width + np.arange(width, dtype=small)[:, None]
@@ -339,10 +531,10 @@ def _shapes(Gg, Gf, width):
     # each input adds its digit to its slot's code; -1 slots land in a spare row
     code = np.zeros((width + 1) * n, dtype=np.int64)
     turn = np.zeros((width + 1) * n, dtype=bool)
-    power, cols = width ** np.arange(width), np.arange(n)
+    power, cols = base ** np.arange(width), np.arange(n)
     for x in range(width):
         at = cidx[x].astype(np.int64) * n + cols
-        code[at] += arrive[x] * power[pos[x]]
+        code[at] += (arrive[x] + 1) * power[pos[x]]
         turn[at] |= arrive[x] != pos[x]
     code, turn = code[:width * n].reshape(width, n), turn[:width * n].reshape(width, n)
     return cidx, np.where(turn, code, -1)
@@ -353,7 +545,11 @@ class EnvComposition:
     """Composition in an envelope as one int32 table over positions in
     E.morphisms (index).  g after f sits at table[row[g] + col[f]], and
     table[t] is pair_g[t] after pair_f[t], both int32 too; dom and cod are
-    word positions."""
+    word positions.  The morphisms as columns, slot-major: G[i] is input
+    i's slot and F[k] the fiber at slot k, numbered by V.interned(), both
+    padded with -1; find(dom, cod, G, F) gives the positions of the
+    morphisms with such columns, or -1.  concat[a, b] is the position of
+    word a + b, or -1."""
     index: dict
     dom: np.ndarray
     cod: np.ndarray
@@ -364,9 +560,24 @@ class EnvComposition:
     pair_g: np.ndarray
     pair_f: np.ndarray
     table: np.ndarray
+    G: np.ndarray
+    F: np.ndarray
+    concat: np.ndarray
+    find: object
 
     def __call__(self, g, f):
         return self.table[self.row[g] + self.col[f]]
+
+    def tensor(self, f, g, pf, pg):
+        """The positions of every f x g, as a len(f) x len(g) array, for
+        positions f of length profile pf = (len dom, len cod) and g of pg."""
+        (n1, m1), (n2, m2), shape = pf, pg, (len(f), len(g))
+        f, g = np.repeat(f, len(g)), np.tile(g, len(f))
+        pad = np.full((len(self.G), len(f)), -1)
+        G = np.concatenate([self.G[:n1, f], self.G[:n2, g] + m1, pad[n1 + n2:]])
+        F = np.concatenate([self.F[:m1, f], self.F[:m2, g], pad[m1 + m2:]])
+        return self.find(self.concat[self.dom[f], self.dom[g]],
+                         self.concat[self.cod[f], self.cod[g]], G, F).reshape(shape)
 
 
 @dataclass
@@ -441,108 +652,86 @@ class EnvelopeCategory:
         pair_g = np.concatenate([np.repeat(g, len(f)) for g, f in zip(by_dom, by_cod)])
         pair_f = np.concatenate([np.tile(f, len(g)) for g, f in zip(by_dom, by_cod)])
 
-        # V as int tables: its multimorphisms numbered, in keys as digits
-        # m + 1 of radix M + 1, with 0 for the padding past a row's end
-        ids = {m: i for i, m in enumerate(V.sig)}
-
-        def num(m):
-            return ids.setdefault(m, len(ids))
-
-        def padded(rows):
-            return np.array([r + (-1,) * (width - len(r)) for r in rows], dtype=np.int64)
-
-        # slot-major: F[k] is each morphism's fiber at k, G[i] input i's slot
-        F = padded([tuple(map(num, f.fibers)) for f in mors]).T
-        G = padded([f.idx for f in mors]).T
-        gamma = [(num(g), tuple(map(num, fs)), num(h))
-                 for (g, fs), h in V.gamma_table.items() if len(fs) <= width]
-        action = [(num(m), sum(x * width ** t for t, x in enumerate(p)), num(h))
-                  for (m, p), h in V.action_table.items() if len(p) <= width]
-        radix = len(ids) + 1
+        form = V.interned()
+        radix = form.radix
         if nw * nw * (width + 1) ** width * radix ** (width + 1) >= 2 ** 63:
             raise StructuralError(f"{V.name}: too many multimorphisms for int64 keys")
-        digit = radix ** np.arange(width - 1, -1, -1)
 
-        def sort_keys(keys, values):
-            order = np.argsort(keys)            # then a sentinel above all
-            return np.append(keys[order], 2 ** 63 - 1), np.append(values[order], -1)
+        G = _padded([f.idx for f in mors], width).T
+        F = _padded([map(form.ids.__getitem__, f.fibers) for f in mors], width).T
 
-        gkey, gval = sort_keys(
-            np.array([g * radix ** width + sum((f + 1) * digit[t] for t, f in enumerate(fs))
-                      for g, fs, _ in gamma], dtype=np.int64),
-            np.array([h for *_, h in gamma], dtype=np.int64))
-        act = np.full((radix, width ** width), -1, dtype=np.int64)
-        for m, code, h in action:
-            act[m, code] = h
+        def mor_key(dom, cod, G, F):
+            """(dom, cod), then the index map and the fibers as digits."""
+            return (((dom * nw + cod) * (width + 1) ** width + (width + 1) ** np.arange(width)
+                     @ (G + 1)) * radix ** width + radix ** np.arange(width - 1, -1, -1) @ (F + 1))
 
-        # a morphism's key: (dom, cod), its index map and its fibers as digits
-        index_digit = (width + 1) ** np.arange(width)
+        def find(dom, cod, G, F):
+            key = mor_key(dom, cod, G, F)
+            at = mkey.searchsorted(key)
+            return np.where(mkey[at] == key, mpos[at], -1)
 
-        def mor_key(dom, cod, idx_key, fibers):
-            return (((dom * nw + cod) * (width + 1) ** width + idx_key) * radix ** width
-                    + digit @ (fibers + 1))
-
-        mkey, mpos = sort_keys(mor_key(dom, cod, index_digit @ (G + 1), F), np.arange(nm))
+        key = mor_key(dom, cod, G, F)
+        order = np.argsort(key)             # then a sentinel above all
+        mkey, mpos = np.append(key[order], 2 ** 63 - 1), np.append(order, -1)
+        comp = EnvComposition(
+            index, dom, cod, by_dom, by_cod, row, col, pair_g, pair_f,
+            np.empty(len(pair_g), dtype=np.int32), G, F,
+            np.array([[wid.get(a + b, -1) for b in words] for a in words], dtype=np.int64), find)
         # gamma's key for slot k of g after f is g's fiber at k, then f's
-        # fibers at the outputs that g feeds into k, in order: sub[f, mask]
-        # has f's fibers on each set of outputs (a bit mask) as digits, and
-        # feeds[k, g] the mask that g feeds into k
+        # fibers at the outputs that g feeds into k, in order, as V.interned()
+        # keys them: sub[f, mask] has f's fibers on each set of outputs (a bit
+        # mask) as digits, and feeds[k, g] the mask that g feeds into k.  No
+        # mask of more outputs than V's widest key feeds a fiber of V.
         slots = np.arange(width)
         sub = np.zeros((nm, 2 ** width), dtype=np.int64)
         for mask in range(2 ** width):
-            for r, j in enumerate(j for j in slots if mask >> j & 1):
-                sub[:, mask] += (F[j] + 1) * digit[r]
+            for d, j in zip(form.digit, (j for j in slots if mask >> j & 1)):
+                sub[:, mask] += (F[j] + 1) * d
         feeds = ((G[:, None, :] == slots[:, None]) << slots[:, None, None]).sum(0)
 
         # the pairs taken g by g, the g ordered by index map, so that a
-        # batch holds few pairs of index maps
-        maps = {}
+        # batch holds few pairs of index maps; permutations are coded in a
+        # base that both V's action and the word cap fit
+        maps, base = {}, max(width, form.width) + 1
         imap = np.array([maps.setdefault(f.idx, len(maps)) for f in mors], dtype=np.int64)
         run = np.array([len(fs) for fs in by_cod])[dom]
         by_map = np.argsort(imap, kind="stable")
-        ends = np.cumsum(run[by_map])
-        table = np.empty(len(pair_g), dtype=np.int32)
-        for s in range(0, len(pair_g), _BATCH):
-            nth = np.arange(s, min(s + _BATCH, len(pair_g)))
-            r = np.searchsorted(ends, nth, side="right")
+        for _, r, j in _runs(run[by_map]):
             g = by_map[r]
-            t = row[g] + nth - (ends[r] - run[g])
+            t = row[g] + j
             f = pair_f[t]
             # the shape of each pair, planned once per pair of index maps
             _, first, shape = np.unique(imap[g] * len(maps) + imap[f],
                                         return_index=True, return_inverse=True)
-            cidx, code = _shapes(G[:, g[first]], G[:, f[first]], width)
+            cidx, code = _shapes(G[:, g[first]], G[:, f[first]], base)
             code = code.take(shape, axis=1)
             # gamma: slot k of g substitutes f's fibers at g's inputs fed into k
             Fg = F.take(g, axis=1)
             live = Fg >= 0
-            key = Fg * radix ** width + sub.take(f * 2 ** width + feeds.take(g, axis=1))
-            at = np.searchsorted(gkey, key)
-            bad = live & (gkey[at] != key)
+            out = np.where(live, form.find(Fg * radix ** form.width
+                                           + sub.take(f * 2 ** width + feeds.take(g, axis=1))), -1)
+            bad = live & (out < 0)
             if bad.any():             # V's own error for the first missing entry
                 b, k = np.argwhere(bad.T)[0]
                 gm, fm = mors[g[b]], mors[f[b]]
                 V.gamma(gm.fibers[k], tuple(x for x, j in zip(fm.fibers, gm.idx) if j == k))
-            out = np.where(live, gval[at], -1)
             # the action, where the shape turns a slot's inputs
             turn = np.flatnonzero(code >= 0)
-            acted = act.take(out.take(turn) * width ** width + code.take(turn))
+            acted = form.act(out.take(turn), code.take(turn), base)
             if (acted < 0).any():
                 k, b = divmod(int(turn[np.argmax(acted < 0)]), len(g))
                 size = int((cidx[:, shape[b]] == k).sum())
-                V.act(list(ids)[out[k, b]],
-                      tuple(int(code[k, b]) // width ** i % width for i in range(size)))
+                V.act(form.mms[out[k, b]],
+                      tuple(int(code[k, b]) // base ** i % base - 1 for i in range(size)))
             out.put(turn, acted)
             # the composite's position, if it is a morphism
-            key = mor_key(dom[f], cod[g], (index_digit @ (cidx + 1))[shape], out)
-            at = np.searchsorted(mkey, key)
-            if (mkey[at] != key).any():
-                b = np.argmax(mkey[at] != key)
+            at = comp.find(dom[f], cod[g], cidx.take(shape, axis=1), out)
+            if (at < 0).any():
+                b = np.argmax(at < 0)
                 raise StructuralError(f"{V.name}: {mors[g[b]]} after {mors[f[b]]} has a "
                                       f"fiber outside the hom of its slot")
-            table[t] = mpos[at]
-        return EnvComposition(index, dom, cod, by_dom, by_cod, row, col,
-                              pair_g, pair_f, table)
+            comp.table[t] = at
+        return comp
 
     def compose(self, g: EnvMor, f: EnvMor) -> EnvMor:
         """g after f, read from the composition table; g and f are morphisms
@@ -665,22 +854,6 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
                 break
     rep.params["assoc_instances_structural"] = n_struct
 
-    # tensor: strict associativity and unit on objects and morphisms
-    unit = E.identity(())
-    for i, f in enumerate(mors):
-        rep.require("env.tensor.unit",
-                    E.tensor(f, unit) == f and E.tensor(unit, f) == f, (i,))
-    small3 = [(i, f) for i, f in enumerate(mors) if len(f.dom) + len(f.cod) <= 3]
-    for i, f in small3:
-        for j, g in small3:
-            nd, nc = len(f.dom) + len(g.dom), len(f.cod) + len(g.cod)
-            for k, h in small3:
-                if nd + len(h.dom) > cap or nc + len(h.cod) > cap:
-                    continue
-                rep.require("env.tensor.assoc",
-                            E.tensor(E.tensor(f, g), h) == E.tensor(f, E.tensor(g, h)),
-                            (i, j, k))
-
     # the tensor table, per pair of length profiles (len dom, len cod) within
     # the cap: f x g sits at tens[(pf, pg)][ppos[f], ppos[g]]
     by_profile = {}
@@ -691,17 +864,31 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     for p, members in by_profile.items():
         by_profile[p] = np.array(members)
         ppos[members] = np.arange(len(members))
-    tens = {}
-    for p1 in mprofiles:
-        for p2 in mprofiles:
-            if p1[0] + p2[0] <= cap and p1[1] + p2[1] <= cap:
-                tens[(p1, p2)] = np.array(
-                    [[index[E.tensor(mors[i], mors[j])] for j in by_profile[p2]]
-                     for i in by_profile[p1]], dtype=np.int64)
+    tens = {(p1, p2): comp.tensor(by_profile[p1], by_profile[p2], p1, p2)
+            for p1 in mprofiles for p2 in mprofiles
+            if p1[0] + p2[0] <= cap and p1[1] + p2[1] <= cap}
 
     def tensor(f, g, pf, pg):
         t = tens[(pf, pg)]
         return t.ravel()[ppos[f] * t.shape[1] + ppos[g]]
+
+    # tensor: strict associativity and unit on objects and morphisms
+    unit, bad = ppos[index[E.identity(())]], np.zeros(nm, dtype=bool)
+    for p, fs in by_profile.items():
+        bad[fs] = (tens[(p, (0, 0))][:, unit] != fs) | (tens[((0, 0), p)][unit] != fs)
+    rep.counts["env.tensor.unit"] = nm
+    for i in np.flatnonzero(bad):
+        rep.add("env.tensor.unit", False, (int(i),))
+    small3 = [(i, f) for i, f in enumerate(mors) if len(f.dom) + len(f.cod) <= 3]
+    for i, f in small3:
+        for j, g in small3:
+            nd, nc = len(f.dom) + len(g.dom), len(f.cod) + len(g.cod)
+            for k, h in small3:
+                if nd + len(h.dom) > cap or nc + len(h.cod) > cap:
+                    continue
+                rep.require("env.tensor.assoc",
+                            E.tensor(E.tensor(f, g), h) == E.tensor(f, E.tensor(g, h)),
+                            (i, j, k))
 
     # tensor functoriality over every two composable pairs, bucketed by the
     # length profile (dom, mid, cod) of each pair; a bucket holds its pairs'

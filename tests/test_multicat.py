@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -14,6 +15,7 @@ import strawcat
 from strawcat import homs, multicat, strictify
 from strawcat.core import TableDouble
 from strawcat.multicat import (
+    EnvComposition,
     EnvelopeCategory,
     EnvMor,
     MultiFunctorData,
@@ -34,7 +36,7 @@ from strawcat.multicat import (
     validate_envelope,
     validate_multicat,
 )
-from strawcat.report import StructuralError
+from strawcat.report import Report, StructuralError
 from strawcat.strictify import StCell
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -59,6 +61,98 @@ def test_perm_utilities():
     assert perm_compose(p, q) == tuple(p[q[i]] for i in range(3))
     assert perm_block((1, 0), [2, 1]) == (2, 0, 1)
     assert perm_sum([(1, 0), (0,)]) == (1, 0, 2)
+
+
+def _plain_validate_multicat(V):
+    """validate_multicat one V.gamma/V.act lookup at a time, in the loop
+    order its docstring promises: the oracle for the batched gathers."""
+    rep = Report(f"validate_multicat({V.name})", params={"arity_cap": V.arity_cap})
+    for m, (xs, y) in V.sig.items():
+        rep.require("mc.sig.cap", len(xs) <= V.arity_cap, (m,))
+        rep.require("mc.sig.listed", m in V.hom(xs, y), (m,))
+    for X in V.objects:
+        i = V.ident(X)
+        rep.require("mc.ident.sig", V.sig[i] == ((X,), X), (X,))
+    # substitution is typed: the fs' outputs are g's inputs, and the result
+    # runs from the fs' inputs, concatenated, to g's output
+    for (g, fs), h in V.gamma_table.items():
+        sigs = [V.sig.get(m) for m in (g, *fs)]
+        ok = None not in sigs and tuple(s[1] for s in sigs[1:]) == sigs[0][0]
+        rep.require("mc.gamma.sig", ok and V.sig.get(h) == (
+            tuple(x for s in sigs[1:] for x in s[0]), sigs[0][1]), (g, fs))
+    if rep.failures():
+        return rep              # the laws below substitute along these types
+    # identity laws
+    for m in V.sig:
+        xs, y = V.sig[m]
+        rep.require("mc.unit.left", V.gamma(V.ident(y), (m,)) == m, (m,))
+        if xs:
+            rep.require("mc.unit.right",
+                        V.gamma(m, tuple(V.ident(x) for x in xs)) == m, (m,))
+    # action laws
+    for m in V.sig:
+        n = len(V.sig[m][0])
+        rep.require("mc.act.id", V.act(m, multicat.perm_id(n)) == m, (m,))
+        for p in multicat.all_perms(n):
+            mp = V.act(m, p)
+            xs = V.sig[m][0]
+            rep.require("mc.act.sig",
+                        V.sig[mp] == (tuple(xs[p[i]] for i in range(n)), V.sig[m][1]),
+                        (m, p))
+            for q in multicat.all_perms(n):
+                rep.require("mc.act.comp",
+                            V.act(mp, q) == V.act(m, perm_compose(p, q)), (m, p, q))
+    by_out_size, tuples = multicat._by_out_size(V.sig), {}
+
+    def budgeted(outputs):
+        """_budgeted within the cap, enumerated once per call."""
+        if outputs not in tuples:
+            tuples[outputs] = tuple(multicat._budgeted(by_out_size, outputs, V.arity_cap))
+        return tuples[outputs]
+
+    # associativity of substitution on two-level trees within the cap
+    for g in V.sig:
+        ys, z = V.sig[g]
+        if not ys:
+            continue
+        for fs in budgeted(tuple(ys)):
+            gf = V.gamma(g, fs)
+            xs_all = tuple(x for f in fs for x in V.sig[f][0])
+            for flat in budgeted(xs_all):
+                # split flat back into the blocks of the fs
+                ess, off = [], 0
+                for f in fs:
+                    k = len(V.sig[f][0])
+                    ess.append(flat[off:off + k])
+                    off += k
+                lhs = V.gamma(gf, flat)
+                rhs = V.gamma(g, tuple(V.gamma(f, es) for f, es in zip(fs, ess)))
+                rep.require("mc.assoc", lhs == rhs, (g, fs, flat))
+    rep.params["assoc_instances"] = rep.counts.get("mc.assoc", 0)
+    # equivariance
+    for g in V.sig:
+        ys, z = V.sig[g]
+        n = len(ys)
+        if n == 0:
+            continue
+        for fs in budgeted(tuple(ys)):
+            sizes = [len(V.sig[f][0]) for f in fs]
+            base = V.gamma(g, fs)
+            for p in multicat.all_perms(n):
+                lhs = V.gamma(V.act(g, p), tuple(fs[p[i]] for i in range(n)))
+                rhs = V.act(base, perm_block(p, sizes))
+                rep.require("mc.equivariance.outer", lhs == rhs, (g, fs, p))
+            for i, f in enumerate(fs):
+                k = sizes[i]
+                for q in multicat.all_perms(k):
+                    fs2 = list(fs)
+                    fs2[i] = V.act(f, q)
+                    lhs = V.gamma(g, tuple(fs2))
+                    qs = [multicat.perm_id(s) for s in sizes]
+                    qs[i] = q
+                    rhs = V.act(base, perm_sum(qs))
+                    rep.require("mc.equivariance.inner", lhs == rhs, (g, fs, i, q))
+    return rep
 
 
 def test_terminal_multicat_valid():
@@ -95,6 +189,123 @@ def test_validate_multicat_names_an_off_signature_substitution():
     rep = validate_multicat(_off_signature_z2())
     assert [(f.check, f.witness) for f in rep.failures()] == [
         ("mc.gamma.sig", (ZERO2, (ZERO0, ZERO0)))]
+
+
+def _truncadd(cap):
+    return from_monoidal("truncadd", ("0", "1", "2"),
+                         lambda x, y: str(min(int(x) + int(y), 2)), "0", cap)
+
+
+BASES = {"terminal": lambda: terminal_multicat(3),
+         "z2mon": lambda: from_monoidal("z2mon", ("0", "1"), addz2, "0", 3),
+         "truncadd": lambda: _truncadd(3),
+         "endo2": lambda: endo_multicat("endo2", ("0", "1"), 2)}
+
+
+def _planted(V, table, key, value):
+    """V with one entry of one table set, or deleted where value is None,
+    on a copy of that table: the copy builds its own integer form."""
+    entries = dict(getattr(V, table))
+    if value is None:
+        del entries[key]
+    else:
+        entries[key] = value
+    return dataclasses.replace(V, **{table: entries})
+
+
+def _other(V, m, same=True):
+    """The first multimorphism but m with m's signature (where same), else
+    with its arity, else any."""
+    sig = V.sig[m]
+    tests = [lambda s: s == sig] if same else []
+    tests += [lambda s: len(s[0]) == len(sig[0]) and s != sig, lambda s: True]
+    return next(x for ok in tests for x, s in V.sig.items() if x != m and ok(s))
+
+
+def _mutant(V, family):
+    """One entry of V's tables, and a new value for it, aimed at family:
+    mostly around g, V's first binary multimorphism."""
+    top = list(V.sig)[-1]
+    binary = [m for m, (xs, _) in V.sig.items() if len(xs) == 2]
+    g = binary[0]
+    (x0, x1), y = V.sig[g]
+    units = (V.ident(x0), V.ident(x1))
+    nullary = next(m for m, (xs, z) in V.sig.items() if not xs and z == x1)
+    swap = V.act(g, (1, 0))
+    # inner: a binary a that the swap moves, with a nullary n into its
+    # second input; gamma(a, (a, n)) is moved by the swap too
+    a, n = next(((m, z) for m in binary if V.act(m, (1, 0)) != m
+                 for z, (zs, w) in V.sig.items() if not zs and w == V.sig[m][0][1]),
+                (g, nullary))
+    an = V.gamma(a, (a, n))
+    return {
+        "mc.sig.cap": ("sig", top, (V.sig[top][0] + (V.sig[top][1],), V.sig[top][1])),
+        "mc.sig.listed": ("homs", V.sig[g], tuple(m for m in V.hom(*V.sig[g]) if m != g)),
+        "mc.ident.sig": ("identities", x0, g),
+        "mc.gamma.sig": ("gamma_table", (g, units), V.ident(y)),
+        "mc.unit.left": ("gamma_table", (V.ident(y), (g,)), _other(V, g)),
+        "mc.unit.right": ("gamma_table", (g, units), _other(V, g)),
+        "mc.act.id": ("action_table", (g, (0, 1)), _other(V, g)),
+        "mc.act.sig": ("action_table", (g, (1, 0)), _other(V, swap, same=False)),
+        "mc.act.comp": ("action_table", (g, (1, 0)), _other(V, swap)),
+        "mc.assoc": ("gamma_table", (g, (units[0], V.ident(x1))), _other(V, g)),
+        "mc.equivariance.outer": ("gamma_table", (g, (units[0], nullary)),
+                                  _other(V, V.gamma(g, (units[0], nullary)))),
+        "mc.equivariance.inner": ("gamma_table", (a, (a, n)), V.act(an, (1, 0))),
+    }[family]
+
+
+def _outcome(check, V):
+    """A validate_multicat report as its findings, counts and params, or
+    the error it raised."""
+    try:
+        rep = check(V)
+    except (StructuralError, KeyError) as e:
+        return type(e).__name__, str(e)
+    return [(f.check, f.witness) for f in rep.findings], list(rep.counts.items()), rep.params
+
+
+MC_FAMILIES = ["mc.sig.cap", "mc.sig.listed", "mc.ident.sig", "mc.gamma.sig",
+               "mc.unit.left", "mc.unit.right", "mc.act.id", "mc.act.sig", "mc.act.comp",
+               "mc.assoc", "mc.equivariance.outer", "mc.equivariance.inner"]
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_validate_multicat_matches_the_plain_loops_on_every_planted_family(base):
+    # on the base and on one single-entry mutant per family: the same
+    # findings (check, witness, order), counts and params as the loops, or
+    # the same error
+    V = BASES[base]()
+    assert _outcome(validate_multicat, V) == _outcome(_plain_validate_multicat, V)
+    for family in MC_FAMILIES:
+        W = _planted(V, *_mutant(V, family))
+        assert _outcome(validate_multicat, W) == _outcome(_plain_validate_multicat, W), family
+
+
+def test_every_family_but_act_sig_is_named_by_its_planted_mutant():
+    # act.sig cannot be: a mistyped action value makes equivariance look up
+    # a substitution V lacks, so validate_multicat raises
+    named = {}
+    for base, make in BASES.items():
+        V = make()
+        for family in MC_FAMILIES:
+            got = _outcome(validate_multicat, _planted(V, *_mutant(V, family)))
+            if isinstance(got[0], list) and family in {c for c, _ in got[0]}:
+                named.setdefault(family, []).append(base)
+    assert set(named) == set(MC_FAMILIES) - {"mc.act.sig"}, named
+
+
+@pytest.mark.parametrize("base", ["z2mon", "endo2"])
+@pytest.mark.parametrize("table", ["gamma_table", "action_table"])
+def test_validate_multicat_names_a_missing_entry_as_the_loops_do(base, table):
+    # V's own error for the first lookup, in loop order, that V lacks
+    V = BASES[base]()
+    keys = list(getattr(V, table))
+    for key in keys[::max(1, len(keys) // 5)] + keys[-1:]:
+        W = _planted(V, table, key, None)
+        want = _outcome(_plain_validate_multicat, W)
+        assert want[0] == "StructuralError"
+        assert _outcome(validate_multicat, W) == want, key
 
 
 def test_envelope_refuses_an_off_signature_substitution():
@@ -199,10 +410,11 @@ def test_shapes_match_the_plan_on_every_pair_of_index_maps():
         return np.array([idx + (-1,) * (w - len(idx)) for idx in idxs]).T
 
     cidx, code = multicat._shapes(padded([g for (_, g), _ in pairs]),
-                                  padded([f for _, (_, f) in pairs]), w)
+                                  padded([f for _, (_, f) in pairs]), w + 1)
     for ((m, gidx), (_, fidx)), c, p in zip(pairs, cidx.T.tolist(), code.T.tolist()):
         idx = tuple(c[:len(fidx)])
-        perms = tuple(None if x < 0 else tuple(x // w ** t % w for t in range(idx.count(k)))
+        perms = tuple(None if x < 0 else tuple(x // (w + 1) ** t % (w + 1) - 1
+                                               for t in range(idx.count(k)))
                       for k, x in enumerate(p[:m]))
         assert (idx, perms) == _plan(gidx, m, fidx), (gidx, m, fidx)
         assert c[len(fidx):] == [-1] * (w - len(fidx)) and p[m:] == [-1] * (w - m)
@@ -337,22 +549,35 @@ def _plain_loop_findings(E):
 
 def test_envelope_tensor_families_match_plain_loops(monkeypatch):
     # these families run on integer tables; with the tensor product broken
-    # on purpose they must report exactly the instances, in order, that plain
-    # loops over the morphisms find
+    # on purpose, in the plain loops' E.tensor and in the table's
+    # EnvComposition.tensor alike, they must report exactly the instances,
+    # in order, that plain loops over the morphisms find
     E = envelope(endo_multicat("endo2", ("0", "1"), 2), 2)
     same_ends = {}
     for f in E.morphisms:
         same_ends.setdefault((f.dom, f.cod), []).append(f)
-    tensor = EnvelopeCategory.tensor
+    tensor, tensor_table = EnvelopeCategory.tensor, EnvComposition.tensor
+
+    def bent(f, g):
+        return len(f.dom) == 1 and g.cod and f.fibers != g.fibers[:1]
+
+    def turned(fg):
+        alts = same_ends[(fg.dom, fg.cod)]
+        return alts[(alts.index(fg) + 1) % len(alts)]
 
     def broken(self, f, g):
         fg = tensor(self, f, g)
-        if len(f.dom) == 1 and g.cod and f.fibers != g.fibers[:1]:
-            alts = same_ends[(fg.dom, fg.cod)]
-            fg = alts[(alts.index(fg) + 1) % len(alts)]
+        return turned(fg) if bent(f, g) else fg
+
+    def broken_table(self, f, g, pf, pg):
+        fg = tensor_table(self, f, g, pf, pg)
+        for i, j in np.ndindex(fg.shape):
+            if bent(E.morphisms[f[i]], E.morphisms[g[j]]):
+                fg[i, j] = self.index[turned(E.morphisms[fg[i, j]])]
         return fg
 
     monkeypatch.setattr(EnvelopeCategory, "tensor", broken)
+    monkeypatch.setattr(EnvComposition, "tensor", broken_table)
     want = _plain_loop_findings(E)
     assert {check for check, _ in want} == {"env.tensor.functorial", "env.sym.natural"}
     rep = validate_envelope(E, assoc_full_len=2)
@@ -536,3 +761,35 @@ def test_envelope_of_terminal_at_word_cap_5_within_60_s_and_1_gb():
     assert {k: run["params"][k] for k in CAP5_COUNTS} == CAP5_COUNTS
     assert seconds <= 60, seconds
     assert run["kb"] <= 1 << 20, run["kb"]          # KiB: 1 GiB
+
+
+# z2 at arity cap 5: every validate_multicat family's instance count, as the
+# plain loops counted them
+Z2_CAP5_COUNTS = {"mc.sig.cap": 63, "mc.sig.listed": 63, "mc.ident.sig": 2,
+                  "mc.gamma.sig": 9_472, "mc.unit.left": 63, "mc.unit.right": 62,
+                  "mc.act.id": 63, "mc.act.sig": 4_283, "mc.act.comp": 470_323,
+                  "mc.assoc": 1_562_111, "mc.equivariance.outer": 728_667,
+                  "mc.equivariance.inner": 157_681}
+
+
+@pytest.mark.skipif(not os.environ.get(SCALE), reason=f"a scale point; set {SCALE}=1 to run it")
+def test_validate_multicat_of_z2_at_arity_cap_5_within_5_s():
+    # a fresh process, so that its ru_maxrss is the peak of this run alone
+    script = ("import json, resource\n"
+              "from strawcat.multicat import from_monoidal, validate_multicat\n"
+              "V = from_monoidal('z2', ('0', '1'),\n"
+              "                  lambda x, y: str((int(x) + int(y)) % 2), '0', 5)\n"
+              "rep = validate_multicat(V)\n"
+              "print(json.dumps({'ok': rep.ok, 'counts': rep.counts,\n"
+              "                  'kb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))\n")
+    src = str(pathlib.Path(strawcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=600)
+    seconds = time.perf_counter() - t0
+    run = json.loads(out.stdout.splitlines()[-1])
+    assert run["ok"]
+    assert run["counts"] == Z2_CAP5_COUNTS
+    assert sum(Z2_CAP5_COUNTS.values()) == 2_932_853
+    assert seconds <= 5, seconds
