@@ -13,10 +13,8 @@ symmetry).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -262,7 +260,7 @@ class InternedMulticat:
         key = self.g * R ** W + (self.fs + 1) @ self.digit
         order = np.argsort(key)
         self.gkey, self.gval = np.append(key[order], 2 ** 63 - 1), np.append(self.h[order], -1)
-        self.by_out_size, self._act, self._budgeted = _by_out_size(dict(enumerate(sigs))), {}, {}
+        self.by_out_size, self._act, self._budgeted = _by_out_size(dict(enumerate(sigs))), None, {}
 
     def find(self, key):
         """gamma by key: its number, or -1."""
@@ -273,16 +271,18 @@ class InternedMulticat:
         """gamma(g, fs) by number, fs padded with -1 along its last axis."""
         return self.find(g * self.radix ** self.width + (fs + 1) @ self.digit[:fs.shape[-1]])
 
-    def act(self, m, code, base=None):
-        """act(m, p) by number and by the code sum (p[t] + 1) * base**t of
-        p, which holds p's length too; base is above width, width + 1 by
-        default.  A dense table per base, built on first use."""
-        base = base or self.width + 1
-        if base not in self._act:
-            table = np.full((self.radix, base ** (base - 1)), -1)
-            table[self.act_m, (self.act_p + 1) @ base ** np.arange(self.width)] = self.act_h
-            self._act[base] = table
-        return self._act[base][m, code]
+    def code(self, P):
+        """The code sum (p[t] + 1) * (width + 1)**t of each permutation p,
+        padded with -1 along the last axis of P; it holds p's length too."""
+        return (P + 1) @ (self.width + 1) ** np.arange(P.shape[-1])
+
+    def act(self, m, code):
+        """act(m, p) by number and by p's code: a dense table, built on
+        first use."""
+        if self._act is None:
+            self._act = np.full((self.radix, (self.width + 1) ** self.width), -1)
+            self._act[self.act_m, self.code(self.act_p)] = self.act_h
+        return self._act[m, code]
 
     def budgeted(self, word):
         """_budgeted within V's cap on numbers, for a tuple of object
@@ -307,160 +307,142 @@ def _inputs(form: InternedMulticat, fs):
 
 
 def _runs(counts):
-    """Instances numbered run after run, counts[r] in run r, in batches of
-    _BATCH: each batch's instance numbers, their runs and their places in
-    their runs."""
+    """Instances run after run, counts[r] in run r, in batches of _BATCH:
+    each batch's instances as their runs and their places in their runs."""
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
     for lo in range(0, total, _BATCH):
         nth = np.arange(lo, min(lo + _BATCH, total))
         run = np.searchsorted(ends, nth, side="right")
-        yield nth, run, nth - ends[run] + counts[run]
+        yield run, nth - ends[run] + counts[run]
 
 
-def validate_multicat(V: FiniteSymMulticat) -> Report:
-    """The laws of a symmetric multicategory on V, every instance within
-    its arity cap, as batched gathers over V.interned().
+def _fail(rep, check, n, bad, witness):
+    """n more instances of check, the bad ones named in order."""
+    if n:
+        rep.counts[check] = rep.counts.get(check, 0) + int(n)
+    for k in zip(*np.nonzero(bad)):
+        rep.add(check, False, witness(*k))
 
-    Findings come family by family, each family's in the order of the
-    loops that quantify it: mc.sig.cap and mc.sig.listed alternating per
-    multimorphism, in V.sig order; mc.ident.sig per object; mc.gamma.sig
-    per gamma_table entry, in its order.  Only when none of these fail:
-    mc.unit.left and mc.unit.right alternating per multimorphism; per
-    multimorphism, mc.act.id, then per permutation p mc.act.sig and per
-    permutation q mc.act.comp; mc.assoc per (g, fs, flat); and per (g, fs),
-    mc.equivariance.outer per p, then mc.equivariance.inner per (i, q).
-    There g runs in V.sig order, fs and flat in _budgeted order and
-    permutations in itertools.permutations order.  Witnesses are V's own
-    multimorphisms.  A substitution or action that V does not define
-    raises V's own StructuralError, for the first such lookup in that
-    order."""
+
+def _structure(V: FiniteSymMulticat):
+    """The structural families of validate_multicat, which an envelope of
+    V checks on entry too.  When all hold, every substitution and action
+    that a law, or a composite of an envelope within the arity cap, reads
+    is defined and typed.  Returns the report, the (g, fs) that gamma must
+    define as numbers (fs padded with -1) with gamma(g, fs), and the (m, p)
+    that the action must define as m's numbers, p's tuples and p padded
+    with -1, with act(m, p)."""
     rep = Report(f"validate_multicat({V.name})", params={"arity_cap": V.arity_cap})
-    form = V.interned()
-    mms, W, ns, m = form.mms, form.width, len(V.sig), np.arange(len(V.sig))
-    arity, out, ins, never = form.arity, form.out, form.ins, np.iinfo(np.int64).max
-    found, missed = [], []
-
-    def objs(row):
-        return tuple(mms[x] for x in row if x >= 0)
-
-    def code(P):
-        return (P + 1) @ (W + 1) ** np.arange(P.shape[-1])
-
-    def lookup(at, got, subject, call, args):
-        """got, noting the first lookup, by position at, that V lacks on a
-        subject it has; call(*args(index)) makes that lookup again."""
-        at = np.where((got < 0) & (subject >= 0), at, never)
-        if at.size and at.min() < never:
-            k = np.unravel_index(at.argmin(), at.shape)
-            missed.append((at[k], call, args(k)))
-        return got
-
-    def gamma(g, fs, at):
-        got = form.gamma(g, fs)
-        g, fs = np.broadcast_to(g, got.shape), np.broadcast_to(fs, got.shape + fs.shape[-1:])
-        return lookup(at, got, g, V.gamma, lambda k: (mms[g[k]], objs(fs[k])))
-
-    def act(x, p, at):
-        got = form.act(x, p)
-        x, p = np.broadcast_arrays(x, p)
-        return lookup(at, got, x, V.act, lambda k: (mms[x[k]], tuple(
-            d - 1 for d in (int(p[k]) // (W + 1) ** t % (W + 1) for t in range(W)) if d)))
-
-    def fail(check, at, bad, witness):
-        """The bad instances, at their positions in loop order."""
-        at = np.broadcast_to(at, bad.shape)
-        found.extend((int(at[k]), check, witness(*k)) for k in zip(*np.nonzero(bad)))
-
-    def family(*counts):
-        """V's own error for the family's first missing lookup; else its
-        findings in loop order, and its instance counts."""
-        if missed:
-            _, call, args = min(missed, key=itemgetter(0))
-            call(*args)
-        for _, check, witness in sorted(found, key=itemgetter(0)):
-            rep.add(check, False, witness)
-        found.clear()
-        rep.counts.update((check, int(n)) for check, n in counts if n)
-
-    listed = np.array([x in V.hom(*V.sig[x]) for x in V.sig], dtype=bool)
-    fail("mc.sig.cap", 2 * m, arity[:ns] > V.arity_cap, lambda i: (mms[i],))
-    fail("mc.sig.listed", 2 * m + 1, ~listed, lambda i: (mms[i],))
-    family(("mc.sig.cap", ns), ("mc.sig.listed", ns))
-    typed = np.array([V.sig[V.ident(X)] == ((X,), X) for X in V.objects], dtype=bool)
-    fail("mc.ident.sig", np.arange(len(typed)), ~typed, lambda i: (V.objects[i],))
-    family(("mc.ident.sig", len(typed)))
+    form, ns = V.interned(), len(V.sig)
+    mms, arity, out, ins = form.mms, form.arity, form.out, form.ins
+    for x, (xs, y) in V.sig.items():
+        rep.require("mc.sig.cap", len(xs) <= V.arity_cap, (x,))
+        rep.require("mc.sig.listed", x in V.hom(xs, y), (x,))
+    for X in V.objects:
+        rep.require("mc.ident.sig", V.sig.get(V.identities.get(X)) == ((X,), X), (X,))
     # substitution is typed: the fs' outputs are g's inputs, and the result
     # runs from the fs' inputs, concatenated, to g's output
     g, fs, h, keys = form.g, form.fs, form.h, list(V.gamma_table)
     ks, _, xs = _inputs(form, fs)
     ok = (((fs >= 0).sum(1) == arity[g]) & (out[fs] == ins[g]).all(1)
           & (arity[h] == ks.sum(1)) & (out[h] == out[g]) & (ins[h] == xs).all(1))
-    fail("mc.gamma.sig", np.arange(len(g)), ~ok, lambda i: keys[i])
-    family(("mc.gamma.sig", len(g)))
+    _fail(rep, "mc.gamma.sig", len(g), ~ok, lambda i: keys[i])
+    rows = [form.budgeted(tuple(ins[x, :arity[x]].tolist())) for x in range(ns)]
+    pg = np.repeat(np.arange(ns), [len(r) for r in rows])
+    pfs = np.vstack([_padded([], form.width), *rows])
+    gf = form.gamma(pg, pfs)
+    _fail(rep, "mc.gamma.total", len(pg), gf < 0,
+          lambda i: (mms[pg[i]], tuple(mms[f] for f in pfs[i] if f >= 0)))
+    # an action is typed: act(m, p) takes m's inputs in the order p gives
+    mps = [(m, p) for m in range(ns) for p in all_perms(arity[m])]
+    am, ps = np.array([m for m, _ in mps], dtype=np.int64), [p for _, p in mps]
+    P = _padded(ps, form.width)
+    mp = form.act(am, form.code(P))
+    want = np.where(P >= 0, np.take_along_axis(ins[am], np.maximum(P, 0), 1), -1)
+    _fail(rep, "mc.act.total", len(am), mp < 0, lambda i: (mms[am[i]], ps[i]))
+    _fail(rep, "mc.act.sig", (mp >= 0).sum(),
+          (mp >= 0) & ((out[mp] != out[am]) | (ins[mp] != want).any(1)),
+          lambda i: (mms[am[i]], ps[i]))
+    return rep, (pg, pfs, gf), (am, ps, P, mp)
+
+
+def validate_multicat(V: FiniteSymMulticat) -> Report:
+    """The laws of a symmetric multicategory on V, every instance within
+    its arity cap, as batched gathers over V.interned(), once V's structure
+    holds.
+
+    Findings come family by family, each family's in the order of the
+    loops that quantify it.  First V's structure (_structure): mc.sig.cap
+    and mc.sig.listed alternating per multimorphism; mc.ident.sig per
+    object; mc.gamma.sig per gamma_table entry, in its order; mc.gamma.total
+    per (g, fs) that gamma must define; mc.act.total per (m, p) that the
+    action must define, and mc.act.sig per such (m, p) that V defines.
+    Only when none of these fail, the laws: mc.unit.left and mc.unit.right
+    alternating per multimorphism; mc.act.id per multimorphism; mc.act.comp
+    per (m, p, q); mc.assoc per (g, fs, flat); and per (g, fs),
+    mc.equivariance.outer per p, then mc.equivariance.inner per (i, q).
+    There m and g run in V.sig order, fs (on g's inputs) and flat in
+    _budgeted order and permutations in all_perms order.  Witnesses are V's
+    own multimorphisms."""
+    rep, (pg, pfs, gf), (am, ps, P, mp) = _structure(V)
     if rep.failures():
         return rep              # the laws below substitute along these types
+    form, ns = V.interned(), len(V.sig)
+    mms, W, arity, out, ins = form.mms, form.width, form.arity, form.out, form.ins
+
+    def objs(row):
+        return tuple(mms[x] for x in row if x >= 0)
 
     # identity laws
-    has, right = m[arity[:ns] > 0], m.copy()
-    left = gamma(form.ident[out[m]], m[:, None], 2 * m)
-    right[has] = gamma(has, form.ident[ins[has]], 2 * has + 1)
-    fail("mc.unit.left", 2 * m, left != m, lambda i: (mms[i],))
-    fail("mc.unit.right", 2 * m + 1, right != m, lambda i: (mms[i],))
-    family(("mc.unit.left", ns), ("mc.unit.right", len(has)))
+    m = np.arange(ns)
+    left = form.gamma(form.ident[out[m]], m[:, None])
+    right = form.gamma(m, form.ident[ins[m]])
+    for i, x in enumerate(V.sig):
+        rep.require("mc.unit.left", left[i] == i, (x,))
+        if arity[i]:
+            rep.require("mc.unit.right", right[i] == i, (x,))
 
-    # action laws, arity by arity; a position is (m, p, q, lookup), with p
-    # and q counted from 1, and 0 for none
-    span, n_sig, n_comp = math.factorial(W) + 1, 0, 0
-    for n in range(W + 1):
-        ms, perms = np.flatnonzero(arity[:ns] == n), all_perms(n)
-        P = np.array(perms, dtype=np.int64).reshape(len(perms), n)
-        sig_at = (ms[:, None] * span + np.arange(1, len(perms) + 1)) * span * 2
-        comp_at = sig_at[:, :, None] + np.arange(1, len(perms) + 1) * 2
-        mp = act(ms[:, None], code(P), sig_at)          # the identity comes first
-        lhs = act(mp[:, :, None], code(P), comp_at)
-        rhs = act(ms[:, None, None], code(P[:, P]), comp_at + 1)
-        fail("mc.act.id", ms * span * span * 2, mp[:, 0] != ms, lambda i: (mms[ms[i]],))
-        fail("mc.act.sig", sig_at, (arity[mp] != n) | (out[mp] != out[ms, None])
-             | (ins[mp][..., :n] != ins[ms][:, P]).any(-1), lambda i, a: (mms[ms[i]], perms[a]))
-        fail("mc.act.comp", comp_at, lhs != rhs,
-             lambda i, a, b: (mms[ms[i]], perms[a], perms[b]))
-        n_sig, n_comp = n_sig + mp.size, n_comp + lhs.size
-    family(("mc.act.id", ns), ("mc.act.sig", n_sig), ("mc.act.comp", n_comp))
+    # action laws: act(act(m, p), q) == act(m, p.q), the q of (m, p) being
+    # the p of m, whose first is the identity
+    n_perms = np.bincount(am, minlength=ns)
+    first = np.cumsum(n_perms) - n_perms
+    _fail(rep, "mc.act.id", ns, mp[first] != m, lambda i: (mms[i],))
+    for r, b in _runs(n_perms[am]):
+        q = first[am[r]] + b
+        pq = np.where(P[q] >= 0, np.take_along_axis(P[r], np.maximum(P[q], 0), 1), -1)
+        _fail(rep, "mc.act.comp", len(r),
+              form.act(mp[r], form.code(P[q])) != form.act(am[r], form.code(pq)),
+              lambda i: (mms[am[r[i]]], ps[r[i]], ps[q[i]]))
 
-    # the pairs (g, fs): g in V.sig order, fs in _budgeted order; per pair,
-    # the arities of the fs, where their inputs start, and all their inputs
-    tuples = [form.budgeted(tuple(ins[x, :arity[x]].tolist())) for x in has]
-    pg, pfs = np.repeat(has, [len(t) for t in tuples]), np.vstack([_padded([], W), *tuples])
+    # the pairs (g, fs) with g not nullary; per pair, the arities of the
+    # fs, where their inputs start, and all their inputs
+    keep = arity[pg] > 0
+    pg, pfs, gf = pg[keep], pfs[keep], gf[keep]
     ks, offs, xs = _inputs(form, pfs)
 
     # associativity of substitution on two-level trees within the cap: a
-    # pair's flats are _budgeted on its inputs, stored once per word; a
-    # position is (instance, lookup), gf's at its pair's first instance
+    # pair's flats are _budgeted on its inputs, stored once per word
     words = {}
     word = np.array([words.setdefault(tuple(r[:k]), len(words))
                      for r, k in zip(xs.tolist(), ks.sum(1).tolist())], dtype=np.int64)
     flats = [form.budgeted(w) for w in words]
     store, n_flat = np.vstack([_padded([], W), *flats]), np.fromiter(map(len, flats), np.int64)
     store_at, n_flat = np.cumsum(n_flat) - n_flat, n_flat[word]
-    step, cols = W + 3, np.arange(W)
-    gf = gamma(pg, pfs, (np.cumsum(n_flat) - n_flat) * step)
-    for nth, p, j in _runs(n_flat):
-        flat, fs, at = store[store_at[word[p]] + j], pfs[p], nth * step
-        lhs = gamma(gf[p], flat, at + 1)
-        inner = np.stack([gamma(fs[:, t], np.where(cols < ks[p, t, None], np.take_along_axis(
-            flat, np.minimum(offs[p, t, None] + cols, W - 1), 1), -1), at + 2 + t)
-            for t in range(W)], 1)
-        rhs = gamma(pg[p], inner, at + W + 2)
-        fail("mc.assoc", nth, lhs != rhs, lambda i: (mms[pg[p[i]]], objs(fs[i]), objs(flat[i])))
-    family(("mc.assoc", n_flat.sum()))
+    cols = np.arange(W)
+    for p, j in _runs(n_flat):
+        flat, fs = store[store_at[word[p]] + j], pfs[p]
+        inner = np.stack([form.gamma(fs[:, t], np.where(cols < ks[p, t, None], np.take_along_axis(
+            flat, np.minimum(offs[p, t, None] + cols, W - 1), 1), -1)) for t in range(W)], 1)
+        _fail(rep, "mc.assoc", len(p), form.gamma(gf[p], flat) != form.gamma(pg[p], inner),
+              lambda i: (mms[pg[p[i]]], objs(fs[i]), objs(flat[i])))
     rep.params["assoc_instances"] = rep.counts.get("mc.assoc", 0)
 
     # equivariance: a pair's instances depend on its arity profile alone,
     # so each profile's are planned once, as rows (col, perm, rperm): outer
     # rows (col -1) act on g by perm and permute the fs by it; inner rows
-    # act on f_col by perm; rperm acts on gf.  A position is (instance,
-    # lookup); a witness ends with (perm,) for outer rows, (col, perm) else.
+    # act on f_col by perm; rperm acts on gf.  A witness ends with (perm,)
+    # for outer rows, (col, perm) else.
     profiles, plan, starts, n_outer = {}, [], [], 0
     prof = np.array([profiles.setdefault(tuple(k[:n]), len(profiles))
                      for k, n in zip(ks.tolist(), arity[pg].tolist())], dtype=np.int64)
@@ -474,21 +456,21 @@ def validate_multicat(V: FiniteSymMulticat) -> Report:
     perm, rperm = (_padded([r[k] for r in plan], W) for k in (1, 2))
     starts = np.array(starts + [len(plan)], dtype=np.int64)
     n_rows = np.diff(starts)[prof]
-    for nth, p, j in _runs(n_rows):
-        t, fs, at = starts[prof[p]] + j, pfs[p], nth * 4
+    for p, j in _runs(n_rows):
+        t, fs = starts[prof[p]] + j, pfs[p]
         c, inner = col[t], col[t] >= 0
-        acted = act(np.where(inner, fs[np.arange(len(p)), np.maximum(c, 0)], pg[p]),
-                    code(perm[t]), at + 1)
+        acted = form.act(np.where(inner, fs[np.arange(len(p)), np.maximum(c, 0)], pg[p]),
+                         form.code(perm[t]))
         F = np.where(inner[:, None] | (perm[t] < 0), fs,
                      np.take_along_axis(fs, np.maximum(perm[t], 0), 1))
         F[inner, c[inner]] = acted[inner]
-        lhs = gamma(np.where(inner, pg[p], acted), F, at + 2)
-        rhs = act(gf[p], code(rperm[t]), at + 3)
+        bad = form.gamma(np.where(inner, pg[p], acted), F) != form.act(gf[p], form.code(rperm[t]))
+        for i in np.flatnonzero(bad):
+            rep.add("mc.equivariance.inner" if inner[i] else "mc.equivariance.outer", False,
+                    (mms[pg[p[i]]], objs(fs[i]), *plan[t[i]][int(c[i] < 0):2]))
         n_outer += len(p) - inner.sum()
-        for check, kind in (("mc.equivariance.outer", ~inner), ("mc.equivariance.inner", inner)):
-            fail(check, nth, (lhs != rhs) & kind,
-                 lambda i: (mms[pg[p[i]]], objs(fs[i]), *plan[t[i]][int(c[i] < 0):2]))
-    family(("mc.equivariance.outer", n_outer), ("mc.equivariance.inner", n_rows.sum() - n_outer))
+    rep.counts.update((check, int(n)) for check, n in (
+        ("mc.equivariance.outer", n_outer), ("mc.equivariance.inner", n_rows.sum() - n_outer)) if n)
     return rep
 
 
@@ -583,8 +565,10 @@ class EnvComposition:
 @dataclass
 class EnvelopeCategory:
     """The symmetric strict monoidal envelope of V on the words of length
-    <= word_cap.  Its morphisms are enumerated eagerly, within the candidate
-    budget; composition reads one table, built on first use."""
+    <= word_cap.  A V that fails a structural family of validate_multicat,
+    or a word cap above its arity cap, is refused with a StructuralError.
+    Its morphisms are enumerated eagerly, within the candidate budget;
+    composition reads one table, built on first use."""
     V: FiniteSymMulticat
     word_cap: int
     max_candidates: int | None = None
@@ -592,8 +576,15 @@ class EnvelopeCategory:
     morphisms: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.objects = words = _words(self.V.objects, self.word_cap)
-        V, obj = self.V, {x: i for i, x in enumerate(self.V.objects)}
+        V = self.V
+        if self.word_cap > V.arity_cap:
+            raise StructuralError(f"{V.name}: word cap {self.word_cap} exceeds the arity "
+                                  f"cap {V.arity_cap}")
+        for f in _structure(V)[0].failures():
+            raise StructuralError(f"{V.name}: V fails {f.check} at "
+                                  f"({', '.join(map(str, f.witness))})")
+        self.objects = words = _words(V.objects, self.word_cap)
+        obj = {x: i for i, x in enumerate(V.objects)}
         maps = {}
 
         def index_maps(n, m):
@@ -690,47 +681,32 @@ class EnvelopeCategory:
         feeds = ((G[:, None, :] == slots[:, None]) << slots[:, None, None]).sum(0)
 
         # the pairs taken g by g, the g ordered by index map, so that a
-        # batch holds few pairs of index maps; permutations are coded in a
-        # base that both V's action and the word cap fit
-        maps, base = {}, max(width, form.width) + 1
+        # batch holds few pairs of index maps; permutations are coded as
+        # V's action reads them, in base form.width + 1 >= word cap + 1
+        maps = {}
         imap = np.array([maps.setdefault(f.idx, len(maps)) for f in mors], dtype=np.int64)
         run = np.array([len(fs) for fs in by_cod])[dom]
         by_map = np.argsort(imap, kind="stable")
-        for _, r, j in _runs(run[by_map]):
+        for r, j in _runs(run[by_map]):
             g = by_map[r]
             t = row[g] + j
             f = pair_f[t]
             # the shape of each pair, planned once per pair of index maps
             _, first, shape = np.unique(imap[g] * len(maps) + imap[f],
                                         return_index=True, return_inverse=True)
-            cidx, code = _shapes(G[:, g[first]], G[:, f[first]], base)
+            cidx, code = _shapes(G[:, g[first]], G[:, f[first]], form.width + 1)
             code = code.take(shape, axis=1)
             # gamma: slot k of g substitutes f's fibers at g's inputs fed into k
             Fg = F.take(g, axis=1)
-            live = Fg >= 0
-            out = np.where(live, form.find(Fg * radix ** form.width
-                                           + sub.take(f * 2 ** width + feeds.take(g, axis=1))), -1)
-            bad = live & (out < 0)
-            if bad.any():             # V's own error for the first missing entry
-                b, k = np.argwhere(bad.T)[0]
-                gm, fm = mors[g[b]], mors[f[b]]
-                V.gamma(gm.fibers[k], tuple(x for x, j in zip(fm.fibers, gm.idx) if j == k))
+            out = np.where(Fg >= 0, form.find(Fg * radix ** form.width
+                                              + sub.take(f * 2 ** width + feeds.take(g, axis=1))), -1)
             # the action, where the shape turns a slot's inputs
             turn = np.flatnonzero(code >= 0)
-            acted = form.act(out.take(turn), code.take(turn), base)
-            if (acted < 0).any():
-                k, b = divmod(int(turn[np.argmax(acted < 0)]), len(g))
-                size = int((cidx[:, shape[b]] == k).sum())
-                V.act(form.mms[out[k, b]],
-                      tuple(int(code[k, b]) // base ** i % base - 1 for i in range(size)))
-            out.put(turn, acted)
-            # the composite's position, if it is a morphism
-            at = comp.find(dom[f], cod[g], cidx.take(shape, axis=1), out)
-            if (at < 0).any():
-                b = np.argmax(at < 0)
-                raise StructuralError(f"{V.name}: {mors[g[b]]} after {mors[f[b]]} has a "
-                                      f"fiber outside the hom of its slot")
-            comp.table[t] = at
+            out.put(turn, form.act(out.take(turn), code.take(turn)))
+            # the composite's position among the morphisms
+            comp.table[t] = comp.find(dom[f], cod[g], cidx.take(shape, axis=1), out)
+        if (comp.table < 0).any():
+            raise StructuralError(f"{V.name}: a composite is not a morphism of the envelope")
         return comp
 
     def compose(self, g: EnvMor, f: EnvMor) -> EnvMor:
@@ -787,11 +763,9 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     per pair of length profiles.  The structural-associativity and
     tensor-functoriality strata compare their grids in row-major blocks of
     about _BATCH instances, so memory stays bounded by the table, not by
-    the strata.  A composite that V's gamma or action does not define, or
-    whose fiber falls outside its hom, raises StructuralError.  The two
-    associativity strata report their first violation per outer (short
-    words) or middle (structural) morphism; every other family reports each
-    violated instance.
+    the strata.  The two associativity strata report their first violation
+    per outer (short words) or middle (structural) morphism; every other
+    family reports each violated instance.
     """
     rep = Report(f"validate_envelope({E.V.name})",
                  params={"word_cap": E.word_cap, "assoc_full_len": assoc_full_len})

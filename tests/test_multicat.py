@@ -71,8 +71,7 @@ def _plain_validate_multicat(V):
         rep.require("mc.sig.cap", len(xs) <= V.arity_cap, (m,))
         rep.require("mc.sig.listed", m in V.hom(xs, y), (m,))
     for X in V.objects:
-        i = V.ident(X)
-        rep.require("mc.ident.sig", V.sig[i] == ((X,), X), (X,))
+        rep.require("mc.ident.sig", V.sig.get(V.identities.get(X)) == ((X,), X), (X,))
     # substitution is typed: the fs' outputs are g's inputs, and the result
     # runs from the fs' inputs, concatenated, to g's output
     for (g, fs), h in V.gamma_table.items():
@@ -80,6 +79,26 @@ def _plain_validate_multicat(V):
         ok = None not in sigs and tuple(s[1] for s in sigs[1:]) == sigs[0][0]
         rep.require("mc.gamma.sig", ok and V.sig.get(h) == (
             tuple(x for s in sigs[1:] for x in s[0]), sigs[0][1]), (g, fs))
+    by_out_size, tuples = multicat._by_out_size(V.sig), {}
+
+    def budgeted(outputs):
+        """_budgeted within the cap, enumerated once per call."""
+        if outputs not in tuples:
+            tuples[outputs] = tuple(multicat._budgeted(by_out_size, outputs, V.arity_cap))
+        return tuples[outputs]
+
+    # gamma and the action are defined wherever the laws below read them
+    for g in V.sig:
+        for fs in budgeted(tuple(V.sig[g][0])):
+            rep.require("mc.gamma.total", (g, fs) in V.gamma_table, (g, fs))
+    for m in V.sig:
+        for p in multicat.all_perms(len(V.sig[m][0])):
+            rep.require("mc.act.total", (m, p) in V.action_table, (m, p))
+    for m, (xs, y) in V.sig.items():
+        for p in multicat.all_perms(len(xs)):
+            if (m, p) in V.action_table:
+                rep.require("mc.act.sig", V.sig.get(V.action_table[(m, p)])
+                            == (tuple(xs[i] for i in p), y), (m, p))
     if rep.failures():
         return rep              # the laws below substitute along these types
     # identity laws
@@ -91,25 +110,12 @@ def _plain_validate_multicat(V):
                         V.gamma(m, tuple(V.ident(x) for x in xs)) == m, (m,))
     # action laws
     for m in V.sig:
-        n = len(V.sig[m][0])
-        rep.require("mc.act.id", V.act(m, multicat.perm_id(n)) == m, (m,))
-        for p in multicat.all_perms(n):
-            mp = V.act(m, p)
-            xs = V.sig[m][0]
-            rep.require("mc.act.sig",
-                        V.sig[mp] == (tuple(xs[p[i]] for i in range(n)), V.sig[m][1]),
-                        (m, p))
-            for q in multicat.all_perms(n):
+        rep.require("mc.act.id", V.act(m, multicat.perm_id(len(V.sig[m][0]))) == m, (m,))
+    for m in V.sig:
+        for p in multicat.all_perms(len(V.sig[m][0])):
+            for q in multicat.all_perms(len(p)):
                 rep.require("mc.act.comp",
-                            V.act(mp, q) == V.act(m, perm_compose(p, q)), (m, p, q))
-    by_out_size, tuples = multicat._by_out_size(V.sig), {}
-
-    def budgeted(outputs):
-        """_budgeted within the cap, enumerated once per call."""
-        if outputs not in tuples:
-            tuples[outputs] = tuple(multicat._budgeted(by_out_size, outputs, V.arity_cap))
-        return tuples[outputs]
-
+                            V.act(V.act(m, p), q) == V.act(m, perm_compose(p, q)), (m, p, q))
     # associativity of substitution on two-level trees within the cap
     for g in V.sig:
         ys, z = V.sig[g]
@@ -243,6 +249,8 @@ def _mutant(V, family):
         "mc.sig.listed": ("homs", V.sig[g], tuple(m for m in V.hom(*V.sig[g]) if m != g)),
         "mc.ident.sig": ("identities", x0, g),
         "mc.gamma.sig": ("gamma_table", (g, units), V.ident(y)),
+        "mc.gamma.total": ("gamma_table", (g, units), None),
+        "mc.act.total": ("action_table", (g, (1, 0)), None),
         "mc.unit.left": ("gamma_table", (V.ident(y), (g,)), _other(V, g)),
         "mc.unit.right": ("gamma_table", (g, units), _other(V, g)),
         "mc.act.id": ("action_table", (g, (0, 1)), _other(V, g)),
@@ -256,25 +264,21 @@ def _mutant(V, family):
 
 
 def _outcome(check, V):
-    """A validate_multicat report as its findings, counts and params, or
-    the error it raised."""
-    try:
-        rep = check(V)
-    except (StructuralError, KeyError) as e:
-        return type(e).__name__, str(e)
+    """A validate_multicat report as its findings, counts and params."""
+    rep = check(V)
     return [(f.check, f.witness) for f in rep.findings], list(rep.counts.items()), rep.params
 
 
-MC_FAMILIES = ["mc.sig.cap", "mc.sig.listed", "mc.ident.sig", "mc.gamma.sig",
-               "mc.unit.left", "mc.unit.right", "mc.act.id", "mc.act.sig", "mc.act.comp",
-               "mc.assoc", "mc.equivariance.outer", "mc.equivariance.inner"]
+MC_STRUCTURE = ["mc.sig.cap", "mc.sig.listed", "mc.ident.sig", "mc.gamma.sig",
+                "mc.gamma.total", "mc.act.total", "mc.act.sig"]
+MC_FAMILIES = MC_STRUCTURE + ["mc.unit.left", "mc.unit.right", "mc.act.id", "mc.act.comp",
+                              "mc.assoc", "mc.equivariance.outer", "mc.equivariance.inner"]
 
 
 @pytest.mark.parametrize("base", BASES)
 def test_validate_multicat_matches_the_plain_loops_on_every_planted_family(base):
     # on the base and on one single-entry mutant per family: the same
-    # findings (check, witness, order), counts and params as the loops, or
-    # the same error
+    # findings (check, witness, order), counts and params as the loops
     V = BASES[base]()
     assert _outcome(validate_multicat, V) == _outcome(_plain_validate_multicat, V)
     for family in MC_FAMILIES:
@@ -282,36 +286,74 @@ def test_validate_multicat_matches_the_plain_loops_on_every_planted_family(base)
         assert _outcome(validate_multicat, W) == _outcome(_plain_validate_multicat, W), family
 
 
-def test_every_family_but_act_sig_is_named_by_its_planted_mutant():
-    # act.sig cannot be: a mistyped action value makes equivariance look up
-    # a substitution V lacks, so validate_multicat raises
+def test_every_family_is_named_by_its_planted_mutant():
+    # a mistyped action value, and a deleted entry, are named on every base
     named = {}
     for base, make in BASES.items():
         V = make()
         for family in MC_FAMILIES:
-            got = _outcome(validate_multicat, _planted(V, *_mutant(V, family)))
-            if isinstance(got[0], list) and family in {c for c, _ in got[0]}:
+            rep = validate_multicat(_planted(V, *_mutant(V, family)))
+            if family in {f.check for f in rep.failures()}:
                 named.setdefault(family, []).append(base)
-    assert set(named) == set(MC_FAMILIES) - {"mc.act.sig"}, named
+    assert set(named) == set(MC_FAMILIES), named
+    for family in ("mc.gamma.total", "mc.act.total", "mc.act.sig"):
+        assert named[family] == list(BASES), (family, named[family])
 
 
 @pytest.mark.parametrize("base", ["z2mon", "endo2"])
 @pytest.mark.parametrize("table", ["gamma_table", "action_table"])
 def test_validate_multicat_names_a_missing_entry_as_the_loops_do(base, table):
-    # V's own error for the first lookup, in loop order, that V lacks
+    # a report that names the entry under mc.gamma.total or mc.act.total
     V = BASES[base]()
     keys = list(getattr(V, table))
+    family = {"gamma_table": "mc.gamma.total", "action_table": "mc.act.total"}[table]
     for key in keys[::max(1, len(keys) // 5)] + keys[-1:]:
         W = _planted(V, table, key, None)
         want = _outcome(_plain_validate_multicat, W)
-        assert want[0] == "StructuralError"
+        assert (family, key) in want[0]
         assert _outcome(validate_multicat, W) == want, key
 
 
 def test_envelope_refuses_an_off_signature_substitution():
-    # the composite's fiber lies outside the hom its slot draws from
-    with pytest.raises(StructuralError, match="outside the hom of its slot"):
-        validate_envelope(envelope(_off_signature_z2(), 2))
+    # refused on entry, before any composite is formed
+    want = f"z2: V fails mc.gamma.sig at ({ZERO2}, {(ZERO0, ZERO0)})"
+    with pytest.raises(StructuralError, match=re.escape(want)):
+        envelope(_off_signature_z2(), 2)
+
+
+def test_envelope_refuses_a_word_cap_above_the_arity_cap():
+    # a composite of more inputs than the arity cap has no gamma entry
+    with pytest.raises(StructuralError, match="word cap 3 exceeds the arity cap 2"):
+        envelope(terminal_multicat(2), 3)
+    assert len(envelope(terminal_multicat(2), 2).composition.table) > 0
+
+
+def test_single_entry_mutants_are_reported_and_refused_by_name():
+    # every gamma and action entry of two bases, deleted or set to a
+    # multimorphism of another signature: validate_multicat reports, the
+    # envelope refuses exactly those whose report fails a structural
+    # family, and any envelope built composes as the plain composite does
+    bases = [terminal_multicat(3), from_monoidal("z2mon", ("0", "1"), addz2, "0", 2)]
+    mutants = [_planted(V, table, key, value)
+               for V in bases for table in ("gamma_table", "action_table")
+               for key, h in getattr(V, table).items()
+               for value in (None, _other(V, h, same=False))]
+    assert len(mutants) == 162
+    refused = 0
+    for W in [*bases, *mutants]:
+        structural = {f.check for f in validate_multicat(W).failures()} & set(MC_STRUCTURE)
+        try:
+            E = envelope(W)
+        except StructuralError as e:
+            assert structural and str(e).startswith(f"{W.name}: V fails mc."), e
+            refused += 1
+            continue
+        assert not structural
+        t = E.composition
+        assert (t.table >= 0).all()
+        assert [E.morphisms[i] for i in t.table] == [
+            _plain_composite(W, E.morphisms[g], E.morphisms[f]) for g, f in zip(t.pair_g, t.pair_f)]
+    assert refused == len(mutants)
 
 
 def test_from_monoidal_rejects_noncommutative():
@@ -370,12 +412,13 @@ def test_envelope_checker_fails_on_a_broken_table(table, key):
 
 @pytest.mark.parametrize("table, key", BROKEN_ENTRIES.items())
 def test_envelope_names_a_missing_entry(table, key):
-    # an entry that V lacks raises V's own error, as the per-pair composite did
+    # an entry that V lacks is refused on entry, by its family
     V = endo_multicat("endo2", ("0", "1"), 2)
     del getattr(V, table)[key]
-    want = f"endo2: {table.split('_')[0]} undefined for {key[0]} {key[1]}"
+    family = {"gamma_table": "mc.gamma.total", "action_table": "mc.act.total"}[table]
+    want = f"endo2: V fails {family} at ({key[0]}, {key[1]})"
     with pytest.raises(StructuralError, match=re.escape(want)):
-        envelope(V, 2).composition
+        envelope(V, 2)
 
 
 def _plan(gidx, m, fidx):
@@ -764,10 +807,11 @@ def test_envelope_of_terminal_at_word_cap_5_within_60_s_and_1_gb():
 
 
 # z2 at arity cap 5: every validate_multicat family's instance count, as the
-# plain loops counted them
+# plain loops counted them (the two *.total families as counted here)
 Z2_CAP5_COUNTS = {"mc.sig.cap": 63, "mc.sig.listed": 63, "mc.ident.sig": 2,
-                  "mc.gamma.sig": 9_472, "mc.unit.left": 63, "mc.unit.right": 62,
-                  "mc.act.id": 63, "mc.act.sig": 4_283, "mc.act.comp": 470_323,
+                  "mc.gamma.sig": 9_472, "mc.gamma.total": 9_472, "mc.act.total": 4_283,
+                  "mc.act.sig": 4_283, "mc.unit.left": 63, "mc.unit.right": 62,
+                  "mc.act.id": 63, "mc.act.comp": 470_323,
                   "mc.assoc": 1_562_111, "mc.equivariance.outer": 728_667,
                   "mc.equivariance.inner": 157_681}
 
@@ -791,5 +835,5 @@ def test_validate_multicat_of_z2_at_arity_cap_5_within_5_s():
     run = json.loads(out.stdout.splitlines()[-1])
     assert run["ok"]
     assert run["counts"] == Z2_CAP5_COUNTS
-    assert sum(Z2_CAP5_COUNTS.values()) == 2_932_853
+    assert sum(Z2_CAP5_COUNTS.values()) == 2_946_608
     assert seconds <= 5, seconds
