@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -110,7 +110,6 @@ def endo_multicat(name: str, elems: tuple, cap: int) -> FiniteSymMulticat:
         mms_by_arity[n] = mms
 
     def evaluate(m, args):
-        n = m[1]
         idx = 0
         for a in args:
             idx = idx * len(elems) + elems.index(a)
@@ -262,14 +261,11 @@ class InternedMulticat:
         self.gkey, self.gval = np.append(key[order], 2 ** 63 - 1), np.append(self.h[order], -1)
         self.by_out_size, self._act, self._budgeted = _by_out_size(dict(enumerate(sigs))), None, {}
 
-    def find(self, key):
-        """gamma by key: its number, or -1."""
-        at = self.gkey.searchsorted(key)
-        return np.where(self.gkey[at] == key, self.gval[at], -1)
-
     def gamma(self, g, fs):
         """gamma(g, fs) by number, fs padded with -1 along its last axis."""
-        return self.find(g * self.radix ** self.width + (fs + 1) @ self.digit[:fs.shape[-1]])
+        key = g * self.radix ** self.width + (fs + 1) @ self.digit[:fs.shape[-1]]
+        at = self.gkey.searchsorted(key)
+        return np.where(self.gkey[at] == key, self.gval[at], -1)
 
     def code(self, P):
         """The code sum (p[t] + 1) * (width + 1)**t of each permutation p,
@@ -339,6 +335,9 @@ def _structure(V: FiniteSymMulticat):
     for x, (xs, y) in V.sig.items():
         rep.require("mc.sig.cap", len(xs) <= V.arity_cap, (x,))
         rep.require("mc.sig.listed", x in V.hom(xs, y), (x,))
+    for key, ms in V.homs.items():
+        rep.require("mc.homs.sig", len(set(ms)) == len(ms)
+                    and all(V.sig.get(m) == key for m in ms), key)
     for X in V.objects:
         rep.require("mc.ident.sig", V.sig.get(V.identities.get(X)) == ((X,), X), (X,))
     # substitution is typed: the fs' outputs are g's inputs, and the result
@@ -374,10 +373,11 @@ def validate_multicat(V: FiniteSymMulticat) -> Report:
 
     Findings come family by family, each family's in the order of the
     loops that quantify it.  First V's structure (_structure): mc.sig.cap
-    and mc.sig.listed alternating per multimorphism; mc.ident.sig per
-    object; mc.gamma.sig per gamma_table entry, in its order; mc.gamma.total
-    per (g, fs) that gamma must define; mc.act.total per (m, p) that the
-    action must define, and mc.act.sig per such (m, p) that V defines.
+    and mc.sig.listed alternating per multimorphism; mc.homs.sig per homs
+    entry; mc.ident.sig per object; mc.gamma.sig per gamma_table entry, in
+    its order; mc.gamma.total per (g, fs) that gamma must define;
+    mc.act.total per (m, p) that the action must define, and mc.act.sig
+    per such (m, p) that V defines.
     Only when none of these fail, the laws: mc.unit.left and mc.unit.right
     alternating per multimorphism; mc.act.id per multimorphism; mc.act.comp
     per (m, p, q); mc.assoc per (g, fs, flat); and per (g, fs),
@@ -620,12 +620,15 @@ class EnvelopeCategory:
     @cached_property
     def composition(self) -> EnvComposition:
         """Every composite g after f, by integer gathers over batches of
-        pairs.  Slot k of g after f is gamma of g's fiber at k on f's fibers
-        at the inputs g feeds into k, which arrive by f's output, then by
-        position; the action restores input order where that differs.  That
-        order, and the composite's index map, depend on the pair's index
-        maps alone (_shapes): the batches take g by index map, and each
-        batch plans each pair of index maps in it once."""
+        pairs in table order.  Slot k of g after f is gamma of g's fiber at
+        k on f's fibers at the inputs g feeds into k, which arrive by f's
+        output, then by position; the action restores input order where
+        that differs (_shapes).  Morphisms come frame by frame (dom, cod,
+        index map), within one in mixed radix over its slots' homs: each
+        sits at its frame's first position plus its fibers' ranks (places
+        in their homs) times the frame's strides, 0 where a hom has one
+        element, which V's structure makes a composite's fiber there; gamma
+        and the action are read on the other slots alone."""
         V, mors, words = self.V, self.morphisms, self.objects
         nm, nw, width = len(mors), len(words), max(self.word_cap, 1)
         index = {f: i for i, f in enumerate(mors)}
@@ -644,67 +647,66 @@ class EnvelopeCategory:
         pair_f = np.concatenate([np.tile(f, len(g)) for g, f in zip(by_dom, by_cod)])
 
         form = V.interned()
-        radix = form.radix
-        if nw * nw * (width + 1) ** width * radix ** (width + 1) >= 2 ** 63:
-            raise StructuralError(f"{V.name}: too many multimorphisms for int64 keys")
-
         G = _padded([f.idx for f in mors], width).T
         F = _padded([map(form.ids.__getitem__, f.fibers) for f in mors], width).T
+        rank = np.zeros(form.radix, dtype=np.int64)
+        for ms in V.homs.values():
+            rank[[form.ids[m] for m in ms]] = range(len(ms))
 
-        def mor_key(dom, cod, G, F):
-            """(dom, cod), then the index map and the fibers as digits."""
-            return (((dom * nw + cod) * (width + 1) ** width + (width + 1) ** np.arange(width)
-                     @ (G + 1)) * radix ** width + radix ** np.arange(width - 1, -1, -1) @ (F + 1))
+        def map_rank(G, m):
+            """Index maps into m (columns padded with -1) by product order."""
+            return reduce(lambda r, x: np.where(x >= 0, r * m + x, r), G, 0)
 
-        def find(dom, cod, G, F):
-            key = mor_key(dom, cod, G, F)
-            at = mkey.searchsorted(key)
-            return np.where(mkey[at] == key, mpos[at], -1)
+        # frame[block[dom, cod] + map_rank] numbers the frames with morphisms
+        # in order, the others by a spare last one (first -1, strides 0); a
+        # frame's last morphism has each slot's last multimorphism
+        wlen = np.array([len(w) for w in words])
+        n_maps = (wlen ** wlen[:, None]).ravel()
+        block = (np.cumsum(n_maps) - n_maps).reshape(nw, nw)
+        fno = block[dom, cod] + map_rank(G, wlen[cod])
+        in_frame = np.cumsum(np.diff(fno, prepend=-1) != 0) - 1
+        first = np.append(np.flatnonzero(np.diff(fno, prepend=-1)), -1)
+        frame = np.full(n_maps.sum(), len(first) - 1, dtype=np.int32)
+        frame[fno[first[:-1]]] = range(len(first) - 1)
+        size = rank[F.take(np.append(first[1:-1], nm) - 1, axis=1)] + 1
+        after = np.cumprod(size[::-1], axis=0)[::-1]
+        stride = np.pad(np.where(size > 1, after // size, 0), ((0, 0), (0, 1)))
 
-        key = mor_key(dom, cod, G, F)
-        order = np.argsort(key)             # then a sentinel above all
-        mkey, mpos = np.append(key[order], 2 ** 63 - 1), np.append(order, -1)
+        def find(dom, cod, Gx, Fx):
+            fr = frame[block[dom, cod] + map_rank(Gx, wlen[cod])]
+            pos = first[fr] + (rank[Fx] * stride.take(fr, axis=1)).sum(0)
+            ok = ((pos >= 0) & (G.take(pos, axis=1, mode="clip") == Gx).all(0)
+                  & (F.take(pos, axis=1, mode="clip") == Fx).all(0))
+            return np.where(ok, pos, -1)
+
         comp = EnvComposition(
             index, dom, cod, by_dom, by_cod, row, col, pair_g, pair_f,
             np.empty(len(pair_g), dtype=np.int32), G, F,
             np.array([[wid.get(a + b, -1) for b in words] for a in words], dtype=np.int64), find)
-        # gamma's key for slot k of g after f is g's fiber at k, then f's
-        # fibers at the outputs that g feeds into k, in order, as V.interned()
-        # keys them: sub[f, mask] has f's fibers on each set of outputs (a bit
-        # mask) as digits, and feeds[k, g] the mask that g feeds into k.  No
-        # mask of more outputs than V's widest key feeds a fiber of V.
-        slots = np.arange(width)
-        sub = np.zeros((nm, 2 ** width), dtype=np.int64)
-        for mask in range(2 ** width):
-            for d, j in zip(form.digit, (j for j in slots if mask >> j & 1)):
-                sub[:, mask] += (F[j] + 1) * d
-        feeds = ((G[:, None, :] == slots[:, None]) << slots[:, None, None]).sum(0)
-
-        # the pairs taken g by g, the g ordered by index map, so that a
-        # batch holds few pairs of index maps; permutations are coded as
-        # V's action reads them, in base form.width + 1 >= word cap + 1
-        maps = {}
-        imap = np.array([maps.setdefault(f.idx, len(maps)) for f in mors], dtype=np.int64)
-        run = np.array([len(fs) for fs in by_cod])[dom]
-        by_map = np.argsort(imap, kind="stable")
-        for r, j in _runs(run[by_map]):
-            g = by_map[r]
-            t = row[g] + j
-            f = pair_f[t]
-            # the shape of each pair, planned once per pair of index maps
-            _, first, shape = np.unique(imap[g] * len(maps) + imap[f],
-                                        return_index=True, return_inverse=True)
-            cidx, code = _shapes(G[:, g[first]], G[:, f[first]], form.width + 1)
-            code = code.take(shape, axis=1)
-            # gamma: slot k of g substitutes f's fibers at g's inputs fed into k
-            Fg = F.take(g, axis=1)
-            out = np.where(Fg >= 0, form.find(Fg * radix ** form.width
-                                              + sub.take(f * 2 ** width + feeds.take(g, axis=1))), -1)
-            # the action, where the shape turns a slot's inputs
-            turn = np.flatnonzero(code >= 0)
-            out.put(turn, form.act(out.take(turn), code.take(turn)))
-            # the composite's position among the morphisms
-            comp.table[t] = comp.find(dom[f], cod[g], cidx.take(shape, axis=1), out)
+        for lo in range(0, len(pair_g), _BATCH):
+            t = slice(lo, lo + _BATCH)
+            g, f = pair_g[t].astype(np.int64), pair_f[t].astype(np.int64)
+            # the composite's index map, g's after f's, and its frame
+            Gf = G.take(f, axis=1)
+            cidx = np.where(Gf >= 0, G.take(Gf * nm + g), -1)
+            at = frame[block[dom[f], cod[g]] + map_rank(cidx, wlen[cod[g]])]
+            # slots k of more than one element, at pairs i: gamma of g's fiber
+            # at k on f's fibers at g's inputs fed into k (hit), in order,
+            # then the action that _shapes plans for the map sending hit to 0
+            k, i = np.divmod(np.flatnonzero(stride.take(at, axis=1) > 0), len(g))
+            hit = G[:, g[i]] == k
+            o = np.argsort(~hit, axis=0, kind="stable")
+            fs = np.where(np.take_along_axis(hit, o, 0), np.take_along_axis(F[:, f[i]], o, 0), -1)
+            mm = form.gamma(F[k, g[i]], fs.T)
+            c = _shapes(np.where(hit, 0, 1), Gf[:, i], form.width + 1)[1][0]
+            turn = np.flatnonzero(c >= 0)
+            mm[turn] = form.act(mm[turn], c[turn])
+            # the composite's position, where its frame's morphism has its fibers
+            pos = first[at]
+            np.add.at(pos, i, rank[mm] * stride[k, at[i]])
+            ok = (pos >= 0) & (in_frame[pos] == at)
+            ok[i] &= F[k, pos[i]] == mm
+            comp.table[t] = np.where(ok, pos, -1)
         if (comp.table < 0).any():
             raise StructuralError(f"{V.name}: a composite is not a morphism of the envelope")
         return comp
@@ -1033,7 +1035,6 @@ def hypothesis_check(T: MultiFunctorData, S_obj: dict, unit: dict):
     the induced adjunction data."""
     V, W = T.dom, T.cod
     rep = Report(f"hypothesis_check({T.name})")
-    N = {}
     Ninv = {}
     # every signature on the W side within the cap
     for ys in _words(W.objects, W.arity_cap):
@@ -1053,7 +1054,6 @@ def hypothesis_check(T: MultiFunctorData, S_obj: dict, unit: dict):
             rep.require("hyp.surjective",
                         set(fwd.values()) == set(tgt), (ys, X),
                         detail=f"|A-side|={len(src)} |B-side|={len(tgt)}")
-            N[(ys, X)] = fwd
             Ninv[(ys, X)] = {v: k for k, v in fwd.items()}
     if not rep.ok:
         return rep, None
