@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import Frame, TableDouble, is_strict, validate
 from .homs import Truncated
@@ -580,6 +581,19 @@ def cmd_biequivalence_check(args):
     return _emit(args, rep)
 
 
+def _at_least(low: int, text: str) -> int:
+    """text as an integer of at least low.  partial(_at_least, low) is the
+    argparse type of a flag with that range; argparse names the flag in its
+    message when this refuses a value."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, not {n}")
+    return n
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="strawcat",
@@ -595,13 +609,13 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("strictify")
     sp.add_argument("file")
-    sp.add_argument("--bound", type=int, default=4)
+    sp.add_argument("--bound", type=partial(_at_least, 0), default=4)
     sp.set_defaults(fn=cmd_strictify)
 
     sp = sub.add_parser("universal-property")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
-    sp.add_argument("--bound", type=int, default=3)
+    sp.add_argument("--bound", type=partial(_at_least, 0), default=3)
     sp.set_defaults(fn=cmd_universal_property)
 
     sp = sub.add_parser("hom")
@@ -623,31 +637,31 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("envelope")
     sp.add_argument("--multicat", default="terminal", choices=BUILTIN_MULTICATS)
-    sp.add_argument("--arity-cap", type=int, default=None, dest="arity_cap")
+    sp.add_argument("--arity-cap", type=partial(_at_least, 1), default=None, dest="arity_cap")
     sp.set_defaults(fn=cmd_envelope)
 
     sp = sub.add_parser("adjunction-check")
     sp.add_argument("files", nargs="*")
-    sp.add_argument("--bound", type=int, default=3)
+    sp.add_argument("--bound", type=partial(_at_least, 0), default=3)
     sp.set_defaults(fn=cmd_adjunction_check)
 
     sp = sub.add_parser("interchange")
     sp.add_argument("file")
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--m", type=int, default=2)
+    sp.add_argument("--n", type=partial(_at_least, 0), default=2)
+    sp.add_argument("--m", type=partial(_at_least, 0), default=2)
     sp.set_defaults(fn=cmd_interchange)
 
     sp = sub.add_parser("gray-check")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
     sp.add_argument("file_c")
-    sp.add_argument("--bound", type=int, default=2)
+    sp.add_argument("--bound", type=partial(_at_least, 0), default=2)
     sp.set_defaults(fn=cmd_gray_check)
 
     sp = sub.add_parser("biequivalence-check")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
-    sp.add_argument("--bound", type=int, default=3)
+    sp.add_argument("--bound", type=partial(_at_least, 0), default=3)
     sp.set_defaults(fn=cmd_biequivalence_check)
 
     args = ap.parse_args(argv)

@@ -489,49 +489,28 @@ class EnvMor:
 _BATCH = 1 << 16                # composable pairs per batch of a composition table
 
 
-def _shapes(Gg, Gf, base):
-    """The combinatorial half of g after f, which depends on the index maps
-    alone, for columns of index maps padded with -1 (slot-major: Gg[j] is the
-    output slot of g fed by input j).  Returns the composite's index map and,
-    per output slot of g, the code sum_t (p[t] + 1) * base**t of the permutation p
-    that restores input order once the fibers of f that g feeds into the
-    slot are substituted there, or -1 where substitution keeps the order.
-    The substituted inputs of a slot arrive in blocks, by f's output and
-    then by position: input x arrives at arrive[x] and sits at pos[x]."""
-    (width, n), small = Gg.shape, np.int16
-    Gg, Gf = Gg.astype(small), Gf.astype(small)
-    cidx = np.where(Gf >= 0, np.take_along_axis(Gg, np.maximum(Gf, 0), 0), -1).astype(small)
-    arrival = Gf * width + np.arange(width, dtype=small)[:, None]
-    arrive, pos, live = np.zeros_like(cidx), np.zeros_like(cidx), cidx >= 0
-    for x in range(width):
-        for i in range(x):
-            same = (cidx[i] == cidx[x]) & live[x]
-            pos[x] += same
-            ahead = arrival[i] < arrival[x]
-            arrive[x] += same & ahead
-            arrive[i] += same & ~ahead
-    # each input adds its digit to its slot's code; -1 slots land in a spare row
-    code = np.zeros((width + 1) * n, dtype=np.int64)
-    turn = np.zeros((width + 1) * n, dtype=bool)
-    power, cols = base ** np.arange(width), np.arange(n)
-    for x in range(width):
-        at = cidx[x].astype(np.int64) * n + cols
-        code[at] += (arrive[x] + 1) * power[pos[x]]
-        turn[at] |= arrive[x] != pos[x]
-    code, turn = code[:width * n].reshape(width, n), turn[:width * n].reshape(width, n)
-    return cidx, np.where(turn, code, -1)
+def _slot_perm(hit, Gf, base):
+    """The code sum_t (p[t] + 1) * base**t of the permutation p that restores
+    input order in one output slot of g after f, or -1 where substitution
+    keeps the order, for columns (slot-major) of f's index maps Gf, padded
+    with -1, and of hit: hit[j] when g's input j feeds the slot.  The
+    slot's inputs arrive in blocks, by f's output and then by position:
+    input x arrives arrive[x]-th and sits at pos[x]."""
+    live = (Gf >= 0) & np.take_along_axis(hit, np.maximum(Gf, 0), 0)
+    order = np.argsort(np.where(live, Gf, len(Gf)), axis=0, kind="stable")
+    arrive = np.argsort(order, axis=0)
+    pos = np.maximum(np.cumsum(live, axis=0) - 1, 0)
+    code = np.where(live, (arrive + 1) * base ** pos, 0).sum(0)
+    return np.where((live & (arrive != pos)).any(0), code, -1)
 
 
 @dataclass(frozen=True)
 class EnvComposition:
-    """Composition in an envelope as one int32 table over positions in
-    E.morphisms (index).  g after f sits at table[row[g] + col[f]], and
-    table[t] is pair_g[t] after pair_f[t], both int32 too; dom and cod are
-    word positions.  The morphisms as columns, slot-major: G[i] is input
-    i's slot and F[k] the fiber at slot k, numbered by V.interned(), both
-    padded with -1; find(dom, cod, G, F) gives the positions of the
-    morphisms with such columns, or -1.  concat[a, b] is the position of
-    word a + b, or -1."""
+    """Composition and tensor in an envelope as two int32 tables over
+    positions in E.morphisms (index).  g after f sits at table[row[g] +
+    col[f]], and table[t] is pair_g[t] after pair_f[t], both int32 too;
+    f x g sits at tensors[trow[f] + tcol[g]] wherever their doms and their
+    cods each total within the word cap.  dom and cod are word positions."""
     index: dict
     dom: np.ndarray
     cod: np.ndarray
@@ -542,24 +521,16 @@ class EnvComposition:
     pair_g: np.ndarray
     pair_f: np.ndarray
     table: np.ndarray
-    G: np.ndarray
-    F: np.ndarray
-    concat: np.ndarray
-    find: object
+    trow: np.ndarray
+    tcol: np.ndarray
+    tensors: np.ndarray
 
     def __call__(self, g, f):
         return self.table[self.row[g] + self.col[f]]
 
-    def tensor(self, f, g, pf, pg):
-        """The positions of every f x g, as a len(f) x len(g) array, for
-        positions f of length profile pf = (len dom, len cod) and g of pg."""
-        (n1, m1), (n2, m2), shape = pf, pg, (len(f), len(g))
-        f, g = np.repeat(f, len(g)), np.tile(g, len(f))
-        pad = np.full((len(self.G), len(f)), -1)
-        G = np.concatenate([self.G[:n1, f], self.G[:n2, g] + m1, pad[n1 + n2:]])
-        F = np.concatenate([self.F[:m1, f], self.F[:m2, g], pad[m1 + m2:]])
-        return self.find(self.concat[self.dom[f], self.dom[g]],
-                         self.concat[self.cod[f], self.cod[g]], G, F).reshape(shape)
+    def tensor(self, f, g):
+        """The positions of f x g for positions f and g, broadcast together."""
+        return self.tensors[self.trow[f] + self.tcol[g]]
 
 
 @dataclass
@@ -620,17 +591,20 @@ class EnvelopeCategory:
     @cached_property
     def composition(self) -> EnvComposition:
         """Every composite g after f, by integer gathers over batches of
-        pairs in table order.  Slot k of g after f is gamma of g's fiber at
-        k on f's fibers at the inputs g feeds into k, which arrive by f's
-        output, then by position; the action restores input order where
-        that differs (_shapes).  Morphisms come frame by frame (dom, cod,
-        index map), within one in mixed radix over its slots' homs: each
-        sits at its frame's first position plus its fibers' ranks (places
-        in their homs) times the frame's strides, 0 where a hom has one
-        element, which V's structure makes a composite's fiber there; gamma
-        and the action are read on the other slots alone."""
-        V, mors, words = self.V, self.morphisms, self.objects
-        nm, nw, width = len(mors), len(words), max(self.word_cap, 1)
+        pairs in table order, and every tensor product within the word cap.
+        Slot k of g after f is gamma of g's fiber at k on f's fibers at the
+        inputs g feeds into k, which arrive by f's output, then by position;
+        the action restores input order where that differs (_slot_perm).
+        Morphisms come frame by frame (dom, cod, index map), within one in
+        mixed radix over its slots' homs: each sits at its frame's first
+        position plus its fibers' ranks (places in their homs) times the
+        frame's strides, 0 where a hom has one element, which V's structure
+        makes a composite's fiber there; gamma and the action are read on
+        the other slots alone.  f x g concatenates the frames of f and g, so
+        its place in its frame is f's place times the size of g's frame plus
+        g's place.  One frame lookup serves both tables."""
+        V, mors, words, cap = self.V, self.morphisms, self.objects, self.word_cap
+        nm, nw, width = len(mors), len(words), max(cap, 1)
         index = {f: i for i, f in enumerate(mors)}
         wid = {w: k for k, w in enumerate(words)}
         dom = np.array([wid[f.dom] for f in mors], dtype=np.int64)
@@ -672,33 +646,26 @@ class EnvelopeCategory:
         after = np.cumprod(size[::-1], axis=0)[::-1]
         stride = np.pad(np.where(size > 1, after // size, 0), ((0, 0), (0, 1)))
 
-        def find(dom, cod, Gx, Fx):
-            fr = frame[block[dom, cod] + map_rank(Gx, wlen[cod])]
-            pos = first[fr] + (rank[Fx] * stride.take(fr, axis=1)).sum(0)
-            ok = ((pos >= 0) & (G.take(pos, axis=1, mode="clip") == Gx).all(0)
-                  & (F.take(pos, axis=1, mode="clip") == Fx).all(0))
-            return np.where(ok, pos, -1)
+        def frame_of(d, c, Gx):
+            return frame[block[d, c] + map_rank(Gx, wlen[c])]
 
-        comp = EnvComposition(
-            index, dom, cod, by_dom, by_cod, row, col, pair_g, pair_f,
-            np.empty(len(pair_g), dtype=np.int32), G, F,
-            np.array([[wid.get(a + b, -1) for b in words] for a in words], dtype=np.int64), find)
+        table = np.empty(len(pair_g), dtype=np.int32)
         for lo in range(0, len(pair_g), _BATCH):
             t = slice(lo, lo + _BATCH)
             g, f = pair_g[t].astype(np.int64), pair_f[t].astype(np.int64)
             # the composite's index map, g's after f's, and its frame
             Gf = G.take(f, axis=1)
             cidx = np.where(Gf >= 0, G.take(Gf * nm + g), -1)
-            at = frame[block[dom[f], cod[g]] + map_rank(cidx, wlen[cod[g]])]
+            at = frame_of(dom[f], cod[g], cidx)
             # slots k of more than one element, at pairs i: gamma of g's fiber
             # at k on f's fibers at g's inputs fed into k (hit), in order,
-            # then the action that _shapes plans for the map sending hit to 0
+            # then the action that restores input order
             k, i = np.divmod(np.flatnonzero(stride.take(at, axis=1) > 0), len(g))
             hit = G[:, g[i]] == k
             o = np.argsort(~hit, axis=0, kind="stable")
             fs = np.where(np.take_along_axis(hit, o, 0), np.take_along_axis(F[:, f[i]], o, 0), -1)
             mm = form.gamma(F[k, g[i]], fs.T)
-            c = _shapes(np.where(hit, 0, 1), Gf[:, i], form.width + 1)[1][0]
+            c = _slot_perm(hit, Gf[:, i], form.width + 1)
             turn = np.flatnonzero(c >= 0)
             mm[turn] = form.act(mm[turn], c[turn])
             # the composite's position, where its frame's morphism has its fibers
@@ -706,10 +673,36 @@ class EnvelopeCategory:
             np.add.at(pos, i, rank[mm] * stride[k, at[i]])
             ok = (pos >= 0) & (in_frame[pos] == at)
             ok[i] &= F[k, pos[i]] == mm
-            comp.table[t] = np.where(ok, pos, -1)
-        if (comp.table < 0).any():
+            table[t] = np.where(ok, pos, -1)
+        if (table < 0).any():
             raise StructuralError(f"{V.name}: a composite is not a morphism of the envelope")
-        return comp
+
+        # the tensor table: f's row runs over the morphisms by length profile
+        # (len dom, len cod), total length first, up to the last profile
+        # that fits beside f's; entries that do not fit hold -1
+        ld, lc = wlen[dom], wlen[cod]
+        key = (ld + lc) * (cap + 1) + ld
+        by_key = np.argsort(key, kind="stable")
+        span = np.searchsorted(key[by_key], (2 * cap - ld - lc) * (cap + 1) + cap - ld, "right")
+        trow = np.cumsum(span) - span
+        tf = np.repeat(np.arange(nm), span)
+        tg = by_key[np.arange(len(tf)) - trow[tf]]
+        fits = np.flatnonzero((ld[tf] + ld[tg] <= cap) & (lc[tf] + lc[tg] <= cap))
+        f, g = tf[fits], tg[fits]
+        # the frame of f x g, and its place there: f's place times the number
+        # of morphisms in g's frame (none in the spare one) plus g's place
+        cat = np.array([[wid.get(a + b, -1) for b in words] for a in words])
+        Gg = G.take(g, axis=1)
+        at = frame_of(cat[dom[f], dom[g]], cat[cod[f], cod[g]],
+                      np.concatenate([G.take(f, axis=1), np.where(Gg >= 0, Gg + lc[f], -1)]))
+        place, n_frame = np.arange(nm) - first[in_frame], np.append(after[0], 0)
+        fg = place[f] * n_frame[in_frame[g]] + place[g]
+        if (fg >= n_frame[at]).any():
+            raise StructuralError(f"{V.name}: a tensor product is not a morphism of the envelope")
+        tensors = np.full(len(tf), -1, dtype=np.int32)
+        tensors[fits] = first[at] + fg
+        return EnvComposition(index, dom, cod, by_dom, by_cod, row, col, pair_g, pair_f, table,
+                              trow, np.argsort(by_key), tensors)
 
     def compose(self, g: EnvMor, f: EnvMor) -> EnvMor:
         """g after f, read from the composition table; g and f are morphisms
@@ -758,11 +751,10 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     symmetry); the report stamps both strata.
 
     Witnesses number morphisms by their position in E.morphisms; those of
-    env.assoc count among the morphisms between short words only.  The
-    checks run on integer tables built once: E.composition, every composite
-    g after f in one int32 array, which E.compose and so env.sym.involution
-    and env.sym.hexagon read too, and every tensor product within the cap
-    per pair of length profiles.  The structural-associativity and
+    env.assoc count among the morphisms between short words only.  Every
+    family reads E.composition alone: its two int32 tables, every composite
+    g after f and every tensor product within the cap, and the positions
+    of identities and symmetries.  The structural-associativity and
     tensor-functoriality strata compare their grids in row-major blocks of
     about _BATCH instances, so memory stays bounded by the table, not by
     the strata.  The two associativity strata report their first violation
@@ -771,20 +763,19 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     """
     rep = Report(f"validate_envelope({E.V.name})",
                  params={"word_cap": E.word_cap, "assoc_full_len": assoc_full_len})
-    cap = E.word_cap
-    mors = E.morphisms
-    nm = len(mors)
+    cap, words = E.word_cap, E.objects
     comp = E.composition
-    index, dom, cod = comp.index, comp.dom, comp.cod
+    index, dom, cod, tensor = comp.index, comp.dom, comp.cod, comp.tensor
     by_dom, by_cod = comp.by_dom, comp.by_cod
     pair_g, pair_f, table = comp.pair_g, comp.pair_f, comp.table
     row, col = comp.row, comp.col
-    wid = {w: k for k, w in enumerate(E.objects)}
-    wlen = np.array([len(w) for w in E.objects])
+    nm = len(dom)
+    wid = {w: k for k, w in enumerate(words)}
+    wlen = np.array([len(w) for w in words])
 
     # identities
     ids = np.arange(nm)
-    id_of = np.array([index[E.identity(w)] for w in E.objects])
+    id_of = np.array([index[E.identity(w)] for w in words])
     for i in np.flatnonzero((comp(id_of[cod], ids) != ids)
                             | (comp(ids, id_of[dom]) != ids)):
         rep.add("env.unit", False, (int(i),))
@@ -796,7 +787,7 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     spos = np.cumsum(short) - 1
     t = np.flatnonzero(short[pair_g] & short[pair_f])
     t = t[np.lexsort((pair_f[t], pair_g[t], cod[pair_g[t]]))]
-    runs = np.searchsorted(cod[pair_g[t]], np.arange(len(E.objects) + 1))
+    runs = np.searchsorted(cod[pair_g[t]], np.arange(len(words) + 1))
     n_assoc = 0
     for hpos, h in enumerate(np.flatnonzero(short)):
         run = t[runs[dom[h]]:runs[dom[h] + 1]]
@@ -810,9 +801,9 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
 
     # associativity at the cap: (g.s).f == g.(s.f) for every structural s
     structural = set(id_of.tolist())
-    sym = np.full((len(E.objects), len(E.objects)), -1, dtype=np.int64)
-    for w1 in E.objects:
-        for w2 in E.objects:
+    sym = np.full((len(words), len(words)), -1, dtype=np.int64)
+    for w1 in words:
+        for w2 in words:
             if len(w1) + len(w2) <= cap:
                 sym[wid[w1], wid[w2]] = index[E.symmetry(w1, w2)]
     structural.update(sym[sym >= 0].tolist())
@@ -830,47 +821,23 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
                 break
     rep.params["assoc_instances_structural"] = n_struct
 
-    # the tensor table, per pair of length profiles (len dom, len cod) within
-    # the cap: f x g sits at tens[(pf, pg)][ppos[f], ppos[g]]
-    by_profile = {}
-    for i, f in enumerate(mors):
-        by_profile.setdefault((len(f.dom), len(f.cod)), []).append(i)
-    mprofiles = sorted(by_profile)
-    ppos = np.zeros(nm, dtype=np.int64)
-    for p, members in by_profile.items():
-        by_profile[p] = np.array(members)
-        ppos[members] = np.arange(len(members))
-    tens = {(p1, p2): comp.tensor(by_profile[p1], by_profile[p2], p1, p2)
-            for p1 in mprofiles for p2 in mprofiles
-            if p1[0] + p2[0] <= cap and p1[1] + p2[1] <= cap}
-
-    def tensor(f, g, pf, pg):
-        t = tens[(pf, pg)]
-        return t.ravel()[ppos[f] * t.shape[1] + ppos[g]]
-
-    # tensor: strict associativity and unit on objects and morphisms
-    unit, bad = ppos[index[E.identity(())]], np.zeros(nm, dtype=bool)
-    for p, fs in by_profile.items():
-        bad[fs] = (tens[(p, (0, 0))][:, unit] != fs) | (tens[((0, 0), p)][unit] != fs)
-    rep.counts["env.tensor.unit"] = nm
-    for i in np.flatnonzero(bad):
-        rep.add("env.tensor.unit", False, (int(i),))
-    small3 = [(i, f) for i, f in enumerate(mors) if len(f.dom) + len(f.cod) <= 3]
-    for i, f in small3:
-        for j, g in small3:
-            nd, nc = len(f.dom) + len(g.dom), len(f.cod) + len(g.cod)
-            for k, h in small3:
-                if nd + len(h.dom) > cap or nc + len(h.cod) > cap:
-                    continue
-                rep.require("env.tensor.assoc",
-                            E.tensor(E.tensor(f, g), h) == E.tensor(f, E.tensor(g, h)),
-                            (i, j, k))
+    # tensor: strict unit on every morphism, and strict associativity on
+    # the triples of morphisms whose dom and cod total at most 3
+    unit = id_of[wid[()]]
+    _fail(rep, "env.tensor.unit", nm, (tensor(ids, unit) != ids) | (tensor(unit, ids) != ids),
+          lambda i: (int(i),))
+    small = np.flatnonzero(wlen[dom] + wlen[cod] <= 3)
+    ld, lc = wlen[dom[small]], wlen[cod[small]]
+    f, g, h = (small[x] for x in np.nonzero((ld[:, None, None] + ld[:, None] + ld <= cap)
+                                            & (lc[:, None, None] + lc[:, None] + lc <= cap)))
+    _fail(rep, "env.tensor.assoc", len(f), tensor(tensor(f, g), h) != tensor(f, tensor(g, h)),
+          lambda i: (int(f[i]), int(g[i]), int(h[i])))
 
     # tensor functoriality over every two composable pairs, bucketed by the
     # length profile (dom, mid, cod) of each pair; a bucket holds its pairs'
     # table positions in table order, which is word by word, g-major
     buckets = {}
-    for k, w in enumerate(E.objects):
+    for k, w in enumerate(words):
         gs, fs = by_dom[k], by_cod[k]
         for c in range(cap + 1):
             g = gs[wlen[cod[gs]] == c]
@@ -889,39 +856,38 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
             for rows, cols in _blocks(len(t1), len(t2)):
                 t = t1[rows, None]
                 g1, f1, g, f = pair_g[t], pair_f[t], g2[cols], f2[cols]
-                lhs = tensor(table[t], gf2[cols], (a1, c1), (a2, c2))
-                rhs = comp(tensor(g1, g, (b1, c1), (b2, c2)),
-                           tensor(f1, f, (a1, b1), (a2, b2)))
+                lhs = tensor(table[t], gf2[cols])
+                rhs = comp(tensor(g1, g), tensor(f1, f))
                 for i, j in np.argwhere(lhs != rhs):
                     rep.add("env.tensor.functorial", False,
                             (int(f1[i, 0]), int(g1[i, 0]), int(f[j]), int(g[j])))
             n_fun += len(t1) * len(t2)
     rep.params["tensor_functoriality_instances"] = n_fun
 
-    # symmetry: involution, naturality, coherence
-    for w1 in E.objects:
-        for w2 in E.objects:
-            if len(w1) + len(w2) > cap:
-                continue
-            s = E.symmetry(w1, w2)
-            rep.require("env.sym.involution",
-                        E.compose(E.symmetry(w2, w1), s) == E.identity(w1 + w2),
-                        (w1, w2))
-            for w3 in E.objects:
-                if len(w1) + len(w2) + len(w3) > cap:
-                    continue
-                lhs = E.symmetry(w1, w2 + w3)
-                rhs = E.compose(E.tensor(E.identity(w2), E.symmetry(w1, w3)),
-                                E.tensor(E.symmetry(w1, w2), E.identity(w3)))
-                rep.require("env.sym.hexagon", lhs == rhs, (w1, w2, w3))
+    # symmetry: involution per pair of words within the cap, the hexagon
+    # per triple, and naturality per pair of morphisms, by pairs of length
+    # profiles (len dom, len cod) within the cap
+    cat = np.array([[wid.get(a + b, -1) for b in words] for a in words])
+    w1, w2 = np.nonzero(wlen[:, None] + wlen <= cap)
+    _fail(rep, "env.sym.involution", len(w1),
+          comp(sym[w2, w1], sym[w1, w2]) != id_of[cat[w1, w2]],
+          lambda i: (words[w1[i]], words[w2[i]]))
+    w1, w2, w3 = np.nonzero(wlen[:, None, None] + wlen[:, None] + wlen <= cap)
+    _fail(rep, "env.sym.hexagon", len(w1),
+          sym[w1, cat[w2, w3]]
+          != comp(tensor(id_of[w2], sym[w1, w3]), tensor(sym[w1, w2], id_of[w3])),
+          lambda i: (words[w1[i]], words[w2[i]], words[w3[i]]))
+    by_profile = {}
+    for i, pf in enumerate(zip(wlen[dom].tolist(), wlen[cod].tolist())):
+        by_profile.setdefault(pf, []).append(i)
     n_nat = 0
-    for p1, p2 in tens:
-        f, g = by_profile[p1][:, None], by_profile[p2][None, :]
-        lhs = comp(sym[cod[f], cod[g]], tens[(p1, p2)])
-        rhs = comp(tens[(p2, p1)].T, sym[dom[f], dom[g]])
-        for i, j in np.argwhere(lhs != rhs):
-            rep.add("env.sym.natural", False, (int(f[i, 0]), int(g[0, j])))
-        n_nat += lhs.size
+    for p1, p2 in itertools.product(sorted(by_profile), repeat=2):
+        if p1[0] + p2[0] <= cap and p1[1] + p2[1] <= cap:
+            f, g = np.array(by_profile[p1])[:, None], np.array(by_profile[p2])
+            bad = comp(sym[cod[f], cod[g]], tensor(f, g)) != comp(tensor(g, f), sym[dom[f], dom[g]])
+            for i, j in np.argwhere(bad):
+                rep.add("env.sym.natural", False, (int(f[i, 0]), int(g[j])))
+            n_nat += bad.size
     rep.params["symmetry_naturality_instances"] = n_nat
     rep.params["morphisms"] = nm
     return rep

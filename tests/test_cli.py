@@ -246,6 +246,27 @@ def test_cli_envelope_defaults_to_the_arity_cap_of_endo2():
     assert main(["envelope", "--multicat", "endo2"]) == 0
 
 
+@pytest.mark.parametrize("argv, flag, low", [
+    (["strictify", "sigma2.pdc", "--bound", "-1"], "--bound", 0),
+    (["interchange", "nonstrict.pdc", "--n", "-1"], "--n", 0),
+    (["interchange", "nonstrict.pdc", "--m", "-1"], "--m", 0),
+    (["envelope", "--multicat", "z2", "--arity-cap", "0"], "--arity-cap", 1),
+], ids=["bound", "n", "m", "arity-cap"])
+def test_cli_refuses_a_flag_below_its_range(argv, flag, low, corpus_dir, capsys):
+    argv = [str(corpus_dir / a) if a.endswith(".pdc") else a for a in argv]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    captured = capsys.readouterr()
+    assert e.value.code == 2 and captured.out == ""
+    assert f"argument {flag}: must be at least {low}, not {argv[-1]}" in captured.err
+
+
+def test_cli_keeps_the_least_value_of_each_range(corpus_dir):
+    assert main(["strictify", str(corpus_dir / "sigma2.pdc"), "--bound", "0"]) == 0
+    assert main(["interchange", str(corpus_dir / "nonstrict.pdc"), "--n", "0", "--m", "0"]) == 0
+    assert main(["envelope", "--multicat", "z2", "--arity-cap", "1"]) == 0
+
+
 def test_presentation_of_refuses_an_id_that_is_not_a_name():
     A = product(sigma_z2(), sigma_z2())
     with pytest.raises(StructuralError, match=re.escape(repr(A.objects[0]))):

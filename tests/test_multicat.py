@@ -268,7 +268,7 @@ def _mutant(V, family):
 
 
 def _outcome(check, V):
-    """A validate_multicat report as its findings, counts and params."""
+    """The report of check on V as its findings, counts and params."""
     rep = check(V)
     return [(f.check, f.witness) for f in rep.findings], list(rep.counts.items()), rep.params
 
@@ -460,9 +460,9 @@ def _plan(gidx, m, fidx):
 
 
 def test_shapes_match_the_plan_on_every_pair_of_index_maps():
-    # every composable pair of index maps up to length 4, whatever V: a
-    # dropped or inverted transposition shows here even where V's actions
-    # are trivial, as terminal's are
+    # every composable pair of index maps up to length 4, whatever V, each
+    # output slot k of g once: a dropped or inverted transposition shows
+    # here even where V's actions are trivial, as terminal's are
     w = 4
     maps = [(m, idx) for n in range(w + 1) for m in range(w + 1)
             for idx in itertools.product(range(m), repeat=n)]
@@ -472,15 +472,14 @@ def test_shapes_match_the_plan_on_every_pair_of_index_maps():
     def padded(idxs):
         return np.array([idx + (-1,) * (w - len(idx)) for idx in idxs]).T
 
-    cidx, code = multicat._shapes(padded([g for (_, g), _ in pairs]),
-                                  padded([f for _, (_, f) in pairs]), w + 1)
-    for ((m, gidx), (_, fidx)), c, p in zip(pairs, cidx.T.tolist(), code.T.tolist()):
-        idx = tuple(c[:len(fidx)])
-        perms = tuple(None if x < 0 else tuple(x // (w + 1) ** t % (w + 1) - 1
-                                               for t in range(idx.count(k)))
-                      for k, x in enumerate(p[:m]))
-        assert (idx, perms) == _plan(gidx, m, fidx), (gidx, m, fidx)
-        assert c[len(fidx):] == [-1] * (w - len(fidx)) and p[m:] == [-1] * (w - m)
+    G, F = padded([g for (_, g), _ in pairs]), padded([f for _, (_, f) in pairs])
+    codes = np.stack([multicat._slot_perm(G == k, F, w + 1) for k in range(w)], 1).tolist()
+    for ((m, gidx), (_, fidx)), code in zip(pairs, codes):
+        idx, perms = _plan(gidx, m, fidx)
+        assert tuple(None if x < 0 else tuple(x // (w + 1) ** t % (w + 1) - 1
+                                              for t in range(idx.count(k)))
+                     for k, x in enumerate(code[:m])) == perms, (gidx, m, fidx)
+        assert code[m:] == [-1] * (w - m)
 
 
 def _plain_morphisms(V, cap):
@@ -604,19 +603,14 @@ def test_composition_table_matches_plain_composites(make, cap, n_pairs, monkeypa
 
 
 @pytest.mark.parametrize("make, cap, n_pairs", ORACLE_ROWS, ids=ORACLE_IDS)
-def test_frames_find_each_morphism_at_its_own_position(make, cap, n_pairs):
-    # every morphism's own columns lead back to it; with each one's fibers
-    # replaced by the previous morphism's, find gives the morphism with
-    # those columns where there is one, else -1
-    t = envelope(make(), cap).composition
-    assert (t.find(t.dom, t.cod, t.G, t.F) == np.arange(len(t.dom))).all()
-    cols = {(d, c, *g, *f): i for i, (d, c, g, f) in enumerate(
-        zip(t.dom.tolist(), t.cod.tolist(), t.G.T.tolist(), t.F.T.tolist()))}
-    F = np.roll(t.F, 1, axis=1)
-    want = [cols.get((d, c, *g, *f), -1) for d, c, g, f in zip(
-        t.dom.tolist(), t.cod.tolist(), t.G.T.tolist(), F.T.tolist())]
-    assert t.find(t.dom, t.cod, t.G, F).tolist() == want
-    assert 0 < want.count(-1) < len(want)
+def test_tensor_table_matches_plain_tensors(make, cap, n_pairs):
+    # every pair whose doms and cods each total within the cap, against the
+    # concatenation of EnvMor tuples
+    E = envelope(make(), cap)
+    t, mors = E.composition, E.morphisms
+    f, g = np.array([(i, j) for i, x in enumerate(mors) for j, y in enumerate(mors)
+                     if len(x.dom) + len(y.dom) <= cap and len(x.cod) + len(y.cod) <= cap]).T
+    assert [mors[i] for i in t.tensor(f, g)] == [E.tensor(mors[i], mors[j]) for i, j in zip(f, g)]
 
 
 def _plain_loop_findings(E):
@@ -680,11 +674,12 @@ def test_envelope_tensor_families_match_plain_loops(monkeypatch):
         fg = tensor(self, f, g)
         return turned(fg) if bent(f, g) else fg
 
-    def broken_table(self, f, g, pf, pg):
-        fg = tensor_table(self, f, g, pf, pg)
-        for i, j in np.ndindex(fg.shape):
-            if bent(E.morphisms[f[i]], E.morphisms[g[j]]):
-                fg[i, j] = self.index[turned(E.morphisms[fg[i, j]])]
+    def broken_table(self, f, g):
+        f, g = np.broadcast_arrays(f, g)
+        fg = tensor_table(self, f, g)
+        for i in np.ndindex(fg.shape):
+            if bent(E.morphisms[f[i]], E.morphisms[g[i]]):
+                fg[i] = self.index[turned(E.morphisms[fg[i]])]
         return fg
 
     monkeypatch.setattr(EnvelopeCategory, "tensor", broken)
@@ -695,6 +690,57 @@ def test_envelope_tensor_families_match_plain_loops(monkeypatch):
     got = [(f.check, f.witness) for f in rep.failures()
            if f.check in ("env.tensor.functorial", "env.sym.natural")]
     assert got == want
+
+
+def test_validate_envelope_reads_the_tables_alone(monkeypatch):
+    # with EnvMor-level composition and tensor out of reach, the report is
+    # the same: every family reads E.composition
+    bases = [(lambda: from_monoidal("z2mon", ("0", "1"), addz2, "0", 3), 3, 3),
+             *[(lambda key=key: _broken_endo2(*key), 2, 2) for key in BROKEN_ENTRIES.items()]]
+
+    def outcomes():
+        return [_outcome(lambda E: validate_envelope(E, n), envelope(make(), cap))
+                for make, cap, n in bases]
+
+    want = outcomes()
+
+    def unreachable(*args):
+        raise AssertionError("validate_envelope left the tables")
+
+    monkeypatch.setattr(EnvelopeCategory, "compose", unreachable)
+    monkeypatch.setattr(EnvelopeCategory, "tensor", unreachable)
+    assert outcomes() == want
+
+
+def _plant_tensor(monkeypatch, E, f, g):
+    """EnvComposition.tensor reading E's tensor table with its entry f x g
+    swapped for the next morphism of the same (dom, cod)."""
+    fg = E.tensor(E.morphisms[f], E.morphisms[g])
+    other = next(i for i, m in enumerate(E.morphisms)
+                 if (m.dom, m.cod) == (fg.dom, fg.cod) and m != fg)
+    real = EnvComposition.tensor
+
+    def planted(self, x, y):
+        x, y = np.broadcast_arrays(x, y)
+        return np.where((x == f) & (y == g), other, real(self, x, y))
+
+    monkeypatch.setattr(EnvComposition, "tensor", planted)
+
+
+def test_a_wrong_tensor_entry_is_named_by_each_tensor_family(monkeypatch):
+    # terminal at cap 3 has one object, x; each family must name the
+    # instance that reads the planted entry
+    E = envelope(terminal_multicat(3), 3)
+    at, x = E.composition.index, ("x",)
+    e, ix, sx = at[E.identity(())], at[E.identity(x)], at[E.symmetry(x, x)]
+    cases = [(e, sx, "env.tensor.unit", (sx,)),
+             (ix, ix, "env.tensor.assoc", (ix, ix, ix)),
+             (sx, ix, "env.sym.hexagon", (x, x, x))]
+    for f, g, family, witness in cases:
+        with monkeypatch.context() as mp:
+            _plant_tensor(mp, E, f, g)
+            rep = validate_envelope(E)
+        assert witness in [w.witness for w in rep.failures() if w.check == family], family
 
 
 def test_envelope_symmetry_involution(z2mon):
