@@ -416,8 +416,10 @@ def _load(path: str, allow_invalid=False) -> TableDouble:
 # ---------------------------------------------------------------------------
 
 def _max_candidates():
+    """The candidate budget STRAWCAT_MAX_CANDIDATES sets: unset or empty is
+    the default (None), else an integer of at least 0."""
     v = os.environ.get("STRAWCAT_MAX_CANDIDATES")
-    return int(v) if v else None
+    return _at_least(0, v) if v else None
 
 
 def cmd_validate(args):
@@ -665,6 +667,10 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=cmd_biequivalence_check)
 
     args = ap.parse_args(argv)
+    try:
+        _max_candidates()
+    except argparse.ArgumentTypeError as e:
+        ap.error(f"STRAWCAT_MAX_CANDIDATES: {e}")
     try:
         return args.fn(args)
     except Truncated:

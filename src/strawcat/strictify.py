@@ -40,6 +40,8 @@ identity, and the extension of eta_A itself is the identity of st A.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 from .core import Frame, TableDouble, _batches, _parts, _ranges, is_strict, validate
@@ -62,30 +64,22 @@ from .homs import (
 from .report import Report, StructuralError
 
 
-class Path:
-    """Composable sequence of horizontal morphisms; hash cached (hot key)."""
+class Path(tuple):
+    """Composable sequence of horizontal morphisms, the tuple (src, hmors):
+    hashing and equality are tuple's, len is the length, + concatenates."""
 
-    __slots__ = ("src", "hmors", "_hash")
+    __slots__ = ()
+    src = property(itemgetter(0))
+    hmors = property(itemgetter(1))
 
-    def __init__(self, src, hmors: tuple):
-        self.src = src
-        self.hmors = hmors
-        self._hash = hash((src, hmors))
+    def __new__(cls, src, hmors: tuple):
+        return tuple.__new__(cls, (src, hmors))
 
     def __len__(self):
         return len(self.hmors)
 
     def __add__(self, other: "Path") -> "Path":
         return Path(self.src, self.hmors + other.hmors)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Path)
-                                 and self._hash == other._hash
-                                 and self.src == other.src
-                                 and self.hmors == other.hmors)
 
     def __repr__(self):
         return f"Path({self.src}, {self.hmors})"
@@ -111,26 +105,16 @@ def _fold(memo, key, p, rule):
     return out
 
 
-class StCell:
-    """Cell of st A: boundary paths plus the payload cell of the base."""
+class StCell(tuple):
+    """Cell of st A, the tuple (dom, cod, payload): boundary paths, base cell."""
 
-    __slots__ = ("dom", "cod", "payload", "_hash")
+    __slots__ = ()
+    dom = property(itemgetter(0))
+    cod = property(itemgetter(1))
+    payload = property(itemgetter(2))
 
-    def __init__(self, dom: Path, cod: Path, payload):
-        self.dom = dom
-        self.cod = cod
-        self.payload = payload
-        self._hash = hash((dom._hash, cod._hash, payload))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, StCell)
-                                 and self._hash == other._hash
-                                 and self.payload == other.payload
-                                 and self.dom == other.dom
-                                 and self.cod == other.cod)
+    def __new__(cls, dom: Path, cod: Path, payload):
+        return tuple.__new__(cls, (dom, cod, payload))
 
     def __repr__(self):
         return f"StCell({self.dom}, {self.cod}, {self.payload})"
@@ -146,7 +130,6 @@ class StrictifiedDouble:
         self.vmors = A.vmors
         self._eps = {}
         self._xi = {}
-        self._cat = {}
         self._eps_rule = (lambda p: A.h_id(p.src), lambda p: p.hmors[0],
                           lambda p, p1, f: A.hcomp_hmor(f, self.eps(p1)))
         self._xi_rule = (self._xi_unitor,
@@ -289,14 +272,6 @@ class StrictifiedDouble:
             out = self.vcomp_cell(c, out)
         return out
 
-    def concat(self, p: Path, q: Path) -> Path:
-        key = (p, q)
-        out = self._cat.get(key)
-        if out is None:
-            out = p + q
-            self._cat[key] = out
-        return out
-
     def hcomp_payload(self, dl: Path, cl: Path, pl, dr: Path, cr: Path, pr):
         """Payload of the horizontal composite, without allocating the cell."""
         A = self.base
@@ -308,7 +283,7 @@ class StrictifiedDouble:
         if A.frame(l.payload).right != A.frame(r.payload).left:
             raise StructuralError(f"{self.name}: st-cells not h-composable")
         payload = self.hcomp_payload(l.dom, l.cod, l.payload, r.dom, r.cod, r.payload)
-        return StCell(self.concat(l.dom, r.dom), self.concat(l.cod, r.cod), payload)
+        return StCell(l.dom + r.dom, l.cod + r.cod, payload)
 
     def assoc_of(self, p, q, r):
         c = self.vid_of(p + q + r)

@@ -51,23 +51,28 @@ from .strictify import Path, st
 # coherence helpers over an arbitrary table interface
 # ---------------------------------------------------------------------------
 
-def tree_flatten(tree):
-    if isinstance(tree, tuple):
-        return tree_flatten(tree[0]) + tree_flatten(tree[1])
-    return [tree]
+def tree_flatten(C, tree):
+    """The leaves of a tree over C, left to right: a tree is a horizontal
+    morphism of C (a leaf, whatever its id) or a pair (first, second)."""
+    if tree in C.hmor_src:
+        return [tree]
+    return tree_flatten(C, tree[0]) + tree_flatten(C, tree[1])
 
 
 def tree_norm_iso(C, tree):
-    """(cell, inverse): eval(tree) -> left-nested composite of its leaves.
-    A tree is a horizontal morphism (leaf) or a pair (first, second)."""
-    if not isinstance(tree, tuple):
-        e = tree
-        return (C.vid_of(e), C.vid_of(e))
+    """(cell, inverse): eval(tree) -> left-nested composite of its leaves."""
+    return _norm_iso(st(C), tree)
+
+
+def _norm_iso(S, tree):
+    C = S.base
+    if tree in C.hmor_src:
+        return (C.vid_of(tree), C.vid_of(tree))
     t1, t2 = tree
-    n1, n1i = tree_norm_iso(C, t1)
-    n2, n2i = tree_norm_iso(C, t2)
-    s1, s2 = tree_flatten(t1), tree_flatten(t2)
-    sh, shi = st(C).xi(Path(C.hsrc(s1[0]), tuple(s1)), Path(C.hsrc(s2[0]), tuple(s2)))
+    n1, n1i = _norm_iso(S, t1)
+    n2, n2i = _norm_iso(S, t2)
+    s1, s2 = tree_flatten(C, t1), tree_flatten(C, t2)
+    sh, shi = S.xi(Path(C.hsrc(s1[0]), tuple(s1)), Path(C.hsrc(s2[0]), tuple(s2)))
     fwd = C.vcomp_cells(C.hcomp_cell(n2, n1), shi)
     bwd = C.vcomp_cells(sh, C.hcomp_cell(n2i, n1i))
     return (fwd, bwd)
@@ -75,10 +80,11 @@ def tree_norm_iso(C, tree):
 
 def rebracket_iso(C, tree_from, tree_to):
     """Canonical iso between two bracketings of the same leaf sequence."""
-    if tree_flatten(tree_from) != tree_flatten(tree_to):
+    if tree_flatten(C, tree_from) != tree_flatten(C, tree_to):
         raise StructuralError("rebracket: different leaf sequences")
-    a, ai = tree_norm_iso(C, tree_from)
-    b, bi = tree_norm_iso(C, tree_to)
+    S = st(C)
+    a, ai = _norm_iso(S, tree_from)
+    b, bi = _norm_iso(S, tree_to)
     return (C.vcomp_cells(a, bi), C.vcomp_cells(b, ai))
 
 

@@ -261,6 +261,20 @@ def test_cli_refuses_a_flag_below_its_range(argv, flag, low, corpus_dir, capsys)
     assert f"argument {flag}: must be at least {low}, not {argv[-1]}" in captured.err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("abc", "not an integer: 'abc'"),
+    ("-3", "must be at least 0, not -3"),
+], ids=["not-an-integer", "negative"])
+def test_cli_refuses_a_candidate_budget_out_of_range(value, message, corpus_dir,
+                                                     monkeypatch, capsys):
+    monkeypatch.setenv("STRAWCAT_MAX_CANDIDATES", value)
+    with pytest.raises(SystemExit) as e:
+        main(["hom", str(corpus_dir / "quintet.pdc"), str(corpus_dir / "sigmaM.pdc")])
+    captured = capsys.readouterr()
+    assert e.value.code == 2 and captured.out == ""
+    assert f"STRAWCAT_MAX_CANDIDATES: {message}" in captured.err
+
+
 def test_cli_keeps_the_least_value_of_each_range(corpus_dir):
     assert main(["strictify", str(corpus_dir / "sigma2.pdc"), "--bound", "0"]) == 0
     assert main(["interchange", str(corpus_dir / "nonstrict.pdc"), "--n", "0", "--m", "0"]) == 0

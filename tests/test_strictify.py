@@ -186,7 +186,7 @@ def test_hcomp_payload_matches_cell_composition(SN):
             assert SN.check_cell(out)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st_.data())
 def test_hcomp_associative_on_random_paths(data):
     N = nonstrict()
@@ -198,6 +198,28 @@ def test_hcomp_associative_on_random_paths(data):
     lhs = S.hcomp_cell(c3, S.hcomp_cell(c2, c1))
     rhs = S.hcomp_cell(S.hcomp_cell(c3, c2), c1)
     assert lhs == rhs
+
+
+def test_paths_and_cells_print_as_before():
+    # witness text is what a report shows of a path or a cell
+    assert str(Path("st", ("e", "j"))) == "Path(st, ('e', 'j'))"
+    assert str(Path("st", ())) == "Path(st, ())"
+    c = StCell(Path("st", ("e",)), Path("st", ("e", "e")), "ce")
+    assert str(c) == "StCell(Path(st, ('e',)), Path(st, ('e', 'e')), ce)"
+    S = st(nonstrict())
+    out = S.hcomp_cell(S.vid_of(Path("st", ("e",))), S.vid_of(Path("st", ("j",))))
+    assert str(out) == "StCell(Path(st, ('j', 'e')), Path(st, ('j', 'e')), ce)"
+
+
+def test_a_path_is_its_length_and_concatenates_to_a_path():
+    S = st(nonstrict())
+    paths = S.paths(3)
+    assert all(len(p) == len(p.hmors) for p in paths)
+    assert not Path("st", ()) and Path("st", ("e",))
+    for p, q in S.composable_pairs(3, paths):
+        pq = p + q
+        assert type(pq) is Path and pq == Path(p.src, p.hmors + q.hmors)
+        assert S.hcomp_hmor(q, p) == pq
 
 
 def test_extension_requires_strict_codomain(N):
@@ -642,7 +664,7 @@ def hassoc_oracle(S, bound):
     """Family st.cell.hassoc by plain loops over st-cells: (count, findings)."""
     cells = S.cells(bound)
     rights_of = _rights_of(S, cells, bound)
-    hp, cat = S.hcomp_payload, S.concat
+    hp = S.hcomp_payload
     n, out = 0, []
     for c1 in cells:
         d1, k1 = len(c1.dom), len(c1.cod)
@@ -652,11 +674,11 @@ def hassoc_oracle(S, bound):
             p12 = hp(c1.dom, c1.cod, c1.payload, c2.dom, c2.cod, c2.payload)
             n12d, n12c = d1 + len(c2.dom), k1 + len(c2.cod)
             for c3 in rights_of(c2, bound - n12d, bound - n12c):
-                lhs = hp(cat(c1.dom, c2.dom), cat(c1.cod, c2.cod), p12,
+                lhs = hp(c1.dom + c2.dom, c1.cod + c2.cod, p12,
                          c3.dom, c3.cod, c3.payload)
                 p23 = hp(c2.dom, c2.cod, c2.payload, c3.dom, c3.cod, c3.payload)
                 rhs = hp(c1.dom, c1.cod, c1.payload,
-                         cat(c2.dom, c3.dom), cat(c2.cod, c3.cod), p23)
+                         c2.dom + c3.dom, c2.cod + c3.cod, p23)
                 if lhs != rhs:
                     out.append(("st.cell.hassoc", (c1, c2, c3)))
                 n += 1
@@ -724,6 +746,16 @@ def test_st_kernel_findings_on_a_broken_cell_table(corpus_dir, monkeypatch):
         assert Counter(f.check for f in rep.failures()) == {"st.interchange": 1680,
                                                             "st.cell.hassoc": 84}
         _assert_kernel_matches_oracles(S, 3, rep)
+    # the witness text of the first findings, as the report renders it
+    assert rep.render().splitlines()[:3] == [
+        "strict(st(nonstrict)): FAIL (1764 violations)",
+        "  [FAIL] st.cell.hassoc witness=StCell(Path(st, ()), Path(st, ('j',)), cj),"
+        "StCell(Path(st, ('e',)), Path(st, ('e',)), ce),"
+        "StCell(Path(st, ('e',)), Path(st, ('e',)), t)",
+        "  [FAIL] st.cell.hassoc witness=StCell(Path(st, ()), Path(st, ('j',)), cj),"
+        "StCell(Path(st, ('e',)), Path(st, ('e',)), ce),"
+        "StCell(Path(st, ('j', 'e')), Path(st, ('e',)), t)",
+    ]
 
 
 def test_st_kernel_findings_on_a_planted_coherence_iso():

@@ -271,6 +271,31 @@ def test_tree_norm_iso_roundtrip(tables):
     assert N.vcomp_cell(fwd, bwd) == N.vid_of(N.frame(fwd).bottom)
 
 
+@pytest.mark.parametrize("a, b, c", [
+    ("sigma2", "terminal", ("nonstrict", "terminal")),
+    ("terminal", "sigma2", ("terminal", "nonstrict")),
+    ("terminal", "terminal", ("sigma2", "terminal")),
+])
+def test_verify_equivalence_into_a_product_of_pair_ids(a, b, c, tables):
+    # the codomain's horizontal morphisms are pairs, which rebracketing must
+    # read as leaves, not as trees
+    def table(name):
+        return terminal() if name == "terminal" else tables[name]
+    C = product(*map(table, c))
+    rep = verify_equivalence(table(a), table(b), C)
+    assert rep.ok, rep.render()
+
+
+def test_tree_norm_iso_roundtrip_on_pair_ids(tables):
+    P = product(tables["nonstrict"], terminal())
+    e, j = (("e", "hpt"), ("j", "hpt"))
+    assert {e, j} <= set(P.hmors)
+    for tree in [((e, j), (e, e)), (e, (j, (e, e)))]:
+        fwd, bwd = tree_norm_iso(P, tree)
+        assert P.vcomp_cell(bwd, fwd) == P.vid_of(P.frame(fwd).top)
+        assert P.vcomp_cell(fwd, bwd) == P.vid_of(P.frame(fwd).bottom)
+
+
 def _trees(leaves):
     if len(leaves) == 1:
         return [leaves[0]]
