@@ -536,10 +536,12 @@ def cmd_adjunction_check(args):
                            endo_multicat, hypothesis_check,
                            strictification_adjunction_report)
     if args.files:
-        tables = {}
+        tables, paths = {}, {}
         for path in args.files:
             A = _load(path)
-            tables[A.name] = A
+            if A.name in tables:
+                raise StructuralError(f"two members named {A.name!r}: {paths[A.name]} and {path}")
+            tables[A.name], paths[A.name] = A, path
         rep = strictification_adjunction_report(tables, args.bound, _max_candidates())
     else:
         V = endo_multicat("endo2", ("0", "1"), 2)
@@ -681,6 +683,9 @@ def main(argv=None) -> int:
         return _emit(args, rep)
     except (ParseError, ElaborationError, StructuralError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
 
 

@@ -52,6 +52,11 @@ class PseudoDoubleFunctor:
     def cell(self, c):
         return self.cell_map[c]
 
+    def frame(self, fr: Frame) -> Frame:
+        """The image of a frame of the domain."""
+        return Frame(self.hmor(fr.top), self.hmor(fr.bottom),
+                     self.vmor(fr.left), self.vmor(fr.right))
+
     def key(self):
         return ("fun",
                 tuple(sorted(self.obj_map.items())),
@@ -218,44 +223,6 @@ def hcomp_horizontal(t2: HorizontalPseudoTransformation,
                                           at_vmor=at_vmor, at_hmor=at_hmor)
 
 
-def identity_modification(t: HorizontalPseudoTransformation) -> Modification:
-    B = t.src.cod
-    return Modification(
-        top=t, bottom=t,
-        left=identity_vertical(t.src), right=identity_vertical(t.tgt),
-        at_obj={a: B.vid_of(t.at_obj[a]) for a in t.at_obj},
-    )
-
-
-def hid_modification(s: VerticalTransformation) -> Modification:
-    B = s.src.cod
-    return Modification(
-        top=identity_horizontal(s.src), bottom=identity_horizontal(s.tgt),
-        left=s, right=s,
-        at_obj={a: B.hid_of(s.at_obj[a]) for a in s.at_obj},
-    )
-
-
-def vcomp_modifications(m2: Modification, m1: Modification) -> Modification:
-    B = m1.top.src.cod
-    return Modification(
-        top=m1.top, bottom=m2.bottom,
-        left=compose_vertical(m2.left, m1.left),
-        right=compose_vertical(m2.right, m1.right),
-        at_obj={a: B.vcomp_cells(m1.at_obj[a], m2.at_obj[a]) for a in m1.at_obj},
-    )
-
-
-def hcomp_modifications(m2: Modification, m1: Modification) -> Modification:
-    B = m1.top.src.cod
-    return Modification(
-        top=hcomp_horizontal(m2.top, m1.top),
-        bottom=hcomp_horizontal(m2.bottom, m1.bottom),
-        left=m1.left, right=m2.right,
-        at_obj={a: B.hcomp_cell(m2.at_obj[a], m1.at_obj[a]) for a in m1.at_obj},
-    )
-
-
 def whisker_post_functor(h: PseudoDoubleFunctor, t):
     """Post-compose a transformation or modification with a functor h."""
     B = h.cod
@@ -366,9 +333,7 @@ def check_functor(F: PseudoDoubleFunctor) -> Report:
                     B.hsrc(F.hmor(f)) == F.obj(A.hsrc(f)) and B.htgt(F.hmor(f)) == F.obj(A.htgt(f)),
                     (f,))
     for c in A.cells:
-        fr = A.frame(c)
-        want = Frame(F.hmor(fr.top), F.hmor(fr.bottom), F.vmor(fr.left), F.vmor(fr.right))
-        rep.require("fun.cell.frame", B.frame(F.cell(c)) == want, (c,))
+        rep.require("fun.cell.frame", B.frame(F.cell(c)) == F.frame(A.frame(c)), (c,))
     if rep.failures():
         return rep              # the composites below need well-typed maps
     for f in A.hmors:
@@ -818,7 +783,7 @@ class HomDouble:
     verticals: dict             # id -> VerticalTransformation
     horizontals: dict           # id -> HorizontalPseudoTransformation
     modifications: dict         # id -> Modification
-    _ids: dict                  # datum key, as built by id_of -> id
+    _ids: dict                  # datum key, as built by id_of and cell_id -> id
 
     def id_of(self, x):
         """The id in this hom of a functor, a vertical or horizontal
@@ -826,9 +791,14 @@ class HomDouble:
         if isinstance(x, PseudoDoubleFunctor):
             return self._ids[x.key()]
         if isinstance(x, Modification):
-            return self._ids[(self.id_of(x.top), self.id_of(x.bottom),
-                              self.id_of(x.left), self.id_of(x.right), x.key())]
+            return self.cell_id(Frame(self.id_of(x.top), self.id_of(x.bottom),
+                                      self.id_of(x.left), self.id_of(x.right)), x.at_obj)
         return self._ids[(self.id_of(x.src), self.id_of(x.tgt), x.key())]
+
+    def cell_id(self, frame, at_obj):
+        """The id of the modification in frame, a Frame of this hom's ids,
+        with components at_obj (object of the domain -> cell)."""
+        return self._ids[(frame, tuple(sorted(at_obj.items())))]
 
 
 def hom_double(A: TableDouble, B: TableDouble, max_candidates=None) -> HomDouble:
@@ -871,8 +841,8 @@ def hom_double(A: TableDouble, B: TableDouble, max_candidates=None) -> HomDouble
                     for m in enumerate_modifications(t, b_, s, r, max_candidates):
                         mid_ = f"m{len(modifications)}"
                         modifications[mid_] = m
-                        ids[(ht_id, hb_id, vl_id, vr_id, m.key())] = mid_
-                        frames[mid_] = Frame(ht_id, hb_id, vl_id, vr_id)
+                        frames[mid_] = fr = Frame(ht_id, hb_id, vl_id, vr_id)
+                        ids[(fr, tuple(sorted(m.at_obj.items())))] = mid_
 
     vcomp_v = {(id2, id1): id_of(compose_vertical(t2, t1))
                for id2, t2 in verticals.items() for id1, t1 in verticals.items()
@@ -880,20 +850,35 @@ def hom_double(A: TableDouble, B: TableDouble, max_candidates=None) -> HomDouble
     hcomp_h = {(id2, id1): id_of(hcomp_horizontal(t2, t1))
                for id2, t2 in horizontals.items() for id1, t1 in horizontals.items()
                if htgt[id1] == hsrc[id2]}
-    vcomp_c = {(lo, up): id_of(vcomp_modifications(mlo, mup))
+
+    # the composites and identities of modifications, componentwise, named
+    # by their frames in the tables above
+    cell_id = hom.cell_id
+    vcomp_c = {(lo, up): cell_id(Frame(frames[up].top, frames[lo].bottom,
+                                       vcomp_v[(frames[lo].left, frames[up].left)],
+                                       vcomp_v[(frames[lo].right, frames[up].right)]),
+                                 {a: B.vcomp_cell(mlo.at_obj[a], mup.at_obj[a]) for a in A.objects})
                for lo, mlo in modifications.items() for up, mup in modifications.items()
                if frames[up].bottom == frames[lo].top}
-    hcomp_c = {(r_, l_): id_of(hcomp_modifications(mr, ml))
+    hcomp_c = {(r_, l_): cell_id(Frame(hcomp_h[(frames[r_].top, frames[l_].top)],
+                                       hcomp_h[(frames[r_].bottom, frames[l_].bottom)],
+                                       frames[l_].left, frames[r_].right),
+                                 {a: B.hcomp_cell(mr.at_obj[a], ml.at_obj[a]) for a in A.objects})
                for r_, mr in modifications.items() for l_, ml in modifications.items()
                if frames[l_].right == frames[r_].left}
+    vid_cell = {h: cell_id(Frame(h, h, v_identity[hsrc[h]], v_identity[htgt[h]]),
+                           {a: B.vid_of(t.at_obj[a]) for a in A.objects})
+                for h, t in horizontals.items()}
+    hid_cell = {v: cell_id(Frame(h_identity[vsrc[v]], h_identity[vtgt[v]], v, v),
+                           {a: B.hid_of(s.at_obj[a]) for a in A.objects})
+                for v, s in verticals.items()}
 
-    vid_cell = {h: id_of(identity_modification(t)) for h, t in horizontals.items()}
-    hid_cell = {v: id_of(hid_modification(s)) for v, s in verticals.items()}
-
-    def globular_mod(top_id, bot_id, comps):
-        t, b_ = horizontals[top_id], horizontals[bot_id]
-        return id_of(Modification(t, b_, identity_vertical(t.src),
-                                  identity_vertical(t.tgt), comps))
+    def globular_pair(top, bottom, pairs):
+        """The globular modifications top -> bottom and back whose components
+        are the (cell, inverse) pairs."""
+        left, right = v_identity[hsrc[top]], v_identity[htgt[top]]
+        return (cell_id(Frame(top, bottom, left, right), {a: p[0] for a, p in pairs.items()}),
+                cell_id(Frame(bottom, top, left, right), {a: p[1] for a, p in pairs.items()}))
 
     assoc = {}
     for h1, t1 in horizontals.items():
@@ -903,22 +888,15 @@ def hom_double(A: TableDouble, B: TableDouble, max_candidates=None) -> HomDouble
             for h3, t3 in horizontals.items():
                 if htgt[h2] != hsrc[h3]:
                     continue
-                lhs = hcomp_h[(hcomp_h[(h3, h2)], h1)]
-                rhs = hcomp_h[(h3, hcomp_h[(h2, h1)])]
-                comps = {a: B.assoc_of(t1.at_obj[a], t2.at_obj[a], t3.at_obj[a])[0]
-                         for a in A.objects}
-                inv = {a: B.assoc_of(t1.at_obj[a], t2.at_obj[a], t3.at_obj[a])[1]
-                       for a in A.objects}
-                assoc[(h1, h2, h3)] = (globular_mod(lhs, rhs, comps),
-                                       globular_mod(rhs, lhs, inv))
-    lunit, runit = {}, {}
-    for h, t in horizontals.items():
-        lcomp = hcomp_h[(h_identity[htgt[h]], h)]
-        lunit[h] = (globular_mod(lcomp, h, {a: B.lunit_of(t.at_obj[a])[0] for a in A.objects}),
-                    globular_mod(h, lcomp, {a: B.lunit_of(t.at_obj[a])[1] for a in A.objects}))
-        rcomp = hcomp_h[(h, h_identity[hsrc[h]])]
-        runit[h] = (globular_mod(rcomp, h, {a: B.runit_of(t.at_obj[a])[0] for a in A.objects}),
-                    globular_mod(h, rcomp, {a: B.runit_of(t.at_obj[a])[1] for a in A.objects}))
+                assoc[(h1, h2, h3)] = globular_pair(
+                    hcomp_h[(hcomp_h[(h3, h2)], h1)], hcomp_h[(h3, hcomp_h[(h2, h1)])],
+                    {a: B.assoc_of(t1.at_obj[a], t2.at_obj[a], t3.at_obj[a]) for a in A.objects})
+    lunit = {h: globular_pair(hcomp_h[(h_identity[htgt[h]], h)], h,
+                              {a: B.lunit_of(t.at_obj[a]) for a in A.objects})
+             for h, t in horizontals.items()}
+    runit = {h: globular_pair(hcomp_h[(h, h_identity[hsrc[h]])], h,
+                              {a: B.runit_of(t.at_obj[a]) for a in A.objects})
+             for h, t in horizontals.items()}
 
     hom.table = TableDouble(
         name=f"Hom({A.name},{B.name})",

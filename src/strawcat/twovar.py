@@ -12,14 +12,17 @@ exhaustive round trips.
 Every kind is written in its first variable only: its second variable is the
 first variable of its swap skew_s, so each checker runs one half on x and on
 skew_s(x).  Each curried component is built by one method (right_at, mod_at,
-mod_at_vmor, mods_at_hmor), which the checkers and curry_* share.
+mod_at_vmor, mods_at_hmor), which the checkers and curry_vertical,
+curry_horizontal and curry_modification share.  curry_functor and L =
+skew_L read their cells by frame: a cell is named in the hom by the frame its
+boundary goes to and its components, with no modification built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import TableDouble, product, terminal
+from .core import Frame, TableDouble, product, terminal
 from .homs import (
     HomDouble,
     HorizontalPseudoTransformation,
@@ -36,10 +39,7 @@ from .homs import (
     hcomp_horizontal,
     hom_double,
     identity_functor,
-    identity_horizontal,
     identity_vertical,
-    interchanger,
-    interchanger_inv,
     whisker_post_functor,
     whisker_pre_functor,
 )
@@ -318,36 +318,29 @@ def check_twovar_modification(m: TwoVarModification) -> Report:
 
 def curry_functor(F: TwoVarFunctor, hom: HomDouble) -> PseudoDoubleFunctor:
     """F: (A,B) -> C as a pseudo functor A -> Hom(B, C)."""
-    A, B = F.domA, F.domB
+    A, B, T = F.domA, F.domB, hom.table
     id_of = hom.id_of
-    obj_map = {a: id_of(F.partial_right[a]) for a in A.objects}
-    vmor_map = {u: id_of(F.vertical_at(u)) for u in A.vmors}
-    hmor_map = {f: id_of(F.horizontal_at(f)) for f in A.hmors}
-    cell_map = {}
+    P = PseudoDoubleFunctor(A, T, {a: id_of(F.partial_right[a]) for a in A.objects},
+                            {u: id_of(F.vertical_at(u)) for u in A.vmors},
+                            {f: id_of(F.horizontal_at(f)) for f in A.hmors},
+                            {}, {}, {}, name=f"curry({F.name})")
     for cc in A.cells:
-        fr = A.frame(cc)
-        m = Modification(top=F.horizontal_at(fr.top), bottom=F.horizontal_at(fr.bottom),
-                         left=F.vertical_at(fr.left), right=F.vertical_at(fr.right),
-                         at_obj={c: F.partial_left[c].cell(cc) for c in B.objects})
-        cell_map[cc] = id_of(m)
-    phi0 = {}
+        P.cell_map[cc] = hom.cell_id(P.frame(A.frame(cc)),
+                                     {c: F.partial_left[c].cell(cc) for c in B.objects})
     for a in A.objects:
-        m = Modification(top=identity_horizontal(F.partial_right[a]),
-                         bottom=F.horizontal_at(A.h_id(a)),
-                         left=identity_vertical(F.partial_right[a]),
-                         right=identity_vertical(F.partial_right[a]),
-                         at_obj={c: F.partial_left[c].phi0[a] for c in B.objects})
-        phi0[a] = id_of(m)
-    phi2 = {}
-    for (g, f) in A.hcomp_hmor_table:
-        m = Modification(top=hcomp_horizontal(F.horizontal_at(g), F.horizontal_at(f)),
-                         bottom=F.horizontal_at(A.hcomp_hmor(g, f)),
-                         left=identity_vertical(F.partial_right[A.hsrc(f)]),
-                         right=identity_vertical(F.partial_right[A.htgt(g)]),
-                         at_obj={c: F.partial_left[c].phi2[(f, g)] for c in B.objects})
-        phi2[(f, g)] = id_of(m)
-    return PseudoDoubleFunctor(A, hom.table, obj_map, vmor_map, hmor_map,
-                               cell_map, phi0, phi2, name=f"curry({F.name})")
+        P.phi0[a] = _globular(hom, T.h_id(P.obj(a)), P.hmor(A.h_id(a)),
+                              {c: F.partial_left[c].phi0[a] for c in B.objects})
+    for (g, f), gf in A.hcomp_hmor_table.items():
+        P.phi2[(f, g)] = _globular(hom, T.hcomp_hmor(P.hmor(g), P.hmor(f)), P.hmor(gf),
+                                   {c: F.partial_left[c].phi2[(f, g)] for c in B.objects})
+    return P
+
+
+def _globular(hom: HomDouble, top, bottom, at_obj):
+    """The id of the modification of hom from top to bottom with identity
+    sides and components at_obj."""
+    T = hom.table
+    return hom.cell_id(Frame(top, bottom, T.v_id(T.hsrc(top)), T.v_id(T.htgt(top))), at_obj)
 
 
 def uncurry_functor(P: PseudoDoubleFunctor, hom: HomDouble, B: TableDouble,
@@ -531,93 +524,76 @@ def skew_L(A: TableDouble, B: TableDouble, C: TableDouble,
     hom_AB = hom_AB or hom_double(A, B)
     hom_AC = hom_AC or hom_double(A, C)
     TBC, TAB, TAC = hom_BC.table, hom_AB.table, hom_AC.table
-    id_of = hom_AC.id_of
+    id_of, cell_id = hom_AC.id_of, hom_AC.cell_id
+    fun_BC, fun_AB = hom_BC.functors, hom_AB.functors
 
     # second-variable partials: post-composition with a fixed G (pseudo)
     partial_right = {}
     for o in TBC.objects:
-        G = hom_BC.functors[o]
-        phi0 = {}
-        phi2 = {}
+        G = fun_BC[o]
+        R = partial_right[o] = PseudoDoubleFunctor(
+            TAB, TAC, {p: id_of(compose_functors(G, fun_AB[p])) for p in TAB.objects},
+            {v: id_of(whisker_post_functor(G, hom_AB.verticals[v])) for v in TAB.vmors},
+            {h: id_of(whisker_post_functor(G, hom_AB.horizontals[h])) for h in TAB.hmors},
+            {}, {}, {}, name=f"L({o},-)")
+        for m in TAB.cells:
+            R.cell_map[m] = cell_id(R.frame(TAB.frame(m)), {
+                a: G.cell(x) for a, x in hom_AB.modifications[m].at_obj.items()})
         for p in TAB.objects:
-            F = hom_AB.functors[p]
-            m = Modification(top=identity_horizontal(compose_functors(G, F)),
-                             bottom=whisker_post_functor(G, identity_horizontal(F)),
-                             left=identity_vertical(compose_functors(G, F)),
-                             right=identity_vertical(compose_functors(G, F)),
-                             at_obj={a: G.phi0[F.obj(a)] for a in A.objects})
-            phi0[p] = id_of(m)
-        for (h2, h1) in TAB.hcomp_hmor_table:
-            t1 = hom_AB.horizontals[h1]
-            t2 = hom_AB.horizontals[h2]
-            wt1 = whisker_post_functor(G, t1)
-            wt2 = whisker_post_functor(G, t2)
-            m = Modification(
-                top=hcomp_horizontal(wt2, wt1),
-                bottom=whisker_post_functor(G, hcomp_horizontal(t2, t1)),
-                left=identity_vertical(wt1.src),
-                right=identity_vertical(wt2.tgt),
-                at_obj={a: G.phi2[(t1.at_obj[a], t2.at_obj[a])] for a in A.objects})
-            phi2[(h1, h2)] = id_of(m)
-        partial_right[o] = PseudoDoubleFunctor(
-            dom=TAB, cod=TAC,
-            obj_map={p: id_of(compose_functors(G, hom_AB.functors[p])) for p in TAB.objects},
-            vmor_map={v: id_of(whisker_post_functor(G, hom_AB.verticals[v])) for v in TAB.vmors},
-            hmor_map={h: id_of(whisker_post_functor(G, hom_AB.horizontals[h])) for h in TAB.hmors},
-            cell_map={mmm: id_of(whisker_post_functor(G, hom_AB.modifications[mmm]))
-                      for mmm in TAB.cells},
-            phi0=phi0, phi2=phi2, name=f"L({o},-)")
+            R.phi0[p] = _globular(hom_AC, TAC.h_id(R.obj(p)), R.hmor(TAB.h_id(p)),
+                                  {a: G.phi0[fun_AB[p].obj(a)] for a in A.objects})
+        for (h2, h1), h21 in TAB.hcomp_hmor_table.items():
+            t1, t2 = hom_AB.horizontals[h1], hom_AB.horizontals[h2]
+            R.phi2[(h1, h2)] = _globular(
+                hom_AC, TAC.hcomp_hmor(R.hmor(h2), R.hmor(h1)), R.hmor(h21),
+                {a: G.phi2[(t1.at_obj[a], t2.at_obj[a])] for a in A.objects})
 
     # first-variable partials: pre-composition with a fixed F (strict)
     partial_left = {}
     for p in TAB.objects:
-        F = hom_AB.functors[p]
-        obj_map = {o: id_of(compose_functors(hom_BC.functors[o], F)) for o in TBC.objects}
-        partial_left[p] = PseudoDoubleFunctor(
-            dom=TBC, cod=TAC,
-            obj_map=obj_map,
-            vmor_map={v: id_of(whisker_pre_functor(hom_BC.verticals[v], F)) for v in TBC.vmors},
-            hmor_map={h: id_of(whisker_pre_functor(hom_BC.horizontals[h], F)) for h in TBC.hmors},
-            cell_map={mmm: id_of(whisker_pre_functor(hom_BC.modifications[mmm], F))
-                      for mmm in TBC.cells},
-            phi0={o: TAC.vid_of(TAC.h_id(obj_map[o])) for o in TBC.objects},
-            phi2={(h1, h2): TAC.vid_of(TAC.hcomp_hmor(
-                id_of(whisker_pre_functor(hom_BC.horizontals[h2], F)),
-                id_of(whisker_pre_functor(hom_BC.horizontals[h1], F))))
-                for (h2, h1) in TBC.hcomp_hmor_table},
-            name=f"L(-,{p})")
+        F = fun_AB[p]
+        Lp = partial_left[p] = PseudoDoubleFunctor(
+            TBC, TAC, {o: id_of(compose_functors(fun_BC[o], F)) for o in TBC.objects},
+            {v: id_of(whisker_pre_functor(hom_BC.verticals[v], F)) for v in TBC.vmors},
+            {h: id_of(whisker_pre_functor(hom_BC.horizontals[h], F)) for h in TBC.hmors},
+            {}, {}, {}, name=f"L(-,{p})")
+        for m in TBC.cells:
+            at = hom_BC.modifications[m].at_obj
+            Lp.cell_map[m] = cell_id(Lp.frame(TBC.frame(m)), {a: at[F.obj(a)] for a in A.objects})
+        Lp.phi0.update((o, TAC.vid_of(TAC.h_id(Lp.obj(o)))) for o in TBC.objects)
+        Lp.phi2.update(((h1, h2), TAC.vid_of(TAC.hcomp_hmor(Lp.hmor(h2), Lp.hmor(h1))))
+                       for (h2, h1) in TBC.hcomp_hmor_table)
 
-    # cell families
+    # cell families, each in the frame its boundary goes to under the partials
     cell_vh = {}
     for tau in TBC.vmors:
         tv = hom_BC.verticals[tau]
         for th in TAB.hmors:
             t = hom_AB.horizontals[th]
-            m = Modification(
-                top=whisker_post_functor(tv.src, t),
-                bottom=whisker_post_functor(tv.tgt, t),
-                left=whisker_pre_functor(tv, t.src),
-                right=whisker_pre_functor(tv, t.tgt),
-                at_obj={a: tv.at_hmor[t.at_obj[a]] for a in A.objects})
-            cell_vh[(tau, th)] = id_of(m)
+            fr = Frame(partial_right[TBC.vsrc(tau)].hmor(th), partial_right[TBC.vtgt(tau)].hmor(th),
+                       partial_left[TAB.hsrc(th)].vmor(tau), partial_left[TAB.htgt(th)].vmor(tau))
+            cell_vh[(tau, th)] = cell_id(fr, {a: tv.at_hmor[t.at_obj[a]] for a in A.objects})
     cell_hv = {}
     for bh in TBC.hmors:
         bt = hom_BC.horizontals[bh]
         for sv in TAB.vmors:
             s = hom_AB.verticals[sv]
-            m = Modification(
-                top=whisker_pre_functor(bt, s.src),
-                bottom=whisker_pre_functor(bt, s.tgt),
-                left=whisker_post_functor(bt.src, s),
-                right=whisker_post_functor(bt.tgt, s),
-                at_obj={a: bt.at_vmor[s.at_obj[a]] for a in A.objects})
-            cell_hv[(bh, sv)] = id_of(m)
+            fr = Frame(partial_left[TAB.vsrc(sv)].hmor(bh), partial_left[TAB.vtgt(sv)].hmor(bh),
+                       partial_right[TBC.hsrc(bh)].vmor(sv), partial_right[TBC.htgt(bh)].vmor(sv))
+            cell_hv[(bh, sv)] = cell_id(fr, {a: bt.at_vmor[s.at_obj[a]] for a in A.objects})
+    # the interchanger of a: f -> g and b: h -> k, (b g).(h a) -> (k a).(b f),
+    # and its inverse
     cell_hh = {}
     for bh in TBC.hmors:
-        bt = hom_BC.horizontals[bh]
+        bt, h, k = hom_BC.horizontals[bh], TBC.hsrc(bh), TBC.htgt(bh)
         for th in TAB.hmors:
-            t = hom_AB.horizontals[th]
-            cell_hh[(bh, th)] = (id_of(interchanger(t, bt)), id_of(interchanger_inv(t, bt)))
+            t, f, g = hom_AB.horizontals[th], TAB.hsrc(th), TAB.htgt(th)
+            top = TAC.hcomp_hmor(partial_left[g].hmor(bh), partial_right[h].hmor(th))
+            bottom = TAC.hcomp_hmor(partial_right[k].hmor(th), partial_left[f].hmor(bh))
+            comps = {a: bt.at_hmor[t.at_obj[a]] for a in A.objects}
+            cell_hh[(bh, th)] = (
+                _globular(hom_AC, top, bottom, {a: c[0] for a, c in comps.items()}),
+                _globular(hom_AC, bottom, top, {a: c[1] for a, c in comps.items()}))
     return TwoVarFunctor(
         domA=TBC, domB=TAB, cod=TAC,
         partial_right=partial_right, partial_left=partial_left,

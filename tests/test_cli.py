@@ -323,6 +323,31 @@ def test_cli_invalid_input_fails(tmp_path, corpus_dir):
     assert code == 1 and doc["pass"] is False
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["validate", "nosuch.pdc"], "nosuch.pdc"),
+    (["hom", "{corpus}/sigmaM.pdc", "nosuch.pdc"], "nosuch.pdc"),
+    (["strictify", "{corpus}"], "{corpus}"),
+    (["--out", "{corpus}", "validate", "{corpus}/unit.pdc"], "{corpus}")])
+def test_cli_refuses_a_path_it_cannot_read_or_write(argv, path, corpus_dir, capsys):
+    # a missing input, a directory as input and a directory as --out
+    corpus = str(corpus_dir)
+    assert main([a.format(corpus=corpus) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path.format(corpus=corpus)}: ")
+
+
+def test_cli_adjunction_check_refuses_a_repeated_member_name(corpus_dir, tmp_path, capsys):
+    # two different files with the same stem would key the same member
+    other = tmp_path / "sigma2.pdc"
+    other.write_text((corpus_dir / "sigmaM.pdc").read_text())
+    first = str(corpus_dir / "sigma2.pdc")
+    assert main(["adjunction-check", first, str(other), "--bound", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'sigma2': {first} and {other}" in captured.err
+
+
 def test_cli_validate_names_a_non_composable_key(tmp_path, corpus_dir):
     # ca lives over a, cb over b: the row keys VCOMP by cells that do not stack
     text = (corpus_dir / "vertfree.pdc").read_text()

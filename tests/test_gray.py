@@ -4,8 +4,9 @@ from strawcat import terminal
 from strawcat import gray
 from strawcat.gray import (GridContext, biequivalence_check, gray_axiom_check,
                            interchange_grid, st_hom)
-from strawcat.homs import (compose_functors, interchanger, whisker_post_functor,
-                           whisker_pre_functor)
+from strawcat.homs import (Modification, compose_functors, hcomp_horizontal,
+                           identity_horizontal, identity_vertical, interchanger,
+                           interchanger_inv, whisker_post_functor, whisker_pre_functor)
 from strawcat.report import StructuralError
 from strawcat.strictify import Path, st
 
@@ -183,21 +184,65 @@ def test_gray_axiom_check_builds_each_hom_once(tables, monkeypatch, names, calls
 @pytest.mark.parametrize("names", [("nonstrict", "sigmaM", "sigmaM"),
                                    ("sigma2", "sigma2", "sigma2")])
 def test_grid_context_reads_agree_with_direct_composition(tables, names):
-    # the oracle builds each composite datum and looks its id up in Hom(A, C)
+    # the oracle builds each composite datum, modifications whole with their
+    # frames of whiskered and composite transformations, and looks its id up
+    # in Hom(A, C)
     A, B, C = (tables[n] for n in names)
     sh_ab, sh_bc, sh_ac = st_hom(A, B), st_hom(B, C), st_hom(A, C)
     ctx = GridContext(sh_ac, sh_ab.hom, sh_bc.hom)
     H_ab, H_bc, id_of, L = sh_ab.hom, sh_bc.hom, sh_ac.hom.id_of, ctx.L
+    T_ab, T_bc, T_ac = H_ab.table, H_bc.table, sh_ac.hom.table
     for g, G in H_bc.functors.items():
+        R = L.partial_right[g]
         for f, F in H_ab.functors.items():
-            assert L.partial_right[g].obj_map[f] == id_of(compose_functors(G, F))
+            GF = compose_functors(G, F)
+            assert R.obj_map[f] == id_of(GF)
+            assert R.phi0[f] == id_of(Modification(
+                identity_horizontal(GF), whisker_post_functor(G, identity_horizontal(F)),
+                identity_vertical(GF), identity_vertical(GF),
+                {a: G.phi0[F.obj(a)] for a in A.objects}))
         for a, al in H_ab.horizontals.items():
-            assert L.partial_right[g].hmor_map[a] == id_of(whisker_post_functor(G, al))
+            assert R.hmor_map[a] == id_of(whisker_post_functor(G, al))
+        for v, s in H_ab.verticals.items():
+            assert R.vmor_map[v] == id_of(whisker_post_functor(G, s))
+        for m, mod in H_ab.modifications.items():
+            assert R.cell_map[m] == id_of(whisker_post_functor(G, mod))
+        for (a2, a1) in T_ab.hcomp_hmor_table:
+            t1, t2 = H_ab.horizontals[a1], H_ab.horizontals[a2]
+            wt1, wt2 = whisker_post_functor(G, t1), whisker_post_functor(G, t2)
+            assert R.phi2[(a1, a2)] == id_of(Modification(
+                hcomp_horizontal(wt2, wt1), whisker_post_functor(G, hcomp_horizontal(t2, t1)),
+                identity_vertical(wt1.src), identity_vertical(wt2.tgt),
+                {x: G.phi2[(t1.at_obj[x], t2.at_obj[x])] for x in A.objects}))
+    for f, F in H_ab.functors.items():
+        P = L.partial_left[f]
+        for g, G in H_bc.functors.items():
+            assert P.phi0[g] == T_ac.vid_of(T_ac.h_id(id_of(compose_functors(G, F))))
+        for b, be in H_bc.horizontals.items():
+            assert P.hmor_map[b] == id_of(whisker_pre_functor(be, F))
+        for v, s in H_bc.verticals.items():
+            assert P.vmor_map[v] == id_of(whisker_pre_functor(s, F))
+        for m, mod in H_bc.modifications.items():
+            assert P.cell_map[m] == id_of(whisker_pre_functor(mod, F))
+        for (b2, b1) in T_bc.hcomp_hmor_table:
+            assert P.phi2[(b1, b2)] == T_ac.vid_of(T_ac.hcomp_hmor(
+                id_of(whisker_pre_functor(H_bc.horizontals[b2], F)),
+                id_of(whisker_pre_functor(H_bc.horizontals[b1], F))))
     for b, be in H_bc.horizontals.items():
-        for f, F in H_ab.functors.items():
-            assert L.partial_left[f].hmor_map[b] == id_of(whisker_pre_functor(be, F))
         for a, al in H_ab.horizontals.items():
-            assert L.cell_hh[(b, a)][0] == id_of(interchanger(al, be))
+            assert L.cell_hh[(b, a)] == (id_of(interchanger(al, be)),
+                                         id_of(interchanger_inv(al, be)))
+        for v, s in H_ab.verticals.items():
+            assert L.cell_hv[(b, v)] == id_of(Modification(
+                whisker_pre_functor(be, s.src), whisker_pre_functor(be, s.tgt),
+                whisker_post_functor(be.src, s), whisker_post_functor(be.tgt, s),
+                {x: be.at_vmor[s.at_obj[x]] for x in A.objects}))
+    for v, s in H_bc.verticals.items():
+        for a, al in H_ab.horizontals.items():
+            assert L.cell_vh[(v, a)] == id_of(Modification(
+                whisker_post_functor(s.src, al), whisker_post_functor(s.tgt, al),
+                whisker_pre_functor(s, al.src), whisker_pre_functor(s, al.tgt),
+                {x: s.at_hmor[al.at_obj[x]] for x in A.objects}))
 
 
 def test_gray_composite_names_a_wrong_interchanger(tables, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from strawcat import Frame, product, terminal, unit_object, validate
 from strawcat.homs import (
+    Modification,
     PseudoDoubleFunctor,
     Truncated,
     check_functor,
@@ -12,10 +13,12 @@ from strawcat.homs import (
     check_modification,
     check_vertical,
     compose_functors,
+    compose_vertical,
     enumerate_functors,
     enumerate_horizontal,
     enumerate_underlying_functors,
     enumerate_vertical,
+    hcomp_horizontal,
     hom_double,
     identity_functor,
     identity_horizontal,
@@ -290,6 +293,53 @@ def test_hom_double_validates(tables):
         H = hom_double(tables[a], tables[b])
         rep = validate(H.table)
         assert rep.ok, f"Hom({a},{b}): {rep.render()}"
+
+
+@pytest.mark.parametrize("a, b", [("nonstrict", "sigmaM"), ("quintet", "sigmaM"),
+                                  ("sigma2", "sigma2")])
+def test_hom_cell_tables_name_the_componentwise_modifications(tables, a, b):
+    # the oracle builds each composite or identity modification whole, its
+    # frame of composite or identity transformations included, and looks it up
+    H = hom_double(tables[a], tables[b])
+    T, B, id_of, mods, hs = H.table, tables[b], H.id_of, H.modifications, H.horizontals
+    assert T.vcomp_cell_table and T.hcomp_cell_table and T.assoc
+
+    def globular(top, bottom, pairs, i):
+        return id_of(Modification(top, bottom, identity_vertical(top.src),
+                                  identity_vertical(top.tgt), {x: p[i] for x, p in pairs.items()}))
+
+    for (lo, up), out in T.vcomp_cell_table.items():
+        m2, m1 = mods[lo], mods[up]
+        assert out == id_of(Modification(
+            m1.top, m2.bottom, compose_vertical(m2.left, m1.left),
+            compose_vertical(m2.right, m1.right),
+            {x: B.vcomp_cells(m1.at_obj[x], m2.at_obj[x]) for x in m1.at_obj}))
+    for (r, l_), out in T.hcomp_cell_table.items():
+        m2, m1 = mods[r], mods[l_]
+        assert out == id_of(Modification(
+            hcomp_horizontal(m2.top, m1.top), hcomp_horizontal(m2.bottom, m1.bottom),
+            m1.left, m2.right, {x: B.hcomp_cell(m2.at_obj[x], m1.at_obj[x]) for x in m1.at_obj}))
+    for h, out in T.vid_cell.items():
+        t = hs[h]
+        assert out == id_of(Modification(t, t, identity_vertical(t.src), identity_vertical(t.tgt),
+                                         {x: B.vid_of(t.at_obj[x]) for x in t.at_obj}))
+    for v, out in T.hid_cell.items():
+        s = H.verticals[v]
+        assert out == id_of(Modification(identity_horizontal(s.src), identity_horizontal(s.tgt),
+                                         s, s, {x: B.hid_of(s.at_obj[x]) for x in s.at_obj}))
+    for (h1, h2, h3), pair in T.assoc.items():
+        t1, t2, t3 = hs[h1], hs[h2], hs[h3]
+        lhs = hcomp_horizontal(hcomp_horizontal(t3, t2), t1)
+        rhs = hcomp_horizontal(t3, hcomp_horizontal(t2, t1))
+        pairs = {x: B.assoc_of(t1.at_obj[x], t2.at_obj[x], t3.at_obj[x]) for x in t1.at_obj}
+        assert pair == (globular(lhs, rhs, pairs, 0), globular(rhs, lhs, pairs, 1))
+    for h, t in hs.items():
+        lcomp = hcomp_horizontal(identity_horizontal(t.tgt), t)
+        pairs = {x: B.lunit_of(t.at_obj[x]) for x in t.at_obj}
+        assert T.lunit[h] == (globular(lcomp, t, pairs, 0), globular(t, lcomp, pairs, 1))
+        rcomp = hcomp_horizontal(t, identity_horizontal(t.src))
+        pairs = {x: B.runit_of(t.at_obj[x]) for x in t.at_obj}
+        assert T.runit[h] == (globular(rcomp, t, pairs, 0), globular(t, rcomp, pairs, 1))
 
 
 def test_hom_of_terminal_recovers_target(tables):

@@ -2,14 +2,14 @@ import dataclasses
 
 import pytest
 
-from strawcat import product, terminal, unit_object
+from strawcat import homs, product, terminal, twovar, unit_object
 from strawcat.homs import (HorizontalPseudoTransformation, Modification,
                            VerticalTransformation, check_functor,
                            enumerate_functors, enumerate_horizontal,
                            enumerate_modifications, enumerate_vertical,
                            hcomp_horizontal, hom_double, identity_functor,
-                           identity_vertical, interchanger, interchanger_inv,
-                           is_strict_functor)
+                           identity_horizontal, identity_vertical, interchanger,
+                           interchanger_inv, is_strict_functor)
 from strawcat.report import StructuralError
 from strawcat.twovar import (
     check_twovar_functor,
@@ -191,6 +191,69 @@ def test_skew_L_and_inverse_interchangers_on_a_mixed_triple(tables):
     L = skew_L(N, M, M, hom_BC=hom_MM, hom_AB=hom_NM, hom_AC=hom_NM)
     assert len(L.cell_hh) == len(hom_MM.horizontals) * len(hom_NM.horizontals)
     assert check_twovar_functor(L).ok
+
+
+CURRY_TRIPLES = [("quintet", "quintet", "sigmaM"), ("nonstrict", "sigmaM", "sigmaM"),
+                 ("sigma2", "sigma2", "sigma2")]
+
+
+@pytest.mark.parametrize("names", CURRY_TRIPLES)
+def test_curry_functor_cells_agree_with_whole_modifications(tables, names):
+    # the oracle builds each modification whole, with the curried
+    # transformations of F as its frame, and looks its id up in Hom(B, C)
+    A, B, C = (tables[n] for n in names)
+    hom = hom_double(B, C)
+    two = enumerate_twovar_functors(A, B, C, hom)
+    assert two
+    for F in two:
+        P = curry_functor(F, hom)
+        for cc in A.cells:
+            fr = A.frame(cc)
+            assert P.cell_map[cc] == hom.id_of(Modification(
+                F.horizontal_at(fr.top), F.horizontal_at(fr.bottom),
+                F.vertical_at(fr.left), F.vertical_at(fr.right),
+                {c: F.partial_left[c].cell(cc) for c in B.objects}))
+        for a in A.objects:
+            Fa = F.partial_right[a]
+            assert P.phi0[a] == hom.id_of(Modification(
+                identity_horizontal(Fa), F.horizontal_at(A.h_id(a)),
+                identity_vertical(Fa), identity_vertical(Fa),
+                {c: F.partial_left[c].phi0[a] for c in B.objects}))
+        for (g, f), gf in A.hcomp_hmor_table.items():
+            assert P.phi2[(f, g)] == hom.id_of(Modification(
+                hcomp_horizontal(F.horizontal_at(g), F.horizontal_at(f)), F.horizontal_at(gf),
+                identity_vertical(F.partial_right[A.hsrc(f)]),
+                identity_vertical(F.partial_right[A.htgt(g)]),
+                {c: F.partial_left[c].phi2[(f, g)] for c in B.objects}))
+
+
+@pytest.mark.parametrize("names", CURRY_TRIPLES)
+def test_skew_L_and_curry_functor_name_cells_by_frame_alone(tables, names, monkeypatch):
+    # with modifications unbuildable and the interchangers out of reach, L
+    # and every curried functor are the same data: both name each cell by
+    # its frame of ids and its components
+    A, B, C = (tables[n] for n in names)
+    hom_ab, hom_bc, hom_ac = hom_double(A, B), hom_double(B, C), hom_double(A, C)
+    two = enumerate_twovar_functors(A, B, C, hom_bc)
+
+    def outcome():
+        L = skew_L(A, B, C, hom_BC=hom_bc, hom_AB=hom_ab, hom_AC=hom_ac)
+        return L.key(), [curry_functor(F, hom_bc).key() for F in two]
+
+    want = outcome()
+
+    class Unbuildable(Modification):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a modification was built")
+
+    def unreachable(*args):
+        raise AssertionError("an interchanger was built")
+
+    for module in (homs, twovar):
+        monkeypatch.setattr(module, "Modification", Unbuildable)
+        for name in ("interchanger", "interchanger_inv"):
+            monkeypatch.setattr(module, name, unreachable, raising=False)
+    assert outcome() == want
 
 
 def test_multihom_arity(tables):
