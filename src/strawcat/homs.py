@@ -566,69 +566,50 @@ def _members(candidates, check, prefix):
     return out
 
 
-def enumerate_underlying_functors(A: TableDouble, B, max_candidates=None):
-    """Functors A0 -> B0 as (obj_map, vmor_map) pairs, deterministic order."""
-    vid_vals = set(A.v_identity.values())
-    nonid_v = [u for u in A.vmors if u not in vid_vals]
-
-    def candidates():
-        for objs in itertools.product(B.objects, repeat=len(A.objects)):
-            obj_map = dict(zip(A.objects, objs))
-            cands = [[v for v in B.vmors
-                      if B.vsrc(v) == obj_map[A.vsrc(u)] and B.vtgt(v) == obj_map[A.vtgt(u)]]
-                     for u in nonid_v]
-            for pick in itertools.product(*cands):
-                vmor_map = dict(zip(nonid_v, pick))
-                for a in A.objects:
-                    vmor_map[A.v_id(a)] = B.v_id(obj_map[a])
-                yield obj_map, vmor_map
-
-    return [(obj_map, vmor_map)
-            for obj_map, vmor_map in within_budget(candidates(), max_candidates)
-            if all(vmor_map[wu] == B.vcomp_vmor(vmor_map[w], vmor_map[u])
-                   for (w, u), wu in A.vcomp_vmor_table.items())]
-
-
-def _forward_checked(names, choices, slots):
-    """Bind names[i] to each of choices[i] in turn, depth first, so complete
-    bindings come in the order of ``itertools.product(*choices)``.  A slot
-    (reads, fill) gets its list ``fill(binding)`` as soon as the names it
-    reads are bound, and a branch where a list is empty is cut.  Yields
-    (binding, lists) for each complete binding, lists in slot order."""
-    pos = {x: i for i, x in enumerate(names)}
-    ready = [[] for _ in range(len(names) + 1)]
-    for k, (reads, _) in enumerate(slots):
-        ready[max(pos[x] + 1 for x in reads)].append(k)
-    binding, lists = {}, [None] * len(slots)
+def _search(choices, slots, max_candidates):
+    """Bind name i in turn to each value of ``choices[i](vals)``, where vals
+    holds the values of names 0..i-1, so complete bindings come in product
+    order.  A slot (i, fill) gets its list ``fill(vals)`` once names 0..i-1
+    are bound, and a branch where a list is empty is cut.  Yields (vals,
+    pick) for each complete binding and each pick from its slot lists, in
+    product order, counted against the budget.  vals is live: copy what you
+    keep before drawing the next."""
+    ready = [[] for _ in range(len(choices) + 1)]
+    for k, (i, _) in enumerate(slots):
+        ready[i].append(k)
+    vals, lists = [], [None] * len(slots)
 
     def search(i):
         for k in ready[i]:
-            lists[k] = slots[k][1](binding)
+            lists[k] = slots[k][1](vals)
             if not lists[k]:
                 return
-        if i == len(names):
-            yield dict(binding), list(lists)
+        if i == len(choices):
+            yield from zip(itertools.repeat(vals), itertools.product(*lists))
             return
-        for x in choices[i]:
-            binding[names[i]] = x
+        for x in choices[i](vals):
+            vals.append(x)
             yield from search(i + 1)
+            vals.pop()
 
-    return search(0)
+    return within_budget(search(0), max_candidates)
 
 
 def iter_functor_candidates(A: TableDouble, B, require_invertible=True,
                             max_candidates=None):
     """Frame-typed functor data A -> B, not yet filtered by the axioms.
 
-    Identity cells of horizontal morphisms are forced by functoriality and
-    the horizontal identity cells of vertical morphisms by naturality of the
-    unit constraint; everything else ranges over all frame-compatible
-    choices (constraints restricted to invertible cells unless asked not to).
+    Identity vertical morphisms and identity cells of horizontal morphisms
+    are forced by functoriality and the horizontal identity cells of
+    vertical morphisms by naturality of the unit constraint; everything else
+    ranges over all frame-compatible choices (constraints restricted to
+    invertible cells unless asked not to).
 
-    Hmor maps are searched by `_forward_checked`, so a branch where a phi0,
-    phi2 or cell slot has no candidate is cut.  The plain product over all
-    hmor maps yields nothing there either: the stream, its order and what
-    the budget counts (candidates, not search nodes) are unchanged.
+    One `_search` binds the objects, the vertical morphisms and then the
+    horizontal morphisms, so a branch whose vertical composites fail, or
+    where a phi0, phi2 or cell slot has no candidate, is cut.  The budget
+    counts the candidates, and also each vertical part (objects and
+    vertical morphisms) before its composites are checked.
     """
     invertible = {c for c in B.cells if B.inverse_of(c) is not None}
     vid_vals = set(A.vid_cell.values())
@@ -639,46 +620,56 @@ def iter_functor_candidates(A: TableDouble, B, require_invertible=True,
     else:
         free_cells = [c for c in A.cells if c not in vid_vals]
     p2keys = [(f, g) for (g, f) in A.hcomp_hmor_table]
-    n0, n2 = len(A.objects), len(A.objects) + len(p2keys)
+    n0, nh = len(A.objects), len(A.objects) + len(A.vmors)
+    n2 = 1 + n0 + len(p2keys)
+    # positions in vals, one map per kind: ids need not differ across kinds
+    ob = {a: i for i, a in enumerate(A.objects)}
+    vm = {u: n0 + i for i, u in enumerate(A.vmors)}
+    hm = {f: nh + i for i, f in enumerate(A.hmors)}
+    unit_of = {u: a for a, u in A.v_identity.items()}
+    parts = within_budget(itertools.repeat(None), max_candidates)
+
+    def vmors(u):
+        if u in unit_of:
+            return lambda vals: [B.v_id(vals[ob[unit_of[u]]])]
+        return lambda vals: [v for v in B.vmors if B.vsrc(v) == vals[ob[A.vsrc(u)]]
+                             and B.vtgt(v) == vals[ob[A.vtgt(u)]]]
+
+    def composites(vals):
+        next(parts)
+        return [None] if all(vals[vm[wu]] == B.vcomp_vmor(vals[vm[w]], vals[vm[u]])
+                             for (w, u), wu in A.vcomp_vmor_table.items()) else []
 
     def constraints(src_h, tgt_h):
         return [c for c in B.globular_cells(src_h, tgt_h)
                 if not require_invertible or c in invertible]
 
-    def candidates():
-        for obj_map, vmor_map in enumerate_underlying_functors(A, B, max_candidates):
-            hcands = [[x for x in B.hmors
-                       if B.hsrc(x) == obj_map[A.hsrc(f)] and B.htgt(x) == obj_map[A.htgt(f)]]
-                      for f in A.hmors]
-            # (hmors read, candidate list given the hmor map): phi0, phi2, cells
-            slots = ([((A.h_id(a),), lambda hm, a=a: constraints(
-                         B.h_id(obj_map[a]), hm[A.h_id(a)])) for a in A.objects]
-                     + [((f, g, A.hcomp_hmor(g, f)), lambda hm, f=f, g=g: constraints(
-                         B.hcomp_hmor(hm[g], hm[f]), hm[A.hcomp_hmor(g, f)])) for (f, g) in p2keys]
-                     + [((fr.top, fr.bottom), lambda hm, fr=fr: B.cells_with_frame(
-                         Frame(hm[fr.top], hm[fr.bottom], vmor_map[fr.left], vmor_map[fr.right])))
-                        for fr in map(A.frame, free_cells)])
-            for hmor_map, lists in _forward_checked(A.hmors, hcands, slots):
-                p0cands, p2cands, ccands = lists[:n0], lists[n0:n2], lists[n2:]
-                for p0pick in itertools.product(*p0cands):
-                    phi0 = dict(zip(A.objects, p0pick))
-                    for p2pick in itertools.product(*p2cands):
-                        phi2 = dict(zip(p2keys, p2pick))
-                        for cpick in itertools.product(*ccands):
-                            cell_map = dict(zip(free_cells, cpick))
-                            for f in A.hmors:
-                                cell_map[A.vid_of(f)] = B.vid_of(hmor_map[f])
-                            for u in A.vmors:
-                                c = A.hid_of(u)
-                                if c not in cell_map:
-                                    cell_map[c] = B.vcomp_cells(
-                                        B.inv(phi0[A.vsrc(u)]),
-                                        B.hid_of(vmor_map[u]),
-                                        phi0[A.vtgt(u)])
-                            yield PseudoDoubleFunctor(A, B, obj_map, vmor_map, hmor_map,
-                                                      cell_map, phi0, phi2)
-
-    yield from within_budget(candidates(), max_candidates)
+    choices = ([lambda vals: B.objects] * n0 + [vmors(u) for u in A.vmors]
+               + [lambda vals, f=f: [x for x in B.hmors if B.hsrc(x) == vals[ob[A.hsrc(f)]]
+                                     and B.htgt(x) == vals[ob[A.htgt(f)]]] for f in A.hmors])
+    # (names bound, candidate list): composites, phi0, phi2, cells
+    slots = ([(nh, composites)]
+             + [(hm[A.h_id(a)] + 1, lambda vals, a=a: constraints(
+                 B.h_id(vals[ob[a]]), vals[hm[A.h_id(a)]])) for a in A.objects]
+             + [(max(hm[f], hm[g], hm[gf]) + 1, lambda vals, f=f, g=g, gf=gf: constraints(
+                 B.hcomp_hmor(vals[hm[g]], vals[hm[f]]), vals[hm[gf]]))
+                for (g, f), gf in A.hcomp_hmor_table.items()]
+             + [(max(hm[fr.top], hm[fr.bottom]) + 1, lambda vals, fr=fr: B.cells_with_frame(
+                 Frame(vals[hm[fr.top]], vals[hm[fr.bottom]], vals[vm[fr.left]],
+                       vals[vm[fr.right]]))) for fr in map(A.frame, free_cells)])
+    for vals, pick in _search(choices, slots, max_candidates):
+        vmor_map, hmor_map = dict(zip(A.vmors, vals[n0:nh])), dict(zip(A.hmors, vals[nh:]))
+        phi0 = dict(zip(A.objects, pick[1:1 + n0]))
+        cell_map = dict(zip(free_cells, pick[n2:]))
+        for f in A.hmors:
+            cell_map[A.vid_of(f)] = B.vid_of(hmor_map[f])
+        for u in A.vmors:
+            c = A.hid_of(u)
+            if c not in cell_map:
+                cell_map[c] = B.vcomp_cells(B.inv(phi0[A.vsrc(u)]), B.hid_of(vmor_map[u]),
+                                            phi0[A.vtgt(u)])
+        yield PseudoDoubleFunctor(A, B, dict(zip(A.objects, vals[:n0])), vmor_map, hmor_map,
+                                  cell_map, phi0, dict(zip(p2keys, pick[1 + n0:n2])))
 
 
 def iter_vertical_candidates(F: PseudoDoubleFunctor, G: PseudoDoubleFunctor,
@@ -686,21 +677,14 @@ def iter_vertical_candidates(F: PseudoDoubleFunctor, G: PseudoDoubleFunctor,
     """Frame-typed vertical transformation data F -> G, not yet filtered by
     the axioms."""
     A, B = F.dom, F.cod
-    obj_cands = [[v for v in B.vmors if B.vsrc(v) == F.obj(a) and B.vtgt(v) == G.obj(a)]
-                 for a in A.objects]
-
-    def candidates():
-        for opick in itertools.product(*obj_cands):
-            at_obj = dict(zip(A.objects, opick))
-            hcands = []
-            for f in A.hmors:
-                a, b = A.hsrc(f), A.htgt(f)
-                want = Frame(F.hmor(f), G.hmor(f), at_obj[a], at_obj[b])
-                hcands.append(B.cells_with_frame(want))
-            for hpick in itertools.product(*hcands):
-                yield VerticalTransformation(F, G, at_obj, dict(zip(A.hmors, hpick)))
-
-    yield from within_budget(candidates(), max_candidates)
+    ob = {a: i for i, a in enumerate(A.objects)}
+    choices = [lambda vals, a=a: [v for v in B.vmors if B.vsrc(v) == F.obj(a)
+                                  and B.vtgt(v) == G.obj(a)] for a in A.objects]
+    slots = [(len(ob), lambda vals, f=f: B.cells_with_frame(
+        Frame(F.hmor(f), G.hmor(f), vals[ob[A.hsrc(f)]], vals[ob[A.htgt(f)]])))
+        for f in A.hmors]
+    for vals, pick in _search(choices, slots, max_candidates):
+        yield VerticalTransformation(F, G, dict(zip(A.objects, vals)), dict(zip(A.hmors, pick)))
 
 
 def iter_horizontal_candidates(F: PseudoDoubleFunctor, G: PseudoDoubleFunctor,
@@ -708,43 +692,34 @@ def iter_horizontal_candidates(F: PseudoDoubleFunctor, G: PseudoDoubleFunctor,
     """Frame-typed horizontal pseudo transformation data F -> G, with
     invertible components, not yet filtered by the axioms."""
     A, B = F.dom, F.cod
-    obj_cands = [[x for x in B.hmors if B.hsrc(x) == F.obj(a) and B.htgt(x) == G.obj(a)]
-                 for a in A.objects]
+    ob = {a: i for i, a in enumerate(A.objects)}
+    choices = [lambda vals, a=a: [x for x in B.hmors if B.hsrc(x) == F.obj(a)
+                                  and B.htgt(x) == G.obj(a)] for a in A.objects]
 
-    def candidates():
-        for opick in itertools.product(*obj_cands):
-            at_obj = dict(zip(A.objects, opick))
-            vcands = []
-            for u in A.vmors:
-                a, b = A.vsrc(u), A.vtgt(u)
-                want = Frame(at_obj[a], at_obj[b], F.vmor(u), G.vmor(u))
-                vcands.append(B.cells_with_frame(want))
-            hcands = []
-            for f in A.hmors:
-                a, b = A.hsrc(f), A.htgt(f)
-                src_h = B.hcomp_hmor(at_obj[b], F.hmor(f))
-                tgt_h = B.hcomp_hmor(G.hmor(f), at_obj[a])
-                cs = [(c, B.inverse_of(c)) for c in B.globular_cells(src_h, tgt_h)
-                      if B.inverse_of(c) is not None]
-                hcands.append(cs)
-            for vpick in itertools.product(*vcands):
-                for hpick in itertools.product(*hcands):
-                    yield HorizontalPseudoTransformation(F, G, at_obj,
-                                                         dict(zip(A.vmors, vpick)),
-                                                         dict(zip(A.hmors, hpick)))
+    def pseudo(f):
+        """The (cell, inverse) pairs  t_b . Ff -> Gf . t_a."""
+        a, b = ob[A.hsrc(f)], ob[A.htgt(f)]
+        return lambda vals: [(c, B.inverse_of(c)) for c in B.globular_cells(
+            B.hcomp_hmor(vals[b], F.hmor(f)), B.hcomp_hmor(G.hmor(f), vals[a]))
+            if B.inverse_of(c) is not None]
 
-    yield from within_budget(candidates(), max_candidates)
+    slots = ([(len(ob), lambda vals, u=u: B.cells_with_frame(
+        Frame(vals[ob[A.vsrc(u)]], vals[ob[A.vtgt(u)]], F.vmor(u), G.vmor(u))))
+        for u in A.vmors] + [(len(ob), pseudo(f)) for f in A.hmors])
+    for vals, pick in _search(choices, slots, max_candidates):
+        yield HorizontalPseudoTransformation(F, G, dict(zip(A.objects, vals)),
+                                             dict(zip(A.vmors, pick)),
+                                             dict(zip(A.hmors, pick[len(A.vmors):])))
 
 
 def iter_modification_candidates(top, bottom, left, right, max_candidates=None):
     """Frame-typed modification data in the given frame, not yet filtered by
     the axioms."""
     A, B = top.src.dom, top.src.cod
-    cands = []
-    for a in A.objects:
-        want = Frame(top.at_obj[a], bottom.at_obj[a], left.at_obj[a], right.at_obj[a])
-        cands.append(B.cells_with_frame(want))
-    for pick in within_budget(itertools.product(*cands), max_candidates):
+    slots = [(0, lambda vals, a=a: B.cells_with_frame(
+        Frame(top.at_obj[a], bottom.at_obj[a], left.at_obj[a], right.at_obj[a])))
+        for a in A.objects]
+    for _, pick in _search([], slots, max_candidates):
         yield Modification(top, bottom, left, right, dict(zip(A.objects, pick)))
 
 
@@ -813,43 +788,48 @@ def hom_double(A: TableDouble, B: TableDouble, max_candidates=None) -> HomDouble
         ids[F.key()] = F.name
 
     def transformations(enumerate_, identity, prefix, store):
-        src, tgt, units = {}, {}, {}
+        src, tgt = {}, {}
         for i, F in functors.items():
             for j, G in functors.items():
                 for t in enumerate_(F, G, max_candidates):
                     x = f"{prefix}{len(store)}"
                     store[x], src[x], tgt[x] = t, i, j
                     ids[(i, j, t.key())] = x
-                    if i == j and t.key() == identity(F).key():
-                        units[i] = x
-        return src, tgt, units
+        return src, tgt, {i: ids[(i, i, identity(F).key())] for i, F in functors.items()}
 
     vsrc, vtgt, v_identity = transformations(enumerate_vertical, identity_vertical,
                                               "v", verticals)
     hsrc, htgt, h_identity = transformations(enumerate_horizontal, identity_horizontal,
                                               "h", horizontals)
 
+    def by(key, xs):
+        """The ids xs grouped by key, each group in id order."""
+        groups = {}
+        for x in xs:
+            groups.setdefault(key(x), []).append(x)
+        return groups
+
+    v_ends, v_into = by(lambda v: (vsrc[v], vtgt[v]), verticals), by(vtgt.get, verticals)
+    h_from, h_into = by(hsrc.get, horizontals), by(htgt.get, horizontals)
+
     frames = {}
     for ht_id, t in horizontals.items():
         for hb_id, b_ in horizontals.items():
-            for vl_id, s in verticals.items():
-                if not (vsrc[vl_id] == hsrc[ht_id] and vtgt[vl_id] == hsrc[hb_id]):
-                    continue
-                for vr_id, r in verticals.items():
-                    if not (vsrc[vr_id] == htgt[ht_id] and vtgt[vr_id] == htgt[hb_id]):
-                        continue
-                    for m in enumerate_modifications(t, b_, s, r, max_candidates):
+            for vl_id in v_ends.get((hsrc[ht_id], hsrc[hb_id]), ()):
+                for vr_id in v_ends.get((htgt[ht_id], htgt[hb_id]), ()):
+                    for m in enumerate_modifications(t, b_, verticals[vl_id], verticals[vr_id],
+                                                     max_candidates):
                         mid_ = f"m{len(modifications)}"
                         modifications[mid_] = m
                         frames[mid_] = fr = Frame(ht_id, hb_id, vl_id, vr_id)
                         ids[(fr, tuple(sorted(m.at_obj.items())))] = mid_
+    m_above = by(lambda m: frames[m].bottom, modifications)
+    m_left = by(lambda m: frames[m].right, modifications)
 
-    vcomp_v = {(id2, id1): id_of(compose_vertical(t2, t1))
-               for id2, t2 in verticals.items() for id1, t1 in verticals.items()
-               if vtgt[id1] == vsrc[id2]}
-    hcomp_h = {(id2, id1): id_of(hcomp_horizontal(t2, t1))
-               for id2, t2 in horizontals.items() for id1, t1 in horizontals.items()
-               if htgt[id1] == hsrc[id2]}
+    vcomp_v = {(id2, id1): id_of(compose_vertical(t2, verticals[id1]))
+               for id2, t2 in verticals.items() for id1 in v_into.get(vsrc[id2], ())}
+    hcomp_h = {(id2, id1): id_of(hcomp_horizontal(t2, horizontals[id1]))
+               for id2, t2 in horizontals.items() for id1 in h_into.get(hsrc[id2], ())}
 
     # the composites and identities of modifications, componentwise, named
     # by their frames in the tables above
@@ -857,15 +837,15 @@ def hom_double(A: TableDouble, B: TableDouble, max_candidates=None) -> HomDouble
     vcomp_c = {(lo, up): cell_id(Frame(frames[up].top, frames[lo].bottom,
                                        vcomp_v[(frames[lo].left, frames[up].left)],
                                        vcomp_v[(frames[lo].right, frames[up].right)]),
-                                 {a: B.vcomp_cell(mlo.at_obj[a], mup.at_obj[a]) for a in A.objects})
-               for lo, mlo in modifications.items() for up, mup in modifications.items()
-               if frames[up].bottom == frames[lo].top}
+                                 {a: B.vcomp_cell(mlo.at_obj[a], modifications[up].at_obj[a])
+                                  for a in A.objects})
+               for lo, mlo in modifications.items() for up in m_above.get(frames[lo].top, ())}
     hcomp_c = {(r_, l_): cell_id(Frame(hcomp_h[(frames[r_].top, frames[l_].top)],
                                        hcomp_h[(frames[r_].bottom, frames[l_].bottom)],
                                        frames[l_].left, frames[r_].right),
-                                 {a: B.hcomp_cell(mr.at_obj[a], ml.at_obj[a]) for a in A.objects})
-               for r_, mr in modifications.items() for l_, ml in modifications.items()
-               if frames[l_].right == frames[r_].left}
+                                 {a: B.hcomp_cell(mr.at_obj[a], modifications[l_].at_obj[a])
+                                  for a in A.objects})
+               for r_, mr in modifications.items() for l_ in m_left.get(frames[r_].left, ())}
     vid_cell = {h: cell_id(Frame(h, h, v_identity[hsrc[h]], v_identity[htgt[h]]),
                            {a: B.vid_of(t.at_obj[a]) for a in A.objects})
                 for h, t in horizontals.items()}
@@ -880,17 +860,12 @@ def hom_double(A: TableDouble, B: TableDouble, max_candidates=None) -> HomDouble
         return (cell_id(Frame(top, bottom, left, right), {a: p[0] for a, p in pairs.items()}),
                 cell_id(Frame(bottom, top, left, right), {a: p[1] for a, p in pairs.items()}))
 
-    assoc = {}
-    for h1, t1 in horizontals.items():
-        for h2, t2 in horizontals.items():
-            if htgt[h1] != hsrc[h2]:
-                continue
-            for h3, t3 in horizontals.items():
-                if htgt[h2] != hsrc[h3]:
-                    continue
-                assoc[(h1, h2, h3)] = globular_pair(
-                    hcomp_h[(hcomp_h[(h3, h2)], h1)], hcomp_h[(h3, hcomp_h[(h2, h1)])],
-                    {a: B.assoc_of(t1.at_obj[a], t2.at_obj[a], t3.at_obj[a]) for a in A.objects})
+    assoc = {(h1, h2, h3): globular_pair(
+                 hcomp_h[(hcomp_h[(h3, h2)], h1)], hcomp_h[(h3, hcomp_h[(h2, h1)])],
+                 {a: B.assoc_of(t1.at_obj[a], horizontals[h2].at_obj[a],
+                                horizontals[h3].at_obj[a]) for a in A.objects})
+             for h1, t1 in horizontals.items() for h2 in h_from.get(htgt[h1], ())
+             for h3 in h_from.get(htgt[h2], ())}
     lunit = {h: globular_pair(hcomp_h[(h_identity[htgt[h]], h)], h,
                               {a: B.lunit_of(t.at_obj[a]) for a in A.objects})
              for h, t in horizontals.items()}

@@ -3,11 +3,13 @@ import itertools
 
 import pytest
 
-from strawcat import Frame, product, terminal, unit_object, validate
+from strawcat import Frame, TableDouble, product, terminal, unit_object, validate
 from strawcat.homs import (
+    HorizontalPseudoTransformation,
     Modification,
     PseudoDoubleFunctor,
     Truncated,
+    VerticalTransformation,
     check_functor,
     check_horizontal,
     check_modification,
@@ -16,7 +18,7 @@ from strawcat.homs import (
     compose_vertical,
     enumerate_functors,
     enumerate_horizontal,
-    enumerate_underlying_functors,
+    enumerate_modifications,
     enumerate_vertical,
     hcomp_horizontal,
     hom_double,
@@ -109,10 +111,35 @@ def test_enumerator_matches_naive_oracle(tables):
         assert fast == slow, (a, b, len(fast), len(slow))
 
 
+def plain_underlying_functors(A, B, max_candidates=None):
+    """Functors A0 -> B0 as (obj_map, vmor_map) pairs: a product over objects
+    and non-identity vertical morphisms, each pair counted against the
+    budget before the composites are checked."""
+    vid_vals = set(A.v_identity.values())
+    nonid_v = [u for u in A.vmors if u not in vid_vals]
+
+    def candidates():
+        for objs in itertools.product(B.objects, repeat=len(A.objects)):
+            obj_map = dict(zip(A.objects, objs))
+            cands = [[v for v in B.vmors
+                      if B.vsrc(v) == obj_map[A.vsrc(u)] and B.vtgt(v) == obj_map[A.vtgt(u)]]
+                     for u in nonid_v]
+            for pick in itertools.product(*cands):
+                vmor_map = dict(zip(nonid_v, pick))
+                for a in A.objects:
+                    vmor_map[A.v_id(a)] = B.v_id(obj_map[a])
+                yield obj_map, vmor_map
+
+    return [(obj_map, vmor_map)
+            for obj_map, vmor_map in within_budget(candidates(), max_candidates)
+            if all(vmor_map[wu] == B.vcomp_vmor(vmor_map[w], vmor_map[u])
+                   for (w, u), wu in A.vcomp_vmor_table.items())]
+
+
 def product_functor_candidates(A, B, require_invertible=True, max_candidates=None):
     """The functor candidate stream as the plain product over all hmor maps,
     each expanded into its phi0, phi2 and cell candidate lists: the oracle
-    for the forward-checked search of `iter_functor_candidates`."""
+    for the search of `iter_functor_candidates`."""
     invertible = {c for c in B.cells if B.inverse_of(c) is not None}
     vid_vals = set(A.vid_cell.values())
     hid_vals = set(A.hid_cell.values())
@@ -122,7 +149,7 @@ def product_functor_candidates(A, B, require_invertible=True, max_candidates=Non
         free_cells = [c for c in A.cells if c not in vid_vals]
 
     def candidates():
-        for obj_map, vmor_map in enumerate_underlying_functors(A, B, max_candidates):
+        for obj_map, vmor_map in plain_underlying_functors(A, B, max_candidates):
             hcands = []
             for f in A.hmors:
                 cs = [x for x in B.hmors
@@ -169,6 +196,59 @@ def product_functor_candidates(A, B, require_invertible=True, max_candidates=Non
     yield from within_budget(candidates(), max_candidates)
 
 
+def product_vertical_candidates(F, G, max_candidates=None):
+    """Vertical transformation candidates as nested products: components at
+    objects, then cells at hmors."""
+    A, B = F.dom, F.cod
+    obj_cands = [[v for v in B.vmors if B.vsrc(v) == F.obj(a) and B.vtgt(v) == G.obj(a)]
+                 for a in A.objects]
+
+    def candidates():
+        for opick in itertools.product(*obj_cands):
+            at_obj = dict(zip(A.objects, opick))
+            hcands = [B.cells_with_frame(Frame(F.hmor(f), G.hmor(f), at_obj[A.hsrc(f)],
+                                               at_obj[A.htgt(f)])) for f in A.hmors]
+            for hpick in itertools.product(*hcands):
+                yield VerticalTransformation(F, G, at_obj, dict(zip(A.hmors, hpick)))
+
+    yield from within_budget(candidates(), max_candidates)
+
+
+def product_horizontal_candidates(F, G, max_candidates=None):
+    """Horizontal transformation candidates as nested products: components
+    at objects, then cells at vmors, then invertible cells at hmors."""
+    A, B = F.dom, F.cod
+    obj_cands = [[x for x in B.hmors if B.hsrc(x) == F.obj(a) and B.htgt(x) == G.obj(a)]
+                 for a in A.objects]
+
+    def candidates():
+        for opick in itertools.product(*obj_cands):
+            at_obj = dict(zip(A.objects, opick))
+            vcands = [B.cells_with_frame(Frame(at_obj[A.vsrc(u)], at_obj[A.vtgt(u)],
+                                               F.vmor(u), G.vmor(u))) for u in A.vmors]
+            hcands = []
+            for f in A.hmors:
+                src_h = B.hcomp_hmor(at_obj[A.htgt(f)], F.hmor(f))
+                tgt_h = B.hcomp_hmor(G.hmor(f), at_obj[A.hsrc(f)])
+                hcands.append([(c, B.inverse_of(c)) for c in B.globular_cells(src_h, tgt_h)
+                               if B.inverse_of(c) is not None])
+            for vpick in itertools.product(*vcands):
+                for hpick in itertools.product(*hcands):
+                    yield HorizontalPseudoTransformation(F, G, at_obj, dict(zip(A.vmors, vpick)),
+                                                         dict(zip(A.hmors, hpick)))
+
+    yield from within_budget(candidates(), max_candidates)
+
+
+def product_modification_candidates(top, bottom, left, right, max_candidates=None):
+    """Modification candidates as the product of the cells at objects."""
+    A, B = top.src.dom, top.src.cod
+    cands = [B.cells_with_frame(Frame(top.at_obj[a], bottom.at_obj[a], left.at_obj[a],
+                                      right.at_obj[a])) for a in A.objects]
+    for pick in within_budget(itertools.product(*cands), max_candidates):
+        yield Modification(top, bottom, left, right, dict(zip(A.objects, pick)))
+
+
 def _drawn_keys(candidates):
     """The keys of the candidates drawn, and whether the budget ran out."""
     keys = []
@@ -196,6 +276,55 @@ def test_functor_candidate_stream_matches_the_product_oracle(tables):
         new = _drawn_keys(iter_functor_candidates(A, B, True, mc))
         assert new == _drawn_keys(product_functor_candidates(A, B, True, mc)) == (
             _drawn_keys(iter_functor_candidates(A, B))[0][:mc], True)
+
+
+def test_transformation_and_modification_streams_match_the_product_oracles(tables):
+    # every functor pair of four homs and every well-typed frame of three;
+    # budgets under the stream length run out at the same candidate.  Only
+    # nonstrict has a frame with two cells, so only Hom(nonstrict, nonstrict)
+    # pins the order within a cell slot; no member has parallel vertical
+    # morphisms, so nothing pins the order of vertical components at objects
+    def same_streams(new, old, *args):
+        full = _drawn_keys(new(*args))
+        assert full == _drawn_keys(old(*args)) and not full[1]
+        n = len(full[0])
+        for mc in {0, n // 2, max(n - 1, 0)}:
+            assert _drawn_keys(new(*args, mc)) == _drawn_keys(old(*args, mc)) == (
+                full[0][:mc], mc < n)
+
+    for a, b in [("quintet", "quintet"), ("nonstrict", "sigmaM"), ("sigma2", "sigma2"),
+                 ("nonstrict", "nonstrict")]:
+        H = hom_double(tables[a], tables[b])
+        T, vs, hs = H.table, H.verticals, H.horizontals
+        for F in H.functors.values():
+            for G in H.functors.values():
+                same_streams(iter_vertical_candidates, product_vertical_candidates, F, G)
+                same_streams(iter_horizontal_candidates, product_horizontal_candidates, F, G)
+        if b == "sigma2":
+            continue
+        frames = [(t, b_, s, r) for ht, t in hs.items() for hb, b_ in hs.items()
+                  for vl, s in vs.items() for vr, r in vs.items()
+                  if (T.vmor_src[vl], T.vmor_tgt[vl], T.vmor_src[vr], T.vmor_tgt[vr])
+                  == (T.hmor_src[ht], T.hmor_src[hb], T.hmor_tgt[ht], T.hmor_tgt[hb])]
+        assert len(frames) == {"quintet": 11, "sigmaM": 20, "nonstrict": 140}[b]
+        for frame in frames:
+            same_streams(iter_modification_candidates, product_modification_candidates, *frame)
+
+
+def test_functor_budget_counts_the_vertical_parts(tables):
+    # product(quintet, quintet) -> product(vertfree, vertfree) has 36 object
+    # and vmor maps before their composites are checked, and 4 candidates:
+    # the budget counts both, so every budget under 36 runs out
+    A = product(tables["quintet"], tables["quintet"])
+    B = product(tables["vertfree"], tables["vertfree"])
+    for mc in (3, 4, 10, 35):
+        with pytest.raises(Truncated):
+            plain_underlying_functors(A, B, mc)
+        with pytest.raises(Truncated):
+            list(iter_functor_candidates(A, B, True, mc))
+    assert _drawn_keys(iter_functor_candidates(A, B, True, 36)) == _drawn_keys(
+        product_functor_candidates(A, B, True, 36))
+    assert len(list(iter_functor_candidates(A, B, True, 36))) == 4
 
 
 def test_functor_counts(tables):
@@ -295,13 +424,66 @@ def test_hom_double_validates(tables):
         assert rep.ok, f"Hom({a},{b}): {rep.render()}"
 
 
+def idem_s3():
+    """One object, horizontal morphisms {1, e} with e.e = e, End(e) the
+    symmetric group S3 under vertical composition, and every horizontal
+    composite of two e-cells the identity cell of e: vertical composites of
+    cells that depend on the order.  Kept out of the corpus."""
+    perms = list(itertools.permutations(range(3)))
+    s = {p: "s" + "".join(map(str, p)) for p in perms}
+    es, one_e = tuple(s.values()), s[(0, 1, 2)]
+    hmors = ("1", "e")
+
+    def comp(g, f):
+        return "e" if "e" in (g, f) else "1"
+
+    def unit(f):
+        return (one_e if f == "e" else "c1",) * 2
+
+    return TableDouble(
+        name="idemS3", objects=("o",),
+        vmors=("idv",), vmor_src={"idv": "o"}, vmor_tgt={"idv": "o"},
+        v_identity={"o": "idv"}, vcomp_vmor_table={("idv", "idv"): "idv"},
+        hmors=hmors, hmor_src={f: "o" for f in hmors}, hmor_tgt={f: "o" for f in hmors},
+        h_identity={"o": "1"},
+        hcomp_hmor_table={(g, f): comp(g, f) for g in hmors for f in hmors},
+        cells=("c1",) + es,
+        cell_frames={"c1": Frame("1", "1", "idv", "idv"),
+                     **{c: Frame("e", "e", "idv", "idv") for c in es}},
+        vcomp_cell_table={("c1", "c1"): "c1",
+                          **{(s[p], s[q]): s[tuple(p[i] for i in q)] for p in perms for q in perms}},
+        vid_cell={"1": "c1", "e": one_e},
+        hcomp_cell_table={("c1", "c1"): "c1", **{(c, "c1"): c for c in es},
+                          **{("c1", c): c for c in es}, **{(c, d): one_e for c in es for d in es}},
+        hid_cell={"idv": "c1"},
+        assoc={(f, g, h): unit(comp(comp(h, g), f)) for f in hmors for g in hmors for h in hmors},
+        lunit={f: unit(f) for f in hmors},
+        runit={f: unit(f) for f in hmors},
+    )
+
+
+def test_idem_s3_has_order_dependent_vertical_composites():
+    # Hom(terminal, idemS3) has modifications whose vertical composite
+    # depends on the order of its components, so the test below pins it
+    B = idem_s3()
+    assert validate(B).ok
+    H = hom_double(terminal(), B)
+    assert validate(H.table).ok
+    mods = H.modifications
+    flipped = [(lo, up) for (lo, up) in H.table.vcomp_cell_table
+               if B.vcomp_cell(mods[lo].at_obj["pt"], mods[up].at_obj["pt"])
+               != B.vcomp_cell(mods[up].at_obj["pt"], mods[lo].at_obj["pt"])]
+    assert len(flipped) == 18
+
+
 @pytest.mark.parametrize("a, b", [("nonstrict", "sigmaM"), ("quintet", "sigmaM"),
-                                  ("sigma2", "sigma2")])
+                                  ("sigma2", "sigma2"), ("terminal", "idemS3")])
 def test_hom_cell_tables_name_the_componentwise_modifications(tables, a, b):
     # the oracle builds each composite or identity modification whole, its
     # frame of composite or identity transformations included, and looks it up
-    H = hom_double(tables[a], tables[b])
-    T, B, id_of, mods, hs = H.table, tables[b], H.id_of, H.modifications, H.horizontals
+    members = {**tables, "idemS3": idem_s3()}
+    H = hom_double(members[a], members[b])
+    T, B, id_of, mods, hs = H.table, members[b], H.id_of, H.modifications, H.horizontals
     assert T.vcomp_cell_table and T.hcomp_cell_table and T.assoc
 
     def globular(top, bottom, pairs, i):
@@ -340,6 +522,74 @@ def test_hom_cell_tables_name_the_componentwise_modifications(tables, a, b):
         rcomp = hcomp_horizontal(t, identity_horizontal(t.src))
         pairs = {x: B.runit_of(t.at_obj[x]) for x in t.at_obj}
         assert T.runit[h] == (globular(rcomp, t, pairs, 0), globular(t, rcomp, pairs, 1))
+
+
+def _plain_hom_tables(H):
+    """Hom(A, B)'s identities, frames and composition tables rebuilt by
+    filtering every pair, triple or quadruple of ids by their endpoints."""
+    A, B, T, id_of, cell_id = H.dom, H.cod, H.table, H.id_of, H.cell_id
+    vs, hs = H.verticals, H.horizontals
+    vsrc, vtgt, hsrc, htgt = T.vmor_src, T.vmor_tgt, T.hmor_src, T.hmor_tgt
+    v_identity = {vsrc[v]: v for v, s in vs.items()
+                  if vsrc[v] == vtgt[v] and s.key() == identity_vertical(s.src).key()}
+    h_identity = {hsrc[h]: h for h, t in hs.items()
+                  if hsrc[h] == htgt[h] and t.key() == identity_horizontal(t.src).key()}
+    frames, mods = {}, {}
+    for ht, t in hs.items():
+        for hb, b_ in hs.items():
+            for vl, s in vs.items():
+                if not (vsrc[vl] == hsrc[ht] and vtgt[vl] == hsrc[hb]):
+                    continue
+                for vr, r in vs.items():
+                    if not (vsrc[vr] == htgt[ht] and vtgt[vr] == htgt[hb]):
+                        continue
+                    for m in enumerate_modifications(t, b_, s, r):
+                        mid = f"m{len(mods)}"
+                        mods[mid], frames[mid] = m, Frame(ht, hb, vl, vr)
+    vcomp_v = {(v2, v1): id_of(compose_vertical(t2, t1))
+               for v2, t2 in vs.items() for v1, t1 in vs.items() if vtgt[v1] == vsrc[v2]}
+    hcomp_h = {(h2, h1): id_of(hcomp_horizontal(t2, t1))
+               for h2, t2 in hs.items() for h1, t1 in hs.items() if htgt[h1] == hsrc[h2]}
+    vcomp_c = {(lo, up): cell_id(Frame(frames[up].top, frames[lo].bottom,
+                                       vcomp_v[(frames[lo].left, frames[up].left)],
+                                       vcomp_v[(frames[lo].right, frames[up].right)]),
+                                 {a: B.vcomp_cell(mlo.at_obj[a], mup.at_obj[a]) for a in A.objects})
+               for lo, mlo in mods.items() for up, mup in mods.items()
+               if frames[up].bottom == frames[lo].top}
+    hcomp_c = {(r, l_): cell_id(Frame(hcomp_h[(frames[r].top, frames[l_].top)],
+                                      hcomp_h[(frames[r].bottom, frames[l_].bottom)],
+                                      frames[l_].left, frames[r].right),
+                                {a: B.hcomp_cell(mr.at_obj[a], ml.at_obj[a]) for a in A.objects})
+               for r, mr in mods.items() for l_, ml in mods.items()
+               if frames[l_].right == frames[r].left}
+
+    def globular_pair(top, bottom, pairs):
+        left, right = v_identity[hsrc[top]], v_identity[htgt[top]]
+        return (cell_id(Frame(top, bottom, left, right), {a: p[0] for a, p in pairs.items()}),
+                cell_id(Frame(bottom, top, left, right), {a: p[1] for a, p in pairs.items()}))
+
+    assoc = {}
+    for h1, t1 in hs.items():
+        for h2, t2 in hs.items():
+            for h3, t3 in hs.items():
+                if htgt[h1] == hsrc[h2] and htgt[h2] == hsrc[h3]:
+                    assoc[(h1, h2, h3)] = globular_pair(
+                        hcomp_h[(hcomp_h[(h3, h2)], h1)], hcomp_h[(h3, hcomp_h[(h2, h1)])],
+                        {a: B.assoc_of(t1.at_obj[a], t2.at_obj[a], t3.at_obj[a])
+                         for a in A.objects})
+    return {"v_identity": v_identity, "h_identity": h_identity, "cell_frames": frames,
+            "vcomp_vmor_table": vcomp_v, "hcomp_hmor_table": hcomp_h,
+            "vcomp_cell_table": vcomp_c, "hcomp_cell_table": hcomp_c, "assoc": assoc}
+
+
+@pytest.mark.parametrize("a, b", [("sigmaM", "nonstrict"), ("quintet", "quintet"),
+                                  ("nonstrict", "sigma2"), ("vertfree", "quintet")])
+def test_hom_tables_match_the_all_pairs_oracle(tables, a, b):
+    # equal items in equal order: the endpoint groups keep id order
+    H = hom_double(tables[a], tables[b])
+    for name, want in _plain_hom_tables(H).items():
+        assert want, (a, b, name)
+        assert list(getattr(H.table, name).items()) == list(want.items()), (a, b, name)
 
 
 def test_hom_of_terminal_recovers_target(tables):
