@@ -18,9 +18,9 @@ built once, as integers, by `_StKernel`: the base's integer form
 (`TableDouble.interned`), which `validate` reads too, dense ids for the
 bounded paths and the st-cells, and int32 tables for the forward and inverse
 coherence isos xi.  `StrictifiedDouble.table` reads its composites from it,
-and the two largest families of the strictness oracle, hcomp associativity
-and interchange, run on it; each instance is still computed and compared,
-in batches of array gathers cut as `core.validate` cuts its own.  The kernel
+and every family of the strictness oracle but the two that hold by
+construction runs on it; each instance is still computed and compared, as
+array gathers, in batches cut as `core.validate` cuts its own.  The kernel
 validates the base on entry and refuses one that fails a structure, frame
 or globularity family, so every composite it looks up is defined.
 
@@ -30,8 +30,8 @@ recursion, `_fold`, given a nullary case, a unary case and a step; this is
 st's path description (Gurski, *Coherence in Three-Dimensional Category
 Theory*, CUP 2013).  `extend_vertical` and `extend_horizontal` build their
 path components with it too, the component dict they return serving as its
-memo.  Every walk over composable pairs and triples of paths is
-`StrictifiedDouble.composable_pairs` and `composable_triples`.
+memo.  Every walk over composable pairs of paths is
+`StrictifiedDouble.composable_pairs`; the kernel joins them into triples.
 
 Every map out of st A is a `StExtension` along eta_A: st f for f: A -> B
 is the extension of eta_B . f, the counit of a strict B that of its
@@ -44,7 +44,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import Frame, TableDouble, _batches, _parts, _ranges, is_strict, validate
+from .core import Frame, TableDouble, _ids, _parts, _ranges, is_strict, validate
 from .homs import (
     HorizontalPseudoTransformation,
     Modification,
@@ -208,17 +208,6 @@ class StrictifiedDouble:
                 out.append((p, q))
         return out
 
-    @staticmethod
-    def composable_triples(pairs, bound: int):
-        """The triples (p, q, r) with (p, q) and (q, r) in ``pairs``, which is
-        ``composable_pairs(bound)``, and len(p) + len(q) + len(r) <= bound, in
-        the order of the walk over those pairs."""
-        after = {}
-        for q, r in pairs:
-            after.setdefault(q, []).append(r)
-        return [(p, q, r) for p, q in pairs for r in after[q]
-                if len(p) + len(q) + len(r) <= bound]
-
     # -- coherence isomorphism -----------------------------------------------
 
     def xi(self, p: Path, q: Path):
@@ -362,7 +351,7 @@ class StrictifiedDouble:
             cells=tuple(cells), cell_frames={c: self.frame(c) for c in cells},
             vcomp_cell_table=vcomp, vid_cell={p: self.vid_of(p) for p in paths},
             hcomp_cell_table=hcomp, hid_cell={u: self.hid_of(u) for u in A.vmors},
-            assoc={pqr: self.assoc_of(*pqr) for pqr in self.composable_triples(pairs, bound)},
+            assoc={pqr: self.assoc_of(*pqr) for pqr in K.triples},
             lunit={p: self.lunit_of(p) for p in paths},
             runit={p: self.runit_of(p) for p in paths},
         )
@@ -409,37 +398,43 @@ def eta(A: TableDouble, S: StrictifiedDouble | None = None) -> PseudoDoubleFunct
 
 class _StKernel:
     """Bounded st A as integer ids, built once: `StrictifiedDouble.table`
-    reads its composites, and `st_strict_report` its hcomp-associativity
-    (C4) and interchange (C6) families.
+    reads its composites and triples, and `st_strict_report` runs every
+    family but C7 and C8 on it.
 
     A cell of st A is a base cell between the evaluations of its boundary
     paths, so each composite is a few lookups in small tables:
 
     * ids: ``S.paths(bound)`` and ``S.cells(bound)`` in their construction
-      order, which sorts the cells by (dom, cod, payload); base cells and
-      vmors keep the numbers of the base's integer form;
+      order: the empty paths first, in ``A.objects`` order, then by length;
+      the cells by (dom, cod, payload), so by (dom, cod length) too; base
+      cells and vmors keep the numbers of the base's integer form;
+    * per path: ``psrc``/``ptgt``, its ends as objects, which number the
+      empty paths there, ``plen``, and ``vidp``, its vertical identity's
+      payload; per st-cell: ``dom``, ``cod``, ``pay`` (payload), the
+      boundary lengths, and the payload's vertical sides in ``sides``;
     * ``cv``/``ch``: that form's vertical/horizontal composition of base
       cells, whose sentinel ``undef`` stands for "undefined"; a composite
       with either factor undefined is undefined;
-    * ``XF``/``XB``: forward/inverse ``S.xi`` on every composable pair of
-      paths within the bound (``undef`` elsewhere), and ``CAT`` the id of
-      the concatenation, or the extra path id ``len(paths)`` where there is
-      none;
-    * per st-cell: ``dom``, ``cod``, ``pay`` (payload) and the boundary
-      lengths; the payload's vertical sides are rows of the form's frames.
+    * ``pp``/``pq``: ``S.composable_pairs``; ``XF``/``XB``: forward/inverse
+      ``S.xi`` on each of them (``undef`` elsewhere); ``CAT`` the id of the
+      concatenation, or the extra path id ``len(paths)`` where there is
+      none; ``tp``/``tq``/``tr``, the composable triples as ids in the order
+      of the walk over the pairs, and ``triples`` as paths.
 
     The payload of a horizontal composite is then
     ``cv(XB[cl, cr], cv(ch(pr, pl), XF[dl, dr]))``.  ``H`` lists every
     pair (c, c') with c' a right neighbour of c (its payload starts on c's
     right side, where c.dom ends) and both boundaries within the bound,
-    ordered by c, then dom length, cod length and position of c'; ``Hpay``
-    holds their composites.  ``B`` indexes the bottom rows of interchange
-    grids: ``H`` sorted by (dom of c, dom of c', c, c'), as the doms of an
-    H pair are the cods of the H pair of their identity cells.  A family is
-    evaluated in batches of consecutive instances.  A base that fails a
-    structure, frame or globularity family is refused on entry, so every
-    composite is defined; an ``undef`` in a batch, or a composite outside
-    ``cells``, raises a `StructuralError`."""
+    ordered by c, then dom length, cod length and position of c'; per H
+    pair, ``Hpay`` is its composite's payload, ``Hd``/``Hk`` its boundaries,
+    and ``HXF``, ``HXB``, ``Hpl``, ``Hpr`` the other terms of an interchange
+    grid that depend on that pair alone.  ``B`` indexes the bottom rows of
+    interchange grids: ``H`` sorted by (dom of c, dom of c', c, c'), as the
+    doms of an H pair are the cods of the H pair of their identity cells.
+    A large family runs in batches of consecutive instances.  A base that
+    fails a structure, frame or globularity family is refused on entry, so
+    every composite is defined; an ``undef`` in a family, or a composite
+    outside ``cells``, raises a `StructuralError`."""
 
     def __init__(self, S: StrictifiedDouble, bound: int):
         A = S.base
@@ -455,38 +450,52 @@ class _StKernel:
         self.cv, self.ch, self.undef = T.cv, T.ch, T.cv.undef
         pid = {p: i for i, p in enumerate(paths)}
         self.P = P = len(paths)
+        self.psrc, self.ptgt = _ids(T.O, (p.src for p in paths)), _ids(T.O, map(S.htgt, paths))
+        self.plen = plen = np.fromiter(map(len, paths), np.intp, P)
+        self.vidp = T.vid[_ids(T.H, map(S.eps, paths))]
+        cols = [(pid[p], pid[q], pid[p + q], *(T.C[x] for x in S.xi(p, q))) for p, q in pairs]
+        pp, pq, cat, fwd, bwd = np.array(cols, np.intp).reshape(-1, 5).T.copy()
+        self.pp, self.pq = pp, pq
         self.XF, self.XB = np.full((2, P + 1, P + 1), self.undef, np.int32)
-        self.CAT = np.full((P + 1, P + 1), P, np.int32)
-        for p, q in pairs:
-            i, j = pid[p], pid[q]
-            self.CAT[i, j] = pid[p + q]
-            fwd, bwd = S.xi(p, q)
-            self.XF[i, j], self.XB[i, j] = T.C[fwd], T.C[bwd]
+        self.CAT = CAT = np.full((P + 1, P + 1), P, np.int32)
+        CAT[pp, pq], self.XF[pp, pq], self.XB[pp, pq] = cat, fwd, bwd
 
-        self.dom = dom = np.array([pid[c.dom] for c in cells], np.int64)
-        self.cod = np.array([pid[c.cod] for c in cells], np.int64)
-        self.pay = np.array([T.C[c.payload] for c in cells], np.int64)
-        left, right = T.frame[2:, self.pay]
-        self.dlen = dlen = np.array([len(c.dom) for c in cells], np.int64)
-        self.clen = clen = np.array([len(c.cod) for c in cells], np.int64)
+        # triples: each pair (p, q), then the pairs (q, r) by length of r
+        L1 = bound + 1
+        key = pp * L1 + plen[pq]
+        own, k = _ranges(key.searchsorted(pq * L1),
+                         key.searchsorted(pq * L1 + bound - plen[pp] - plen[pq], "right"))
+        self.tp, self.tq, self.tr = pp[own], pq[own], pq[k]
+        self.triples = [(paths[i], paths[j], paths[k])
+                        for i, j, k in zip(self.tp.tolist(), self.tq.tolist(), self.tr.tolist())]
+
+        self.dom = dom = _ids(pid, (c.dom for c in cells))
+        self.cod = cod = _ids(pid, (c.cod for c in cells))
+        self.pay = pay = _ids(T.C, (c.payload for c in cells))
+        self.sides = T.frame[2:]
+        left, right = self.sides[:, pay]
+        self.dlen, self.clen = dlen, clen = plen[dom], plen[cod]
+        self._vkey = dom * L1 + clen
 
         # H: the right neighbours of each cell c within the bound; the cells
         # sorted by (left side, dom length, cod length) hold the right
         # neighbours of c with dom length dl in one run per dl (a cell's
         # left side fixes where its dom starts, the base being well-framed)
-        L1 = bound + 1
         key = left * L1 * L1 + dlen * L1 + clen
         order = np.argsort(key, kind="stable")
         self._skey = key[order]
         self._want = (right * L1 * L1)[:, None] + np.arange(L1) * L1
         lo, hi = self._rights(np.arange(len(cells)), bound - dlen, bound - clen)
         run, pos = _ranges(lo.ravel(), hi.ravel())
-        self.Hl, self.Hr = run // L1, order[pos]
+        self.Hl, self.Hr = Hl, Hr = run // L1, order[pos]
         n = np.maximum(hi - lo, 0).ravel()
         self._hbase = (np.cumsum(n) - n).reshape(lo.shape) - lo    # H index - pos
-        self.Hpay = self._in_batches(self.Hl, self.Hr)
-        self.B = np.lexsort((self.Hr, self.Hl, dom[self.Hr], dom[self.Hl]))
-        self._bkey = dom[self.Hl[self.B]] * P + dom[self.Hr[self.B]]
+        self.Hpl, self.Hpr = pay[Hl], pay[Hr]
+        self.Hd, self.Hk = CAT[dom[Hl], dom[Hr]], CAT[cod[Hl], cod[Hr]]
+        self.HXF, self.HXB = self.XF[dom[Hl], dom[Hr]], self.XB[cod[Hl], cod[Hr]]
+        self.Hpay = self.cv(self.HXB, self.cv(self.ch(self.Hpr, self.Hpl), self.HXF))
+        self.B = B = np.lexsort((Hr, Hl, dom[Hr], dom[Hl]))
+        self._bkey = (dom[Hl[B]] * P + dom[Hr[B]]) * L1 + clen[Hl[B]]
 
     def composites(self):
         """The vertical and horizontal composition tables of ``cells``: each
@@ -496,12 +505,11 @@ class _StKernel:
         up, lo = _ranges(dom.searchsorted(cod), dom.searchsorted(cod, "right"))
         v = self._cell_ids(dom[up], cod[lo], self.cv(pay[lo], pay[up]))
         o = np.lexsort((Hr, Hl))
-        l, r = Hl[o], Hr[o]
-        h = self._cell_ids(self.CAT[dom[l], dom[r]], self.CAT[cod[l], cod[r]], self.Hpay[o])
+        h = self._cell_ids(self.Hd[o], self.Hk[o], self.Hpay[o])
         C = np.empty(len(self.cells), object)
         C[:] = self.cells
         return (dict(zip(zip(C[lo].tolist(), C[up].tolist()), C[v].tolist())),
-                dict(zip(zip(C[r].tolist(), C[l].tolist()), C[h].tolist())))
+                dict(zip(zip(C[Hr[o]].tolist(), C[Hl[o]].tolist()), C[h].tolist())))
 
     def _cell_ids(self, dom, cod, pay):
         """The ids of the st-cells (dom, cod, pay), each one of ``cells``."""
@@ -522,35 +530,94 @@ class _StKernel:
         hi = np.searchsorted(self._skey, want + cmax[:, None], "right")
         return lo, np.where(np.arange(self.bound + 1) <= dmax[:, None], hi, lo)
 
+    def _below(self, cs, shortest, longest):
+        """Per c in cs, the run [lo, hi) of the cells on c's cod with cod
+        length from shortest to longest (hi = lo where there is none)."""
+        at, key = self.cod[cs] * (self.bound + 1), self._vkey
+        lo = key.searchsorted(at + shortest)
+        return lo, np.maximum(lo, key.searchsorted(at + longest, "right"))
+
     def hp(self, dl, cl, pl, dr, cr, pr):
         """Payload of the horizontal composite of the cells (dl, cl, pl) and
         (dr, cr, pr), on the right; ``StrictifiedDouble.hcomp_payload`` on ids."""
         cv = self.cv
         return cv(self.XB[cl, cr], cv(self.ch(pr, pl), self.XF[dl, dr]))
 
-    def _hcomp(self, l, r):
-        d, k, p = self.dom, self.cod, self.pay
-        return self.hp(d[l], k[l], p[l], d[r], k[r], p[r])
-
-    def _in_batches(self, ls, rs):
-        return np.concatenate([np.zeros(0, np.int32),
-                               *(self._hcomp(l, r) for l, r in _batches(ls, rs))])
-
-    def _defined(self, *sides):
-        if any((x == self.undef).any() for x in sides):
+    def _require(self, rep: Report, family: str, ok, witness, *composites):
+        """`Report.require` on a batch: one instance of family per entry of
+        ok, and a finding with witness(n) for each n where ok is false, in
+        order; an undefined composite raises."""
+        if any((x == self.undef).any() for x in composites):
             raise StructuralError(f"{self.name}: undefined composite")
+        if len(ok):
+            rep.counts[family] = rep.counts.get(family, 0) + len(ok)
+        for n in np.flatnonzero(~ok).tolist():
+            rep.add(family, False, witness(n))
 
-    # -- the two families ------------------------------------------------------
+    # -- the families ----------------------------------------------------------
 
-    def hassoc(self, rep: Report) -> int:
+    def hmor(self, rep: Report):
+        """P1: concatenation's units on every path, then its associativity
+        on every composable triple."""
+        CAT, paths, i = self.CAT, self.paths, np.arange(self.P)
+        self._require(rep, "st.hmor.unit", (CAT[i, self.ptgt] == i) & (CAT[self.psrc, i] == i),
+                      lambda n: (paths[n],))
+        p, q, r = self.tp, self.tq, self.tr
+        self._require(rep, "st.hmor.assoc", CAT[CAT[p, q], r] == CAT[p, CAT[q, r]],
+                      self.triples.__getitem__)
+
+    def vunit(self, rep: Report):
+        """C1: each cell composed with the vertical identity of its cod, and
+        with that of its dom."""
+        cv, pay, vidp, cells = self.cv, self.pay, self.vidp, self.cells
+        lo, up = cv(vidp[self.cod], pay), cv(pay, vidp[self.dom])
+        self._require(rep, "st.cell.vunit", (lo == pay) & (up == pay), lambda n: (cells[n],),
+                      lo, up)
+
+    def vassoc(self, rep: Report):
+        """C2 on every chain c1, c2, c3 of cells whose four boundary paths
+        total <= bound, then on every chain of cells with unary boundaries,
+        each in the order of the loops over c1, c2 and c3."""
+        cv, pay, clen, cells = self.cv, self.pay, self.clen, self.cells
+        unary = np.flatnonzero((self.dlen == 1) & (clen == 1))
+        # (shortest cod of c2 and c3, the c1s, the budget for both cods)
+        for m, c1, budget in ((0, np.arange(len(cells)), self.bound - self.dlen - clen),
+                              (1, unary, np.full(len(unary), 2))):
+            lo, hi = self._below(c1, m, budget - m)
+            for a, z in _parts(hi - lo):
+                own, c2 = _ranges(lo[a:z], hi[a:z])
+                x1, rest = c1[a:z][own], budget[a:z][own] - clen[c2]
+                lo3, hi3 = self._below(c2, m, rest)
+                for b, y in _parts(hi3 - lo3):
+                    own, c3 = _ranges(lo3[b:y], hi3[b:y])
+                    i1, i2 = x1[b:y][own], c2[b:y][own]
+                    p1, p2, p3 = pay[i1], pay[i2], pay[c3]
+                    lhs, rhs = cv(p3, cv(p2, p1)), cv(cv(p3, p2), p1)
+                    self._require(rep, "st.cell.vassoc", lhs == rhs,
+                                  lambda n: (cells[i1[n]], cells[i2[n]], cells[c3[n]]), lhs, rhs)
+
+    def hunit(self, rep: Report):
+        """C3: each cell composed with the vertical identity of the empty
+        path on its left, then on its right, where their sides meet."""
+        d, k, pay, vidp, (lft, rgt) = self.dom, self.cod, self.pay, self.vidp, self.sides
+        el, er = self.psrc[d], self.ptgt[d]
+        c, right = np.nonzero(np.stack((rgt[vidp[el]] == lft[pay], rgt[pay] == lft[vidp[er]]), 1))
+        e = np.where(right, er[c], el[c])
+        cell, unit = (d[c], k[c], pay[c]), (e, e, vidp[e])
+        (dl, cl, pl), (dr, cr, pr) = ([np.where(right, *xy) for xy in zip(*sides)]
+                                      for sides in ((cell, unit), (unit, cell)))
+        got = self.hp(dl, cl, pl, dr, cr, pr)
+        ok = (got == pay[c]) & (self.CAT[dl, dr] == d[c]) & (self.CAT[cl, cr] == k[c])
+        self._require(rep, "st.cell.hunit", ok, lambda n: (self.cells[c[n]],), got)
+
+    def hassoc(self, rep: Report):
         """C4 on every triple (c1, c2, c3) of H-neighbours whose dom and cod
         lengths each total <= bound, except for c1 with both boundaries
-        at the bound; returns the number of instances."""
-        b, Hl, Hr, Hpay = self.bound, self.Hl, self.Hr, self.Hpay
-        d, k, pay, CAT = self.dom, self.cod, self.pay, self.CAT
-        dlen, clen, cells = self.dlen, self.clen, self.cells
+        at the bound; counted even when there is none."""
+        b, Hl, Hr, Hpay, Hd, Hk = self.bound, self.Hl, self.Hr, self.Hpay, self.Hd, self.Hk
+        d, k, pay, dlen, clen, cells = self.dom, self.cod, self.pay, self.dlen, self.clen, self.cells
+        rep.counts.setdefault("st.cell.hassoc", 0)
         outer = np.flatnonzero((dlen[Hl] < b) | (clen[Hl] < b))
-        n = 0
         # each outer pair has b + 1 runs of right neighbours, one per dom length
         for a, z in _parts(np.full(len(outer), b + 1)):
             chunk = outer[a:z]
@@ -561,39 +628,39 @@ class _StKernel:
                 run, pos = _ranges(lo[r0:r1].ravel(), hi[r0:r1].ravel())
                 h12 = chunk[r0:r1][run // (b + 1)]
                 h23 = hbase[r0:r1].ravel()[run] + pos
-                l, m, r = Hl[h12], Hr[h12], Hr[h23]
-                lhs = self.hp(CAT[d[l], d[m]], CAT[k[l], k[m]], Hpay[h12], d[r], k[r], pay[r])
-                rhs = self.hp(d[l], k[l], pay[l], CAT[d[m], d[r]], CAT[k[m], k[r]], Hpay[h23])
-                self._defined(lhs, rhs)
-                for i in np.flatnonzero(lhs != rhs).tolist():
-                    rep.add("st.cell.hassoc", False, (cells[l[i]], cells[m[i]], cells[r[i]]))
-                n += len(h12)
-        return n
+                l, r = Hl[h12], Hr[h23]
+                lhs = self.hp(Hd[h12], Hk[h12], Hpay[h12], d[r], k[r], pay[r])
+                rhs = self.hp(d[l], k[l], pay[l], Hd[h23], Hk[h23], Hpay[h23])
+                self._require(rep, "st.cell.hassoc", lhs == rhs,
+                              lambda n: (cells[l[n]], cells[Hr[h12[n]]], cells[r[n]]), lhs, rhs)
 
-    def interchange(self, rep: Report) -> int:
+    def vid_mult(self, rep: Report):
+        """C5: the vertical identities of each composable pair of paths,
+        composed, against that of the concatenation."""
+        pp, pq, vidp, paths = self.pp, self.pq, self.vidp, self.paths
+        got = self.hp(pp, pp, vidp[pp], pq, pq, vidp[pq])
+        self._require(rep, "st.vid.mult", got == vidp[self.CAT[pp, pq]],
+                      lambda n: (paths[pp[n]], paths[pq[n]]), got)
+
+    def interchange(self, rep: Report):
         """C6 on every 2x2 grid: (l1, r1) in H, l2 below l1 and r2 below r1
         with l2's right side r2's left side, and the cod lengths of each row
-        totalling <= bound; returns the number of instances."""
-        Hl, Hr, cells = self.Hl, self.Hr, self.cells
-        p, cv = self.pay, self.cv
-        key = self.cod[Hl] * self.P + self.cod[Hr]
-        lo, hi = self._bkey.searchsorted(key), self._bkey.searchsorted(key, "right")
-        n = 0
+        totalling <= bound; counted even when there is none."""
+        Hl, Hr, Hpl, Hpr, cells, cv = self.Hl, self.Hr, self.Hpl, self.Hpr, self.cells, self.cv
+        rep.counts.setdefault("st.interchange", 0)
+        # the bottom rows under H pair h are a run of B, sorted by l2's cod
+        # length (cells on one dom sort by cod), so the bounded ones lead it
+        key = (self.cod[Hl] * self.P + self.cod[Hr]) * (self.bound + 1)
+        lo = self._bkey.searchsorted(key)
+        hi = self._bkey.searchsorted(key + self.bound - self.clen[Hr], "right")
         for a, z in _parts(hi - lo):
             own, bi = _ranges(lo[a:z], hi[a:z])
             h, b = own + a, self.B[bi]
-            keep = np.flatnonzero(self.clen[Hl[b]] + self.clen[Hr[h]] <= self.bound)
-            h, b = h[keep], b[keep]
-            l1, r1, l2, r2 = Hl[h], Hr[h], Hl[b], Hr[b]
             lhs = cv(self.Hpay[b], self.Hpay[h])
-            rhs = self.hp(self.dom[l1], self.cod[l2], cv(p[l2], p[l1]),
-                          self.dom[r1], self.cod[r2], cv(p[r2], p[r1]))
-            self._defined(lhs, rhs)
-            for i in np.flatnonzero(lhs != rhs).tolist():
-                rep.add("st.interchange", False,
-                        (cells[l1[i]], cells[r1[i]], cells[l2[i]], cells[r2[i]]))
-            n += len(h)
-        return n
+            mid = self.ch(cv(Hpr[b], Hpr[h]), cv(Hpl[b], Hpl[h]))
+            rhs = cv(self.HXB[b], cv(mid, self.HXF[h]))
+            self._require(rep, "st.interchange", lhs == rhs, lambda n: (
+                cells[Hl[h[n]]], cells[Hr[h[n]]], cells[Hl[b[n]]], cells[Hr[b[n]]]), lhs, rhs)
 
 
 def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
@@ -614,84 +681,16 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
     base first: if it fails a ``structure.*``, ``frame.*`` or ``*.globular``
     family of `validate`, some composite of st A is undefined, and a
     `StructuralError` names the first such failure and its witness.  A base
-    that fails only axiom families is checked as any other.  Hcomp
-    associativity (C4) and interchange (C6) run on the kernel's ids: the
-    bounded paths and st-cells get dense ids, xi becomes int32 tables over
-    the base's integer form, and an instance becomes a handful of array
-    gathers.  Failures are reported in loop order with their st-cell
+    that fails only axiom families is checked as any other.  Every family
+    but C7 and C8, which hold by construction, runs on the kernel's ids,
+    an instance as a handful of array gathers; each is still computed and
+    compared, and failures come in loop order with path and st-cell
     witnesses.
     """
     A, K = S.base, _StKernel(S, bound)
     rep = Report(f"strict({S.name})", params={"bound": bound})
-    all_paths, pairs, cells = K.paths, K.pairs, K.cells
-
-    # P1: concatenation associativity and units
-    for p in all_paths:
-        rep.require("st.hmor.unit",
-                    S.hcomp_hmor(S.h_id(S.htgt(p)), p) == p
-                    and S.hcomp_hmor(p, S.h_id(p.src)) == p, (p,))
-    triples = S.composable_triples(pairs, bound)   # walked again by C8
-    for p, q, r in triples:
-        rep.require("st.hmor.assoc",
-                    S.hcomp_hmor(r, S.hcomp_hmor(q, p)) ==
-                    S.hcomp_hmor(S.hcomp_hmor(r, q), p), (p, q, r))
-
-    # C1: vertical identity cells are neutral
-    for c in cells:
-        rep.require("st.cell.vunit",
-                    S.vcomp_cell(S.vid_of(c.cod), c) == c
-                    and S.vcomp_cell(c, S.vid_of(c.dom)) == c, (c,))
-
-    # C2: vertical associativity: bounded total-length chains + unary stratum
-    small = [c for c in cells if len(c.dom) + len(c.cod) <= bound]
-    small_by_dom = {}
-    for c in small:
-        small_by_dom.setdefault(c.dom, []).append(c)
-    for c1 in small:
-        budget = bound - len(c1.dom) - len(c1.cod)
-        for c2 in small_by_dom.get(c1.cod, ()):
-            if len(c2.cod) > budget:
-                continue
-            c12 = S.vcomp_cell(c2, c1)
-            for c3 in small_by_dom.get(c2.cod, ()):
-                if len(c2.cod) + len(c3.cod) > budget:
-                    continue
-                lhs = S.vcomp_cell(c3, c12)
-                rhs = S.vcomp_cell(S.vcomp_cell(c3, c2), c1)
-                rep.require("st.cell.vassoc", lhs == rhs, (c1, c2, c3))
-    unary = [c for c in cells if len(c.dom) == 1 and len(c.cod) == 1]
-    unary_by_dom = {}
-    for c in unary:
-        unary_by_dom.setdefault(c.dom, []).append(c)
-    for c1 in unary:
-        for c2 in unary_by_dom.get(c1.cod, ()):
-            c12 = S.vcomp_cell(c2, c1)
-            for c3 in unary_by_dom.get(c2.cod, ()):
-                lhs = S.vcomp_cell(c3, c12)
-                rhs = S.vcomp_cell(S.vcomp_cell(c3, c2), c1)
-                rep.require("st.cell.vassoc", lhs == rhs, (c1, c2, c3))
-
-    # C3: horizontal unit cells (empty paths) are neutral for hcomp
-    for c in cells:
-        e_l = S.vid_of(S.h_id(c.dom.src))
-        e_r = S.vid_of(S.h_id(S.htgt(c.dom)))
-        fr = A.frame(c.payload)
-        if A.frame(e_l.payload).right == fr.left:
-            rep.require("st.cell.hunit", S.hcomp_cell(c, e_l) == c, (c,))
-        if fr.right == A.frame(e_r.payload).left:
-            rep.require("st.cell.hunit", S.hcomp_cell(e_r, c) == c, (c,))
-
-    # C4: hcomp associativity within total bound; compared on payloads since
-    # boundary paths agree by concatenation associativity (family P1)
-    rep.counts["st.cell.hassoc"] = K.hassoc(rep)
-
-    # C5: vid multiplicative over concatenation
-    for p, q in pairs:
-        rep.require("st.vid.mult",
-                    S.hcomp_cell(S.vid_of(q), S.vid_of(p)) == S.vid_of(p + q), (p, q))
-
-    # C6: interchange on bounded 2x2 grids (payload comparison, as in C4)
-    rep.counts["st.interchange"] = K.interchange(rep)
+    for family in (K.hmor, K.vunit, K.vassoc, K.hunit, K.hassoc, K.vid_mult, K.interchange):
+        family(rep)                                 # P1, C1-C6
 
     # C7: horizontal identities functorial
     for a in A.objects:
@@ -702,11 +701,11 @@ def st_strict_report(S: StrictifiedDouble, bound: int) -> Report:
                     S.vcomp_cell(S.hid_of(w), S.hid_of(u)) == S.hid_of(wu), (u, w))
 
     # C8: all constraints are identity cells
-    for p, q, r in triples:
+    for p, q, r in K.triples:
         c, d = S.assoc_of(p, q, r)
         rep.require("st.constraint.identity",
                     c == S.vid_of(p + q + r) and d == c, (p, q, r))
-    for p in all_paths:
+    for p in K.paths:
         rep.require("st.constraint.identity",
                     S.lunit_of(p)[0] == S.vid_of(p) and S.runit_of(p)[0] == S.vid_of(p), (p,))
 

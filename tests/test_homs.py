@@ -278,20 +278,24 @@ def test_functor_candidate_stream_matches_the_product_oracle(tables):
             _drawn_keys(iter_functor_candidates(A, B))[0][:mc], True)
 
 
+def same_streams(new, old, *args):
+    """The candidate streams new(*args) and old(*args) draw the same keys,
+    and run out at the same candidate under budgets below their length."""
+    full = _drawn_keys(new(*args))
+    assert full == _drawn_keys(old(*args)) and not full[1]
+    n = len(full[0])
+    for mc in {0, n // 2, max(n - 1, 0)}:
+        assert _drawn_keys(new(*args, mc)) == _drawn_keys(old(*args, mc)) == (
+            full[0][:mc], mc < n)
+
+
 def test_transformation_and_modification_streams_match_the_product_oracles(tables):
     # every functor pair of four homs and every well-typed frame of three;
     # budgets under the stream length run out at the same candidate.  Only
     # nonstrict has a frame with two cells, so only Hom(nonstrict, nonstrict)
     # pins the order within a cell slot; no member has parallel vertical
-    # morphisms, so nothing pins the order of vertical components at objects
-    def same_streams(new, old, *args):
-        full = _drawn_keys(new(*args))
-        assert full == _drawn_keys(old(*args)) and not full[1]
-        n = len(full[0])
-        for mc in {0, n // 2, max(n - 1, 0)}:
-            assert _drawn_keys(new(*args, mc)) == _drawn_keys(old(*args, mc)) == (
-                full[0][:mc], mc < n)
-
+    # morphisms, so the order of vertical components at objects is pinned
+    # on the test-only vertZ2 below
     for a, b in [("quintet", "quintet"), ("nonstrict", "sigmaM"), ("sigma2", "sigma2"),
                  ("nonstrict", "nonstrict")]:
         H = hom_double(tables[a], tables[b])
@@ -474,6 +478,52 @@ def test_idem_s3_has_order_dependent_vertical_composites():
                if B.vcomp_cell(mods[lo].at_obj["pt"], mods[up].at_obj["pt"])
                != B.vcomp_cell(mods[up].at_obj["pt"], mods[lo].at_obj["pt"])]
     assert len(flipped) == 18
+
+
+def vertical_z2():
+    """One object, vertical morphisms {idv, u} with u.u = idv, and only the
+    identity horizontal morphism and identity cells: two parallel vertical
+    morphisms.  Kept out of the corpus."""
+    vs = ("idv", "u")
+    hid = {"idv": "c", "u": "cu"}
+
+    def comp(w, v):
+        return "u" if (w == "u") != (v == "u") else "idv"
+
+    return TableDouble(
+        name="vertZ2", objects=("o",),
+        vmors=vs, vmor_src={v: "o" for v in vs}, vmor_tgt={v: "o" for v in vs},
+        v_identity={"o": "idv"},
+        vcomp_vmor_table={(w, v): comp(w, v) for w in vs for v in vs},
+        hmors=("1",), hmor_src={"1": "o"}, hmor_tgt={"1": "o"}, h_identity={"o": "1"},
+        hcomp_hmor_table={("1", "1"): "1"},
+        cells=("c", "cu"), cell_frames={hid[v]: Frame("1", "1", v, v) for v in vs},
+        vcomp_cell_table={(hid[w], hid[v]): hid[comp(w, v)] for w in vs for v in vs},
+        vid_cell={"1": "c"},
+        hcomp_cell_table={("c", "c"): "c", ("cu", "cu"): "cu"},
+        hid_cell=hid,
+        assoc={("1", "1", "1"): ("c", "c")}, lunit={"1": ("c", "c")}, runit={"1": ("c", "c")},
+    )
+
+
+def test_parallel_vertical_morphisms_are_tried_in_table_order():
+    # into vertZ2, a vertical component at an object and the image of u both
+    # have two choices; the streams try them in B.vmors order, as the
+    # product oracles do
+    B = vertical_z2()
+    assert validate(B).ok
+    for A in (terminal(), B):
+        for inv in (True, False):
+            keys, _ = _drawn_keys(iter_functor_candidates(A, B, inv))
+            assert (keys, False) == _drawn_keys(product_functor_candidates(A, B, inv))
+            if A is B:
+                assert [dict(k[2])["u"] for k in keys] == ["idv", "u"]
+        H = hom_double(A, B)
+        for F in H.functors.values():
+            for G in H.functors.values():
+                same_streams(iter_vertical_candidates, product_vertical_candidates, F, G)
+                assert [t.at_obj[A.objects[0]] for t in iter_vertical_candidates(F, G)] == [
+                    "idv", "u"]
 
 
 @pytest.mark.parametrize("a, b", [("nonstrict", "sigmaM"), ("quintet", "sigmaM"),
