@@ -507,10 +507,10 @@ def _slot_perm(hit, Gf, base):
 @dataclass(frozen=True)
 class EnvComposition:
     """Composition and tensor in an envelope as two int32 tables over
-    positions in E.morphisms (index).  g after f sits at table[row[g] +
-    col[f]], and table[t] is pair_g[t] after pair_f[t], both int32 too;
-    f x g sits at tensors[trow[f] + tcol[g]] wherever their doms and their
-    cods each total within the word cap.  dom and cod are word positions."""
+    positions in E.morphisms (index); dom and cod are word positions.  g
+    after f sits at table[row[g] + col[f]], in blocks by_dom[k] x by_cod[k]
+    word by word, g-major, with no column of pairs kept (see pairs).  f x g
+    sits at tensors[trow[f] + tcol[g]] where doms and cods fit the cap."""
     index: dict
     dom: np.ndarray
     cod: np.ndarray
@@ -518,8 +518,6 @@ class EnvComposition:
     by_cod: list
     row: np.ndarray
     col: np.ndarray
-    pair_g: np.ndarray
-    pair_f: np.ndarray
     table: np.ndarray
     trow: np.ndarray
     tcol: np.ndarray
@@ -527,6 +525,16 @@ class EnvComposition:
 
     def __call__(self, g, f):
         return self.table[self.row[g] + self.col[f]]
+
+    def pairs(self, t):
+        """The pair (g, f) at table positions t, as two columns, by block
+        arithmetic: t's word block k, then its place there, g-major."""
+        ng, nf = (np.array([len(x) for x in xs]) for xs in (self.by_dom, self.by_cod))
+        end = np.cumsum(ng * nf)
+        k = np.searchsorted(end, t, "right")
+        gi, fi = np.divmod(t - end[k] + ng[k] * nf[k], nf[k])
+        return (np.concatenate(self.by_dom)[np.cumsum(ng)[k] - ng[k] + gi],
+                np.concatenate(self.by_cod)[np.cumsum(nf)[k] - nf[k] + fi])
 
     def tensor(self, f, g):
         """The positions of f x g for positions f and g, broadcast together."""
@@ -590,8 +598,8 @@ class EnvelopeCategory:
 
     @cached_property
     def composition(self) -> EnvComposition:
-        """Every composite g after f, by integer gathers over batches of
-        pairs in table order, and every tensor product within the word cap.
+        """Every composite g after f, by gathers over batches of pairs in table
+        order, word block by word block, and every tensor product within the cap.
         Slot k of g after f is gamma of g's fiber at k on f's fibers at the
         inputs g feeds into k, which arrive by f's output, then by position;
         the action restores input order where that differs (_slot_perm).
@@ -617,8 +625,6 @@ class EnvelopeCategory:
             col[fs] = np.arange(len(fs))
             row[gs] = start + len(fs) * np.arange(len(gs))
             start += len(gs) * len(fs)
-        pair_g = np.concatenate([np.repeat(g, len(f)) for g, f in zip(by_dom, by_cod)])
-        pair_f = np.concatenate([np.tile(f, len(g)) for g, f in zip(by_dom, by_cod)])
 
         form = V.interned()
         G = _padded([f.idx for f in mors], width).T
@@ -649,10 +655,12 @@ class EnvelopeCategory:
         def frame_of(d, c, Gx):
             return frame[block[d, c] + map_rank(Gx, wlen[c])]
 
-        table = np.empty(len(pair_g), dtype=np.int32)
-        for lo in range(0, len(pair_g), _BATCH):
-            t = slice(lo, lo + _BATCH)
-            g, f = pair_g[t].astype(np.int64), pair_f[t].astype(np.int64)
+        table, end = np.empty(start, dtype=np.int32), 0
+        batches = ((gs[rows, None], fs[cols]) for gs, fs in zip(by_dom, by_cod) if len(fs)
+                   for rows, cols in _blocks(len(gs), len(fs)))
+        for g, f in batches:
+            g, f = (x.ravel().astype(np.int64) for x in np.broadcast_arrays(g, f))
+            t, end = slice(end, end + len(g)), end + len(g)
             # the composite's index map, g's after f's, and its frame
             Gf = G.take(f, axis=1)
             cidx = np.where(Gf >= 0, G.take(Gf * nm + g), -1)
@@ -701,7 +709,7 @@ class EnvelopeCategory:
             raise StructuralError(f"{V.name}: a tensor product is not a morphism of the envelope")
         tensors = np.full(len(tf), -1, dtype=np.int32)
         tensors[fits] = first[at] + fg
-        return EnvComposition(index, dom, cod, by_dom, by_cod, row, col, pair_g, pair_f, table,
+        return EnvComposition(index, dom, cod, by_dom, by_cod, row, col, table,
                               trow, np.argsort(by_key), tensors)
 
     def compose(self, g: EnvMor, f: EnvMor) -> EnvMor:
@@ -754,24 +762,24 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     env.assoc count among the morphisms between short words only.  Every
     family reads E.composition alone: its two int32 tables, every composite
     g after f and every tensor product within the cap, and the positions
-    of identities and symmetries.  The structural-associativity and
-    tensor-functoriality strata compare their grids in row-major blocks of
-    about _BATCH instances, so memory stays bounded by the table, not by
-    the strata.  The two associativity strata report their first violation
-    per outer (short words) or middle (structural) morphism; every other
-    family reports each violated instance.
+    of identities and symmetries.  The structural-associativity stratum
+    and tensor functoriality, per pair of middle words, compare their grids
+    in blocks of about _BATCH instances and store no pair of the table, so
+    memory stays bounded by the table, not by the strata.  The two
+    associativity strata report their first violation per outer (short
+    words) or middle (structural) morphism; every other family reports
+    each violated instance.
     """
     rep = Report(f"validate_envelope({E.V.name})",
                  params={"word_cap": E.word_cap, "assoc_full_len": assoc_full_len})
     cap, words = E.word_cap, E.objects
     comp = E.composition
     index, dom, cod, tensor = comp.index, comp.dom, comp.cod, comp.tensor
-    by_dom, by_cod = comp.by_dom, comp.by_cod
-    pair_g, pair_f, table = comp.pair_g, comp.pair_f, comp.table
-    row, col = comp.row, comp.col
+    by_dom, by_cod, table, row, col = comp.by_dom, comp.by_cod, comp.table, comp.row, comp.col
     nm = len(dom)
     wid = {w: k for k, w in enumerate(words)}
     wlen = np.array([len(w) for w in words])
+    ld, lc = wlen[dom], wlen[cod]
 
     # identities
     ids = np.arange(nm)
@@ -782,33 +790,32 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
 
     # associativity on the full subcategory of short words: h.(g.f) ==
     # (h.g).f over every composable triple, reporting per outer h the first
-    # violation in (g, f) order, by positions among the short morphisms
-    short = (wlen[dom] <= assoc_full_len) & (wlen[cod] <= assoc_full_len)
+    # violation in (g, f) order, by positions among the short morphisms;
+    # the pairs under h are the short g into h's dom, each with the short f
+    # into g's dom (into[k]: the short morphisms into word k)
+    short = (ld <= assoc_full_len) & (lc <= assoc_full_len)
     spos = np.cumsum(short) - 1
-    t = np.flatnonzero(short[pair_g] & short[pair_f])
-    t = t[np.lexsort((pair_f[t], pair_g[t], cod[pair_g[t]]))]
-    runs = np.searchsorted(cod[pair_g[t]], np.arange(len(words) + 1))
+    into = [fs[short[fs]] for fs in by_cod]
+    runs = [(np.repeat(gs, [len(into[k]) for k in dom[gs]]),
+             np.concatenate([np.empty(0, dtype=np.int32), *(into[k] for k in dom[gs])]))
+            for gs in into]
+    runs = [(g, f, comp(g, f)) for g, f in runs]
     n_assoc = 0
     for hpos, h in enumerate(np.flatnonzero(short)):
-        run = t[runs[dom[h]]:runs[dom[h] + 1]]
-        g, f = pair_g[run], pair_f[run]
-        bad = np.flatnonzero(comp(h, table[run]) != comp(comp(h, g), f))
-        n_assoc += len(run)
+        g, f, gf = runs[dom[h]]
+        bad = np.flatnonzero(comp(h, gf) != comp(comp(h, g), f))
+        n_assoc += len(g)
         if len(bad):
             rep.add("env.assoc", False,
                     (hpos, int(spos[g[bad[0]]]), int(spos[f[bad[0]]])))
     rep.params["assoc_instances_small"] = n_assoc
 
     # associativity at the cap: (g.s).f == g.(s.f) for every structural s
-    structural = set(id_of.tolist())
     sym = np.full((len(words), len(words)), -1, dtype=np.int64)
-    for w1 in words:
-        for w2 in words:
-            if len(w1) + len(w2) <= cap:
-                sym[wid[w1], wid[w2]] = index[E.symmetry(w1, w2)]
-    structural.update(sym[sym >= 0].tolist())
+    for k1, k2 in zip(*np.nonzero(wlen[:, None] + wlen <= cap)):
+        sym[k1, k2] = index[E.symmetry(words[k1], words[k2])]
     n_struct = 0
-    for s in sorted(structural):
+    for s in sorted(set(id_of.tolist()) | set(sym[sym >= 0].tolist())):
         f_ids, g_ids = by_cod[dom[s]], by_dom[cod[s]]
         gs, sf = comp(g_ids, s), comp(s, f_ids)
         n_struct += len(g_ids) * len(f_ids)
@@ -826,42 +833,35 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
     unit = id_of[wid[()]]
     _fail(rep, "env.tensor.unit", nm, (tensor(ids, unit) != ids) | (tensor(unit, ids) != ids),
           lambda i: (int(i),))
-    small = np.flatnonzero(wlen[dom] + wlen[cod] <= 3)
-    ld, lc = wlen[dom[small]], wlen[cod[small]]
-    f, g, h = (small[x] for x in np.nonzero((ld[:, None, None] + ld[:, None] + ld <= cap)
-                                            & (lc[:, None, None] + lc[:, None] + lc <= cap)))
+    small = np.flatnonzero(ld + lc <= 3)
+    a, c = ld[small], lc[small]
+    f, g, h = (small[x] for x in np.nonzero((a[:, None, None] + a[:, None] + a <= cap)
+                                            & (c[:, None, None] + c[:, None] + c <= cap)))
     _fail(rep, "env.tensor.assoc", len(f), tensor(tensor(f, g), h) != tensor(f, tensor(g, h)),
           lambda i: (int(f[i]), int(g[i]), int(h[i])))
 
-    # tensor functoriality over every two composable pairs, bucketed by the
-    # length profile (dom, mid, cod) of each pair; a bucket holds its pairs'
-    # table positions in table order, which is word by word, g-major
-    buckets = {}
-    for k, w in enumerate(words):
-        gs, fs = by_dom[k], by_cod[k]
-        for c in range(cap + 1):
-            g = gs[wlen[cod[gs]] == c]
-            for a in range(cap + 1):
-                f = fs[wlen[dom[fs]] == a]
-                if len(g) and len(f):
-                    buckets.setdefault((a, len(w), c), []).append(
-                        (row[g][:, None] + col[f]).ravel().astype(np.int32))
-    buckets = {p: np.concatenate(runs) for p, runs in sorted(buckets.items())}
-    n_fun = 0
-    for (a1, b1, c1), t1 in buckets.items():
-        for (a2, b2, c2), t2 in buckets.items():
-            if a1 + a2 > cap or b1 + b2 > cap or c1 + c2 > cap:
-                continue
-            g2, f2, gf2 = pair_g[t2], pair_f[t2], table[t2]
-            for rows, cols in _blocks(len(t1), len(t2)):
-                t = t1[rows, None]
-                g1, f1, g, f = pair_g[t], pair_f[t], g2[cols], f2[cols]
-                lhs = tensor(table[t], gf2[cols])
-                rhs = comp(tensor(g1, g), tensor(f1, f))
-                for i, j in np.argwhere(lhs != rhs):
-                    rep.add("env.tensor.functorial", False,
-                            (int(f1[i, 0]), int(g1[i, 0]), int(f[j]), int(g[j])))
-            n_fun += len(t1) * len(t2)
+    # tensor functoriality: g1.f1 x g2.f2 == (g1 x g2).(f1 x f2), per pair of
+    # middle words over the (g1, g2) and (f1, f2) that fit the cap, reading
+    # the word blocks of the table as views; findings come in the order of
+    # pairs bucketed by (dom, mid, cod) lengths, each in table order, which
+    # is (g, f) order as E.morphisms run dom word by dom word
+    ends = np.cumsum([len(g) * len(f) for g, f in zip(by_dom, by_cod)])
+    block = [b.reshape(len(g), len(f))
+             for b, g, f in zip(np.split(table, ends[:-1]), by_dom, by_cod)]
+    found, n_fun = [], 0
+    for k1, k2 in zip(*np.nonzero(wlen[:, None] + wlen <= cap)):
+        g1, g2, f1, f2 = by_dom[k1], by_dom[k2], by_cod[k1], by_cod[k2]
+        gi, gj = np.nonzero(lc[g1, None] + lc[g2] <= cap)
+        fi, fj = np.nonzero(ld[f1, None] + ld[f2] <= cap)
+        n_fun += len(gi) * len(fi)
+        rows, cols = row[tensor(g1[gi], g2[gj])], col[tensor(f1[fi], f2[fj])]
+        for r, c in _blocks(len(gi), len(fi)):
+            lhs = tensor(block[k1][gi[r, None], fi[c]], block[k2][gj[r, None], fj[c]])
+            for p, q in np.argwhere(lhs != table[rows[r, None] + cols[c]]):
+                x, y = (g1[gi[r][p]], f1[fi[c][q]]), (g2[gj[r][p]], f2[fj[c][q]])
+                found.append((ld[x[1]], wlen[k1], lc[x[0]], ld[y[1]], wlen[k2], lc[y[0]], x, y))
+    for *_, (g1, f1), (g2, f2) in sorted(found):
+        rep.add("env.tensor.functorial", False, (int(f1), int(g1), int(f2), int(g2)))
     rep.params["tensor_functoriality_instances"] = n_fun
 
     # symmetry: involution per pair of words within the cap, the hexagon
@@ -878,7 +878,7 @@ def validate_envelope(E: EnvelopeCategory, assoc_full_len: int = 3) -> Report:
           != comp(tensor(id_of[w2], sym[w1, w3]), tensor(sym[w1, w2], id_of[w3])),
           lambda i: (words[w1[i]], words[w2[i]], words[w3[i]]))
     by_profile = {}
-    for i, pf in enumerate(zip(wlen[dom].tolist(), wlen[cod].tolist())):
+    for i, pf in enumerate(zip(ld.tolist(), lc.tolist())):
         by_profile.setdefault(pf, []).append(i)
     n_nat = 0
     for p1, p2 in itertools.product(sorted(by_profile), repeat=2):
