@@ -18,6 +18,8 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, compress, repeat
+from operator import and_, itemgetter, not_
 
 from .core import Frame, TableDouble, is_strict, validate
 from .homs import Truncated
@@ -27,6 +29,23 @@ SCHEMA_VERSION = 1
 SECTIONS = ("OBJECTS", "VMORS", "HMORS", "CELLS", "VCOMP", "HCOMP",
             "VID", "HID", "ASSOC", "UNITORS")
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+_HEADERS = frozenset(SECTIONS + ("BICATEGORY",))
+# from '#' to the end of its line, for each line end that str.splitlines knows
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+_CELL = re.compile(r"\s*(\w+)\s*:\s*(\w+)\s*=>\s*(\w+)\s*\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*")
+# A table row: its width, a getter of its fixed tokens and the values they may
+# take, the tokens it keeps (names, checked in order), and the message if misshapen.
+_TABLES = {
+    "VCOMP": (5, itemgetter(1, 3), {(".", "=")}, (0, 2, 4), "expected 'x . y = z'"),
+    "HCOMP": (5, itemgetter(1, 3), {("*", "=")}, (0, 2, 4), "expected 'x * y = z'"),
+    "VID": (3, itemgetter(1), {"="}, (0, 2), "expected 'mor = cell'"),
+    "HID": (3, itemgetter(1), {"="}, (0, 2), "expected 'mor = cell'"),
+    "ASSOC": (6, itemgetter(3), {"="}, (0, 1, 2, 4, 5), "expected 'f g h = cell inverse'"),
+    "UNITORS": (5, itemgetter(0, 2), {("l", "="), ("r", "=")}, (0, 1, 3, 4),
+                "expected 'l|r hmor = cell inverse'"),
+}
+_BLOCK = 250        # lines read at a time; a table's rows among them are checked as columns
+_COLUMNS = 8        # unless they are fewer: then the rows are read one by one
 
 
 class ParseError(Exception):
@@ -57,99 +76,95 @@ class Presentation:
     lines: dict = field(default_factory=dict)            # name -> line number
 
 
-def _tokens(line: str):
-    # A name recurs in thousands of rows (ASSOC has n**3 of them); one
-    # interned string per name keeps a table's size in its row count alone.
-    return [sys.intern(t) for t in line.split()]
-
-
 def parse(text: str, name: str = "anonymous") -> Presentation:
+    """Read a .pdc text a block of lines at a time.  A table's rows in a block
+    are checked as columns; rows that fail, or fewer than _COLUMNS, are read
+    row by row, to name the first bad line.  Each name is one interned string."""
     p = Presentation(name=name)
-    section = None
-    declared = set()
-    well_formed = set()         # each distinct token is matched once
+    lines = (_COMMENT.sub("", text) if "#" in text else text).splitlines()
+    # canon: each well-formed name read so far, interned, and a unitor's sides
+    declared, canon = set(), {"l": "l", "r": "r"}
 
-    def check_name(tok, lineno, col=1, declare=False):
-        if tok not in well_formed:
-            if not NAME_RE.match(tok):
-                raise ParseError(lineno, col, f"bad name {tok!r}")
-            well_formed.add(tok)
+    def check_name(lineno, toks, k, m=None, declare=False):
+        # toks[k], interned; a bad name, or a declared one seen before, is refused at its column
+        tok = toks[k]
+        name = canon.get(tok)
+        if name is None and NAME_RE.match(tok):
+            name = canon[tok] = sys.intern(tok)
+        if name is None or declare and name in declared:
+            col = (m.start(k + 1) if m else
+                   [*re.finditer(r"\S+", block[lineno - start - 1])][k].start())
+            raise ParseError(lineno, col + 1,
+                             f"{'bad' if name is None else 'duplicate'} name {tok!r}")
         if declare:
-            if tok in declared:
-                raise ParseError(lineno, col, f"duplicate name {tok!r}")
-            declared.add(tok)
-            p.lines[tok] = lineno
+            declared.add(name)
+            p.lines[name] = lineno
+        return name
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "BICATEGORY":
-            p.bicategory = True
-            continue
-        if line in SECTIONS:
-            section = line
-            continue
-        if section is None:
-            raise ParseError(lineno, 1, f"declaration before any section: {line!r}")
-        toks = _tokens(line)
-        if section == "OBJECTS":
-            if len(toks) != 1:
-                raise ParseError(lineno, 1, "object rows hold a single name")
-            check_name(toks[0], lineno, declare=True)
-            p.objects.append(toks[0])
-        elif section in ("VMORS", "HMORS"):
-            # name : src -> tgt   |   name : id obj
-            if len(toks) == 4 and toks[1] == ":" and toks[2] == "id":
-                check_name(toks[0], lineno, declare=True)
-                check_name(toks[3], lineno)
-                entry = (toks[0], None, None, toks[3])
-            elif len(toks) == 5 and toks[1] == ":" and toks[3] == "->":
-                check_name(toks[0], lineno, declare=True)
-                check_name(toks[2], lineno)
-                check_name(toks[4], lineno)
-                entry = (toks[0], toks[2], toks[4], None)
+    def table(section, rows, first):
+        width, fixed, shapes, keep, msg = _TABLES[section]
+        out = getattr(p, section.lower())
+        full = list(filter(None, rows)) if len(rows) >= _COLUMNS else ()
+        if set(map(len, full)) == {width} and shapes.issuperset(map(fixed, full)):
+            kept = itemgetter(*keep)(list(zip(*full)))
+            new = set().union(*kept).difference(canon)
+            if all(map(NAME_RE.match, new)):
+                canon.update(zip(new, map(sys.intern, new)))
+                out.extend(zip(*map(partial(map, canon.__getitem__), kept)))
+                return
+        for lineno, toks in filter(itemgetter(1), enumerate(rows, first)):
+            if len(toks) != width or fixed(toks) not in shapes:
+                raise ParseError(lineno, 1, msg)
+            try:
+                out.append(tuple(map(canon.__getitem__, map(toks.__getitem__, keep))))
+            except KeyError:        # a name not read before
+                out.append(tuple(map(partial(check_name, lineno, toks), keep)))
+
+    def declarations(section, rows, first):
+        for lineno, toks in filter(itemgetter(1), enumerate(rows, first)):
+            name = partial(check_name, lineno, toks)
+            if section == "OBJECTS":
+                if len(toks) != 1:
+                    raise ParseError(lineno, 1, "object rows hold a single name")
+                p.objects.append(name(0, declare=True))
+            elif section in ("VMORS", "HMORS"):
+                # name : src -> tgt   |   name : id obj
+                if len(toks) == 4 and toks[1] == ":" and toks[2] == "id":
+                    entry = (name(0, declare=True), None, None, name(3))
+                elif len(toks) == 5 and toks[1] == ":" and toks[3] == "->":
+                    entry = (name(0, declare=True), name(2), name(4), None)
+                else:
+                    raise ParseError(lineno, 1, "expected 'name : a -> b' or 'name : id a'")
+                (p.vmors if section == "VMORS" else p.hmors).append(entry)
+            elif section == "CELLS":
+                # name : top => bottom [ left , right ]
+                m = _CELL.fullmatch(block[lineno - start - 1])
+                if not m:
+                    raise ParseError(lineno, 1, "expected 'name : top => bottom [left, right]'")
+                name = partial(check_name, lineno, m.groups(), m=m)
+                p.cells.append((name(0, declare=True), *map(name, range(1, 5))))
             else:
-                raise ParseError(lineno, 1,
-                                 "expected 'name : a -> b' or 'name : id a'")
-            (p.vmors if section == "VMORS" else p.hmors).append(entry)
-        elif section == "CELLS":
-            # name : top => bottom [ left , right ]
-            m = re.match(r"(\w+)\s*:\s*(\w+)\s*=>\s*(\w+)\s*\[\s*(\w+)\s*,\s*(\w+)\s*\]$",
-                         line)
-            if not m:
-                raise ParseError(lineno, 1,
-                                 "expected 'name : top => bottom [left, right]'")
-            check_name(m.group(1), lineno, declare=True)
-            for g in m.groups()[1:]:
-                check_name(g, lineno)
-            p.cells.append(tuple(map(sys.intern, m.groups())))
-        elif section in ("VCOMP", "HCOMP"):
-            op = "." if section == "VCOMP" else "*"
-            if len(toks) != 5 or toks[1] != op or toks[3] != "=":
-                raise ParseError(lineno, 1, f"expected 'x {op} y = z'")
-            for t in (toks[0], toks[2], toks[4]):
-                check_name(t, lineno)
-            (p.vcomp if section == "VCOMP" else p.hcomp).append(
-                (toks[0], toks[2], toks[4]))
-        elif section in ("VID", "HID"):
-            if len(toks) != 3 or toks[1] != "=":
-                raise ParseError(lineno, 1, "expected 'mor = cell'")
-            check_name(toks[0], lineno)
-            check_name(toks[2], lineno)
-            (p.vid if section == "VID" else p.hid).append((toks[0], toks[2]))
-        elif section == "ASSOC":
-            if len(toks) != 6 or toks[3] != "=":
-                raise ParseError(lineno, 1, "expected 'f g h = cell inverse'")
-            for t in toks[:3] + toks[4:]:
-                check_name(t, lineno)
-            p.assoc.append((toks[0], toks[1], toks[2], toks[4], toks[5]))
-        elif section == "UNITORS":
-            if len(toks) != 5 or toks[0] not in ("l", "r") or toks[2] != "=":
-                raise ParseError(lineno, 1, "expected 'l|r hmor = cell inverse'")
-            for t in (toks[1], toks[3], toks[4]):
-                check_name(t, lineno)
-            p.unitors.append((toks[0], toks[1], toks[3], toks[4]))
+                line = block[lineno - start - 1].strip()
+                raise ParseError(lineno, 1, f"declaration before any section: {line!r}")
+
+    section, start = None, 0
+    while lines:
+        block = lines[:_BLOCK]
+        del lines[:_BLOCK]          # a read block's lines are let go
+        rows = list(map(str.split, block))
+        heads = ([i for i, toks in enumerate(rows) if len(toks) == 1 and toks[0] in _HEADERS]
+                 if 1 in map(len, rows) else [])
+        lo = 0
+        for i in heads + [len(rows)]:
+            if lo < i:
+                read = table if section in _TABLES else declarations
+                read(section, rows[lo:i], start + lo + 1)
+            if i < len(rows) and rows[i][0] == "BICATEGORY":
+                p.bicategory = True
+            elif i < len(rows):
+                section = rows[i][0]
+            lo = i + 1
+        start += len(block)
     return p
 
 
@@ -185,114 +200,92 @@ def print_presentation(p: Presentation) -> str:
 
 
 def elaborate(p: Presentation, allow_invalid: bool = False) -> TableDouble:
-    objs = set(p.objects)
+    first = itemgetter(0)
+    # the names of each kind by letter: O(bject), V(mor), H(mor), C(ell), S(ide)
+    pools = {"O": set(p.objects), "V": set(map(first, p.vmors)),
+             "H": set(map(first, p.hmors)), "C": set(map(first, p.cells)), "S": {"l", "r"}}
+    kinds = {"O": "object", "V": "vmor", "H": "hmor", "C": "cell", "S": "side"}
 
-    def need_obj(x, ctx):
-        if x not in objs:
-            raise ElaborationError(f"{ctx}: undeclared object {x!r}"
-                                   + _at(p, x))
+    def need(kind, x, ctx):
+        if x not in pools[kind]:
+            raise ElaborationError(f"{ctx}: undeclared {kinds[kind]} {x!r}" + _at(p, x))
 
-    vmor_src, vmor_tgt, v_identity = {}, {}, {}
-    for (name, src, tgt, idof) in p.vmors:
-        if idof is not None:
-            need_obj(idof, f"vmor {name}")
-            vmor_src[name] = vmor_tgt[name] = idof
-            if idof in v_identity:
-                raise ElaborationError(f"two identity vmors for object {idof!r}")
-            v_identity[idof] = name
-        else:
-            need_obj(src, f"vmor {name}")
-            need_obj(tgt, f"vmor {name}")
-            vmor_src[name], vmor_tgt[name] = src, tgt
-    hmor_src, hmor_tgt, h_identity = {}, {}, {}
-    for (name, src, tgt, idof) in p.hmors:
-        if idof is not None:
-            need_obj(idof, f"hmor {name}")
-            hmor_src[name] = hmor_tgt[name] = idof
-            if idof in h_identity:
-                raise ElaborationError(f"two identity hmors for object {idof!r}")
-            h_identity[idof] = name
-        else:
-            need_obj(src, f"hmor {name}")
-            need_obj(tgt, f"hmor {name}")
-            hmor_src[name], hmor_tgt[name] = src, tgt
+    ends = ({}, {}, {}), ({}, {}, {})     # (source, target, identity) of vmors, of hmors
+    for kind, rows, (source, target, identity) in zip("vh", (p.vmors, p.hmors), ends):
+        for (name, src, tgt, idof) in rows:
+            for x in ((src, tgt) if idof is None else (idof,)):
+                need("O", x, f"{kind}mor {name}")
+            if idof is None:
+                source[name], target[name] = src, tgt
+                continue
+            source[name] = target[name] = idof
+            if idof in identity:
+                raise ElaborationError(f"two identity {kind}mors for object {idof!r}")
+            identity[idof] = name
+    (vmor_src, vmor_tgt, v_identity), (hmor_src, hmor_tgt, h_identity) = ends
     for a in p.objects:
-        if a not in v_identity:
-            raise ElaborationError(f"object {a!r} has no identity vmor")
-        if a not in h_identity:
-            raise ElaborationError(f"object {a!r} has no identity hmor")
-    vmors = tuple(n for (n, *_rest) in p.vmors)
-    hmors = tuple(n for (n, *_rest) in p.hmors)
-    cellset = {c[0] for c in p.cells}
-
-    def need(kind, x, pool, ctx):
-        if x not in pool:
-            raise ElaborationError(f"{ctx}: undeclared {kind} {x!r}" + _at(p, x))
-
+        for kind, identity in zip("vh", (v_identity, h_identity)):
+            if a not in identity:
+                raise ElaborationError(f"object {a!r} has no identity {kind}mor")
     cell_frames = {}
-    for (name, top, bottom, left, right) in p.cells:
-        need("hmor", top, hmor_src, f"cell {name}")
-        need("hmor", bottom, hmor_src, f"cell {name}")
-        need("vmor", left, vmor_src, f"cell {name}")
-        need("vmor", right, vmor_src, f"cell {name}")
-        cell_frames[name] = Frame(top, bottom, left, right)
-    vcomp_v, vcomp_c = {}, {}
-    for (a, b, c) in p.vcomp:
-        if a in vmor_src and b in vmor_src:
-            need("vmor", c, vmor_src, "VCOMP")
-            vcomp_v[(a, b)] = c
-        elif a in cellset and b in cellset:
-            need("cell", c, cellset, "VCOMP")
-            vcomp_c[(a, b)] = c
+    for (name, *frame) in p.cells:
+        for x, kind in zip(frame, "HHVV"):
+            need(kind, x, f"cell {name}")
+        cell_frames[name] = Frame(*frame)
+
+    def table(section, rows, nkey, kind, op=None):
+        """A table section as dicts {first nkey entries: the rest} in row order (with op, rows
+        composing two of the kind, then rows composing two cells), checked as columns; on a
+        failed check the rows are read in order to name the first offender."""
+        cols = list(zip(*rows)) or [()] * len(kind)
+        keyed = dict(zip(zip(*cols[:nkey]) if nkey > 1 else cols[0],
+                         zip(*cols[nkey:]) if len(cols) > nkey + 1 else cols[nkey]))
+        M, C = pools[kind[0]], pools["C"]
+        if op:
+            fits = list(map(and_, map(M.__contains__, cols[0]), map(M.__contains__, cols[1])))
+            out = [dict(compress(keyed.items(), f)) for f in (fits, map(not_, fits))]
+            ok = (M.issuperset(out[0].values()) and C.issuperset(out[1].values())
+                  and C.issuperset(chain.from_iterable(out[1])))
         else:
-            raise ElaborationError(f"VCOMP row mixes namespaces: {a} . {b} = {c}")
-    hcomp_h, hcomp_c = {}, {}
-    for (a, b, c) in p.hcomp:
-        if a in hmor_src and b in hmor_src:
-            need("hmor", c, hmor_src, "HCOMP")
-            hcomp_h[(a, b)] = c
-        elif a in cellset and b in cellset:
-            need("cell", c, cellset, "HCOMP")
-            hcomp_c[(a, b)] = c
-        else:
-            raise ElaborationError(f"HCOMP row mixes namespaces: {a} * {b} = {c}")
-    vid_cell = {}
-    for (f, c) in p.vid:
-        need("hmor", f, hmor_src, "VID")
-        need("cell", c, cellset, "VID")
-        vid_cell[f] = c
-    hid_cell = {}
-    for (u, c) in p.hid:
-        need("vmor", u, vmor_src, "HID")
-        need("cell", c, cellset, "HID")
-        hid_cell[u] = c
-    assoc = {}
-    for (f, g, h, c, d) in p.assoc:
-        for x in (f, g, h):
-            need("hmor", x, hmor_src, "ASSOC")
-        need("cell", c, cellset, "ASSOC")
-        need("cell", d, cellset, "ASSOC")
-        assoc[(f, g, h)] = (c, d)
+            fits, out = repeat(1), [keyed]
+            ok = all(map(set.issuperset, map(pools.get, kind), cols))
+        if not ok or len(keyed) < len(rows):
+            seen = set()
+            for row, fit in zip(rows, fits):
+                if not fit and not (row[0] in C and row[1] in C):
+                    raise ElaborationError(f"{section} row mixes namespaces: "
+                                           f"{row[0]} {op} {row[1]} = {row[2]}")
+                for x, k in zip(row, kind if fit else "CCC"):
+                    need(k, x, section)
+                if row[:nkey] in seen:
+                    raise ElaborationError(f"{section}: repeated key "
+                                           + " ".join(map(str, row[:nkey])))
+                seen.add(row[:nkey])
+        return out
+
+    vcomp_v, vcomp_c = table("VCOMP", p.vcomp, 2, "VVV", ".")
+    hcomp_h, hcomp_c = table("HCOMP", p.hcomp, 2, "HHH", "*")
+    (vid_cell,) = table("VID", p.vid, 1, "HC")
+    (hid_cell,) = table("HID", p.hid, 1, "VC")
+    (assoc,) = table("ASSOC", p.assoc, 3, "HHHCC")
     lunit, runit = {}, {}
-    for (side, f, c, d) in p.unitors:
-        need("hmor", f, hmor_src, "UNITORS")
-        need("cell", c, cellset, "UNITORS")
-        need("cell", d, cellset, "UNITORS")
-        (lunit if side == "l" else runit)[f] = (c, d)
+    for (side, f), v in table("UNITORS", p.unitors, 2, "SHCC")[0].items():
+        (lunit if side == "l" else runit)[f] = v
 
     A = TableDouble(
         name=p.name, objects=tuple(p.objects),
-        vmors=vmors, vmor_src=vmor_src, vmor_tgt=vmor_tgt,
+        vmors=tuple(map(first, p.vmors)), vmor_src=vmor_src, vmor_tgt=vmor_tgt,
         v_identity=v_identity, vcomp_vmor_table=vcomp_v,
-        hmors=hmors, hmor_src=hmor_src, hmor_tgt=hmor_tgt,
+        hmors=tuple(map(first, p.hmors)), hmor_src=hmor_src, hmor_tgt=hmor_tgt,
         h_identity=h_identity, hcomp_hmor_table=hcomp_h,
-        cells=tuple(c[0] for c in p.cells), cell_frames=cell_frames,
+        cells=tuple(map(first, p.cells)), cell_frames=cell_frames,
         vcomp_cell_table=vcomp_c, vid_cell=vid_cell,
         hcomp_cell_table=hcomp_c, hid_cell=hid_cell,
         assoc=assoc, lunit=lunit, runit=runit,
     )
     if p.bicategory:
-        nonid = [u for u in vmors if u not in set(v_identity.values())]
+        ids = set(v_identity.values())
+        nonid = [u for u in A.vmors if u not in ids]
         if nonid:
             raise ElaborationError(
                 f"BICATEGORY flag but non-identity vmors present: {nonid}")
@@ -408,7 +401,11 @@ def _load(path: str, allow_invalid=False) -> TableDouble:
     with open(path) as f:
         text = f.read()
     name = os.path.splitext(os.path.basename(path))[0]
-    return elaborate(parse(text, name), allow_invalid)
+    try:
+        return elaborate(parse(text, name), allow_invalid)
+    except (ParseError, ElaborationError) as e:
+        e.path = path           # for main's message
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +679,8 @@ def main(argv=None) -> int:
         rep.add("enumeration", False, (), "candidate cap exceeded")
         return _emit(args, rep)
     except (ParseError, ElaborationError, StructuralError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        where = f"{e.path}: " if hasattr(e, "path") else ""
+        print(f"error: {where}{e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
