@@ -42,26 +42,31 @@ class GridContext:
     """Horizontal composition Hom(B, C) x Hom(A, B) -> Hom(A, C) over a fixed
     triple of homs, read from the two-variable functor L = skew_L built once:
     composite functors, whiskered transformations and interchangers as ids
-    of Hom(A, C).  ``grids`` memoises interchange_grid for this triple."""
+    of Hom(A, C).  ``grids`` memoises interchange_grid for this triple, and
+    the whiskered paths are memoised too."""
 
     def __init__(self, sh_ac: StHom, hom_ab: HomDouble, hom_bc: HomDouble):
         self.sh_ac = sh_ac
         self.hom_ab = hom_ab
         self.hom_bc = hom_bc
         self.L = skew_L(hom_ab.dom, hom_ab.cod, hom_bc.cod, hom_bc, hom_ab, sh_ac.hom)
-        self.grids = {}
+        self.grids, self._post, self._pre = {}, {}, {}
 
     def whisker_path_post(self, g_id, path: Path) -> Path:
         """The path g . alpha1, .., g . alphan of Hom(A, C)."""
-        return _on_path(self.L.partial_right[g_id], path)
+        return _on_path(self._post, self.L.partial_right, g_id, path)
 
     def whisker_path_pre(self, path: Path, f_id) -> Path:
         """The path beta1 . f, .., betam . f of Hom(A, C)."""
-        return _on_path(self.L.partial_left[f_id], path)
+        return _on_path(self._pre, self.L.partial_left, f_id, path)
 
 
-def _on_path(F, path: Path) -> Path:
-    return Path(F.obj_map[path.src], tuple(F.hmor_map[h] for h in path.hmors))
+def _on_path(memo, partial, x, path: Path) -> Path:
+    out = memo.get((x, path))
+    if out is None:
+        F = partial[x]
+        out = memo[(x, path)] = Path(F.obj_map[path.src], tuple(F.hmor_map[h] for h in path.hmors))
+    return out
 
 
 def interchange_grid(ctx: GridContext, alphas: Path, betas: Path,
@@ -74,10 +79,11 @@ def interchange_grid(ctx: GridContext, alphas: Path, betas: Path,
     pasted from single interchangers and memoised on ctx.  "row" splits off
     the last beta while there are two or more, so each beta crosses every
     alpha in turn; "col" splits off the last alpha while there are two or
-    more, so each alpha crosses every beta."""
+    more, so each alpha crosses every beta.  Where one side has length <= 1
+    the two orders take the same steps, so they share one memo entry."""
     if order not in ("row", "col"):
         raise ValueError(order)
-    key = (alphas, betas, order)
+    key = (alphas, betas, order if len(alphas.hmors) > 1 and len(betas.hmors) > 1 else "row")
     out = ctx.grids.get(key)
     if out is None:
         out = ctx.grids[key] = _grid(ctx, alphas, betas, order)

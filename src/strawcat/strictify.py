@@ -311,24 +311,22 @@ class StrictifiedDouble:
         return [StCell(p, q, c) for c in self.base.globular_cells(self.eps(p), self.eps(q))]
 
     def cells(self, bound: int):
-        """All st-cells whose boundary paths have length <= bound.  The
+        """All st-cells whose boundary paths have length <= bound: dom in
+        ``paths(bound)`` order, then cod in that order, then base order.  The
         payload frame fixes the vertical boundaries, so the paths need not
         share endpoints."""
-        ps = self.paths(bound)
-        by_top = {}
-        for c in self.base.cells:
-            by_top.setdefault(self.base.frame(c).top, []).append(c)
-        out = []
-        for p in ps:
-            pool = by_top.get(self.eps(p), ())
-            if not pool:
-                continue
-            for q in ps:
-                eq = self.eps(q)
-                for c in pool:
-                    if self.base.frame(c).bottom == eq:
-                        out.append(StCell(p, q, c))
-        return out
+        A, ps = self.base, self.paths(bound)
+        ev = [self.eps(p) for p in ps]
+        at = {}                                 # eps value -> its positions in ps
+        for i, e in enumerate(ev):
+            at.setdefault(e, []).append(i)
+        below = {}                              # top -> bottom -> cells, base order
+        for c in A.cells:
+            fr = A.frame(c)
+            below.setdefault(fr.top, {}).setdefault(fr.bottom, []).append(c)
+        cods = {t: [(ps[i], bs[ev[i]]) for i in sorted(i for b in bs for i in at.get(b, ()))]
+                for t, bs in below.items()}
+        return [StCell(p, q, c) for p, e in zip(ps, ev) for q, cs in cods.get(e, ()) for c in cs]
 
     def table(self, bound: int) -> TableDouble:
         """The bounded part of st A as a table: A's objects and vertical

@@ -145,6 +145,34 @@ def test_grid_fold_matches_the_swap_schedule(tables, names, count):
     assert seen == count
 
 
+def test_orders_share_one_grid_where_a_side_has_length_at_most_one(tables):
+    # where alphas or betas has length <= 1 both folds take the same steps:
+    # one "row" entry serves both orders, and a larger grid keeps one per order
+    A, B, C = (tables[n] for n in ("nonstrict", "sigmaM", "sigmaM"))
+    sh_ab, sh_bc = st_hom(A, B), st_hom(B, C)
+    ctx = GridContext(st_hom(A, C), sh_ab.hom, sh_bc.hom)
+    shared = 0
+    for alphas in sh_ab.S.paths(2):
+        for betas in sh_bc.S.paths(2):
+            row, col = (interchange_grid(ctx, alphas, betas, o) for o in ("row", "col"))
+            if min(len(alphas), len(betas)) <= 1:
+                assert row is col and (alphas, betas, "col") not in ctx.grids
+                shared += 1
+            else:
+                assert {(alphas, betas, "row"), (alphas, betas, "col")} <= ctx.grids.keys()
+    assert shared == 1810
+    assert len(ctx.grids) == 8018               # 9,828 with one entry per order
+    rep = gray_axiom_check(A, B, C, bound=2)
+    assert rep.ok and rep.counts["gray.grid.order"] == 4914
+
+
+def test_whiskered_paths_are_memoised(shNN, ctxNN):
+    p = shNN.S.paths(2)[-1]
+    a = shNN.hom.table.objects[0]
+    assert ctxNN.whisker_path_post(a, p) is ctxNN.whisker_path_post(a, p)
+    assert ctxNN.whisker_path_pre(p, a) is ctxNN.whisker_path_pre(p, a)
+
+
 def test_grid_rejects_an_unknown_order(shNN, ctxNN):
     one = shNN.S.unary(shNN.hom.table.hmors[0])
     with pytest.raises(ValueError):

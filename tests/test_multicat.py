@@ -37,7 +37,7 @@ from strawcat.multicat import (
     validate_multicat,
 )
 from strawcat.report import Report, StructuralError
-from strawcat.strictify import StCell
+from strawcat.strictify import Path, StCell
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -862,31 +862,61 @@ def _mutate_counit_objects(E, B):
     E.F.obj_map = {a: b, b: a}
 
 
-# each mutant is planted in eta or the counit of one member; the named
-# family must report it
+def _pad(E, c, k):
+    # E sends c to a cell of st sigmaM outside every bounded table of length
+    # below k: its image with the strict unit m0 put k times at the end of
+    # both boundaries, which leaves the payload's frame
+    y, pad = E.on_cell(c), ("m0",) * k
+    E._cell[c] = E.B.mk_cell(y.dom + Path(E.B.htgt(y.dom), pad),
+                             y.cod + Path(E.B.htgt(y.cod), pad), y.payload)
+
+
+def _mutate_extension_cell(E, F):
+    # st f into st sigmaM sends the last cell of st A at bound 1 outside
+    _pad(E, E.S.cells(1)[-1], 4)
+
+
+def _mutate_extensions_into_sigma_m(E, F):
+    # every st f into st sigmaM sends every cell of st A at bound 2 outside,
+    # each by a pad of its own length, so two extensions' images differ:
+    # st(g f) and st g . st f may both leave the bounded cells, and differ
+    if E.B.name == "st(sigmaM)":
+        for c in E.S.cells(2):
+            _pad(E, c, 3 + int(F.name.rsplit(".F", 1)[1]))
+
+
+# each mutant is planted in eta or the counit of one member, or in the
+# extension st f of one functor f (named by eta . f) or of every f (None);
+# the named family must report it
 ADJUNCTION_MUTANTS = [
     ("sadj.unit.natural", "eta", "nonstrict", _mutate_eta_cell, ("nonstrict", "sigma2")),
     ("sadj.S.functorial", "eta", "nonstrict", _mutate_eta_phi2, ("nonstrict", "sigmaM")),
     ("sadj.counit.natural", "eta", "quintet", _mutate_eta_objects, ("quintet", "sigma2")),
     ("sadj.pronormal.identity", "eta", "quintet", _mutate_eta_objects, ("quintet",)),
     ("sadj.pronormal.identity", "counit", "quintet", _mutate_counit_objects, ("quintet",)),
+    ("sadj.S.functorial", "extend_functor", "eta_sigmaM.F0", _mutate_extension_cell,
+     ("nonstrict", "sigmaM")),
+    ("sadj.S.functorial", "extend_functor", None, _mutate_extensions_into_sigma_m,
+     ("nonstrict", "sigmaM")),
 ]
+ADJUNCTION_IDS = [f"{m[0]}-{m[1]}" if m[1] != "extend_functor" else f"{m[0]}-{m[3].__name__.removeprefix('_mutate_')}"
+                  for m in ADJUNCTION_MUTANTS]
 
 
 @pytest.mark.parametrize("family,target,member,mutate,members", ADJUNCTION_MUTANTS,
-                         ids=[f"{m[0]}-{m[1]}" for m in ADJUNCTION_MUTANTS])
+                         ids=ADJUNCTION_IDS)
 def test_strictification_adjunction_names_a_planted_mutant(
         tables, monkeypatch, family, target, member, mutate, members):
     real = getattr(strictify, target)
 
     def planted(X, *rest):
         out = real(X, *rest)
-        if X.name == member:
+        if member in (None, X.name):
             mutate(out, X)
         return out
 
     monkeypatch.setattr(strictify, target, planted)
-    rep = strictification_adjunction_report({k: tables[k] for k in members}, bound=2)
+    rep = _assert_adjunction_matches_plain(tables, members, 2)     # as the plain loops
     assert family in {f.check for f in rep.failures()}, rep.render()
 
 
@@ -904,9 +934,110 @@ def test_strictification_adjunction_names_a_composite_that_is_not_enumerated(
         return out
 
     monkeypatch.setattr(homs, "compose_functors", planted)
-    rep = strictification_adjunction_report(
-        {k: tables[k] for k in ("nonstrict", "sigmaM")}, bound=2)
+    rep = _assert_adjunction_matches_plain(tables, ("nonstrict", "sigmaM"), 2)
     assert "sadj.S.functorial" in {f.check for f in rep.failures()}, rep.render()
+
+
+def _plain_adjunction_report(tables: dict, bound: int = 3, max_candidates=None) -> Report:
+    # the report with S functoriality compared as objects, on every bounded
+    # path and cell of every composable pair
+    from strawcat.core import is_strict
+    from strawcat.homs import compose_functors, enumerate_functors
+    from strawcat.strictify import (counit, eta, extend_functor, restrict_extension, st,
+                                    triangle1_report, triangle2_report)
+
+    rep = Report("strictification_adjunction", params={"bound": bound})
+    names = list(tables)
+    sts = {n: st(tables[n]) for n in names}
+    etas = {n: eta(tables[n], sts[n]) for n in names}
+    funs = {(n1, n2): enumerate_functors(tables[n1], tables[n2], max_candidates)
+            for n1 in names for n2 in names}
+    paths = {n: sts[n].paths(bound) for n in names}
+    cells = {n: sts[n].cells(bound) for n in names}
+    stfs = {(n1, n2): [extend_functor(compose_functors(etas[n2], f), sts[n1], sts[n2])
+                       for f in fs] for (n1, n2), fs in funs.items()}
+
+    for (n1, n2), fs in funs.items():
+        for f, stf in zip(fs, stfs[(n1, n2)]):
+            lhs, rhs = restrict_extension(stf, etas[n1]), stf.F
+            ok = (lhs.hmor_map == rhs.hmor_map and lhs.cell_map == rhs.cell_map
+                  and lhs.phi0 == rhs.phi0 and lhs.phi2 == rhs.phi2)
+            rep.require("sadj.unit.natural", ok, (n1, n2, f.name))
+    rep.params["unit_naturality_instances"] = rep.counts.get("sadj.unit.natural", 0)
+
+    st_by_key = {(n1, n2, f.key()): stf for (n1, n2), fs in funs.items()
+                 for f, stf in zip(fs, stfs[(n1, n2)])}
+    for n1, n2, n3 in itertools.product(names, repeat=3):
+        for f, stf in zip(funs[(n1, n2)], stfs[(n1, n2)]):
+            for g, stg in zip(funs[(n2, n3)], stfs[(n2, n3)]):
+                stgf = st_by_key.get((n1, n3, compose_functors(g, f).key()))
+                ok = (stgf is not None
+                      and all(stgf.on_path(p) == stg.on_path(stf.on_path(p)) for p in paths[n1])
+                      and all(stgf.on_cell(c) == stg.on_cell(stf.on_cell(c)) for c in cells[n1]))
+                rep.require("sadj.S.functorial", ok, (n1, n2, n3, f.name, g.name))
+    rep.params["S_functoriality_instances"] = rep.counts.get("sadj.S.functorial", 0)
+
+    strict_names = [n for n in names if is_strict(tables[n])]
+    counits = {n: counit(tables[n]) for n in strict_names}
+    for n1, n2 in itertools.product(strict_names, repeat=2):
+        eps1, eps2 = counits[n1], counits[n2]
+        for e, ebar in zip(funs[(n1, n2)], stfs[(n1, n2)]):
+            for p in paths[n1]:
+                rep.require("sadj.counit.natural",
+                            eps2.on_path(ebar.on_path(p)) == e.hmor(eps1.on_path(p)),
+                            (n1, n2, e.name, p))
+            for c in cells[n1]:
+                rep.require("sadj.counit.natural",
+                            eps2.on_cell(ebar.on_cell(c)) == e.cell(eps1.on_cell(c)),
+                            (n1, n2, e.name))
+    rep.params["counit_naturality_instances"] = rep.counts.get("sadj.counit.natural", 0)
+
+    for n in names:
+        r = triangle1_report(tables[n], bound)
+        rep.require("sadj.triangle1", r.ok, (n,), detail=r.summary())
+    for n in strict_names:
+        r = triangle2_report(tables[n])
+        rep.require("sadj.triangle2", r.ok, (n,), detail=r.summary())
+
+    for n in names:
+        obj = etas[n].obj_map
+        ok = (set(obj) == set(tables[n].objects) and set(obj.values()) == set(sts[n].objects)
+              and len(set(obj.values())) == len(obj))
+        if n in counits:
+            ok = ok and all(counits[n].obj(obj[a]) == a for a in obj)
+        rep.require("sadj.pronormal.identity", ok, (n,))
+    return rep
+
+
+def _assert_adjunction_matches_plain(tables, members, bound):
+    sub = {k: tables[k] for k in members}
+    rep, want = strictification_adjunction_report(sub, bound), _plain_adjunction_report(sub, bound)
+    assert (rep.title, rep.truncated) == (want.title, want.truncated)
+    assert list(rep.params.items()) == list(want.params.items())
+    assert list(rep.counts.items()) == list(want.counts.items())
+    assert rep.findings == want.findings
+    return rep
+
+
+def test_strictification_adjunction_matches_the_plain_loops(tables):
+    rep = _assert_adjunction_matches_plain(tables, ("nonstrict", "sigmaM", "quintet"), 3)
+    assert rep.ok and rep.params["S_functoriality_instances"] == 194
+
+
+def test_strictification_adjunction_reads_each_extension_once(tables, monkeypatch):
+    # every st f is read once on the bounded cells of its domain, not once
+    # per composable pair: the plain loops call on_cell 329,001 times here
+    calls = []
+    real = strictify.StExtension.on_cell
+
+    def counted(self, c):
+        calls.append(None)
+        return real(self, c)
+
+    monkeypatch.setattr(strictify.StExtension, "on_cell", counted)
+    sub = {k: tables[k] for k in ("nonstrict", "sigmaM", "quintet")}
+    assert strictification_adjunction_report(sub, bound=3).ok
+    assert len(calls) == 29_557
 
 
 # terminal at word cap 5: its morphisms and instance counts; structural

@@ -222,6 +222,40 @@ def test_a_path_is_its_length_and_concatenates_to_a_path():
         assert S.hcomp_hmor(q, p) == pq
 
 
+def _plain_cells(S, bound):
+    # every pair of bounded paths against every base cell of the top's pool
+    ps = S.paths(bound)
+    by_top = {}
+    for c in S.base.cells:
+        by_top.setdefault(S.base.frame(c).top, []).append(c)
+    out = []
+    for p in ps:
+        pool = by_top.get(S.eps(p), ())
+        if not pool:
+            continue
+        for q in ps:
+            eq = S.eps(q)
+            for c in pool:
+                if S.base.frame(c).bottom == eq:
+                    out.append(StCell(p, q, c))
+    return out
+
+
+def test_cells_match_the_plain_loop(tables):
+    # the eight members at bounds 0-4, and the st Homs of the gray-homs
+    # benchmark's triples at bounds 0-3: the same cells in the same order
+    from strawcat.gray import st_hom
+    cases = [(st(tables[n]), b) for n in tables for b in range(5)]
+    cases += [(st_hom(tables[a], tables[b]).S, bound)
+              for a, b in (("nonstrict", "sigmaM"), ("sigmaM", "sigmaM"), ("sigma2", "sigma2"))
+              for bound in range(4)]
+    for S, bound in cases:
+        cells = S.cells(bound)
+        assert cells == _plain_cells(S, bound), (S.name, bound)
+        assert all(type(c) is StCell for c in cells)
+    assert len(st(tables["sigmaM"]).cells(4)) == 11_361
+
+
 def test_extension_requires_strict_codomain(N):
     F = identity_functor(N)
     with pytest.raises(StructuralError):
